@@ -83,6 +83,7 @@ from .hypergraph import (
 from .io import (
     dumps_canonical,
     read_tensor,
+    read_tensor_any,
     read_tensor_json,
     read_witness,
     read_witness_any,
@@ -127,7 +128,7 @@ __all__ = [
     "parse_hypergraph", "random_hypergraph", "random_perm_triple",
     "read_hypergraph", "relabel", "write_hypergraph",
     "dumps_canonical",
-    "read_tensor", "read_tensor_json", "read_witness", "read_witness_any", "read_witness_json",
+    "read_tensor", "read_tensor_any", "read_tensor_json", "read_witness", "read_witness_any", "read_witness_json",
     "tensor_from_bytes", "tensor_from_json_obj", "tensor_to_bytes",
     "tensor_to_json_obj", "witness_from_bytes", "witness_from_json_obj",
     "witness_to_bytes", "witness_to_json_obj", "write_tensor",

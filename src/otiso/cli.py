@@ -58,14 +58,6 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _read_tensor_any(path):
-    with open(path, "rb") as fh:
-        head = fh.read(4)
-    if head == tio.TENSOR_MAGIC:
-        return tio.read_tensor(path)
-    return tio.read_tensor_json(path)
-
-
 def _decision_report(command: str, dec: Decision) -> dict:
     return {
         "command": command,
@@ -77,8 +69,8 @@ def _decision_report(command: str, dec: Decision) -> dict:
 
 
 def _run_decision(args, mode: str) -> int:
-    a = _read_tensor_any(args.a)
-    b = _read_tensor_any(args.b)
+    a = tio.read_tensor_any(args.a)
+    b = tio.read_tensor_any(args.b)
     cfg = DecisionConfig(
         eps=args.eps,
         delta_override=getattr(args, "delta", None),
@@ -89,7 +81,7 @@ def _run_decision(args, mode: str) -> int:
         dec = decide_isomorphism(a, b, cfg)
     else:
         dec = decide_orbit_distance(a, b, cfg)
-    if args.witness_out and dec.witness is not None:
+    if args.witness_out and dec.verdict == "yes":
         tio.write_witness_json(dec.witness, args.witness_out)
     detail = "" if dec.residual is None else f" (residual {dec.residual:.6e}, bound {dec.gamma_bound:.6e})"
     _emit(args, _decision_report("iso" if mode == "exact_iso" else "dist", dec), f"verdict: {dec.verdict}{detail}")
@@ -150,8 +142,8 @@ def _cmd_hyper(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    a = _read_tensor_any(args.a)
-    b = _read_tensor_any(args.b)
+    a = tio.read_tensor_any(args.a)
+    b = tio.read_tensor_any(args.b)
     w = tio.read_witness_any(args.witness)
     report = verify_witness(a, b, w)
     gate = args.tol * max(a.frobenius_norm, 1e-300)
@@ -195,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_iso.add_argument("--mode", choices=["exact", "gapped"], default="exact")
     p_iso.add_argument("--bits", type=int, default=None, help="working precision in bits")
     p_iso.add_argument("--delta", type=float, default=None, help="override the measured spectral gap")
-    p_iso.add_argument("--witness-out", default=None, help="write the witness as JSON when one is found")
+    p_iso.add_argument("--witness-out", default=None, help="write the verified witness as JSON on a YES verdict")
     p_iso.set_defaults(func=_cmd_iso)
 
     p_dist = sub.add_parser("dist", parents=[common], help="gap-certified orbit distance decision")

@@ -1,17 +1,18 @@
 """Orbit decision procedures: exact isomorphism testing and gapped orbit distance.
 
-Both pipelines share the same spine: eigendecompose the six mode Grams,
-bail out when a spectrum is too degenerate to pin its eigenbasis, compare
-cores entrywise, recover per-mode signs/phases, assemble a candidate
-transform, and re-verify it directly against the input tensors.  A YES is
-never returned on the pipeline's say-so alone; the recomputed residual must
-clear the certified bound.
+Both modes run one shared spine (``_decide``): eigendecompose the six mode
+Grams, bail out when a spectrum is too degenerate to pin its eigenbasis,
+compare cores entrywise, recover per-mode signs/phases, assemble a candidate
+transform, and re-verify it directly against the input tensors.  Only the
+tolerance policy differs between modes.  A YES is never returned on the
+pipeline's say-so alone; the recomputed residual must clear the certified
+bound.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,8 +26,12 @@ from .errors import (
 )
 from .hosvd import CoreComparison, CoreTensor, RejectFar, compare_cores, core_of
 from .phases import PhaseAssignment, SignAssignment, assemble_witness, solve_phases, solve_signs, STRICT_TOL
-from .spectral import GapPolicy, eig_hermitian, spectra_close
-from .tensor import Tensor3, TransformTriple, apply_action, gram, unitarity_defect
+from .spectral import GapPolicy, spectra_close
+from .tensor import TAU_UNITARY_REL, Tensor3, TransformTriple, apply_action
+
+# Not called here: bench/spans.py wraps these names on this module.
+from .spectral import eig_hermitian  # noqa: F401
+from .tensor import gram  # noqa: F401
 
 MODES = ("exact_iso", "gapped_distance")
 
@@ -93,7 +98,6 @@ class WitnessReport:
     residual: float
     unitarity_defects: tuple[float, float, float]
     unitary_ok: bool
-    unitarity_tolerance: float
 
 
 def required_bits(n: int, eps: float) -> int:
@@ -134,12 +138,10 @@ def verify_witness(a: Tensor3, b: Tensor3, witness) -> WitnessReport:
     acted = apply_action(triple, a.astype_kind(kind))
     residual = float(np.linalg.norm(acted.data - b.astype_kind(kind).data))
     defects = triple.unitarity_defects()
-    tol = 1e-10 * max(triple.dims)
     return WitnessReport(
         residual=residual,
         unitarity_defects=defects,
-        unitary_ok=all(d <= 1e-10 * n for d, n in zip(defects, triple.dims)),
-        unitarity_tolerance=tol,
+        unitary_ok=all(d <= TAU_UNITARY_REL * n for d, n in zip(defects, triple.dims)),
     )
 
 
@@ -161,28 +163,15 @@ def _identity_assignment(dims, kind):
 def _solve_assignment(cmp: CoreComparison):
     """Dispatch on scalar kind: sign system for real cores, phase LP for complex."""
     if not cmp.phase_targets:
-        return _identity_assignment(cmp.dims, cmp.scalar_kind), 0
+        return _identity_assignment(cmp.dims, cmp.scalar_kind)
+    if cmp.scalar_kind == "complex":
+        return solve_phases(cmp)
+    # solve_phases rejects zero-slack targets itself; the sign system has no slack.
     dead = [k for k, t in sorted(cmp.phase_targets.items()) if t.slack <= STRICT_TOL]
     if dead:
         raise Infeasible(dead, "targets with zero slack admit no strict solution")
-    if cmp.scalar_kind == "real":
-        signs = {k: (-1 if abs(t.phi) > math.pi / 2 else 1) for k, t in cmp.phase_targets.items()}
-        return solve_signs(signs, cmp.dims), len(signs)
-    return solve_phases(cmp), len(cmp.phase_targets)
-
-
-def _finish_with_witness(a, b, sa, sb, assignment, gate, diag):
-    witness = assemble_witness(sa, sb, assignment)
-    report = verify_witness(a, b, witness)
-    diag["residual_recomputed"] = report.residual
-    diag["unitarity_defects"] = list(report.unitarity_defects)
-    if report.residual <= gate and report.unitary_ok:
-        return Decision("yes", witness, report.residual, gate, diag)
-    # A feasible assignment whose witness fails verification means the
-    # numerics left the certified regime; refusing to answer is the only
-    # sound option.
-    diag["step"] = "witness_verification"
-    return Decision("cannot_decide", witness, report.residual, gate, diag)
+    signs = {k: (-1 if abs(t.phi) > math.pi / 2 else 1) for k, t in cmp.phase_targets.items()}
+    return solve_signs(signs, cmp.dims)
 
 
 def _validate_pair(a: Tensor3, b: Tensor3):
@@ -190,6 +179,128 @@ def _validate_pair(a: Tensor3, b: Tensor3):
         raise DimensionMismatch(f"tensor dims differ: {a.dims} vs {b.dims}")
     if a.scalar_kind != b.scalar_kind:
         raise ScalarKindMismatch(f"tensor kinds differ: {a.scalar_kind} vs {b.scalar_kind}")
+
+
+def _decide(a: Tensor3, b: Tensor3, cfg: DecisionConfig) -> Decision:
+    """The decision spine shared by both modes.
+
+    truncate -> cores -> spectrum check -> compare cores -> solve -> verify.
+    ``cfg.mode`` selects only the tolerance policy: the working precision,
+    the default eps, the YES gate (exact residual gate or the certified
+    ``gamma_bound``) and how B's spectra are screened (strict simplicity plus
+    spectrum equality, or the eps-range check plus ``gap_b >= delta/2``).
+    """
+    exact = cfg.mode == "exact_iso"
+    _validate_pair(a, b)
+    n = max(a.dims)
+    if exact:
+        bits = cfg.precision_bits if cfg.precision_bits is not None else 53
+    else:
+        if not (a.dims[0] == a.dims[1] == a.dims[2]):
+            raise DimensionMismatch(f"gapped mode requires cubic tensors, got dims {a.dims}")
+        need = required_bits(n, cfg.eps)
+        if cfg.precision_bits is not None and cfg.precision_bits < need:
+            raise ConfigInvalid(f"precision_bits={cfg.precision_bits} below required {need} for n={n}, eps={cfg.eps}")
+        bits = cfg.precision_bits if cfg.precision_bits is not None else need
+
+    at = truncate_tensor(a, bits)
+    bt = truncate_tensor(b, bits)
+    norm_a = at.frobenius_norm
+    norm_b = bt.frobenius_norm
+    k_norm = norm_a + norm_b
+    eps = float(cfg.eps) if cfg.eps is not None else 1e-8 * max(k_norm, _TINY)
+    diag: dict = {
+        "mode": cfg.mode,
+        "n": n,
+        "scalar_kind": a.scalar_kind,
+        "precision_bits": bits,
+        "eps": eps,
+        "norm_a": norm_a,
+        "norm_b": norm_b,
+    }
+    gate = None
+    if exact:
+        diag["dims"] = list(a.dims)
+        gate = max(8.0 * n * math.ldexp(1.0, -min(bits, 512)), EXACT_RESIDUAL_REL_FLOOR) * max(norm_a, _TINY)
+        diag["residual_gate"] = gate
+    elif abs(norm_a - norm_b) >= 2.0 * eps:
+        diag["step"] = "norm"
+        return Decision("no", None, None, None, diag)
+
+    try:
+        ca = core_of(at)
+        if exact:
+            cb = core_of(bt)
+    except CannotDecide as exc:
+        diag["step"] = "gap_policy"
+        diag["failed_mode"] = exc.mode
+        diag["failed_gap"] = exc.gap
+        return Decision("cannot_decide", None, None, gate, diag)
+    diag["spectra_a"] = _spectra_digest(ca)
+
+    if exact:
+        diag["spectra_b"] = _spectra_digest(cb)
+        # Weyl: truncation moves entries by <= 2^-bits each, hence any Gram
+        # eigenvalue by at most 2 K t + t^2 with t = n^{3/2} 2^-bits; add a
+        # relative floor for eigensolver noise.
+        t_entry = math.ldexp(1.0, -min(bits, 512)) * (n ** 1.5)
+        for d, (ga, gb) in enumerate(zip(ca.spectra, cb.spectra)):
+            scale = max(float(np.max(np.abs(ga.eigenvalues))), float(np.max(np.abs(gb.eigenvalues))), _TINY)
+            tol = TAU_SPECTRA_REL * scale + 2.0 * k_norm * t_entry + t_entry ** 2
+            if not spectra_close(ga, gb, tol):
+                diag["step"] = "spectra"
+                diag["failed_mode"] = d + 1
+                diag["spectra_tolerance"] = tol
+                return Decision("no", None, None, gate, diag)
+        delta = cfg.delta_override if cfg.delta_override is not None else min(ca.min_gap, cb.min_gap)
+        diag["delta"] = delta
+    else:
+        delta = cfg.delta_override if cfg.delta_override is not None else ca.min_gap
+        diag["delta"] = delta
+        if not (eps < delta / (4.0 * max(k_norm, _TINY))):
+            raise EpsOutOfRange(f"eps={eps} not below delta/(4(|A|+|B|))={delta / (4.0 * max(k_norm, _TINY)):.3e}")
+        gate = cfg.c_gamma * (n ** 3.5) * (norm_a ** 2) * eps / delta
+        diag["gamma_bound_spectral_form"] = gate
+        diag["gamma_bound_dimension_form"] = cfg.c_gamma * (n ** 8) * eps
+        # B's spectra are screened against delta/2, not for strict simplicity.
+        cb = core_of(bt, GapPolicy(mode="threshold"))
+        diag["spectra_b"] = _spectra_digest(cb)
+        for d, s in enumerate(cb.spectra):
+            if s.min_gap < delta / 2.0:
+                diag["step"] = "gap_b"
+                diag["failed_mode"] = d + 1
+                diag["failed_gap"] = float(s.min_gap)
+                return Decision("no", None, None, gate, diag)
+
+    cmp = compare_cores(ca, cb, eps, delta)
+    if isinstance(cmp, RejectFar):
+        diag["step"] = "modulus"
+        diag["reject_entry"] = list(cmp.entry)
+        diag["reject_threshold"] = cmp.threshold
+        return Decision("no", None, None, gate, diag)
+    diag["phase_targets"] = len(cmp.phase_targets)
+    diag["threshold_modulus"] = cmp.threshold_used
+    diag["support_ok"] = cmp.support_ok
+
+    try:
+        assignment = _solve_assignment(cmp)
+    except Infeasible as exc:
+        diag["step"] = "phase_system"
+        diag["certificate_size"] = len(exc.certificate)
+        return Decision("no", None, None, gate, diag)
+
+    witness = assemble_witness(ca, cb, assignment)
+    report = verify_witness(a, b, witness)
+    diag["residual_recomputed"] = report.residual
+    diag["unitarity_defects"] = list(report.unitarity_defects)
+    if report.residual <= gate and report.unitary_ok:
+        return Decision("yes", witness, report.residual, gate, diag)
+    # A feasible assignment whose witness fails verification means the
+    # numerics left the certified regime; refusing to answer is the only
+    # sound option.  With no phase targets at all, nothing pinned the
+    # per-mode gauge, so the identity guess was never evidence.
+    diag["step"] = "underdetermined" if not cmp.phase_targets else "witness_verification"
+    return Decision("cannot_decide", witness, report.residual, gate, diag)
 
 
 def decide_isomorphism(a: Tensor3, b: Tensor3, cfg: DecisionConfig | None = None) -> Decision:
@@ -204,75 +315,7 @@ def decide_isomorphism(a: Tensor3, b: Tensor3, cfg: DecisionConfig | None = None
     cfg = cfg or DecisionConfig()
     if cfg.mode != "exact_iso":
         raise ConfigInvalid("decide_isomorphism requires mode 'exact_iso'")
-    _validate_pair(a, b)
-    bits = cfg.precision_bits if cfg.precision_bits is not None else 53
-    at = truncate_tensor(a, bits)
-    bt = truncate_tensor(b, bits)
-    n_eff = max(a.dims)
-    norm_a = at.frobenius_norm
-    norm_b = bt.frobenius_norm
-    k_norm = norm_a + norm_b
-    eps = cfg.eps if cfg.eps is not None else 1e-8 * max(k_norm, _TINY)
-    diag: dict = {
-        "mode": "exact_iso",
-        "n": n_eff,
-        "dims": list(a.dims),
-        "scalar_kind": a.scalar_kind,
-        "precision_bits": bits,
-        "eps": eps,
-        "norm_a": norm_a,
-        "norm_b": norm_b,
-    }
-    gate = max(8.0 * n_eff * math.ldexp(1.0, -min(bits, 512)), EXACT_RESIDUAL_REL_FLOOR) * max(norm_a, _TINY)
-    diag["residual_gate"] = gate
-
-    try:
-        ca = core_of(at)
-        cb = core_of(bt)
-    except CannotDecide as exc:
-        diag["step"] = "gap_policy"
-        diag["failed_mode"] = exc.mode
-        diag["failed_gap"] = exc.gap
-        return Decision("cannot_decide", None, None, gate, diag)
-    diag["spectra_a"] = _spectra_digest(ca)
-    diag["spectra_b"] = _spectra_digest(cb)
-
-    # Weyl: truncation moves entries by <= 2^-bits each, hence any Gram
-    # eigenvalue by at most 2 K t + t^2 with t = n^{3/2} 2^-bits; add a
-    # relative floor for eigensolver noise.
-    t_entry = math.ldexp(1.0, -min(bits, 512)) * (n_eff ** 1.5)
-    for d in range(3):
-        ga = ca.spectra[d]
-        gb = cb.spectra[d]
-        scale = max(float(np.max(np.abs(ga.eigenvalues))), float(np.max(np.abs(gb.eigenvalues))), _TINY)
-        tol = TAU_SPECTRA_REL * scale + 2.0 * k_norm * t_entry + t_entry ** 2
-        if not spectra_close(ga, gb, tol):
-            diag["step"] = "spectra"
-            diag["failed_mode"] = d + 1
-            diag["spectra_tolerance"] = tol
-            return Decision("no", None, None, gate, diag)
-
-    delta = cfg.delta_override if cfg.delta_override is not None else min(ca.min_gap, cb.min_gap)
-    diag["delta"] = delta
-
-    cmp = compare_cores(ca, cb, eps, delta)
-    if isinstance(cmp, RejectFar):
-        diag["step"] = "modulus"
-        diag["reject_entry"] = list(cmp.entry)
-        diag["reject_threshold"] = cmp.threshold
-        return Decision("no", None, None, gate, diag)
-    diag["phase_targets"] = len(cmp.phase_targets)
-    diag["threshold_modulus"] = cmp.threshold_used
-    diag["support_ok"] = cmp.support_ok
-
-    try:
-        assignment, _ = _solve_assignment(cmp)
-    except Infeasible as exc:
-        diag["step"] = "phase_system"
-        diag["certificate_size"] = len(exc.certificate)
-        return Decision("no", None, None, gate, diag)
-
-    return _finish_with_witness(a, b, ca, cb, assignment, gate, diag)
+    return _decide(a, b, cfg)
 
 
 def decide_orbit_distance(a: Tensor3, b: Tensor3, cfg: DecisionConfig) -> Decision:
@@ -288,86 +331,4 @@ def decide_orbit_distance(a: Tensor3, b: Tensor3, cfg: DecisionConfig) -> Decisi
         raise ConfigInvalid("gapped mode requires an explicit eps")
     if cfg.mode != "gapped_distance":
         raise ConfigInvalid("decide_orbit_distance requires mode 'gapped_distance'")
-    _validate_pair(a, b)
-    if not (a.dims[0] == a.dims[1] == a.dims[2]):
-        raise DimensionMismatch(f"gapped mode requires cubic tensors, got dims {a.dims}")
-    n = a.dims[0]
-    eps = float(cfg.eps)
-    need = required_bits(n, eps)
-    if cfg.precision_bits is not None and cfg.precision_bits < need:
-        raise ConfigInvalid(f"precision_bits={cfg.precision_bits} below required {need} for n={n}, eps={eps}")
-    bits = cfg.precision_bits if cfg.precision_bits is not None else need
-
-    at = truncate_tensor(a, bits)
-    bt = truncate_tensor(b, bits)
-    norm_a = at.frobenius_norm
-    norm_b = bt.frobenius_norm
-    k_norm = norm_a + norm_b
-    diag: dict = {
-        "mode": "gapped_distance",
-        "n": n,
-        "scalar_kind": a.scalar_kind,
-        "precision_bits": bits,
-        "eps": eps,
-        "norm_a": norm_a,
-        "norm_b": norm_b,
-    }
-
-    if abs(norm_a - norm_b) >= 2.0 * eps:
-        diag["step"] = "norm"
-        return Decision("no", None, None, None, diag)
-
-    try:
-        ca = core_of(at)
-    except CannotDecide as exc:
-        diag["step"] = "gap_policy"
-        diag["failed_mode"] = exc.mode
-        diag["failed_gap"] = exc.gap
-        return Decision("cannot_decide", None, None, None, diag)
-    delta = cfg.delta_override if cfg.delta_override is not None else ca.min_gap
-    diag["delta"] = delta
-    diag["spectra_a"] = _spectra_digest(ca)
-
-    if not (eps < delta / (4.0 * max(k_norm, _TINY))):
-        raise EpsOutOfRange(f"eps={eps} not below delta/(4(|A|+|B|))={delta / (4.0 * max(k_norm, _TINY)):.3e}")
-
-    gamma_bound = cfg.c_gamma * (n ** 3.5) * (norm_a ** 2) * eps / delta
-    diag["gamma_bound_spectral_form"] = gamma_bound
-    diag["gamma_bound_dimension_form"] = cfg.c_gamma * (n ** 8) * eps
-
-    spectra_b = [eig_hermitian(gram(bt, mode)) for mode in (1, 2, 3)]
-    diag["spectra_b"] = [
-        {"min_gap": float(s.min_gap), "backward_error": float(s.backward_error)} for s in spectra_b
-    ]
-    for d, s in enumerate(spectra_b):
-        if s.min_gap < delta / 2.0:
-            diag["step"] = "gap_b"
-            diag["failed_mode"] = d + 1
-            diag["failed_gap"] = float(s.min_gap)
-            return Decision("no", None, None, gamma_bound, diag)
-    inv_b = TransformTriple([s.vectors.conj().T for s in spectra_b], bt.scalar_kind, check=False)
-    cb = CoreTensor(
-        core=apply_action(inv_b, bt),
-        bases=tuple(s.vectors for s in spectra_b),
-        spectra=tuple(spectra_b),
-        source_norm=norm_b,
-    )
-
-    cmp = compare_cores(ca, cb, eps, delta)
-    if isinstance(cmp, RejectFar):
-        diag["step"] = "modulus"
-        diag["reject_entry"] = list(cmp.entry)
-        diag["reject_threshold"] = cmp.threshold
-        return Decision("no", None, None, gamma_bound, diag)
-    diag["phase_targets"] = len(cmp.phase_targets)
-    diag["threshold_modulus"] = cmp.threshold_used
-    diag["support_ok"] = cmp.support_ok
-
-    try:
-        assignment, _ = _solve_assignment(cmp)
-    except Infeasible as exc:
-        diag["step"] = "phase_system"
-        diag["certificate_size"] = len(exc.certificate)
-        return Decision("no", None, None, gamma_bound, diag)
-
-    return _finish_with_witness(a, b, ca, cb, assignment, gamma_bound, diag)
+    return _decide(a, b, cfg)

@@ -39,7 +39,6 @@ PILOT_MEDIANS = {
     400: 3.3365421229552226,
     800: 3.5300149415873534,
 }
-PILOT_SLOPE = 0.012
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ question to a phase-consistency question on the cores.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +53,6 @@ class CoreComparison:
     dims: tuple[int, int, int]
     scalar_kind: str
     support_ok: bool
-    modulus_ok: bool
     phase_targets: dict  # (i, j, k) -> PhaseTarget
     threshold_used: float
 
@@ -162,7 +161,6 @@ def compare_cores(sa: CoreTensor, sb: CoreTensor, eps: float, delta: float):
         dims=sa.dims,
         scalar_kind=sa.core.scalar_kind,
         support_ok=bool(np.array_equal(support_a, support_b)),
-        modulus_ok=True,
         phase_targets=targets,
         threshold_used=thr,
     )

@@ -243,10 +243,16 @@ def read_witness_json(path) -> TransformTriple:
     return witness_from_json_obj(obj)
 
 
+def _has_magic(path, magic: bytes) -> bool:
+    with open(path, "rb") as fh:
+        return fh.read(len(magic)) == magic
+
+
+def read_tensor_any(path) -> Tensor3:
+    """Sniff binary vs JSON tensor by magic bytes."""
+    return read_tensor(path) if _has_magic(path, TENSOR_MAGIC) else read_tensor_json(path)
+
+
 def read_witness_any(path) -> TransformTriple:
     """Sniff binary vs JSON witness by magic bytes."""
-    with open(path, "rb") as fh:
-        head = fh.read(4)
-    if head == WITNESS_MAGIC:
-        return read_witness(path)
-    return read_witness_json(path)
+    return read_witness(path) if _has_magic(path, WITNESS_MAGIC) else read_witness_json(path)

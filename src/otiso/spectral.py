@@ -12,7 +12,6 @@ Everything downstream (cores, phase recovery, decisions) consumes
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,10 +60,6 @@ class SpectralData:
             "min_gap": float(self.min_gap),
             "backward_error": float(self.backward_error),
         }
-
-    @staticmethod
-    def json_dumps(payload: dict) -> str:
-        return json.dumps(payload, sort_keys=True)
 
 
 @dataclass(frozen=True)

@@ -71,6 +71,17 @@ def test_iso_yes_with_witness_out(tmp_path, capsys):
     assert verify_witness(a, b, w).residual == report["residual"]
 
 
+def test_witness_out_not_written_without_yes(tmp_path):
+    # eps this large leaves no phase targets, so the identity gauge guess
+    # fails re-verification and the verdict is cannot_decide.
+    a, _, pa, pb = orbit_files(tmp_path, 903, dims=(6, 6, 6))
+    wpath = tmp_path / "w.json"
+    code = main(["iso", "--a", str(pa), "--b", str(pb), "--eps", repr(1e3 * a.frobenius_norm),
+                 "--witness-out", str(wpath), "--quiet"])
+    assert code == 2
+    assert not wpath.exists()
+
+
 def test_iso_no_and_cannot_decide(tmp_path):
     pa = gen(tmp_path, "a.t3b", seed=10)
     pb = gen(tmp_path, "b.t3b", seed=11)

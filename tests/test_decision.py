@@ -15,6 +15,7 @@ from otiso import (
     Tensor3,
     TransformTriple,
     apply_action,
+    core_of,
     decide_isomorphism,
     decide_orbit_distance,
     required_bits,
@@ -206,3 +207,25 @@ def test_yes_with_explicit_precision_bits():
     d = decide_isomorphism(a, b, DecisionConfig(precision_bits=40))
     assert d.verdict == "yes"
     assert d.diagnostics["precision_bits"] == 40
+
+
+def test_zero_targets_are_underdetermined():
+    a, b, _ = orbit_pair((6, 6, 6), 87, "real")
+    cfg = DecisionConfig(eps=1e3 * a.frobenius_norm)
+    d = decide_isomorphism(a, b, cfg)
+    assert d.verdict == "cannot_decide"
+    assert d.diagnostics["phase_targets"] == 0
+    assert d.diagnostics["step"] == "underdetermined"
+    assert decide_isomorphism(a, a, cfg).verdict == "yes"
+
+
+def test_gapped_no_on_small_gap_b():
+    n = 6
+    a, b, _ = orbit_pair((n, n, n), 88, "real")
+    delta = 4.0 * max(s.min_gap for s in core_of(b).spectra)
+    eps = delta / (8.0 * (a.frobenius_norm + b.frobenius_norm))
+    d = decide_orbit_distance(a, b, DecisionConfig(mode="gapped_distance", eps=eps, delta_override=delta))
+    assert d.verdict == "no"
+    assert d.diagnostics["step"] == "gap_b"
+    assert d.diagnostics["failed_mode"] == 1
+    assert d.gamma_bound is not None

@@ -12,6 +12,7 @@ from otiso import (
     Tensor3,
     dumps_canonical,
     read_tensor,
+    read_tensor_any,
     read_tensor_json,
     read_witness,
     read_witness_any,
@@ -53,6 +54,7 @@ def test_binary_round_trip(tmp_path):
         path = tmp_path / f"{kind}.t3b"
         write_tensor(a, path)
         assert np.array_equal(read_tensor(path).data, a.data)
+        assert np.array_equal(read_tensor_any(path).data, a.data)
 
 
 def test_binary_format_errors():
@@ -98,6 +100,7 @@ def test_json_round_trip(tmp_path):
         write_tensor_json(a, path)
         b = read_tensor_json(path)
         assert np.array_equal(b.data, a.data)
+        assert np.array_equal(read_tensor_any(path).data, a.data)
         doc = json.loads(path.read_text())
         assert doc["scalar_kind"] == kind
 
