@@ -39,7 +39,7 @@ from .tensor import (
     unitarity_defect,
 )
 from .spectral import GapPolicy, SpectralData, eig_hermitian, min_gap_check, spectra_close, weyl_perturbation_bound
-from .hosvd import CoreComparison, CoreTensor, PhaseTarget, RejectFar, compare_cores, comparison_threshold, core_of
+from .hosvd import CoreComparison, CoreTensor, PhaseTarget, PhaseTargets, RejectFar, compare_cores, comparison_threshold, core_of
 from .phases import PhaseAssignment, SignAssignment, assemble_witness, solve_phases, solve_signs, wrap_angle
 from .decision import (
     Decision,
@@ -113,7 +113,7 @@ __all__ = [
     "sample_tensor", "unflatten", "unitarity_defect",
     "GapPolicy", "SpectralData", "eig_hermitian", "min_gap_check",
     "spectra_close", "weyl_perturbation_bound",
-    "CoreComparison", "CoreTensor", "PhaseTarget", "RejectFar", "compare_cores",
+    "CoreComparison", "CoreTensor", "PhaseTarget", "PhaseTargets", "RejectFar", "compare_cores",
     "comparison_threshold", "core_of",
     "PhaseAssignment", "SignAssignment", "assemble_witness", "solve_phases",
     "solve_signs", "wrap_angle",

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import io as tio
 from .decision import Decision, DecisionConfig, decide_isomorphism, decide_orbit_distance, verify_witness
-from .errors import ConfigInvalid, EpsOutOfRange, OtisoError
+from .errors import ConfigInvalid, DimensionMismatch, EpsOutOfRange, OtisoError, ScalarKindMismatch
 from .gaps import BETA_EXPERIMENT, GapExperiment, emit_csv, run_gap_experiment, run_tensor_gram_experiment
 from .hypergraph import decide_hypergraph_iso, read_hypergraph
 from .tensor import RandomModel, sample_tensor
@@ -77,10 +77,12 @@ def _run_decision(args, mode: str) -> int:
         precision_bits=getattr(args, "bits", None),
         mode=mode,
     )
-    if mode == "exact_iso":
-        dec = decide_isomorphism(a, b, cfg)
-    else:
-        dec = decide_orbit_distance(a, b, cfg)
+    decide = decide_isomorphism if mode == "exact_iso" else decide_orbit_distance
+    try:
+        dec = decide(a, b, cfg)
+    except (DimensionMismatch, ScalarKindMismatch) as exc:
+        # both files were read fine: a pair the mode cannot take is a usage error
+        raise ConfigInvalid(str(exc)) from exc
     if args.witness_out and dec.verdict == "yes":
         tio.write_witness_json(dec.witness, args.witness_out)
     detail = "" if dec.residual is None else f" (residual {dec.residual:.6e}, bound {dec.gamma_bound:.6e})"

@@ -25,7 +25,7 @@ from .errors import (
     ScalarKindMismatch,
 )
 from .hosvd import CoreComparison, CoreTensor, RejectFar, compare_cores, core_of
-from .phases import PhaseAssignment, SignAssignment, assemble_witness, solve_phases, solve_signs, STRICT_TOL
+from .phases import PhaseAssignment, SignAssignment, assemble_witness, solve_phases, solve_signs
 from .spectral import GapPolicy, spectra_close
 from .tensor import TAU_UNITARY_REL, Tensor3, TransformTriple, apply_action
 
@@ -155,23 +155,18 @@ def _spectra_digest(core: CoreTensor) -> list[dict]:
 def _identity_assignment(dims, kind):
     if kind == "complex":
         return PhaseAssignment(
-            alpha=np.zeros(dims[0]), beta=np.zeros(dims[1]), gamma=np.zeros(dims[2]), max_residual=0.0
+            alpha=np.zeros(dims[0]), beta=np.zeros(dims[1]), gamma=np.zeros(dims[2]), max_residual=0.0,
+            solver_path="identity",
         )
-    return SignAssignment(s1=np.ones(dims[0]), s2=np.ones(dims[1]), s3=np.ones(dims[2]))
+    return SignAssignment(s1=np.ones(dims[0]), s2=np.ones(dims[1]), s3=np.ones(dims[2]), solver_path="identity")
 
 
 def _solve_assignment(cmp: CoreComparison):
     """Dispatch on scalar kind: sign system for real cores, phase LP for complex."""
     if not cmp.phase_targets:
         return _identity_assignment(cmp.dims, cmp.scalar_kind)
-    if cmp.scalar_kind == "complex":
-        return solve_phases(cmp)
-    # solve_phases rejects zero-slack targets itself; the sign system has no slack.
-    dead = [k for k, t in sorted(cmp.phase_targets.items()) if t.slack <= STRICT_TOL]
-    if dead:
-        raise Infeasible(dead, "targets with zero slack admit no strict solution")
-    signs = {k: (-1 if abs(t.phi) > math.pi / 2 else 1) for k, t in cmp.phase_targets.items()}
-    return solve_signs(signs, cmp.dims)
+    solve = solve_phases if cmp.scalar_kind == "complex" else solve_signs
+    return solve(cmp.phase_targets, cmp.dims)
 
 
 def _validate_pair(a: Tensor3, b: Tensor3):
@@ -285,9 +280,11 @@ def _decide(a: Tensor3, b: Tensor3, cfg: DecisionConfig) -> Decision:
     try:
         assignment = _solve_assignment(cmp)
     except Infeasible as exc:
+        diag["solver_path"] = exc.solver_path
         diag["step"] = "phase_system"
         diag["certificate_size"] = len(exc.certificate)
         return Decision("no", None, None, gate, diag)
+    diag["solver_path"] = assignment.solver_path
 
     witness = assemble_witness(ca, cb, assignment)
     report = verify_witness(a, b, witness)

@@ -70,8 +70,12 @@ class Infeasible(OtisoError):
         is a set of constraints whose parity product is inconsistent; for
         phase systems it is the set of violated constraints at the best
         feasible point found.
+    solver_path : str or None
+        The solver path that rejected the system (``"gf2"``, ``"lstsq"`` or
+        ``"lp"``), when a solver raised it.
     """
 
-    def __init__(self, certificate, message: str | None = None):
+    def __init__(self, certificate, message: str | None = None, solver_path: str | None = None):
         self.certificate = list(certificate)
+        self.solver_path = solver_path
         super().__init__(message or f"constraint system infeasible ({len(self.certificate)} constraints in certificate)")

@@ -9,7 +9,6 @@ question to a phase-consistency question on the cores.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,13 +46,40 @@ class PhaseTarget:
 
 
 @dataclass(frozen=True)
+class PhaseTargets:
+    """A system of :class:`PhaseTarget` constraints as parallel arrays.
+
+    Row ``r`` constrains entry ``idx[r]``; rows are in sorted-key order.
+    """
+
+    idx: np.ndarray     # (m, 3) int64 index triples
+    phi: np.ndarray     # (m,) float64
+    slack: np.ndarray   # (m,) float64
+    weight: np.ndarray  # (m,) float64
+
+    def __len__(self) -> int:
+        return len(self.phi)
+
+    def keys(self, rows=None) -> list:
+        """Index triples (as int tuples) of the selected rows, all rows by default."""
+        return [tuple(k) for k in (self.idx if rows is None else self.idx[rows]).tolist()]
+
+    @classmethod
+    def from_mapping(cls, targets) -> "PhaseTargets":
+        """Arrays from a ``{(i, j, k): PhaseTarget}`` mapping."""
+        keys = sorted(targets)
+        cols = np.array([(targets[k].phi, targets[k].slack, targets[k].weight) for k in keys]).reshape(-1, 3)
+        return cls(np.array(keys, dtype=np.int64).reshape(-1, 3), cols[:, 0], cols[:, 1], cols[:, 2])
+
+
+@dataclass(frozen=True)
 class CoreComparison:
     """Outcome of the entrywise modulus/support screen on two cores."""
 
     dims: tuple[int, int, int]
     scalar_kind: str
     support_ok: bool
-    phase_targets: dict  # (i, j, k) -> PhaseTarget
+    phase_targets: PhaseTargets
     threshold_used: float
 
 
@@ -131,36 +157,29 @@ def compare_cores(sa: CoreTensor, sb: CoreTensor, eps: float, delta: float):
             threshold=thr,
         )
 
-    combined = mod_a + mod_b
-    mask = combined > thr
-    support_a = mod_a > thr
-    support_b = mod_b > thr
-    targets = {}
-    idx = np.argwhere(mask)
+    mask = mod_a + mod_b > thr
+    ma, mb = mod_a[mask], mod_b[mask]
     # Law of cosines: the slack is the largest angular deviation that keeps
-    # the per-entry distance within sqrt(2) * thr/2-scaled budget.
+    # the per-entry distance within sqrt(2) * thr/2-scaled budget.  A zero
+    # denominator (one modulus exactly zero while the sum clears the
+    # threshold, which the modulus screen above already ruled out) keeps a
+    # dead constraint for safety.
     budget = 2.0 * (eps ** 2) * (n ** 4) * (k_norm ** 2) / (delta ** 2)
-    for i, j, k in idx:
-        ma = float(mod_a[i, j, k])
-        mb = float(mod_b[i, j, k])
-        denom = 2.0 * ma * mb
-        if denom > 0.0:
-            carg = (ma * ma + mb * mb - budget) / denom
-        else:
-            # one modulus is exactly zero while the sum clears the threshold,
-            # which the modulus screen above already ruled out; keep a dead
-            # constraint for safety.
-            carg = 2.0
-        carg = min(1.0, max(-1.0, carg))
-        # arg(b * conj(a)) == arg(b/a) but exact when b == a
-        phi = float(np.angle(B[i, j, k] * np.conj(A[i, j, k]))) if ma > 0.0 else 0.0
-        targets[(int(i), int(j), int(k))] = PhaseTarget(
-            phi=phi, slack=float(math.acos(carg)), weight=float(ma + mb)
-        )
+    denom = 2.0 * ma * mb
+    with np.errstate(divide="ignore", invalid="ignore"):
+        carg = np.where(denom > 0.0, (ma * ma + mb * mb - budget) / denom, 2.0)
+    # arg(b * conj(a)) == arg(b/a) but exact when b == a; numpy may form a
+    # complex product's imaginary part with a fused multiply-add, which
+    # leaves a rounding residue where a == b, so it is formed explicitly
+    a, b = A[mask], B[mask]
+    prod = b * np.conj(a)
+    if np.iscomplexobj(prod):
+        prod.imag = b.imag * a.real - b.real * a.imag
+    phi = np.where(ma > 0.0, np.angle(prod), 0.0)
     return CoreComparison(
         dims=sa.dims,
         scalar_kind=sa.core.scalar_kind,
-        support_ok=bool(np.array_equal(support_a, support_b)),
-        phase_targets=targets,
+        support_ok=bool(np.array_equal(mod_a > thr, mod_b > thr)),
+        phase_targets=PhaseTargets(np.argwhere(mask), phi, np.arccos(np.clip(carg, -1.0, 1.0)), ma + mb),
         threshold_used=thr,
     )

@@ -75,10 +75,11 @@ def read_tensor(path) -> Tensor3:
         return tensor_from_bytes(fh.read())
 
 
-def _scalar_to_json(x, kind: str):
+def _entries_to_json(arr: np.ndarray, kind: str) -> list:
+    """Nested lists of floats, complex entries as ``[re, im]`` pairs."""
     if kind == "real":
-        return float(x)
-    return [float(x.real), float(x.imag)]
+        return arr.tolist()
+    return np.stack([arr.real, arr.imag], axis=-1).tolist()
 
 
 def _scalar_from_json(v, kind: str):
@@ -90,13 +91,12 @@ def _scalar_from_json(v, kind: str):
 
 
 def tensor_to_json_obj(a: Tensor3) -> dict:
-    flat = a.data.reshape(-1)
     return {
         "format": "t3b-json",
         "version": 1,
         "scalar_kind": a.scalar_kind,
         "dims": list(a.dims),
-        "entries": [_scalar_to_json(x, a.scalar_kind) for x in flat],
+        "entries": _entries_to_json(a.data.reshape(-1), a.scalar_kind),
     }
 
 
@@ -196,9 +196,7 @@ def witness_to_json_obj(g: TransformTriple) -> dict:
         "version": 1,
         "scalar_kind": g.scalar_kind,
         "dims": list(g.dims),
-        "factors": [
-            [[_scalar_to_json(x, g.scalar_kind) for x in row] for row in g[d]] for d in range(3)
-        ],
+        "factors": [_entries_to_json(g[d], g.scalar_kind) for d in range(3)],
     }
 
 

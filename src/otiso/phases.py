@@ -6,18 +6,29 @@ angles ``alpha_i + beta_j + gamma_k = phi_ijk (mod 2pi)`` within per-entry
 slack in the complex case.  Both systems have a two-parameter gauge freedom
 (shift all alpha by theta and all beta by -theta, and likewise alpha/gamma),
 so solutions are pinned by gauging free directions to zero.
+
+Both solvers work on arrays, one row per target in sorted-key order.  The
+sign system is eliminated over GF(2) on rows packed into ``uint64`` words.
+Pivots are kept in reduced echelon form, so a row is reduced by the pivots
+at its own three columns, and rows are reduced a block at a time: each
+vector pass either finds the next pivot or clears a block, which bounds the
+passes by ``n1 + n2 + n3`` plus the number of blocks.  The phase system is
+solved in the spirit of angular synchronization (Singer 2011, ACHA 30(1)):
+batched frontier propagation spreads weighted circular means out from the
+heaviest target, the estimates fix every target's integer wrap, and a
+weighted least-squares solve of the ``(n1+n2+n3)``-square normal equations
+refines the angles, with a maximum-margin linear program as the fallback.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigInvalid, DimensionMismatch, Infeasible
-from .hosvd import CoreComparison, CoreTensor, PhaseTarget
+from .hosvd import CoreComparison, CoreTensor, PhaseTargets
 from .tensor import TransformTriple
 
 TWO_PI = 2.0 * math.pi
@@ -25,6 +36,9 @@ TWO_PI = 2.0 * math.pi
 # A circular residual strictly below (slack - STRICT_TOL) counts as satisfying
 # the strict inequality; anything closer is treated as a violation.
 STRICT_TOL = 1e-12
+
+# Rows reduced per vector pass in the GF(2) sign elimination.
+_GF2_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -35,6 +49,7 @@ class SignAssignment:
     s2: np.ndarray
     s3: np.ndarray
     consistent: bool = True
+    solver_path: str = "gf2"  # "identity" when no target pinned the gauge
 
 
 @dataclass(frozen=True)
@@ -45,6 +60,7 @@ class PhaseAssignment:
     beta: np.ndarray
     gamma: np.ndarray
     max_residual: float
+    solver_path: str = "lstsq"  # "lp" when the max-margin LP ran, "identity" without targets
 
 
 def wrap_angle(x):
@@ -59,233 +75,204 @@ def _canonical_angles(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & (-mask)
-        yield low.bit_length() - 1
-        mask ^= low
+def _variables(idx: np.ndarray, dims) -> np.ndarray:
+    """Per target, the three variable columns ``(i, n1 + j, n1 + n2 + k)``."""
+    out = np.flatnonzero(((idx < 0) | (idx >= np.array(dims))).any(axis=1))
+    if out.size:
+        raise DimensionMismatch(f"target key {tuple(idx[out[0]].tolist())} out of range for dims {dims}")
+    return idx + np.array([0, dims[0], dims[0] + dims[1]])
+
+
+def _reject_dead(targets: PhaseTargets, solver_path: str) -> None:
+    dead = targets.slack <= STRICT_TOL
+    if dead.any():
+        raise Infeasible(targets.keys(dead), "targets with zero slack admit no strict solution", solver_path)
+
+
+def _parity_certificate(rows: list) -> list:
+    """Positions of the rows that XOR to zero; ``rows[:-1]`` are independent and span ``rows[-1]``."""
+    basis = {}
+    for pos, coef in enumerate(rows):
+        prov = 1 << pos
+        while coef:
+            col = (coef & -coef).bit_length() - 1
+            if col not in basis:
+                basis[col] = (coef, prov)
+                break
+            coef ^= basis[col][0]
+            prov ^= basis[col][1]
+    return [pos for pos in range(len(rows)) if (prov >> pos) & 1]
 
 
 def solve_signs(targets, dims) -> SignAssignment:
     """Solve ``s1(i) s2(j) s3(k) = t`` over {-1, +1} for all targets.
 
-    ``targets`` maps index triples to +-1, ``dims`` gives the three vector
-    lengths.  The system is linear over GF(2) (sign -1 encodes bit 1), so it
-    is solved by elimination with provenance tracking: when a contradiction
-    appears, the tracked subset of original constraints forms a parity
-    certificate (their targets multiply to -1 while every variable they touch
-    appears an even number of times) and is raised as :class:`Infeasible`.
-    Free variables, one per gauge direction and connected component, are
-    fixed to +1.
+    ``targets`` maps index triples to +-1, or is the :class:`PhaseTargets`
+    of two real cores (sign -1 where ``|phi| > pi/2``; zero-slack targets
+    are infeasible); ``dims`` gives the three vector lengths.  The system is
+    linear over GF(2) (sign -1 encodes bit 1).  Rows are taken in sorted-key
+    order and each one that is independent of the rows before it becomes a
+    pivot at its lowest free column.  When a row reduces to ``0 = 1``, the
+    pivot rows that span it together with that row form a parity certificate
+    (their targets multiply to -1 while every variable they touch appears an
+    even number of times), raised as :class:`Infeasible`.  Free variables,
+    one per gauge direction and connected component, are fixed to +1.
     """
-    n1, n2, n3 = (int(d) for d in dims)
-    keys = sorted(targets.keys())
-    pivots: dict[int, tuple[int, int, int]] = {}
-    for row_id, key in enumerate(keys):
-        i, j, k = key
-        if not (0 <= i < n1 and 0 <= j < n2 and 0 <= k < n3):
-            raise DimensionMismatch(f"target key {key} out of range for dims {dims}")
-        t = int(targets[key])
-        if t not in (-1, 1):
-            raise ConfigInvalid(f"sign target must be +-1, got {t!r} at {key}")
-        coef = (1 << i) | (1 << (n1 + j)) | (1 << (n1 + n2 + k))
-        rhs = 1 if t == -1 else 0
-        prov = 1 << row_id
-        while coef:
-            col = (coef & (-coef)).bit_length() - 1
-            if col in pivots:
-                pc, pr, pp = pivots[col]
-                coef ^= pc
-                rhs ^= pr
-                prov ^= pp
-            else:
-                pivots[col] = (coef, rhs, prov)
-                break
-        else:
-            if rhs:
-                certificate = [keys[b] for b in _bits(prov)]
-                raise Infeasible(certificate, "sign constraints contain an odd inconsistency cycle")
-            # coef and rhs both vanished: redundant constraint
-    assign = 0
-    for col in sorted(pivots.keys(), reverse=True):
-        coef, rhs, _ = pivots[col]
-        rest = coef & ~(1 << col)
-        val = rhs ^ (int.bit_count(rest & assign) & 1)
-        if val:
-            assign |= 1 << col
-    bit = lambda v: -1.0 if (assign >> v) & 1 else 1.0
-    s1 = np.array([bit(i) for i in range(n1)])
-    s2 = np.array([bit(n1 + j) for j in range(n2)])
-    s3 = np.array([bit(n1 + n2 + k) for k in range(n3)])
+    dims = tuple(int(d) for d in dims)
+    if isinstance(targets, PhaseTargets):
+        _reject_dead(targets, "gf2")
+        idx, t = targets.idx, np.where(np.abs(targets.phi) > math.pi / 2, -1, 1)
+    else:
+        keys = sorted(targets)
+        idx, t = np.array(keys, dtype=np.int64).reshape(-1, 3), np.array([targets[k] for k in keys])
+    var = _variables(idx, dims)
+    wrong = np.flatnonzero((t != 1) & (t != -1))
+    if wrong.size:
+        raise ConfigInvalid(f"sign target must be +-1, got {t[wrong[0]].item()!r} at {tuple(idx[wrong[0]].tolist())}")
+    nvar = sum(dims)
+    rows = np.zeros((len(t), (nvar + 63) // 64), dtype=np.uint64)
+    for v in var.T:
+        rows[np.arange(len(t)), v >> 6] |= np.left_shift(np.uint64(1), (v & 63).astype(np.uint64))
+    rhs = t < 0
+    # Pivot rows in reduced echelon form, stored at their pivot column: a
+    # pivot has no bit at any other pivot column, so a row is reduced by
+    # XORing in the pivots at its own three columns.  All-zero rows stand
+    # in for columns without a pivot.
+    piv = np.zeros((nvar, rows.shape[1]), dtype=np.uint64)
+    piv_rhs = np.zeros(nvar, dtype=bool)
+    piv_from = []  # original row of each pivot, in the order found
+    start = 0
+    while start < len(t):
+        block = slice(start, min(start + _GF2_BLOCK, len(t)))
+        vb = var[block]
+        red = rows[block] ^ piv[vb[:, 0]] ^ piv[vb[:, 1]] ^ piv[vb[:, 2]]
+        red_rhs = rhs[block] ^ piv_rhs[vb[:, 0]] ^ piv_rhs[vb[:, 1]] ^ piv_rhs[vb[:, 2]]
+        nonzero = red.any(axis=1)
+        first = int(np.argmax(nonzero)) if nonzero.any() else len(red)
+        # rows before ``first`` are spanned by the pivots so far
+        clash = np.flatnonzero(red_rhs[:first])
+        if clash.size:
+            basis = piv_from + [start + int(clash[0])]
+            orig = [sum(1 << int(v) for v in var[r]) for r in basis]
+            certificate = [tuple(idx[basis[pos]].tolist()) for pos in _parity_certificate(orig)]
+            raise Infeasible(certificate, "sign constraints contain an odd inconsistency cycle", "gf2")
+        if first < len(red):
+            coef = int.from_bytes(red[first].astype("<u8").tobytes(), "little")
+            col = (coef & -coef).bit_length() - 1
+            hit = ((piv[:, col >> 6] >> np.uint64(col & 63)) & np.uint64(1)).astype(bool)
+            piv[hit] ^= red[first]
+            piv_rhs[hit] ^= red_rhs[first]
+            piv[col], piv_rhs[col] = red[first], red_rhs[first]
+            piv_from.append(start + first)
+        start += first + 1 if first < len(red) else len(red)
+    # free variables are +1, so each pivot variable equals its reduced rhs
+    signs = np.where(piv_rhs, -1.0, 1.0)
     # elimination is exact, but verify anyway: a silent solver bug here would
     # poison every YES verdict downstream
-    for (i, j, k), t in targets.items():
-        if s1[i] * s2[j] * s3[k] != t:
-            raise Infeasible([(i, j, k)], "internal: eliminated system fails verification")
-    return SignAssignment(s1=s1, s2=s2, s3=s3, consistent=True)
+    wrong = np.flatnonzero(signs[var].prod(axis=1) != t)
+    if wrong.size:
+        raise Infeasible([tuple(idx[wrong[0]].tolist())], "internal: eliminated system fails verification", "gf2")
+    return SignAssignment(*np.split(signs, np.cumsum(dims[:2])))
 
 
-def _extract_targets(cmp, dims):
-    if isinstance(cmp, CoreComparison):
-        return cmp.phase_targets, cmp.dims
-    if dims is None:
-        raise ConfigInvalid("dims required when passing a raw target mapping")
-    return dict(cmp), tuple(int(d) for d in dims)
+def _propagate_estimates(var: np.ndarray, targets: PhaseTargets, nvar: int) -> np.ndarray:
+    """Stage 1: batched frontier propagation with weighted circular means.
 
-
-def _propagate_estimates(keys, targets, dims):
-    """Stage 1: anchored propagation with weighted circular averaging.
-
-    Returns an initial angle estimate per variable.  Components of the
-    constraint hypergraph are seeded at their heaviest constraint (alpha and
-    beta gauged to zero there); each subsequent variable is estimated by the
-    weighted circular mean over every constraint that already has its other
-    two variables estimated.  Untouched variables stay at zero.
+    Returns an initial angle estimate per variable.  Propagation is seeded
+    at the heaviest target (its first two variables gauged to zero).  In
+    each round, every unassigned variable that has a target with its other
+    two variables assigned gets the weighted circular mean over all such
+    targets.  When propagation stalls, it is reseeded at the heaviest
+    target that touches an unassigned variable.  Untouched variables stay
+    at zero.
     """
-    n1, n2, n3 = dims
-    nvar = n1 + n2 + n3
-    var_of = lambda key: (key[0], n1 + key[1], n1 + n2 + key[2])
-    con_vars = [var_of(k) for k in keys]
-    by_var: list[list[int]] = [[] for _ in range(nvar)]
-    for cid, vs in enumerate(con_vars):
-        for v in vs:
-            by_var[v].append(cid)
-
     est = np.zeros(nvar)
     assigned = np.zeros(nvar, dtype=bool)
-    n_assigned = np.zeros(len(keys), dtype=np.int8)
-    # heap of (-weight, cid) for constraints that might determine a variable
-    ready: list[tuple[float, int]] = []
-    # seeds ordered heaviest-first; heapq tie-breaks on cid, which is the
-    # sorted-key order, so the whole walk is deterministic
-    seeds = sorted(range(len(keys)), key=lambda c: (-targets[keys[c]].weight, c))
-
-    def mark(v: int, value: float) -> None:
-        est[v] = value
-        assigned[v] = True
-        for cid in by_var[v]:
-            n_assigned[cid] += 1
-            if n_assigned[cid] == 2:
-                heapq.heappush(ready, (-targets[keys[cid]].weight, cid))
-
-    def circular_mean_for(v: int) -> float:
-        acc = 0.0 + 0.0j
-        for cid in by_var[v]:
-            vs = con_vars[cid]
-            if sum(assigned[u] for u in vs if u != v) != 2:
-                continue
-            t = targets[keys[cid]]
-            other = sum(est[u] for u in vs if u != v)
-            acc += t.weight * complex(math.cos(t.phi - other), math.sin(t.phi - other))
-        return math.atan2(acc.imag, acc.real) if acc != 0 else 0.0
-
-    seed_pos = 0
-    touched = {v for vs in con_vars for v in vs}
+    touched = np.bincount(var.ravel(), minlength=nvar) > 0
+    heaviest_first = np.argsort(-targets.weight, kind="stable")
     while True:
-        progressed = False
-        while ready:
-            _, cid = heapq.heappop(ready)
-            vs = con_vars[cid]
-            missing = [v for v in vs if not assigned[v]]
-            if len(missing) != 1:
-                continue
-            mark(missing[0], circular_mean_for(missing[0]))
-            progressed = True
-        if all(assigned[v] for v in touched):
-            break
-        if not progressed or not ready:
-            # new component, or a component reachable only through a single
-            # shared variable: gauge-fix enough variables to continue
-            while seed_pos < len(seeds):
-                cid = seeds[seed_pos]
-                vs = con_vars[cid]
-                missing = [v for v in vs if not assigned[v]]
-                if len(missing) >= 2:
-                    t = targets[keys[cid]]
-                    if len(missing) == 3:
-                        mark(vs[0], 0.0)
-                        mark(vs[1], 0.0)
-                        mark(vs[2], float(wrap_angle(t.phi)))
-                    else:
-                        mark(missing[0], 0.0)
-                        mark(missing[1], float(wrap_angle(t.phi - sum(est[u] for u in vs if assigned[u] and u != missing[1]))))
-                    break
-                seed_pos += 1
-            else:
-                break
-    return est
+        missing = ~assigned[var]
+        n_missing = missing.sum(axis=1)
+        front = np.flatnonzero(n_missing == 1)
+        if front.size:
+            # unassigned estimates are zero, so the row sum is the other two
+            v = var[front][missing[front]]
+            ang = targets.phi[front] - est[var[front]].sum(axis=1)
+            w = targets.weight[front]
+            acc = np.bincount(v, w * np.cos(ang), nvar) + 1j * np.bincount(v, w * np.sin(ang), nvar)
+            v = np.unique(v)
+            est[v] = np.angle(acc[v])
+            assigned[v] = True
+        elif (touched & ~assigned).any():
+            seed = heaviest_first[np.flatnonzero(n_missing[heaviest_first] >= 2)[0]]
+            vs = var[seed][missing[seed]]
+            est[vs[-1]] = wrap_angle(targets.phi[seed] - est[var[seed]].sum())
+            assigned[vs] = True
+        else:
+            return est
 
 
-def _circular_residuals(x, keys, targets, dims):
-    n1, n2, _ = dims
-    sums = np.array([x[i] + x[n1 + j] + x[n1 + n2 + k] for (i, j, k) in keys])
-    phis = np.array([targets[k].phi for k in keys])
-    return np.abs(wrap_angle(phis - sums))
+def _circular_residuals(x, var, phi):
+    return np.abs(wrap_angle(phi - (x[var[:, 0]] + x[var[:, 1]] + x[var[:, 2]])))
 
 
 def solve_phases(cmp, dims=None) -> PhaseAssignment:
     """Recover per-mode angles satisfying every target's strict slack bound.
 
-    Accepts a :class:`CoreComparison` (or a raw ``{(i,j,k): PhaseTarget}``
-    mapping plus ``dims``).  Two stages: propagation produces estimates good
-    enough to pin each constraint's integer wrap; with wraps fixed the system
-    is linear, solved by weighted least squares and, if any strict inequality
-    still fails, refined by a maximum-margin linear program.  The returned
-    assignment is verified post hoc against every constraint; failure raises
-    :class:`Infeasible` with the violated keys.
+    Accepts a :class:`CoreComparison`, or a :class:`PhaseTargets` or raw
+    ``{(i,j,k): PhaseTarget}`` mapping plus ``dims``.  Two stages:
+    propagation produces estimates good enough to pin each constraint's
+    integer wrap; with wraps fixed the system is linear, solved by weighted
+    least squares on the normal equations and, if any strict inequality
+    still fails, refined by a maximum-margin linear program (``solver_path``
+    ``"lp"``).  The returned assignment is verified post hoc against every
+    constraint; failure raises :class:`Infeasible` with the violated keys.
     """
-    targets, dims = _extract_targets(cmp, dims)
-    if not targets:
+    if isinstance(cmp, CoreComparison):
+        cmp, dims = cmp.phase_targets, cmp.dims
+    elif dims is None:
+        raise ConfigInvalid("dims required when passing raw targets")
+    targets = cmp if isinstance(cmp, PhaseTargets) else PhaseTargets.from_mapping(cmp)
+    if not len(targets):
         raise ConfigInvalid("at least one phase target is required")
-    n1, n2, n3 = dims
-    nvar = n1 + n2 + n3
-    keys = sorted(targets.keys())
-    for (i, j, k) in keys:
-        if not (0 <= i < n1 and 0 <= j < n2 and 0 <= k < n3):
-            raise DimensionMismatch(f"target key {(i, j, k)} out of range for dims {dims}")
-    dead = [k for k in keys if targets[k].slack <= STRICT_TOL]
-    if dead:
-        raise Infeasible(dead, "targets with zero slack admit no strict solution")
+    dims = tuple(int(d) for d in dims)
+    nvar = sum(dims)
+    var = _variables(targets.idx, dims)
+    _reject_dead(targets, "lstsq")
+    slacks = targets.slack
 
-    est = _propagate_estimates(keys, targets, dims)
-
+    est = _propagate_estimates(var, targets, nvar)
     # Fix integer wraps at the estimates; the constraint becomes linear in R.
-    rows = np.zeros((len(keys), nvar))
-    t_lin = np.zeros(len(keys))
-    weights = np.zeros(len(keys))
-    slacks = np.zeros(len(keys))
-    for r, (i, j, k) in enumerate(keys):
-        t = targets[(i, j, k)]
-        rows[r, i] = 1.0
-        rows[r, n1 + j] = 1.0
-        rows[r, n1 + n2 + k] = 1.0
-        s0 = est[i] + est[n1 + j] + est[n1 + n2 + k]
-        t_lin[r] = s0 + float(wrap_angle(t.phi - s0))
-        weights[r] = max(t.weight, 1e-300)
-        slacks[r] = t.slack
-
-    w = np.sqrt(weights)
-    x, *_ = np.linalg.lstsq(rows * w[:, None], t_lin * w, rcond=None)
-    resid = _circular_residuals(x, keys, targets, dims)
+    s0 = est[var[:, 0]] + est[var[:, 1]] + est[var[:, 2]]
+    t_lin = s0 + wrap_angle(targets.phi - s0)
+    w = np.maximum(targets.weight, 1e-300)
+    # normal equations M^T W M x = M^T W t, M the 0/1 target-variable incidence
+    pairs = (var[:, :, None] * nvar + var[:, None, :]).ravel()
+    gram = np.bincount(pairs, np.repeat(w, 9), nvar * nvar).reshape(nvar, nvar)
+    x = np.zeros(nvar)
+    for _ in range(2):  # the second pass refines x on its own residual
+        r = t_lin - (x[var[:, 0]] + x[var[:, 1]] + x[var[:, 2]])
+        x = x + np.linalg.lstsq(gram, np.bincount(var.ravel(), np.repeat(w * r, 3), nvar), rcond=None)[0]
+    resid = _circular_residuals(x, var, targets.phi)
     ok = resid < slacks - STRICT_TOL
+    path = "lstsq"
 
     if not bool(np.all(ok)):
+        path = "lp"
+        rows = np.zeros((len(targets), nvar))
+        rows[np.arange(len(targets))[:, None], var] = 1.0
         x_lp = _max_margin_lp(rows, t_lin, slacks, x)
         if x_lp is not None:
-            resid_lp = _circular_residuals(x_lp, keys, targets, dims)
+            resid_lp = _circular_residuals(x_lp, var, targets.phi)
             if float(np.max(resid_lp - slacks)) < float(np.max(resid - slacks)):
                 x, resid = x_lp, resid_lp
             ok = resid < slacks - STRICT_TOL
     if not bool(np.all(ok)):
-        violated = [keys[r] for r in np.flatnonzero(~ok)]
-        raise Infeasible(violated, f"{len(violated)} phase constraints unsatisfied at the best point found")
+        violated = targets.keys(~ok)
+        raise Infeasible(violated, f"{len(violated)} phase constraints unsatisfied at the best point found", path)
 
-    return PhaseAssignment(
-        alpha=_canonical_angles(x[:n1]),
-        beta=_canonical_angles(x[n1:n1 + n2]),
-        gamma=_canonical_angles(x[n1 + n2:]),
-        max_residual=float(np.max(resid)),
-    )
+    alpha, beta, gamma = (_canonical_angles(part) for part in np.split(x, np.cumsum(dims[:2])))
+    return PhaseAssignment(alpha, beta, gamma, max_residual=float(np.max(resid)), solver_path=path)
 
 
 def _max_margin_lp(rows, t_lin, slacks, x0):

@@ -196,6 +196,19 @@ def test_runtime_errors(tmp_path):
     assert main(["iso", "--a", str(garbage), "--b", str(garbage), "--quiet"]) == 4
 
 
+def test_pair_mismatch_exits_3(tmp_path, capsys):
+    # well-formed files that the requested mode cannot take are usage errors
+    _, _, pa, pb = orbit_files(tmp_path, 906, dims=(5, 3, 4))
+    assert main(["dist", "--a", str(pa), "--b", str(pb), "--eps", "1e-6", "--quiet"]) == 3
+    assert main(["iso", "--a", str(pa), "--b", str(pb), "--mode", "gapped", "--eps", "1e-6", "--quiet"]) == 3
+    real = gen(tmp_path, "r.t3b", seed=907)
+    cplx = gen(tmp_path, "c.t3b", seed=908, kind="complex")
+    for cmd in (["iso"], ["dist", "--eps", "1e-6"]):
+        assert main([*cmd, "--a", str(real), "--b", str(cplx), "--quiet"]) == 3
+    assert main(["iso", "--a", str(real), "--b", str(pa), "--quiet"]) == 3
+    assert "error: tensor kinds differ" in capsys.readouterr().err
+
+
 def test_config_errors_exit_3(tmp_path):
     _, _, pa, pb = orbit_files(tmp_path, 905)
     assert main(["dist", "--a", str(pa), "--b", str(pb),

@@ -216,6 +216,7 @@ def test_zero_targets_are_underdetermined():
     assert d.verdict == "cannot_decide"
     assert d.diagnostics["phase_targets"] == 0
     assert d.diagnostics["step"] == "underdetermined"
+    assert d.diagnostics["solver_path"] == "identity"
     assert decide_isomorphism(a, a, cfg).verdict == "yes"
 
 

@@ -78,12 +78,12 @@ def test_compare_identical_cores():
     assert isinstance(cmp, CoreComparison)
     assert cmp.support_ok
     assert len(cmp.phase_targets) > 0
-    for key, t in cmp.phase_targets.items():
-        assert t.phi == 0.0
-        assert 0.0 < t.slack <= np.pi
-        # targets exist exactly where |Sa| + |Sb| clears the threshold
-        ma = abs(ct.core.data[key])
-        assert 2 * ma > cmp.threshold_used
+    pt = cmp.phase_targets
+    assert pt.idx.shape == (len(pt), 3)
+    assert np.all(pt.phi == 0.0)
+    assert np.all((0.0 < pt.slack) & (pt.slack <= np.pi))
+    # targets exist exactly where |Sa| + |Sb| clears the threshold, in sorted-key order
+    assert pt.keys() == sorted(map(tuple, np.argwhere(2 * np.abs(ct.core.data) > cmp.threshold_used).tolist()))
 
 
 def test_compare_scaled_entry_rejects_far():
@@ -111,10 +111,10 @@ def test_forward_phase_recovery():
     cmp = compare_cores(ct, other, eps=1e-6, delta=ct.min_gap)
     assert isinstance(cmp, CoreComparison)
     assert len(cmp.phase_targets) > 0
-    for (i, j, k), t in cmp.phase_targets.items():
-        want = np.angle(np.exp(1j * (al[i] + be[j] + ga[k])))
-        dev = np.angle(np.exp(1j * (t.phi - want)))
-        assert abs(dev) <= 1e-10
+    i, j, k = cmp.phase_targets.idx.T
+    want = np.angle(np.exp(1j * (al[i] + be[j] + ga[k])))
+    dev = np.angle(np.exp(1j * (cmp.phase_targets.phi - want)))
+    assert np.max(np.abs(dev)) <= 1e-10
 
 
 def test_isomorphy_transfer_moduli_agree():
@@ -123,7 +123,7 @@ def test_isomorphy_transfer_moduli_agree():
     ca, cb = core_of(a), core_of(b)
     cmp = compare_cores(ca, cb, eps=1e-7, delta=min(ca.min_gap, cb.min_gap))
     assert isinstance(cmp, CoreComparison)
-    for key in cmp.phase_targets:
+    for key in cmp.phase_targets.keys():
         ma, mb = abs(ca.core.data[key]), abs(cb.core.data[key])
         assert abs(ma - mb) <= 1e-8 * max(ma, 1.0)
 

@@ -10,6 +10,7 @@ from otiso import (
     FormatError,
     RandomModel,
     Tensor3,
+    TransformTriple,
     dumps_canonical,
     read_tensor,
     read_tensor_any,
@@ -25,6 +26,7 @@ from otiso import (
     tensor_to_json_obj,
     witness_from_bytes,
     witness_to_bytes,
+    witness_to_json_obj,
     write_tensor,
     write_tensor_json,
     write_witness,
@@ -103,6 +105,31 @@ def test_json_round_trip(tmp_path):
         assert np.array_equal(read_tensor_any(path).data, a.data)
         doc = json.loads(path.read_text())
         assert doc["scalar_kind"] == kind
+
+
+def _scalar_json_reference(x, kind):
+    return float(x) if kind == "real" else [float(x.real), float(x.imag)]
+
+
+def test_json_bytes_match_per_entry_form():
+    # the array-based writers must emit exactly what a per-entry float() loop emits
+    rng = np.random.default_rng(97)
+    special = np.array([0.0, -0.0, 5e-324, -2.2e-308, 1e-300, 1.0 / 3.0, -1e300, 123456789.0])
+    for kind in ("real", "complex"):
+        vals = rng.standard_normal(60)
+        vals[: special.size] = special
+        if kind == "complex":
+            vals = vals + 1j * np.concatenate([special[::-1], rng.standard_normal(60 - special.size)])
+        a = Tensor3(vals[:60].reshape(3, 4, 5), kind)
+        want = {"format": "t3b-json", "version": 1, "scalar_kind": kind, "dims": [3, 4, 5],
+                "entries": [_scalar_json_reference(x, kind) for x in a.data.reshape(-1)]}
+        assert dumps_canonical(tensor_to_json_obj(a)) == dumps_canonical(want)
+
+        factors = [vals[:9].reshape(3, 3), vals[9:25].reshape(4, 4), vals[25:50].reshape(5, 5)]
+        g = TransformTriple(factors, kind, check=False)
+        want = {"format": "witness-json", "version": 1, "scalar_kind": kind, "dims": [3, 4, 5],
+                "factors": [[[_scalar_json_reference(x, kind) for x in row] for row in g[d]] for d in range(3)]}
+        assert dumps_canonical(witness_to_json_obj(g)) == dumps_canonical(want)
 
 
 def test_json_format_errors():
