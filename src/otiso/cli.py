@@ -133,7 +133,11 @@ def _cmd_gaps(args) -> int:
 def _cmd_hyper(args) -> int:
     g = read_hypergraph(args.g)
     h = read_hypergraph(args.h)
-    dec = decide_hypergraph_iso(g, h)
+    try:
+        dec = decide_hypergraph_iso(g, h)
+    except DimensionMismatch as exc:
+        # both files were read fine: differing part sizes are a usage error
+        raise ConfigInvalid(str(exc)) from exc
     perms = None if dec.perms is None else [[v + 1 for v in p] for p in dec.perms.perms]
     _emit(
         args,

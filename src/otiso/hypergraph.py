@@ -9,7 +9,10 @@ every YES is re-checked combinatorially on the edge sets.
 
 from __future__ import annotations
 
+import math
+import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,33 +33,50 @@ AMBIGUITY_MARGIN = 1e-6
 SIGN_MATCH_TOL = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TripartiteHypergraph:
-    """Part sizes plus a set of edges, stored 0-based."""
+    """Part sizes plus the edges as a sorted, unique int64 array of 0-based C-order flat indices."""
 
     part_sizes: tuple[int, int, int]
-    edges: frozenset
+    edge_index: np.ndarray
 
     def __init__(self, part_sizes, edges):
         sizes = tuple(int(s) for s in part_sizes)
-        if len(sizes) != 3 or any(s < 1 for s in sizes):
+        if len(sizes) != 3 or any(s < 1 for s in sizes) or math.prod(sizes) > np.iinfo(np.int64).max:
             raise DimensionMismatch(f"part sizes must be three positive integers, got {part_sizes!r}")
-        edge_list = [tuple(int(v) for v in e) for e in edges]
-        seen = set()
-        for e in edge_list:
-            if len(e) != 3:
-                raise FormatError(f"edge {e!r} is not a triple")
-            if not all(0 <= e[d] < sizes[d] for d in range(3)):
-                raise FormatError(f"edge {e!r} out of range for part sizes {sizes}")
-            if e in seen:
-                raise FormatError(f"duplicate edge {e!r}")
-            seen.add(e)
+        try:
+            coords = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        except (ValueError, TypeError, OverflowError) as exc:
+            raise FormatError(f"edges are not integer triples: {exc}") from exc
+        coords = coords.reshape(0, 3) if coords.size == 0 else coords
+        if coords.ndim != 2 or coords.shape[1] != 3:
+            raise FormatError(f"edges must be (i, j, k) triples, got an array of shape {coords.shape}")
+        bad = np.flatnonzero(((coords < 0) | (coords >= sizes)).any(axis=1))
+        if bad.size:
+            raise FormatError(f"edge {tuple(coords[bad[0]].tolist())} out of range for part sizes {sizes}")
+        index = np.sort(np.ravel_multi_index(tuple(coords.T), sizes))
+        dup = np.flatnonzero(index[1:] == index[:-1])
+        if dup.size:
+            raise FormatError(f"duplicate edge {tuple(int(v) for v in np.unravel_index(index[dup[0]], sizes))}")
+        index.setflags(write=False)
         object.__setattr__(self, "part_sizes", sizes)
-        object.__setattr__(self, "edges", frozenset(edge_list))
+        object.__setattr__(self, "edge_index", index)
+
+    @cached_property
+    def edges(self) -> frozenset:
+        """The edges as a frozenset of (i, j, k) tuples, built on first use."""
+        return frozenset(zip(*(c.tolist() for c in np.unravel_index(self.edge_index, self.part_sizes))))
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return int(self.edge_index.size)
+
+    def __eq__(self, other):
+        return (isinstance(other, TripartiteHypergraph) and self.part_sizes == other.part_sizes
+                and np.array_equal(self.edge_index, other.edge_index))
+
+    def __hash__(self):
+        return hash((self.part_sizes, self.edge_index.tobytes()))
 
 
 @dataclass(frozen=True)
@@ -92,27 +112,22 @@ class HypergraphDecision:
 def adjacency_tensor(g: TripartiteHypergraph) -> Tensor3:
     """+1 on edges, -1 off edges."""
     arr = np.full(g.part_sizes, -1.0)
-    for (i, j, k) in g.edges:
-        arr[i, j, k] = 1.0
+    arr.flat[g.edge_index] = 1.0
     return Tensor3(arr, "real")
 
 
 def relabel(g: TripartiteHypergraph, pt: PermTriple) -> TripartiteHypergraph:
-    for d in range(3):
-        if len(pt[d]) != g.part_sizes[d]:
-            raise DimensionMismatch(
-                f"permutation lengths {tuple(len(p) for p in pt.perms)} do not match parts {g.part_sizes}"
-            )
-    return TripartiteHypergraph(g.part_sizes, {pt.apply(e) for e in g.edges})
+    if tuple(map(len, pt.perms)) != g.part_sizes:
+        raise DimensionMismatch(f"permutation lengths {tuple(map(len, pt.perms))} do not match parts {g.part_sizes}")
+    coords = np.unravel_index(g.edge_index, g.part_sizes)
+    return TripartiteHypergraph(g.part_sizes, np.column_stack([np.asarray(p)[c] for p, c in zip(pt.perms, coords)]))
 
 
 def random_hypergraph(part_sizes, seed: int, edge_prob: float = 0.5, *, stream=()) -> TripartiteHypergraph:
     """Each potential edge included independently with probability edge_prob."""
     sizes = tuple(int(s) for s in part_sizes)
     rng = generator(seed, *stream)
-    mask = rng.random(sizes) < edge_prob
-    edges = {tuple(int(v) for v in idx) for idx in np.argwhere(mask)}
-    return TripartiteHypergraph(sizes, edges)
+    return TripartiteHypergraph(sizes, np.argwhere(rng.random(sizes) < edge_prob))
 
 
 def random_perm_triple(part_sizes, seed: int, *, stream=()) -> PermTriple:
@@ -129,29 +144,19 @@ def _match_rows(va: np.ndarray, vb: np.ndarray):
     when ambiguous or non-bijective.
     """
     corr = np.abs(va) @ np.abs(vb).T
-    perm = []
-    margin = np.inf
-    for r in range(corr.shape[0]):
-        order = np.argsort(corr[r])[::-1]
-        best = int(order[0])
-        lead = corr[r, best] - (corr[r, int(order[1])] if corr.shape[1] > 1 else 0.0)
-        margin = min(margin, float(lead))
-        perm.append(best)
-    if margin < AMBIGUITY_MARGIN or len(set(perm)) != len(perm):
+    perm = np.argmax(corr, axis=1)
+    runner_up = np.partition(corr, -2, axis=1)[:, -2] if corr.shape[1] > 1 else 0.0
+    margin = float(np.min(np.max(corr, axis=1) - runner_up))
+    if margin < AMBIGUITY_MARGIN or np.unique(perm).size != perm.size:
         return None, margin
-    return tuple(perm), margin
+    return tuple(perm.tolist()), margin
 
 
 def _signed_match_defect(va: np.ndarray, vb: np.ndarray, perm) -> float:
     """Max over columns of the distance to the nearer of +/- the permuted column."""
     # vb with row p(r) moved back to position r:
     vb_back = vb[np.asarray(perm), :]
-    defect = 0.0
-    for c in range(va.shape[1]):
-        d_plus = float(np.max(np.abs(vb_back[:, c] - va[:, c])))
-        d_minus = float(np.max(np.abs(vb_back[:, c] + va[:, c])))
-        defect = max(defect, min(d_plus, d_minus))
-    return defect
+    return float(np.max(np.minimum(np.abs(vb_back - va).max(axis=0), np.abs(vb_back + va).max(axis=0))))
 
 
 def decide_hypergraph_iso(g: TripartiteHypergraph, h: TripartiteHypergraph) -> HypergraphDecision:
@@ -171,8 +176,7 @@ def decide_hypergraph_iso(g: TripartiteHypergraph, h: TripartiteHypergraph) -> H
     for mode in (1, 2, 3):
         sa = eig_hermitian(gram(a, mode))
         sb = eig_hermitian(gram(b, mode))
-        dist = float(np.max(np.abs(sa.eigenvalues - sb.eigenvalues)))
-        diag["spectra_dist"].append(dist)
+        diag["spectra_dist"].append(float(np.max(np.abs(sa.eigenvalues - sb.eigenvalues))))
         spectra.append((sa, sb))
     if max(diag["spectra_dist"]) > SPECTRA_TOL:
         diag["step"] = "spectra"
@@ -196,7 +200,7 @@ def decide_hypergraph_iso(g: TripartiteHypergraph, h: TripartiteHypergraph) -> H
             return HypergraphDecision("cannot_decide", None, diag)
         perms.append(perm)
     pt = PermTriple(tuple(perms))
-    if relabel(g, pt).edges == h.edges:
+    if np.array_equal(relabel(g, pt).edge_index, h.edge_index):
         diag["step"] = "verified"
         return HypergraphDecision("yes", pt, diag)
     diag["step"] = "edge_verification"
@@ -205,8 +209,8 @@ def decide_hypergraph_iso(g: TripartiteHypergraph, h: TripartiteHypergraph) -> H
 
 def parse_hypergraph(text: str) -> TripartiteHypergraph:
     """Text format: first line 'l m n', then one 1-based edge 'i j k' per line."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    # A comment takes its whole line: a '#' after an edge fails the edge parse.
+    lines = [ln for ln in map(str.lstrip, text.splitlines()) if ln and ln[0] != "#"]
     if not lines:
         raise FormatError("empty hypergraph document")
     head = lines[0].split()
@@ -216,24 +220,23 @@ def parse_hypergraph(text: str) -> TripartiteHypergraph:
         sizes = tuple(int(v) for v in head)
     except ValueError as exc:
         raise FormatError(f"non-integer part size in {lines[0]!r}") from exc
-    edges = []
-    for ln in lines[1:]:
-        toks = ln.split()
-        if len(toks) != 3:
-            raise FormatError(f"edge line must have three indices, got {ln!r}")
-        try:
-            e = tuple(int(v) - 1 for v in toks)
-        except ValueError as exc:
-            raise FormatError(f"non-integer index in {ln!r}") from exc
-        edges.append(e)
-    return TripartiteHypergraph(sizes, edges)
+    body = lines[1:]
+    try:
+        with warnings.catch_warnings():
+            # numpy 1.x reads an int64 field such as '1.5' through float, with only a DeprecationWarning
+            warnings.simplefilter("error", DeprecationWarning)
+            edges = np.loadtxt(body, dtype=np.int64, ndmin=2, comments=None) if body else np.empty((0, 3), np.int64)
+    except (ValueError, OverflowError, DeprecationWarning) as exc:
+        raise FormatError(f"edge lines must hold three integer indices: {exc}") from exc
+    if edges.shape[1] != 3:
+        raise FormatError(f"edge lines must have three indices, got {edges.shape[1]}")
+    return TripartiteHypergraph(sizes, edges - 1)
 
 
 def format_hypergraph(g: TripartiteHypergraph) -> str:
     """Inverse of parse_hypergraph; edges written sorted for stable output."""
-    out = ["{} {} {}".format(*g.part_sizes)]
-    for (i, j, k) in sorted(g.edges):
-        out.append(f"{i + 1} {j + 1} {k + 1}")
+    coords = np.column_stack(np.unravel_index(g.edge_index, g.part_sizes)) + 1
+    out = ["{} {} {}".format(*g.part_sizes)] + [f"{i} {j} {k}" for i, j, k in coords.tolist()]
     return "\n".join(out) + "\n"
 
 

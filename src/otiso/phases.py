@@ -48,7 +48,6 @@ class SignAssignment:
     s1: np.ndarray
     s2: np.ndarray
     s3: np.ndarray
-    consistent: bool = True
     solver_path: str = "gf2"  # "identity" when no target pinned the gauge
 
 

@@ -209,6 +209,17 @@ def test_pair_mismatch_exits_3(tmp_path, capsys):
     assert "error: tensor kinds differ" in capsys.readouterr().err
 
 
+def test_hyper_part_size_mismatch_exits_3(tmp_path, capsys):
+    # two readable hypergraphs on different part sizes are a usage error; a malformed file stays a runtime error
+    pg, ph, bad = tmp_path / "g.txt", tmp_path / "h.txt", tmp_path / "bad.txt"
+    write_hypergraph(random_hypergraph((3, 3, 3), seed=212), pg)
+    write_hypergraph(random_hypergraph((3, 3, 4), seed=213), ph)
+    bad.write_text("3 3 3\n1 1 1\n1 1 1\n")  # duplicate edge
+    assert main(["hyper", "--g", str(pg), "--h", str(ph), "--quiet"]) == 3
+    assert "error: part sizes differ" in capsys.readouterr().err
+    assert main(["hyper", "--g", str(pg), "--h", str(bad), "--quiet"]) == 4
+
+
 def test_config_errors_exit_3(tmp_path):
     _, _, pa, pb = orbit_files(tmp_path, 905)
     assert main(["dist", "--a", str(pa), "--b", str(pb),

@@ -1,7 +1,10 @@
 """Tripartite hypergraphs: adjacency tensors, spectral matching, text format."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from otiso import (
     DimensionMismatch,
@@ -18,6 +21,7 @@ from otiso import (
     relabel,
     write_hypergraph,
 )
+from otiso.hypergraph import AMBIGUITY_MARGIN, _match_rows, _signed_match_defect
 
 
 def test_adjacency_tensor_basics():
@@ -154,3 +158,198 @@ def test_parse_format_errors():
         parse_hypergraph("2 2 2\n1 1 1\n1 1 1\n")  # duplicate edge
     with pytest.raises(FormatError):
         parse_hypergraph("2 2 2\none one one\n")  # non-integer
+    with pytest.raises(FormatError):
+        parse_hypergraph("2 2 2\n1 1 1 # trailing\n")  # a comment must take its whole line
+    for token in ("1.0", "2e0", "1.5", "1_0", "12345678901234567890"):
+        with pytest.raises(FormatError):
+            parse_hypergraph(f"2 2 2\n1 1 {token}\n")  # only plain int64 decimal indices
+
+
+def test_parse_rejects_integer_read_through_float(monkeypatch):
+    """numpy 1.x loadtxt reads '1.5' into an int64 field through float, warning instead of failing."""
+    def lenient_loadtxt(lines, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+        return np.ones((len(lines), 3), dtype=np.int64)
+
+    monkeypatch.setattr(np, "loadtxt", lenient_loadtxt)
+    with pytest.raises(FormatError):
+        parse_hypergraph("2 2 2\n1 1 1.5\n")
+
+
+def reference_parse(text: str):
+    """The line-by-line parser and per-edge validation that the array parser replaced."""
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    if not lines:
+        raise FormatError("empty hypergraph document")
+    head = lines[0].split()
+    if len(head) != 3:
+        raise FormatError("header must be three part sizes")
+    try:
+        sizes = tuple(int(v) for v in head)
+    except ValueError as exc:
+        raise FormatError("non-integer part size") from exc
+    edges = []
+    for ln in lines[1:]:
+        toks = ln.split()
+        if len(toks) != 3:
+            raise FormatError("edge line must have three indices")
+        try:
+            edges.append(tuple(int(v) - 1 for v in toks))
+        except ValueError as exc:
+            raise FormatError("non-integer index") from exc
+    if any(s < 1 for s in sizes):
+        raise DimensionMismatch("part sizes must be positive")
+    seen = set()
+    for e in edges:
+        if not all(0 <= e[d] < sizes[d] for d in range(3)):
+            raise FormatError("edge out of range")
+        if e in seen:
+            raise FormatError("duplicate edge")
+        seen.add(e)
+    return sizes, frozenset(edges)
+
+
+def beyond_int64_parse(text: str) -> bool:
+    """True when an edge line holds a token that int() reads but an int64 parse does not: '1_0' or |v| >= 2^63.
+
+    The reference parser reads such an index and then fails on its range or on the header; the array
+    parser fails on the token itself.  Both raise an error, but with a non-positive part size in the
+    header the reference raises DimensionMismatch, and '1_0' it reads as 10.
+    """
+    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+    for tok in " ".join(lines[1:]).split():
+        try:
+            value = int(tok)
+        except ValueError:
+            continue
+        if "_" in tok or not -2**63 <= value < 2**63:
+            return True
+    return False
+
+
+SPELLINGS = ["{}", "{}", "0{}", "+{}", "0_{}"]
+BAD_TOKENS = ["0", "-1", "4", "1_0", "1.0", "2e0", "x", "1 # c", "12345678901234567890", "-9223372036854775808"]
+
+
+@st.composite
+def hypergraph_documents(draw):
+    """Headers and edge lines mixing valid triples with every malformation the format rejects."""
+    sep = st.sampled_from([" ", "  ", "\t", " \t "])
+    pad = st.sampled_from(["", " ", "\t"])
+    sizes = [draw(st.integers(1, 3)) for _ in range(3)]
+    header = "{} {} {}".format(*sizes) if draw(st.integers(0, 5)) else draw(
+        st.sampled_from(["3 3", "3 3 3 3", "0 3 3", "3 -1 3", "3 x 3", "3 3 3.0"]))
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["edge"] * 6 + ["bad"] * 2 + ["comment", "blank", "inline", "ragged"]))
+        if kind == "comment":
+            lines.append(draw(st.sampled_from(["# c", "#", "  # indented", "#1 1 1"])))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", "   ", "\t"])))
+        else:
+            toks = [draw(st.sampled_from(SPELLINGS)).format(draw(st.integers(1, sizes[d % 3])))
+                    for d in range(draw(st.sampled_from([2, 4])) if kind == "ragged" else 3)]
+            if kind == "bad":
+                toks[draw(st.integers(0, 2))] = draw(st.sampled_from(BAD_TOKENS))
+            lines.append(draw(pad) + draw(sep).join(toks) + (" # c" if kind == "inline" else "") + draw(pad))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    lead = draw(st.sampled_from(["", "", "# leading comment" + eol, " " + eol + "\t" + eol, "#" + eol + " " + eol]))
+    return lead + eol.join([header] + lines) + draw(st.sampled_from(["", eol, eol + " " + eol + eol]))
+
+
+@settings(max_examples=300)
+@given(hypergraph_documents())
+def test_parse_matches_reference_parser(text):
+    if beyond_int64_parse(text):  # the one known difference: always a FormatError now
+        with pytest.raises(FormatError):
+            parse_hypergraph(text)
+        return
+    try:
+        want = reference_parse(text)
+    except (FormatError, DimensionMismatch) as exc:
+        with pytest.raises(type(exc)):
+            parse_hypergraph(text)
+        return
+    g = parse_hypergraph(text)
+    assert (g.part_sizes, g.edges) == want
+
+
+def reference_match_rows(va, vb):
+    """The per-row argsort matching that _match_rows replaced."""
+    corr = np.abs(va) @ np.abs(vb).T
+    perm = []
+    margin = np.inf
+    for r in range(corr.shape[0]):
+        order = np.argsort(corr[r])[::-1]
+        best = int(order[0])
+        lead = corr[r, best] - (corr[r, int(order[1])] if corr.shape[1] > 1 else 0.0)
+        margin = min(margin, float(lead))
+        perm.append(best)
+    if margin < AMBIGUITY_MARGIN or len(set(perm)) != len(perm):
+        return None, margin
+    return tuple(perm), margin
+
+
+def reference_signed_match_defect(va, vb, perm):
+    """The per-column loop that _signed_match_defect replaced."""
+    vb_back = vb[np.asarray(perm), :]
+    defect = 0.0
+    for c in range(va.shape[1]):
+        d_plus = float(np.max(np.abs(vb_back[:, c] - va[:, c])))
+        d_minus = float(np.max(np.abs(vb_back[:, c] + va[:, c])))
+        defect = max(defect, min(d_plus, d_minus))
+    return defect
+
+
+def _assert_same_matching(va, vb):
+    got = _match_rows(va, vb)
+    assert got == reference_match_rows(va, vb)
+    assert got[0] is None or all(type(v) is int for v in got[0])
+    perm = got[0] if got[0] is not None else tuple(range(va.shape[0]))
+    assert _signed_match_defect(va, vb, perm) == reference_signed_match_defect(va, vb, perm)
+
+
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1e-9, 1e-3, None]))
+def test_matching_equals_reference(n, seed, noise):
+    """Signed row permutations of an orthogonal basis, perturbed or replaced by an unrelated basis."""
+    rng = np.random.default_rng(seed)
+    va = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    if noise is None:
+        vb = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    else:
+        vb = np.empty_like(va)
+        vb[rng.permutation(n)] = va * rng.choice([-1.0, 1.0], n) + noise * rng.standard_normal((n, n))
+    _assert_same_matching(va, vb)
+
+
+def test_matching_tied_rows_is_ambiguous():
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)  # every |entry| equal: every row ties
+    perm, margin = _match_rows(h, h)
+    assert perm is None and margin == 0.0
+    _assert_same_matching(h, h)
+    blocks = np.kron(np.eye(2), h)  # ties inside each block, a clear lead across blocks
+    _assert_same_matching(blocks, blocks[::-1])
+    _assert_same_matching(np.eye(1), -np.eye(1))
+
+
+def test_yes_permutations_map_edges_in_dense_tensors():
+    """Each YES permutation, applied to g's dense 0/1 tensor by numpy indexing, gives h's."""
+    yes = 0
+    for seed in range(8):
+        sizes = (4 + seed % 3, 5, 6)
+        g = random_hypergraph(sizes, seed=600 + seed)
+        h = relabel(g, random_perm_triple(sizes, seed=700 + seed))
+        d = decide_hypergraph_iso(g, h)
+        if d.verdict != "yes":
+            continue
+        yes += 1
+        dense = []
+        for graph in (g, h):
+            arr = np.zeros(sizes, dtype=bool)
+            arr[tuple(np.array(sorted(graph.edges)).T)] = True
+            dense.append(arr)
+        moved = np.zeros(sizes, dtype=bool)
+        moved[np.ix_(*[np.asarray(p) for p in d.perms.perms])] = dense[0]
+        assert np.array_equal(moved, dense[1])
+    assert yes >= 6

@@ -50,7 +50,6 @@ def test_wrap_angle_frozen():
 def test_solve_signs_all_positive():
     dims = (2, 2, 2)
     out = solve_signs({k: 1 for k in all_keys(dims)}, dims)
-    assert out.consistent
     for v in (out.s1, out.s2, out.s3):
         assert np.array_equal(v, np.ones(2))
 
