@@ -153,14 +153,13 @@ def _aggregate(records, target, bound_prob, degenerate, meta) -> GapReport:
     )
 
 
-def _spectrum_record(trial: int, seed: int, mat: np.ndarray) -> TrialRecord:
-    g = mat.conj().T @ mat
-    s = eig_hermitian(g)
-    lam = s.eigenvalues
-    smax = math.sqrt(max(float(lam[0]), 0.0))
-    smin = math.sqrt(max(float(lam[-1]), 0.0))
-    simple = bool(s.min_gap > s.degeneracy_floor()) if lam.size > 1 else True
-    return TrialRecord(trial, seed, float(s.min_gap), simple, smin, smax)
+def _spectrum_record(trial: int, seed: int, spectra) -> TrialRecord:
+    """One trial from its Gram spectra: the gap is the min over them, simple only if all are."""
+    min_gap = min(s.min_gap for s in spectra)
+    simple = all(s.min_gap > s.degeneracy_floor() for s in spectra)
+    smin = math.sqrt(max(min(float(s.eigenvalues[-1]) for s in spectra), 0.0))
+    smax = math.sqrt(max(max(float(s.eigenvalues[0]) for s in spectra), 0.0))
+    return TrialRecord(trial, seed, min_gap, simple, smin, smax)
 
 
 def run_gap_experiment(cfg: GapExperiment) -> GapReport:
@@ -172,7 +171,7 @@ def run_gap_experiment(cfg: GapExperiment) -> GapReport:
     for trial in range(cfg.trials):
         rng = generator(cfg.model.seed, trial)
         m = sample_entries(rng, cfg.model, (cfg.n, p))
-        records.append(_spectrum_record(trial, cfg.model.seed, m))
+        records.append(_spectrum_record(trial, cfg.model.seed, [eig_hermitian(m.conj().T @ m, vectors=False)]))
     zeta = cfg.effective_zeta
     target = gap_target(cfg.n, zeta, cfg.beta)
     bound = bound_probability(cfg.n, zeta, cfg.beta)
@@ -224,17 +223,8 @@ def run_tensor_gram_experiment(
         else:
             kind = "complex" if "complex" in (base.scalar_kind, model.scalar_kind) else "real"
             a = Tensor3(base.astype_kind(kind).data + eta * sample.astype_kind(kind).data, kind)
-        min_gap = math.inf
-        simple = True
-        smin = math.inf
-        smax = 0.0
-        for mode in (1, 2, 3):
-            s = eig_hermitian(gram(a, mode))
-            min_gap = min(min_gap, float(s.min_gap))
-            simple = simple and bool(s.min_gap > s.degeneracy_floor())
-            smin = min(smin, math.sqrt(max(float(s.eigenvalues[-1]), 0.0)))
-            smax = max(smax, math.sqrt(max(float(s.eigenvalues[0]), 0.0)))
-        records.append(TrialRecord(trial, model.seed, min_gap, simple, smin, smax))
+        spectra = [eig_hermitian(gram(a, mode), vectors=False) for mode in (1, 2, 3)]
+        records.append(_spectrum_record(trial, model.seed, spectra))
 
     target = tensor_gap_target(n, beta)
     bound = bound_probability(n * n, 0.5, beta)

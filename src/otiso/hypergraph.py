@@ -242,7 +242,11 @@ def format_hypergraph(g: TripartiteHypergraph) -> str:
 
 def read_hypergraph(path) -> TripartiteHypergraph:
     with open(path, "r", encoding="ascii") as fh:
-        return parse_hypergraph(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"non-ASCII byte in hypergraph file {path}: {exc}") from exc
+    return parse_hypergraph(text)
 
 
 def write_hypergraph(g: TripartiteHypergraph, path) -> None:

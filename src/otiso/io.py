@@ -133,13 +133,17 @@ def write_tensor_json(a: Tensor3, path) -> None:
         fh.write(dumps_canonical(tensor_to_json_obj(a)))
 
 
-def read_tensor_json(path) -> Tensor3:
+def _load_json(path):
+    """Parse an ASCII JSON document; a non-ASCII byte is a format error like any bad JSON."""
     with open(path, "r", encoding="ascii") as fh:
         try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise FormatError(f"invalid JSON in {path}: {exc}") from exc
-    return tensor_from_json_obj(obj)
+
+
+def read_tensor_json(path) -> Tensor3:
+    return tensor_from_json_obj(_load_json(path))
 
 
 def witness_to_bytes(g: TransformTriple) -> bytes:
@@ -233,12 +237,7 @@ def write_witness_json(g: TransformTriple, path) -> None:
 
 
 def read_witness_json(path) -> TransformTriple:
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid JSON in {path}: {exc}") from exc
-    return witness_from_json_obj(obj)
+    return witness_from_json_obj(_load_json(path))
 
 
 def _has_magic(path, magic: bytes) -> bool:

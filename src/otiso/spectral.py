@@ -22,9 +22,6 @@ from .errors import ConvergenceFailure, DimensionMismatch, NonHermitianInput
 # within it are symmetrized to (G + G*)/2 before factoring.
 TAU_HERMITIAN_REL = 1e-10
 
-# Residual tolerance ||G V - V diag(lam)||_F <= TAU_EIG_REL * ||G||_F.
-TAU_EIG_REL = 1e-10
-
 # Adjacent eigenvalues closer than this (relative to the largest modulus
 # eigenvalue) are treated as a degenerate pair when a policy asks for
 # simplicity; exact floating-point ties are rare even for genuinely repeated
@@ -36,10 +33,10 @@ DEGENERACY_REL = 1e-8
 class SpectralData:
     """Eigendecomposition of a Hermitian PSD matrix with fixed conventions."""
 
-    eigenvalues: np.ndarray  # non-increasing, real
-    vectors: np.ndarray      # column j pairs with eigenvalues[j]
-    min_gap: float           # min adjacent difference; +inf for 1x1
-    backward_error: float    # ||G V - V diag(lam)||_F
+    eigenvalues: np.ndarray        # non-increasing, real
+    vectors: np.ndarray | None     # column j pairs with eigenvalues[j]; None on the values-only path
+    min_gap: float                 # min adjacent difference; +inf for 1x1
+    backward_error: float | None   # ||G V - V diag(lam)||_F; None on the values-only path
 
     @property
     def simple(self) -> bool:
@@ -58,7 +55,7 @@ class SpectralData:
         return {
             "eigenvalues": [float(x) for x in self.eigenvalues],
             "min_gap": float(self.min_gap),
-            "backward_error": float(self.backward_error),
+            "backward_error": None if self.backward_error is None else float(self.backward_error),
         }
 
 
@@ -99,14 +96,17 @@ def _fix_column_phases(vectors: np.ndarray) -> np.ndarray:
     return V
 
 
-def eig_hermitian(G: np.ndarray) -> SpectralData:
+def eig_hermitian(G: np.ndarray, *, vectors: bool = True) -> SpectralData:
     """Eigendecomposition under the package conventions.
 
     Raises :class:`NonHermitianInput` when ``||G - G*||_F`` exceeds
     ``TAU_HERMITIAN_REL * ||G||_F`` and :class:`ConvergenceFailure` when the
     underlying LAPACK driver fails.  Inputs within the Hermiticity tolerance
     are symmetrized before factoring, so tiny asymmetries from floating-point
-    products do not leak into the output.
+    products do not leak into the output.  With ``vectors=False`` only the
+    eigenvalues are computed (LAPACK's values-only driver, which may differ
+    from the vectors path in the last ulp); ``vectors`` and
+    ``backward_error`` are then ``None``.
     """
     G = np.asarray(G)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
@@ -117,17 +117,19 @@ def eig_hermitian(G: np.ndarray) -> SpectralData:
         raise NonHermitianInput(f"Hermiticity defect {defect:.3e} exceeds tolerance for norm {normG:.3e}")
     H = (G + G.conj().T) / 2.0
     try:
-        lam, V = np.linalg.eigh(H)
+        lam, V = np.linalg.eigh(H) if vectors else (np.linalg.eigvalsh(H), None)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure is environment-dependent
         raise ConvergenceFailure(str(exc)) from exc
     lam = lam[::-1].copy()
-    V = _fix_column_phases(V[:, ::-1])
     if lam.shape[0] > 1:
         min_gap = float(np.min(lam[:-1] - lam[1:]))
         # eigh guarantees ordering, so gaps are nonnegative up to roundoff
         min_gap = max(min_gap, 0.0)
     else:
         min_gap = float("inf")
+    if V is None:
+        return SpectralData(eigenvalues=lam, vectors=None, min_gap=min_gap, backward_error=None)
+    V = _fix_column_phases(V[:, ::-1])
     backward = float(np.linalg.norm(H @ V - V * lam[np.newaxis, :]))
     return SpectralData(eigenvalues=lam, vectors=V, min_gap=min_gap, backward_error=backward)
 

@@ -19,6 +19,7 @@ from otiso import (
     verify_witness,
     write_hypergraph,
     write_tensor,
+    write_tensor_json,
     write_witness_json,
 )
 from otiso.cli import main
@@ -218,6 +219,36 @@ def test_hyper_part_size_mismatch_exits_3(tmp_path, capsys):
     assert main(["hyper", "--g", str(pg), "--h", str(ph), "--quiet"]) == 3
     assert "error: part sizes differ" in capsys.readouterr().err
     assert main(["hyper", "--g", str(pg), "--h", str(bad), "--quiet"]) == 4
+
+
+def _latin1_into(path, old: bytes):
+    """Replace the first ``old`` in the file with the latin-1 byte for 'e-acute'."""
+    raw = path.read_bytes()
+    assert old in raw
+    path.write_bytes(raw.replace(old, b"\xe9", 1))
+
+
+@pytest.mark.parametrize("command", ["iso", "verify", "hyper"])
+def test_non_ascii_byte_exits_4(tmp_path, capsys, command):
+    # a file that is not ASCII is malformed input (exit 4), never a traceback with exit 1
+    a, _, pa, pb = orbit_files(tmp_path, 910)
+    if command == "iso":
+        pj = tmp_path / "a.json"
+        write_tensor_json(a, pj)
+        _latin1_into(pj, b"t3b-json")
+        argv = ["iso", "--a", str(pj), "--b", str(pb)]
+    elif command == "verify":
+        wj = tmp_path / "w.json"
+        write_witness_json(sample_haar_triple((4, 4, 4), 911, "real"), wj)
+        _latin1_into(wj, b"witness-json")
+        argv = ["verify", "--a", str(pa), "--b", str(pb), "--witness", str(wj)]
+    else:
+        pg = tmp_path / "g.txt"
+        write_hypergraph(random_hypergraph((3, 3, 3), seed=214), pg)
+        pg.write_bytes(pg.read_bytes() + b"# caf\xe9\n")
+        argv = ["hyper", "--g", str(pg), "--h", str(pg)]
+    assert main([*argv, "--quiet"]) == 4
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_config_errors_exit_3(tmp_path):

@@ -14,14 +14,17 @@ from otiso import (
     Tensor3,
     TrialRecord,
     bound_probability,
+    eig_hermitian,
     emit_csv,
     gap_target,
     generator,
+    gram,
     log_slope,
     read_csv,
     run_gap_experiment,
     run_tensor_gram_experiment,
     sample_entries,
+    sample_tensor,
     survival_curve,
     tensor_gap_target,
 )
@@ -69,11 +72,61 @@ def test_spectrum_record_frozen_singular_values():
     mat = np.zeros((4, 2))
     mat[0, 0] = 3.0
     mat[1, 1] = 1.0
-    rec = _spectrum_record(7, 99, mat)
+    rec = _spectrum_record(7, 99, [eig_hermitian(mat.T @ mat, vectors=False)])
     assert rec.trial == 7 and rec.seed == 99
     assert rec.min_gap == 8.0  # eigenvalues of Gram are exactly (9, 1)
     assert rec.smin == 1.0 and rec.smax == 3.0
     assert rec.simple
+    # several spectra (the tensor modes): min gap and extremes over all, simple only if every one is
+    modes = [eig_hermitian(np.diag(d), vectors=False) for d in ([9.0, 1.0], [16.0, 4.0, 4.0], [2.0, 0.25])]
+    rec = _spectrum_record(0, 1, modes)
+    assert rec.min_gap == 0.0 and not rec.simple
+    assert rec.smin == 0.5 and rec.smax == 4.0
+
+
+def _assert_matches_vectors_replay(records, grams_of_trial):
+    # replay every trial through the default (vectors) path and the seed's record rules
+    for rec in records:
+        spectra = [eig_hermitian(g) for g in grams_of_trial(rec.trial)]
+        lam_max = max(float(s.eigenvalues[0]) for s in spectra)
+        smin = min(math.sqrt(max(float(s.eigenvalues[-1]), 0.0)) for s in spectra)
+        smax = math.sqrt(max(lam_max, 0.0))
+        min_gap = min(s.min_gap for s in spectra)
+        # values-only eigenvalues may differ in the last ulp, which is 1e-16 of the
+        # largest eigenvalue but can exceed 1e-12 of a small gap, so the gap is
+        # compared on the spectrum's scale
+        assert abs(rec.min_gap - min_gap) <= 1e-12 * lam_max
+        assert math.isclose(rec.smin, smin, rel_tol=1e-12)
+        assert math.isclose(rec.smax, smax, rel_tol=1e-12)
+        assert rec.simple == all(s.min_gap > s.degeneracy_floor() for s in spectra)
+
+
+def test_matrix_records_match_vectors_path():
+    for model in (GAUSS, RandomModel("rademacher", "complex", 77)):
+        cfg = GapExperiment(200, 0.6, 6, model, zeta=0.5)
+        report = run_gap_experiment(cfg)
+
+        def grams(trial):
+            m = sample_entries(generator(model.seed, trial), model, (cfg.n, cfg.resolved_p))
+            return [m.conj().T @ m]
+
+        _assert_matches_vectors_replay(report.records, grams)
+
+
+def test_tensor_records_match_vectors_path():
+    for model, eta in ((RandomModel("gaussian", "real", 8), None),
+                       (RandomModel("gaussian", "complex", 9), None),
+                       (RandomModel("gaussian", "real", 10), 0.5)):
+        n = 7
+        report = run_tensor_gram_experiment(n, model, 5, eta=eta)
+
+        def grams(trial):
+            a = sample_tensor((n, n, n), model, stream=(trial,))
+            if eta is not None:
+                a = Tensor3(np.ones((n, n, n)) + eta * a.data)
+            return [gram(a, mode) for mode in (1, 2, 3)]
+
+        _assert_matches_vectors_replay(report.records, grams)
 
 
 def test_single_column_is_degenerate_but_simple():

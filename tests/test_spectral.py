@@ -1,5 +1,7 @@
 """Hermitian eigendecomposition conventions, gap policies, perturbation bounds."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,47 @@ def test_rejects_non_hermitian():
         eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(DimensionMismatch):
         eig_hermitian(np.ones((2, 3)))
+
+
+def test_values_only_is_reversed_eigvalsh_of_symmetrized_input():
+    for seed in range(12):
+        kind = "complex" if seed % 2 else "real"
+        n = 1 + seed
+        G = random_hermitian(n, seed, kind)
+        G = G + 1e-14 * np.triu(np.ones((n, n)), 1)  # asymmetry inside the tolerance
+        s = eig_hermitian(G, vectors=False)
+        assert np.array_equal(s.eigenvalues, np.linalg.eigvalsh((G + G.conj().T) / 2.0)[::-1])
+
+
+def test_values_only_agrees_with_vectors_path():
+    for seed in range(40):
+        kind = "complex" if seed % 2 else "real"
+        n = 1 + seed % 13
+        x = random_hermitian(n, 300 + seed, kind)
+        G = x @ x.conj().T  # PSD, like the Grams the gap lab factors
+        full, vals = eig_hermitian(G), eig_hermitian(G, vectors=False)
+        tol = 1e-12 * np.linalg.norm(G)
+        assert np.max(np.abs(full.eigenvalues - vals.eigenvalues)) <= tol
+        assert vals.dim == full.dim == n
+        if n == 1:
+            assert vals.min_gap == full.min_gap == float("inf")
+        else:
+            assert abs(full.min_gap - vals.min_gap) <= 2 * tol
+        assert abs(full.degeneracy_floor() - vals.degeneracy_floor()) <= 1e-8 * tol
+
+
+def test_values_only_checks_and_empty_fields():
+    with pytest.raises(NonHermitianInput):
+        eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]), vectors=False)
+    with pytest.raises(DimensionMismatch):
+        eig_hermitian(np.ones((2, 3)), vectors=False)
+    with pytest.raises(TypeError):
+        eig_hermitian(np.eye(2), False)  # keyword-only
+    s = eig_hermitian(np.diag([2.0, 1.0]), vectors=False)
+    assert s.vectors is None and s.backward_error is None
+    payload = s.to_json()
+    assert payload == {"eigenvalues": [2.0, 1.0], "min_gap": 1.0, "backward_error": None}
+    assert '"backward_error": null' in json.dumps(payload)
 
 
 def test_spectra_close_frozen_cases():
