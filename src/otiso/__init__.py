@@ -38,7 +38,7 @@ from .tensor import (
     unflatten,
     unitarity_defect,
 )
-from .spectral import GapPolicy, SpectralData, eig_hermitian, min_gap_check, spectra_close, weyl_perturbation_bound
+from .spectral import SpectralData, eig_hermitian, spectra_close, weyl_perturbation_bound
 from .hosvd import CoreComparison, CoreTensor, PhaseTarget, PhaseTargets, RejectFar, compare_cores, comparison_threshold, core_of
 from .phases import PhaseAssignment, SignAssignment, assemble_witness, solve_phases, solve_signs, wrap_angle
 from .decision import (
@@ -111,8 +111,7 @@ __all__ = [
     "RandomModel", "Tensor3", "TransformTriple", "apply_action", "flatten",
     "generator", "gram", "haar_factor", "identity_triple", "sample_entries", "sample_haar_triple",
     "sample_tensor", "unflatten", "unitarity_defect",
-    "GapPolicy", "SpectralData", "eig_hermitian", "min_gap_check",
-    "spectra_close", "weyl_perturbation_bound",
+    "SpectralData", "eig_hermitian", "spectra_close", "weyl_perturbation_bound",
     "CoreComparison", "CoreTensor", "PhaseTarget", "PhaseTargets", "RejectFar", "compare_cores",
     "comparison_threshold", "core_of",
     "PhaseAssignment", "SignAssignment", "assemble_witness", "solve_phases",

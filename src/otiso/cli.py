@@ -8,6 +8,7 @@ on stdout, serialized canonically so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -68,16 +69,12 @@ def _decision_report(command: str, dec: Decision) -> dict:
     }
 
 
-def _run_decision(args, mode: str) -> int:
+def _cmd_decide(args) -> int:
+    """``iso`` runs the exact test, ``dist`` the gapped one."""
     a = tio.read_tensor_any(args.a)
     b = tio.read_tensor_any(args.b)
-    cfg = DecisionConfig(
-        eps=args.eps,
-        delta_override=getattr(args, "delta", None),
-        precision_bits=getattr(args, "bits", None),
-        mode=mode,
-    )
-    decide = decide_isomorphism if mode == "exact_iso" else decide_orbit_distance
+    cfg = DecisionConfig(eps=args.eps, delta_override=args.delta, precision_bits=args.bits)
+    decide = decide_isomorphism if args.subcommand == "iso" else decide_orbit_distance
     try:
         dec = decide(a, b, cfg)
     except (DimensionMismatch, ScalarKindMismatch) as exc:
@@ -86,16 +83,8 @@ def _run_decision(args, mode: str) -> int:
     if args.witness_out and dec.verdict == "yes":
         tio.write_witness_json(dec.witness, args.witness_out)
     detail = "" if dec.residual is None else f" (residual {dec.residual:.6e}, bound {dec.gamma_bound:.6e})"
-    _emit(args, _decision_report("iso" if mode == "exact_iso" else "dist", dec), f"verdict: {dec.verdict}{detail}")
+    _emit(args, _decision_report(args.subcommand, dec), f"verdict: {dec.verdict}{detail}")
     return _VERDICT_EXIT[dec.verdict]
-
-
-def _cmd_iso(args) -> int:
-    return _run_decision(args, "gapped_distance" if args.mode == "gapped" else "exact_iso")
-
-
-def _cmd_dist(args) -> int:
-    return _run_decision(args, "gapped_distance")
 
 
 def _cmd_gaps(args) -> int:
@@ -169,7 +158,9 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process; ``parse_args`` leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="RNG seed (64-bit)")
     common.add_argument("--json", action="store_true", help="emit a single JSON report on stdout")
@@ -186,15 +177,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--format", choices=["t3b", "json"], default="t3b")
     p_gen.set_defaults(func=_cmd_gen)
 
-    p_iso = sub.add_parser("iso", parents=[common], help="decide orbit equivalence of two tensors")
+    p_iso = sub.add_parser("iso", parents=[common], help="exact orbit-equivalence decision")
     p_iso.add_argument("--a", required=True)
     p_iso.add_argument("--b", required=True)
     p_iso.add_argument("--eps", type=float, default=None)
-    p_iso.add_argument("--mode", choices=["exact", "gapped"], default="exact")
     p_iso.add_argument("--bits", type=int, default=None, help="working precision in bits")
     p_iso.add_argument("--delta", type=float, default=None, help="override the measured spectral gap")
     p_iso.add_argument("--witness-out", default=None, help="write the verified witness as JSON on a YES verdict")
-    p_iso.set_defaults(func=_cmd_iso)
+    p_iso.set_defaults(func=_cmd_decide)
 
     p_dist = sub.add_parser("dist", parents=[common], help="gap-certified orbit distance decision")
     p_dist.add_argument("--a", required=True)
@@ -203,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument("--bits", type=int, default=None)
     p_dist.add_argument("--delta", type=float, default=None)
     p_dist.add_argument("--witness-out", default=None)
-    p_dist.set_defaults(func=_cmd_dist)
+    p_dist.set_defaults(func=_cmd_decide)
 
     p_gaps = sub.add_parser("gaps", parents=[common], help="spectral-gap Monte-Carlo experiments")
     p_gaps.add_argument("--n", type=int, required=True)

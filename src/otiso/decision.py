@@ -3,10 +3,10 @@
 Both modes run one shared spine (``_decide``): eigendecompose the six mode
 Grams, bail out when a spectrum is too degenerate to pin its eigenbasis,
 compare cores entrywise, recover per-mode signs/phases, assemble a candidate
-transform, and re-verify it directly against the input tensors.  Only the
-tolerance policy differs between modes.  A YES is never returned on the
-pipeline's say-so alone; the recomputed residual must clear the certified
-bound.
+transform, and re-verify it directly against the input tensors.  The entry
+point picks the mode; only the tolerance policy differs between modes.  A
+YES is never returned on the pipeline's say-so alone; the recomputed
+residual must clear the certified bound.
 """
 
 from __future__ import annotations
@@ -26,17 +26,15 @@ from .errors import (
 )
 from .hosvd import CoreComparison, CoreTensor, RejectFar, compare_cores, core_of
 from .phases import PhaseAssignment, SignAssignment, assemble_witness, solve_phases, solve_signs
-from .spectral import GapPolicy, spectra_close
+from .spectral import spectra_close
 from .tensor import TAU_UNITARY_REL, Tensor3, TransformTriple, apply_action
 
 # Not called here: bench/spans.py wraps these names on this module.
 from .spectral import eig_hermitian  # noqa: F401
 from .tensor import gram  # noqa: F401
 
-MODES = ("exact_iso", "gapped_distance")
-
-# Default multiplier in the certified residual bound gamma * eps.
-C_GAMMA_DEFAULT = 8.0
+# Multiplier in the certified residual bound gamma * eps.
+C_GAMMA = 8.0
 
 # Exact-mode YES gate: residual <= max(8 n 2^-bits, 1e-8) * ||A~||_F.  The
 # truncation term dominates only at very coarse precision; the floor absorbs
@@ -51,7 +49,7 @@ _TINY = 1e-300
 
 @dataclass(frozen=True)
 class DecisionConfig:
-    """Knobs for the decision pipelines.
+    """Knobs for the decision pipelines; the entry point picks the mode.
 
     ``eps`` is required for gapped mode and optional for exact mode (where a
     solver-noise-aware default is derived from the input norms).
@@ -64,20 +62,14 @@ class DecisionConfig:
     eps: float | None = None
     delta_override: float | None = None
     precision_bits: int | None = None
-    mode: str = "exact_iso"
-    c_gamma: float = C_GAMMA_DEFAULT
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigInvalid(f"unknown decision mode {self.mode!r}")
         if self.eps is not None and not (self.eps > 0.0):
             raise ConfigInvalid("eps must be positive when given")
         if self.precision_bits is not None and self.precision_bits < 1:
             raise ConfigInvalid("precision_bits must be a positive integer")
         if self.delta_override is not None and not (self.delta_override > 0.0):
             raise ConfigInvalid("delta_override must be positive when given")
-        if not (self.c_gamma > 0.0):
-            raise ConfigInvalid("c_gamma must be positive")
 
 
 @dataclass(frozen=True)
@@ -176,16 +168,15 @@ def _validate_pair(a: Tensor3, b: Tensor3):
         raise ScalarKindMismatch(f"tensor kinds differ: {a.scalar_kind} vs {b.scalar_kind}")
 
 
-def _decide(a: Tensor3, b: Tensor3, cfg: DecisionConfig) -> Decision:
+def _decide(a: Tensor3, b: Tensor3, cfg: DecisionConfig, exact: bool) -> Decision:
     """The decision spine shared by both modes.
 
     truncate -> cores -> spectrum check -> compare cores -> solve -> verify.
-    ``cfg.mode`` selects only the tolerance policy: the working precision,
+    ``exact`` selects only the tolerance policy: the working precision,
     the default eps, the YES gate (exact residual gate or the certified
     ``gamma_bound``) and how B's spectra are screened (strict simplicity plus
     spectrum equality, or the eps-range check plus ``gap_b >= delta/2``).
     """
-    exact = cfg.mode == "exact_iso"
     _validate_pair(a, b)
     n = max(a.dims)
     if exact:
@@ -205,7 +196,7 @@ def _decide(a: Tensor3, b: Tensor3, cfg: DecisionConfig) -> Decision:
     k_norm = norm_a + norm_b
     eps = float(cfg.eps) if cfg.eps is not None else 1e-8 * max(k_norm, _TINY)
     diag: dict = {
-        "mode": cfg.mode,
+        "mode": "exact_iso" if exact else "gapped_distance",
         "n": n,
         "scalar_kind": a.scalar_kind,
         "precision_bits": bits,
@@ -254,11 +245,11 @@ def _decide(a: Tensor3, b: Tensor3, cfg: DecisionConfig) -> Decision:
         diag["delta"] = delta
         if not (eps < delta / (4.0 * max(k_norm, _TINY))):
             raise EpsOutOfRange(f"eps={eps} not below delta/(4(|A|+|B|))={delta / (4.0 * max(k_norm, _TINY)):.3e}")
-        gate = cfg.c_gamma * (n ** 3.5) * (norm_a ** 2) * eps / delta
+        gate = C_GAMMA * (n ** 3.5) * (norm_a ** 2) * eps / delta
         diag["gamma_bound_spectral_form"] = gate
-        diag["gamma_bound_dimension_form"] = cfg.c_gamma * (n ** 8) * eps
+        diag["gamma_bound_dimension_form"] = C_GAMMA * (n ** 8) * eps
         # B's spectra are screened against delta/2, not for strict simplicity.
-        cb = core_of(bt, GapPolicy(mode="threshold"))
+        cb = core_of(bt, check_simple=False)
         diag["spectra_b"] = _spectra_digest(cb)
         for d, s in enumerate(cb.spectra):
             if s.min_gap < delta / 2.0:
@@ -309,10 +300,7 @@ def decide_isomorphism(a: Tensor3, b: Tensor3, cfg: DecisionConfig | None = None
     assembled witness directly.  YES verdicts always carry a witness whose
     recomputed residual clears the reported gate.
     """
-    cfg = cfg or DecisionConfig()
-    if cfg.mode != "exact_iso":
-        raise ConfigInvalid("decide_isomorphism requires mode 'exact_iso'")
-    return _decide(a, b, cfg)
+    return _decide(a, b, cfg or DecisionConfig(), exact=True)
 
 
 def decide_orbit_distance(a: Tensor3, b: Tensor3, cfg: DecisionConfig) -> Decision:
@@ -321,11 +309,9 @@ def decide_orbit_distance(a: Tensor3, b: Tensor3, cfg: DecisionConfig) -> Decisi
     Requires cubic tensors and an explicit ``eps`` satisfying
     ``eps < delta / (4 (||A~|| + ||B~||))`` for the measured (or overridden)
     gap ``delta``.  YES means some triple carries ``a`` within
-    ``gamma_bound = c_gamma n^{7/2} ||A~||^2 eps / delta`` of ``b``, witnessed
+    ``gamma_bound = C_GAMMA n^{7/2} ||A~||^2 eps / delta`` of ``b``, witnessed
     and re-verified; NO certifies the orbits stay ``eps`` apart.
     """
     if cfg is None or cfg.eps is None:
         raise ConfigInvalid("gapped mode requires an explicit eps")
-    if cfg.mode != "gapped_distance":
-        raise ConfigInvalid("decide_orbit_distance requires mode 'gapped_distance'")
-    return _decide(a, b, cfg)
+    return _decide(a, b, cfg, exact=False)

@@ -44,7 +44,7 @@ class FormatError(OtisoError):
 
 
 class CannotDecide(OtisoError):
-    """A spectrum fails the gap policy, so the spectral pipeline cannot proceed.
+    """A Gram spectrum is not simple, so the spectral pipeline cannot proceed.
 
     Attributes
     ----------
@@ -57,7 +57,7 @@ class CannotDecide(OtisoError):
     def __init__(self, mode: int, gap: float, message: str | None = None):
         self.mode = int(mode)
         self.gap = float(gap)
-        super().__init__(message or f"mode-{mode} Gram spectrum fails the gap policy (min gap {gap:.3e})")
+        super().__init__(message or f"mode-{mode} Gram spectrum is not simple (min gap {gap:.3e})")
 
 
 class Infeasible(OtisoError):

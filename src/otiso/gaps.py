@@ -156,10 +156,9 @@ def _aggregate(records, target, bound_prob, degenerate, meta) -> GapReport:
 def _spectrum_record(trial: int, seed: int, spectra) -> TrialRecord:
     """One trial from its Gram spectra: the gap is the min over them, simple only if all are."""
     min_gap = min(s.min_gap for s in spectra)
-    simple = all(s.min_gap > s.degeneracy_floor() for s in spectra)
     smin = math.sqrt(max(min(float(s.eigenvalues[-1]) for s in spectra), 0.0))
     smax = math.sqrt(max(max(float(s.eigenvalues[0]) for s in spectra), 0.0))
-    return TrialRecord(trial, seed, min_gap, simple, smin, smax)
+    return TrialRecord(trial, seed, min_gap, all(s.simple for s in spectra), smin, smax)
 
 
 def run_gap_experiment(cfg: GapExperiment) -> GapReport:
@@ -245,7 +244,7 @@ _CSV_HEADER = ["trial", "seed", "min_gap", "simple", "smin", "smax"]
 
 def emit_csv(report: GapReport, path) -> None:
     """One row per trial plus a '#aggregate' footer; floats use repr for exact round trips."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_HEADER)
         for r in report.records:
@@ -266,8 +265,11 @@ def emit_csv(report: GapReport, path) -> None:
 
 def read_csv(path) -> GapReport:
     """Parse a file written by emit_csv back into a GapReport (meta is not persisted)."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    with open(path, newline="", encoding="ascii") as fh:
+        try:
+            rows = list(csv.reader(fh))
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"non-ASCII byte in gap-lab CSV {path}: {exc}") from exc
     if not rows or rows[0] != _CSV_HEADER:
         raise FormatError(f"bad or missing header in {path}")
     if len(rows) < 2 or not rows[-1] or rows[-1][0] != "#aggregate":

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CannotDecide, DimensionMismatch, ScalarKindMismatch
-from .spectral import GapPolicy, SpectralData, eig_hermitian, min_gap_check
+from .spectral import SpectralData, eig_hermitian
 from .tensor import Tensor3, TransformTriple, apply_action, gram
 
 
@@ -88,26 +88,22 @@ class RejectFar:
     """Moduli differ beyond the threshold: the pair is certifiably far."""
 
     entry: tuple[int, int, int]
-    modulus_a: float
-    modulus_b: float
     threshold: float
 
 
-def core_of(a: Tensor3, policy: GapPolicy | None = None) -> CoreTensor:
-    """Compute the spectral core; raises :class:`CannotDecide` on a failed gap policy.
+def core_of(a: Tensor3, check_simple: bool = True) -> CoreTensor:
+    """Compute the spectral core; raises :class:`CannotDecide` on a spectrum that is not simple.
 
-    The default policy is strict simplicity with the scale-aware degeneracy
-    floor, since a genuinely repeated eigenvalue leaves the eigenbasis (and
-    hence the core) underdetermined.
+    A genuinely repeated eigenvalue leaves the eigenbasis (and hence the
+    core) underdetermined.  ``check_simple=False`` skips the check for
+    callers that screen the gaps against their own threshold.
     """
-    policy = policy or GapPolicy()
     bases = []
     spectra = []
     for mode in (1, 2, 3):
         s = eig_hermitian(gram(a, mode))
-        ok, gap = min_gap_check(s, policy)
-        if not ok:
-            raise CannotDecide(mode, gap)
+        if check_simple and not s.simple:
+            raise CannotDecide(mode, s.min_gap)
         bases.append(s.vectors)
         spectra.append(s)
     inv = TransformTriple([U.conj().T for U in bases], a.scalar_kind, check=False)
@@ -150,12 +146,7 @@ def compare_cores(sa: CoreTensor, sb: CoreTensor, eps: float, delta: float):
     diff = np.abs(mod_a - mod_b)
     worst = np.unravel_index(int(np.argmax(diff)), diff.shape)
     if diff[worst] > thr:
-        return RejectFar(
-            entry=tuple(int(x) for x in worst),
-            modulus_a=float(mod_a[worst]),
-            modulus_b=float(mod_b[worst]),
-            threshold=thr,
-        )
+        return RejectFar(entry=tuple(int(x) for x in worst), threshold=thr)
 
     mask = mod_a + mod_b > thr
     ma, mb = mod_a[mask], mod_b[mask]

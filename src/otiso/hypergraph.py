@@ -183,7 +183,7 @@ def decide_hypergraph_iso(g: TripartiteHypergraph, h: TripartiteHypergraph) -> H
         return HypergraphDecision("no", None, diag)
     for (sa, sb) in spectra:
         diag["min_gaps"].append(min(float(sa.min_gap), float(sb.min_gap)))
-        if sa.min_gap <= sa.degeneracy_floor() or sb.min_gap <= sb.degeneracy_floor():
+        if not (sa.simple and sb.simple):
             diag["step"] = "degenerate_spectrum"
             return HypergraphDecision("cannot_decide", None, diag)
     perms = []

@@ -1,4 +1,4 @@
-"""Hermitian eigendecomposition with deterministic conventions, plus gap policies.
+"""Hermitian eigendecomposition with deterministic conventions.
 
 Everything downstream (cores, phase recovery, decisions) consumes
 :class:`SpectralData` produced here, so the conventions are pinned hard:
@@ -23,9 +23,9 @@ from .errors import ConvergenceFailure, DimensionMismatch, NonHermitianInput
 TAU_HERMITIAN_REL = 1e-10
 
 # Adjacent eigenvalues closer than this (relative to the largest modulus
-# eigenvalue) are treated as a degenerate pair when a policy asks for
-# simplicity; exact floating-point ties are rare even for genuinely repeated
-# eigenvalues, so strict policies need a scale-aware floor.
+# eigenvalue) are treated as a degenerate pair; exact floating-point ties are
+# rare even for genuinely repeated eigenvalues, so simplicity needs a
+# scale-aware floor.
 DEGENERACY_REL = 1e-8
 
 
@@ -40,7 +40,8 @@ class SpectralData:
 
     @property
     def simple(self) -> bool:
-        return self.min_gap > 0.0
+        """Every adjacent gap clears the degeneracy floor, so the eigenbasis is pinned."""
+        return self.min_gap > self.degeneracy_floor()
 
     @property
     def dim(self) -> int:
@@ -57,25 +58,6 @@ class SpectralData:
             "min_gap": float(self.min_gap),
             "backward_error": None if self.backward_error is None else float(self.backward_error),
         }
-
-
-@dataclass(frozen=True)
-class GapPolicy:
-    """Acceptance policy on the minimum adjacent eigenvalue gap.
-
-    ``mode == "strict_simple"`` requires the spectrum to be simple, i.e. the
-    minimum gap must exceed the scale-aware degeneracy floor.  ``mode ==
-    "threshold"`` passes iff ``min_gap >= delta_min``.
-    """
-
-    delta_min: float = 0.0
-    mode: str = "strict_simple"
-
-    def __post_init__(self):
-        if self.mode not in ("strict_simple", "threshold"):
-            raise ValueError(f"unknown gap policy mode {self.mode!r}")
-        if not (self.delta_min >= 0.0):
-            raise ValueError("delta_min must be >= 0")
 
 
 def _fix_column_phases(vectors: np.ndarray) -> np.ndarray:
@@ -139,13 +121,6 @@ def spectra_close(s1: SpectralData, s2: SpectralData, tol: float) -> bool:
     if s1.dim != s2.dim:
         raise DimensionMismatch(f"spectra have different sizes {s1.dim} and {s2.dim}")
     return bool(np.max(np.abs(s1.eigenvalues - s2.eigenvalues)) <= tol)
-
-
-def min_gap_check(s: SpectralData, policy: GapPolicy) -> tuple[bool, float]:
-    """Evaluate a gap policy; returns ``(passed, observed_min_gap)``."""
-    if policy.mode == "strict_simple":
-        return (s.min_gap > s.degeneracy_floor(), s.min_gap)
-    return (s.min_gap >= policy.delta_min, s.min_gap)
 
 
 def weyl_perturbation_bound(G: np.ndarray, Gp: np.ndarray) -> float:

@@ -107,7 +107,7 @@ def test_criterion_03_gapped_decision():
         eps = delta / (8.0 * (a.frobenius_norm + b0.frobenius_norm))
         gamma = 8.0 * n ** 3.5 * a.frobenius_norm ** 2 * eps / delta
         e = sample_tensor((n, n, n), RandomModel("gaussian", "real", 55000 + seed))
-        cfg = DecisionConfig(mode="gapped_distance", eps=eps)
+        cfg = DecisionConfig(eps=eps)
 
         near = Tensor3(b0.data + (0.5 * eps / e.frobenius_norm) * e.data)
         d1 = decide_orbit_distance(a, near, cfg)

@@ -201,7 +201,6 @@ def test_pair_mismatch_exits_3(tmp_path, capsys):
     # well-formed files that the requested mode cannot take are usage errors
     _, _, pa, pb = orbit_files(tmp_path, 906, dims=(5, 3, 4))
     assert main(["dist", "--a", str(pa), "--b", str(pb), "--eps", "1e-6", "--quiet"]) == 3
-    assert main(["iso", "--a", str(pa), "--b", str(pb), "--mode", "gapped", "--eps", "1e-6", "--quiet"]) == 3
     real = gen(tmp_path, "r.t3b", seed=907)
     cplx = gen(tmp_path, "c.t3b", seed=908, kind="complex")
     for cmd in (["iso"], ["dist", "--eps", "1e-6"]):
@@ -257,3 +256,14 @@ def test_config_errors_exit_3(tmp_path):
                  "--eps", "-1.0", "--quiet"]) == 3
     assert main(["dist", "--a", str(pa), "--b", str(pb),
                  "--eps", "100.0", "--quiet"]) == 3  # out of certified range
+
+
+def test_successive_calls_do_not_share_flags(capsys):
+    # the parser is built once per process; each call still parses afresh
+    argv = ["gaps", "--n", "20", "--zeta", "0.5", "--trials", "2", "--seed", "3"]
+    assert main([*argv, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["trials"] == 2
+    assert main([*argv, "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("trials 2: ")

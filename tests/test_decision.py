@@ -93,8 +93,6 @@ def test_exact_iso_deterministic():
 
 def test_config_validation():
     with pytest.raises(ConfigInvalid):
-        DecisionConfig(mode="fuzzy")
-    with pytest.raises(ConfigInvalid):
         DecisionConfig(eps=0.0)
     with pytest.raises(ConfigInvalid):
         DecisionConfig(eps=-1.0)
@@ -102,15 +100,9 @@ def test_config_validation():
         DecisionConfig(precision_bits=0)
     with pytest.raises(ConfigInvalid):
         DecisionConfig(delta_override=-2.0)
-    with pytest.raises(ConfigInvalid):
-        DecisionConfig(c_gamma=0.0)
     a, b, _ = orbit_pair((3, 3, 3), 77, "real")
     with pytest.raises(ConfigInvalid):
-        decide_isomorphism(a, b, DecisionConfig(mode="gapped_distance", eps=1e-3))
-    with pytest.raises(ConfigInvalid):
-        decide_orbit_distance(a, b, DecisionConfig(mode="exact_iso"))
-    with pytest.raises(ConfigInvalid):
-        decide_orbit_distance(a, b, DecisionConfig(mode="gapped_distance"))  # eps required
+        decide_orbit_distance(a, b, DecisionConfig())  # eps required
 
 
 def test_pair_validation():
@@ -162,7 +154,7 @@ def test_gapped_yes_on_small_perturbation():
     eps = delta / (8.0 * (a.frobenius_norm + b0.frobenius_norm))
     e = sample_tensor((n, n, n), RandomModel("gaussian", "real", 81))
     b = Tensor3(b0.data + (0.5 * eps / e.frobenius_norm) * e.data)
-    cfg = DecisionConfig(mode="gapped_distance", eps=eps)
+    cfg = DecisionConfig(eps=eps)
     d = decide_orbit_distance(a, b, cfg)
     assert d.verdict == "yes"
     assert d.witness is not None
@@ -178,7 +170,7 @@ def test_gapped_no_on_norm_mismatch():
     probe = decide_isomorphism(a, b0)
     eps = probe.diagnostics["delta"] / (8.0 * (a.frobenius_norm + b0.frobenius_norm))
     far = Tensor3(3.0 * b0.data)
-    d = decide_orbit_distance(a, far, DecisionConfig(mode="gapped_distance", eps=eps))
+    d = decide_orbit_distance(a, far, DecisionConfig(eps=eps))
     assert d.verdict == "no"
     assert d.diagnostics["step"] == "norm"
 
@@ -186,12 +178,12 @@ def test_gapped_no_on_norm_mismatch():
 def test_gapped_eps_out_of_range():
     a, b, _ = orbit_pair((4, 4, 4), 83, "real")
     with pytest.raises(EpsOutOfRange):
-        decide_orbit_distance(a, b, DecisionConfig(mode="gapped_distance", eps=10.0))
+        decide_orbit_distance(a, b, DecisionConfig(eps=10.0))
 
 
 def test_gapped_bits_below_required():
     a, b, _ = orbit_pair((4, 4, 4), 84, "real")
-    cfg = DecisionConfig(mode="gapped_distance", eps=1e-6, precision_bits=10)
+    cfg = DecisionConfig(eps=1e-6, precision_bits=10)
     with pytest.raises(ConfigInvalid):
         decide_orbit_distance(a, b, cfg)
 
@@ -199,7 +191,7 @@ def test_gapped_bits_below_required():
 def test_gapped_requires_cubic():
     a = sample_tensor((3, 4, 5), RandomModel("gaussian", "real", 85))
     with pytest.raises(DimensionMismatch):
-        decide_orbit_distance(a, a, DecisionConfig(mode="gapped_distance", eps=1e-8))
+        decide_orbit_distance(a, a, DecisionConfig(eps=1e-8))
 
 
 def test_yes_with_explicit_precision_bits():
@@ -225,8 +217,24 @@ def test_gapped_no_on_small_gap_b():
     a, b, _ = orbit_pair((n, n, n), 88, "real")
     delta = 4.0 * max(s.min_gap for s in core_of(b).spectra)
     eps = delta / (8.0 * (a.frobenius_norm + b.frobenius_norm))
-    d = decide_orbit_distance(a, b, DecisionConfig(mode="gapped_distance", eps=eps, delta_override=delta))
+    d = decide_orbit_distance(a, b, DecisionConfig(eps=eps, delta_override=delta))
     assert d.verdict == "no"
     assert d.diagnostics["step"] == "gap_b"
     assert d.diagnostics["failed_mode"] == 1
     assert d.gamma_bound is not None
+
+
+def test_gapped_tied_b_spectrum_is_no_at_gap_b():
+    # B's spectra are screened against delta/2 only, so a fully tied B is a
+    # NO at gap_b rather than a cannot_decide from the simplicity check
+    n = 4
+    a = sample_tensor((n, n, n), RandomModel("gaussian", "real", 89))
+    tied = np.zeros((n, n, n))
+    tied[np.arange(n), np.arange(n), np.arange(n)] = a.frobenius_norm / math.sqrt(n)
+    delta = core_of(a).min_gap
+    eps = delta / (16.0 * a.frobenius_norm)
+    d = decide_orbit_distance(a, Tensor3(tied), DecisionConfig(eps=eps))
+    assert d.verdict == "no"
+    assert d.diagnostics["step"] == "gap_b"
+    assert d.diagnostics["failed_mode"] == 1
+    assert d.diagnostics["failed_gap"] == 0.0

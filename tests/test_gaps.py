@@ -260,3 +260,16 @@ def test_csv_format_errors(tmp_path):
     )
     with pytest.raises(FormatError):
         read_csv(bad_row)
+
+
+def test_csv_non_ascii_byte_is_format_error(tmp_path):
+    # "tru\xe9" decodes under latin-1 and would parse as simple=false, so only
+    # an ASCII read rejects it, whatever the locale
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(
+        b"trial,seed,min_gap,simple,smin,smax\n"
+        b"0,1,0.5,tru\xe9,1.0,2.0\n"
+        b"#aggregate,target=1.0,bound_prob=0.5,prob_ge_target=1.0,simple_freq=1.0,degenerate=false\n"
+    )
+    with pytest.raises(FormatError):
+        read_csv(path)

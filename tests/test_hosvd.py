@@ -97,7 +97,8 @@ def test_compare_scaled_entry_rejects_far():
     out = compare_cores(ct, other, eps=1e-8, delta=ct.min_gap)
     assert isinstance(out, RejectFar)
     assert out.entry == (0, 0, 0)
-    assert abs(out.modulus_a - out.modulus_b) > out.threshold
+    mod_a, mod_b = abs(ct.core.data[out.entry]), abs(other.core.data[out.entry])
+    assert abs(mod_a - mod_b) > out.threshold
 
 
 def test_forward_phase_recovery():

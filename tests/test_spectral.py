@@ -1,4 +1,4 @@
-"""Hermitian eigendecomposition conventions, gap policies, perturbation bounds."""
+"""Hermitian eigendecomposition conventions, the simple-spectrum predicate, perturbation bounds."""
 
 import json
 
@@ -7,18 +7,17 @@ import pytest
 
 from otiso import (
     DimensionMismatch,
-    GapPolicy,
     NonHermitianInput,
     RandomModel,
     apply_action,
     eig_hermitian,
     gram,
-    min_gap_check,
     sample_haar_triple,
     sample_tensor,
     spectra_close,
     weyl_perturbation_bound,
 )
+from otiso.spectral import DEGENERACY_REL
 
 
 def random_hermitian(n, seed, kind="real"):
@@ -147,15 +146,18 @@ def test_spectra_close_under_action():
         assert spectra_close(eig_hermitian(gram(a, mode)), eig_hermitian(gram(b, mode)), tol)
 
 
-def test_min_gap_check_policies():
-    s = eig_hermitian(np.diag([5.0, 3.0, 1.0]))
-    ok, gap = min_gap_check(s, GapPolicy(delta_min=1.5, mode="threshold"))
-    assert ok and gap == 2.0
-    rep = eig_hermitian(np.diag([5.0, 5.0, 1.0]))
-    ok_strict, gap_strict = min_gap_check(rep, GapPolicy())
-    ok_thresh, gap_thresh = min_gap_check(rep, GapPolicy(delta_min=1.5, mode="threshold"))
-    assert not ok_strict and not ok_thresh
-    assert gap_strict == 0.0 and gap_thresh == 0.0
+def test_simple_needs_gap_above_degeneracy_floor():
+    clear = eig_hermitian(np.diag([5.0, 3.0, 1.0]))
+    assert clear.min_gap == 2.0 and clear.simple
+    tie = eig_hermitian(np.diag([5.0, 5.0, 1.0]))
+    assert tie.min_gap == 0.0 and not tie.simple
+    # a positive gap 1e-12 below the floor 1e-8 * 5 still counts as a tie
+    floor = DEGENERACY_REL * 5.0
+    near = eig_hermitian(np.diag([5.0, 5.0 - (floor - 1e-12), 1.0]))
+    assert near.degeneracy_floor() == floor
+    assert abs(near.min_gap - (floor - 1e-12)) < 1e-14
+    assert not near.simple
+    assert eig_hermitian(np.array([[2.0]])).simple  # 1x1: min_gap is +inf
 
 
 def test_min_gap_simple_frequency_rademacher():
@@ -163,8 +165,7 @@ def test_min_gap_simple_frequency_rademacher():
     passes = 0
     for seed in range(100):
         a = sample_tensor((12, 12, 12), RandomModel("rademacher", "real", seed))
-        ok, _ = min_gap_check(eig_hermitian(gram(a, 1)), GapPolicy())
-        passes += ok
+        passes += eig_hermitian(gram(a, 1)).simple
     assert passes >= 99
 
 
