@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 import numpy as np
@@ -24,13 +25,14 @@ _VERDICT_EXIT = {"yes": 0, "no": 1, "cannot_decide": 2}
 
 
 def _jsonable(obj):
+    """Plain Python values for the report; a non-finite float (``min_gap`` of a size-1 mode is inf) becomes ``None``."""
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, float) and obj != obj:
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
         return None
     return obj
 

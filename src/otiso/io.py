@@ -30,10 +30,9 @@ def _entries_to_bytes(arr: np.ndarray, kind: str) -> bytes:
     return np.ascontiguousarray(arr, dtype="<c16").tobytes()
 
 
-def _entries_from_bytes(buf: bytes, kind: str, count: int) -> np.ndarray:
-    if kind == "real":
-        return np.frombuffer(buf, dtype="<f8", count=count).astype(np.float64)
-    return np.frombuffer(buf, dtype="<c16", count=count).astype(np.complex128)
+def _entries_from_bytes(buf: bytes, kind: str, count: int, offset: int) -> np.ndarray:
+    """Read-only view of ``count`` entries at byte ``offset``; the object built from it makes the only copy."""
+    return np.frombuffer(buf, dtype="<f8" if kind == "real" else "<c16", count=count, offset=offset)
 
 
 def tensor_to_bytes(a: Tensor3) -> bytes:
@@ -58,7 +57,7 @@ def tensor_from_bytes(buf: bytes) -> Tensor3:
     expected = 17 + width * count
     if len(buf) != expected:
         raise FormatError(f"payload length {len(buf) - 17} does not match dims {dims} ({expected - 17} expected)")
-    entries = _entries_from_bytes(buf[17:], kind, count)
+    entries = _entries_from_bytes(buf, kind, count, 17)
     try:
         return Tensor3(entries.reshape(dims), kind)
     except NonFiniteEntries as exc:
@@ -124,8 +123,12 @@ def tensor_from_json_obj(obj) -> Tensor3:
 
 
 def dumps_canonical(obj) -> str:
-    """Deterministic JSON text: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    """Deterministic JSON text: sorted keys, fixed separators, trailing newline.
+
+    A non-finite float raises ``ValueError`` rather than writing the
+    ``NaN``/``Infinity`` tokens that strict JSON parsers reject.
+    """
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def write_tensor_json(a: Tensor3, path) -> None:
@@ -176,9 +179,8 @@ def witness_from_bytes(buf: bytes) -> TransformTriple:
     factors = []
     off = 17
     for n in dims:
-        nbytes = width * n * n
-        factors.append(_entries_from_bytes(buf[off : off + nbytes], kind, n * n).reshape(n, n))
-        off += nbytes
+        factors.append(_entries_from_bytes(buf, kind, n * n, off).reshape(n, n))
+        off += width * n * n
     if any(not np.all(np.isfinite(f)) for f in factors):
         raise FormatError("witness payload contains non-finite entries")
     return TransformTriple(factors, kind, check=False)

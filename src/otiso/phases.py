@@ -18,6 +18,8 @@ batched frontier propagation spreads weighted circular means out from the
 heaviest target, the estimates fix every target's integer wrap, and a
 weighted least-squares solve of the ``(n1+n2+n3)``-square normal equations
 refines the angles, with a maximum-margin linear program as the fallback.
+The normal matrix is factored once, by ``eigh``, into its minimum-norm
+pseudo-inverse; the solve and its refinement pass both reuse it.
 """
 
 from __future__ import annotations
@@ -182,13 +184,13 @@ def _propagate_estimates(var: np.ndarray, targets: PhaseTargets, nvar: int) -> n
     each round, every unassigned variable that has a target with its other
     two variables assigned gets the weighted circular mean over all such
     targets.  When propagation stalls, it is reseeded at the heaviest
-    target that touches an unassigned variable.  Untouched variables stay
-    at zero.
+    target that touches an unassigned variable, found by one masked
+    ``argmax`` (the lowest row among equal weights, as a stable sort would
+    order them).  Untouched variables stay at zero.
     """
     est = np.zeros(nvar)
     assigned = np.zeros(nvar, dtype=bool)
     touched = np.bincount(var.ravel(), minlength=nvar) > 0
-    heaviest_first = np.argsort(-targets.weight, kind="stable")
     while True:
         missing = ~assigned[var]
         n_missing = missing.sum(axis=1)
@@ -203,7 +205,8 @@ def _propagate_estimates(var: np.ndarray, targets: PhaseTargets, nvar: int) -> n
             est[v] = np.angle(acc[v])
             assigned[v] = True
         elif (touched & ~assigned).any():
-            seed = heaviest_first[np.flatnonzero(n_missing[heaviest_first] >= 2)[0]]
+            # heaviest target with two unassigned variables; argmax keeps the lowest row on ties
+            seed = int(np.argmax(np.where(n_missing >= 2, targets.weight, -np.inf)))
             vs = var[seed][missing[seed]]
             est[vs[-1]] = wrap_angle(targets.phi[seed] - est[var[seed]].sum())
             assigned[vs] = True
@@ -224,8 +227,13 @@ def solve_phases(cmp, dims=None) -> PhaseAssignment:
     integer wrap; with wraps fixed the system is linear, solved by weighted
     least squares on the normal equations and, if any strict inequality
     still fails, refined by a maximum-margin linear program (``solver_path``
-    ``"lp"``).  The returned assignment is verified post hoc against every
-    constraint; failure raises :class:`Infeasible` with the violated keys.
+    ``"lp"``).  The normal matrix is factored once with ``eigh``; its
+    eigenvalues at or below ``lstsq``'s default cutoff (machine epsilon
+    times ``n1+n2+n3`` times the largest) count as zero, which gives the
+    minimum-norm solution ``lstsq(..., rcond=None)`` gives, on both passes
+    (the second refines the first on its own residual).  The returned
+    assignment is verified post hoc against every constraint; failure
+    raises :class:`Infeasible` with the violated keys.
     """
     if isinstance(cmp, CoreComparison):
         cmp, dims = cmp.phase_targets, cmp.dims
@@ -248,10 +256,14 @@ def solve_phases(cmp, dims=None) -> PhaseAssignment:
     # normal equations M^T W M x = M^T W t, M the 0/1 target-variable incidence
     pairs = (var[:, :, None] * nvar + var[:, None, :]).ravel()
     gram = np.bincount(pairs, np.repeat(w, 9), nvar * nvar).reshape(nvar, nvar)
+    # the minimum-norm pseudo-inverse, factored once for both passes
+    lam, Q = np.linalg.eigh(gram)
+    keep = np.abs(lam) > np.finfo(np.float64).eps * nvar * np.max(np.abs(lam))
+    inv = np.divide(1.0, lam, out=np.zeros(nvar), where=keep)
     x = np.zeros(nvar)
     for _ in range(2):  # the second pass refines x on its own residual
         r = t_lin - (x[var[:, 0]] + x[var[:, 1]] + x[var[:, 2]])
-        x = x + np.linalg.lstsq(gram, np.bincount(var.ravel(), np.repeat(w * r, 3), nvar), rcond=None)[0]
+        x = x + Q @ (inv * (Q.T @ np.bincount(var.ravel(), np.repeat(w * r, 3), nvar)))
     resid = _circular_residuals(x, var, targets.phi)
     ok = resid < slacks - STRICT_TOL
     path = "lstsq"

@@ -6,7 +6,7 @@ Everything downstream (cores, phase recovery, decisions) consumes
 * eigenvalues are returned in non-increasing order;
 * eigenvector columns are paired with the eigenvalues and each column is
   normalized so that its largest-modulus entry is real and positive (ties
-  broken by the lowest row index);
+  broken by the lowest row index), all columns in one vectorized pass;
 * the same input matrix yields bit-identical output on repeated calls.
 """
 
@@ -60,22 +60,28 @@ class SpectralData:
         }
 
 
-def _fix_column_phases(vectors: np.ndarray) -> np.ndarray:
-    """Largest-modulus entry per column made real and positive (ties: lowest row)."""
-    V = vectors.copy()
-    # np.argmax returns the first occurrence of the maximum, which is the
-    # tie-break the convention asks for.
-    for j in range(V.shape[1]):
-        i = int(np.argmax(np.abs(V[:, j])))
-        pivot = V[i, j]
-        if np.iscomplexobj(V):
-            mag = abs(pivot)
-            if mag > 0.0:
-                V[:, j] = V[:, j] * (pivot.conjugate() / mag)
-        else:
-            if pivot < 0.0:
-                V[:, j] = -V[:, j]
-    return V
+def _fix_column_phases(V: np.ndarray) -> np.ndarray:
+    """Largest-modulus entry per column made real and positive (ties: lowest row).
+
+    One ``argmax(|V|, axis=0)`` picks each column's pivot; ``np.argmax``
+    returns the first occurrence of the maximum, which is the tie-break the
+    convention asks for.  Each column is then multiplied by its unit
+    ``conj(pivot) / |pivot|`` (the pivot's sign in the real case) in one
+    broadcast product.  The units are formed as ``conj(pivot) * (1/hypot)``,
+    the operations numpy's scalar complex-by-real division performs, so the
+    result matches scaling column by column bit for bit (checked on numpy
+    2.4; the tests allow 2 ulps per complex entry).  A column without a
+    nonzero entry is left as it is.
+    """
+    if not V.size:
+        return V
+    piv = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
+    if not np.iscomplexobj(V):
+        return V * np.where(piv < 0.0, -1.0, 1.0)
+    mag = np.hypot(piv.real, piv.imag)
+    keep = mag > 0.0
+    units = piv.conj() * (1.0 / np.where(keep, mag, 1.0))
+    return np.multiply(V, units, out=V.copy(), where=keep)
 
 
 def eig_hermitian(G: np.ndarray, *, vectors: bool = True) -> SpectralData:
@@ -93,11 +99,12 @@ def eig_hermitian(G: np.ndarray, *, vectors: bool = True) -> SpectralData:
     G = np.asarray(G)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {G.shape}")
+    Gh = G.conj().T
     normG = float(np.linalg.norm(G))
-    defect = float(np.linalg.norm(G - G.conj().T))
+    defect = float(np.linalg.norm(G - Gh))
     if defect > TAU_HERMITIAN_REL * max(normG, 1e-300):
         raise NonHermitianInput(f"Hermiticity defect {defect:.3e} exceeds tolerance for norm {normG:.3e}")
-    H = (G + G.conj().T) / 2.0
+    H = (G + Gh) / 2.0
     try:
         lam, V = np.linalg.eigh(H) if vectors else (np.linalg.eigvalsh(H), None)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure is environment-dependent

@@ -346,15 +346,19 @@ def gram(a: Tensor3, mode: int) -> np.ndarray:
 def apply_action(g: TransformTriple, a: Tensor3) -> Tensor3:
     """Act on ``a`` by the triple ``g``.
 
-    Implemented as three successive mode products, each a matrix product
-    against a flattening; the contraction order is fixed (mode 1, 2, 3), so
-    results are bitwise reproducible for identical inputs.
+    Three successive mode products, each one matrix product on a reshaped
+    view of the C-ordered array, so no axis is moved and nothing is copied
+    before :class:`Tensor3` takes its own copy of the result: mode 1 is
+    ``L @ A.reshape(l, m*n)``, mode 2 is ``R @ X[i]`` for every ``i`` (one
+    broadcast ``matmul``), mode 3 is ``X.reshape(l*m, n) @ T.T``.  The
+    contraction order is fixed (mode 1, 2, 3), so results are bitwise
+    reproducible for identical inputs.
     """
     if g.dims != a.dims:
         raise DimensionMismatch(f"triple dims {g.dims} do not match tensor dims {a.dims}")
     if g.scalar_kind != a.scalar_kind:
         raise ScalarKindMismatch(f"triple kind {g.scalar_kind} does not match tensor kind {a.scalar_kind}")
-    out = a.data
-    for ax, M in enumerate(g.factors):
-        out = np.moveaxis(np.tensordot(M, out, axes=(1, ax)), 0, ax)
-    return Tensor3(out, a.scalar_kind)
+    L, R, T = g.factors
+    l, m, n = a.dims
+    out = np.matmul(R, (L @ a.data.reshape(l, m * n)).reshape(l, m, n))
+    return Tensor3((out.reshape(l * m, n) @ T.T).reshape(l, m, n), a.scalar_kind)

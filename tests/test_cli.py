@@ -22,7 +22,7 @@ from otiso import (
     write_tensor_json,
     write_witness_json,
 )
-from otiso.cli import main
+from otiso.cli import _jsonable, main
 
 
 def gen(tmp_path, name, seed, dims=(4, 4, 4), kind="real"):
@@ -140,6 +140,29 @@ def test_gaps_tensor_mode(capsys):
                  "--eta", "1.0", "--seed", "4", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["meta"]["kind"] == "tensor"
+
+
+def strict_json(text):
+    """Parse with the NaN/Infinity tokens that strict JSON forbids turned into errors."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_json_reports_are_strict_json(tmp_path, capsys):
+    # a size-1 mode has min_gap = inf, and p = 1 gives median_min_gap = inf
+    a, b, pa, pb = orbit_files(tmp_path, 21, dims=(4, 3, 1))
+    main(["iso", "--a", str(pa), "--b", str(pb), "--json"])
+    report = strict_json(capsys.readouterr().out)
+    assert report["diagnostics"]["spectra_a"][2]["min_gap"] is None
+    assert report["diagnostics"]["spectra_b"][2]["min_gap"] is None
+    assert main(["gaps", "--n", "4", "--p", "1", "--trials", "3", "--json"]) == 0
+    assert strict_json(capsys.readouterr().out)["median_min_gap"] is None
+
+
+def test_jsonable_maps_non_finite_floats_to_null():
+    values = [float("inf"), -float("inf"), float("nan"), np.float64("nan"), np.float32("inf"), 1.5, np.float64(2.5)]
+    assert _jsonable({"x": values}) == {"x": [None, None, None, None, None, 1.5, 2.5]}
 
 
 def test_hyper_yes_and_no(tmp_path, capsys):

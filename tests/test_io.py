@@ -59,6 +59,18 @@ def test_binary_round_trip(tmp_path):
         assert np.array_equal(read_tensor_any(path).data, a.data)
 
 
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_read_tensor_owns_a_read_only_c_array(tmp_path, kind):
+    a = sample_tensor((3, 4, 2), RandomModel("gaussian", kind, 9))
+    path = tmp_path / "a.t3b"
+    write_tensor(a, path)
+    data = read_tensor(path).data
+    assert data.dtype == (np.float64 if kind == "real" else np.complex128)
+    assert data.flags["OWNDATA"] and data.base is None
+    assert data.flags["C_CONTIGUOUS"] and not data.flags["WRITEABLE"]
+    assert np.array_equal(data, a.data)
+
+
 def test_binary_format_errors():
     good = tensor_to_bytes(Tensor3(np.zeros((2, 2, 2))))
     with pytest.raises(FormatError):
@@ -147,6 +159,9 @@ def test_dumps_canonical_stable():
     s = dumps_canonical({"b": 1, "a": [1.5, "x"]})
     assert s == '{"a":[1.5,"x"],"b":1}\n'
     assert dumps_canonical({"a": [1.5, "x"], "b": 1}) == s
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            dumps_canonical({"a": bad})
 
 
 def test_witness_round_trips(tmp_path):

@@ -27,6 +27,8 @@ from otiso import (
     solve_signs,
     wrap_angle,
 )
+from otiso.hosvd import PhaseTargets
+from otiso.phases import _propagate_estimates, _variables
 
 
 def all_keys(dims):
@@ -290,6 +292,109 @@ def test_solve_phases_equivariant_under_gauge():
         fit = out.alpha[i] + out.beta[j] + out.gamma[k]
         fit_moved = out_moved.alpha[i] + out_moved.beta[j] + out_moved.gamma[k]
         assert abs(float(wrap_angle(fit_moved - fit - u[i] - v[j] - w[k]))) <= 1e-9
+
+
+def reference_propagate(var, targets, nvar):
+    """Propagation reseeded through a full stable sort of the weights, as before the masked argmax."""
+    est = np.zeros(nvar)
+    assigned = np.zeros(nvar, dtype=bool)
+    touched = np.bincount(var.ravel(), minlength=nvar) > 0
+    heaviest_first = np.argsort(-targets.weight, kind="stable")
+    while True:
+        missing = ~assigned[var]
+        n_missing = missing.sum(axis=1)
+        front = np.flatnonzero(n_missing == 1)
+        if front.size:
+            v = var[front][missing[front]]
+            ang = targets.phi[front] - est[var[front]].sum(axis=1)
+            w = targets.weight[front]
+            acc = np.bincount(v, w * np.cos(ang), nvar) + 1j * np.bincount(v, w * np.sin(ang), nvar)
+            v = np.unique(v)
+            est[v] = np.angle(acc[v])
+            assigned[v] = True
+        elif (touched & ~assigned).any():
+            seed = heaviest_first[np.flatnonzero(n_missing[heaviest_first] >= 2)[0]]
+            vs = var[seed][missing[seed]]
+            est[vs[-1]] = wrap_angle(targets.phi[seed] - est[var[seed]].sum())
+            assigned[vs] = True
+        else:
+            return est
+
+
+def reference_lstsq_residual(targets, dims):
+    """Worst circular residual of the two-pass ``lstsq`` fit on the normal equations, as before the factored solve."""
+    nvar = sum(dims)
+    var = _variables(targets.idx, dims)
+    est = reference_propagate(var, targets, nvar)
+    s0 = est[var[:, 0]] + est[var[:, 1]] + est[var[:, 2]]
+    t_lin = s0 + wrap_angle(targets.phi - s0)
+    w = np.maximum(targets.weight, 1e-300)
+    pairs = (var[:, :, None] * nvar + var[:, None, :]).ravel()
+    gram = np.bincount(pairs, np.repeat(w, 9), nvar * nvar).reshape(nvar, nvar)
+    x = np.zeros(nvar)
+    for _ in range(2):
+        r = t_lin - (x[var[:, 0]] + x[var[:, 1]] + x[var[:, 2]])
+        x = x + np.linalg.lstsq(gram, np.bincount(var.ravel(), np.repeat(w * r, 3), nvar), rcond=None)[0]
+    return float(np.max(np.abs(wrap_angle(targets.phi - (x[var[:, 0]] + x[var[:, 1]] + x[var[:, 2]])))))
+
+
+def forward_system(rng, dims, blocks, density, decades, noise, slack=0.3, ties=False):
+    """Consistent targets on ``blocks`` (index ranges per mode, no variable shared between blocks)."""
+    angles = [rng.uniform(-np.pi, np.pi, d) for d in dims]
+    keys = sorted({k for block in blocks for k in itertools.product(*block) if rng.random() < density})
+    idx = np.array(keys, dtype=np.int64).reshape(-1, 3)
+    phi = wrap_angle(angles[0][idx[:, 0]] + angles[1][idx[:, 1]] + angles[2][idx[:, 2]]
+                     + rng.uniform(-noise, noise, len(idx)))
+    weight = 10.0 ** (rng.integers(-1, 2, len(idx)) if ties else rng.uniform(-decades / 2, decades / 2, len(idx)))
+    return PhaseTargets(idx, phi, np.full(len(idx), slack), weight)
+
+
+def split_blocks(dims, parts):
+    """``parts`` disjoint index blocks covering each mode, so the system has ``parts`` components."""
+    cuts = [np.linspace(0, d, parts + 1).astype(int) for d in dims]
+    return [[range(c[p], c[p + 1]) for c in cuts] for p in range(parts)]
+
+
+def test_factored_solve_matches_two_pass_lstsq():
+    rng = np.random.default_rng(71)
+    cases = 0
+    for trial in range(60):
+        parts = 1 + trial % 3  # each component adds two gauge directions to the rank deficit
+        dims = tuple(int(d) for d in rng.integers(2 * parts, 4 * parts + 1, 3))
+        decades = 10.0 if trial % 2 else 2.0
+        targets = forward_system(rng, dims, split_blocks(dims, parts), density=0.7, decades=decades, noise=0.03)
+        if not len(targets):
+            continue
+        ref = reference_lstsq_residual(targets, dims)
+        out = solve_phases(targets, dims)
+        assert ref < 0.3 and out.solver_path == "lstsq"
+        # a few ulps of pi absolute, for systems that both solvers fit exactly
+        assert out.max_residual <= 1.05 * ref + 8 * np.spacing(np.pi)
+        cases += ref > 1e-3
+    assert cases >= 40
+
+
+def test_argmax_seeding_matches_stable_sort_on_ties():
+    # weights from only three values, several components and sparse masks:
+    # propagation reseeds many times, always among tied weights
+    rng = np.random.default_rng(72)
+    checked = 0
+    for trial in range(40):
+        parts = 2 + trial % 3
+        dims = tuple(int(d) for d in rng.integers(2 * parts, 3 * parts + 1, 3))
+        targets = forward_system(rng, dims, split_blocks(dims, parts), density=0.3, decades=0, noise=0.0, ties=True)
+        if not len(targets):
+            continue
+        var = _variables(targets.idx, dims)
+        got = _propagate_estimates(var, targets, sum(dims))
+        assert np.array_equal(got, reference_propagate(var, targets, sum(dims)))
+        checked += 1
+    assert checked >= 30
+    # two equal weights: the seed is row 0, which gauges alpha_0 and beta_0 to
+    # zero; seeding at row 1 would gauge alpha_1 instead
+    targets = PhaseTargets(np.array([[0, 0, 0], [1, 0, 0]]), np.array([0.5, 1.5]), np.full(2, 0.3), np.ones(2))
+    est = _propagate_estimates(_variables(targets.idx, (2, 1, 1)), targets, 4)
+    assert np.array_equal(est, [0.0, 1.0, 0.0, 0.5])
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])

@@ -17,7 +17,7 @@ from otiso import (
     spectra_close,
     weyl_perturbation_bound,
 )
-from otiso.spectral import DEGENERACY_REL
+from otiso.spectral import DEGENERACY_REL, _fix_column_phases
 
 
 def random_hermitian(n, seed, kind="real"):
@@ -70,6 +70,88 @@ def test_column_phase_convention_complex():
         piv = int(np.argmax(np.abs(col)))
         assert abs(col[piv].imag) <= 1e-12
         assert col[piv].real > 0
+
+
+def reference_fix_column_phases(vectors):
+    """The column-by-column loop the vectorized convention replaced; returns the pivot rows too."""
+    V = vectors.copy()
+    pivots = []
+    for j in range(V.shape[1]):
+        i = int(np.argmax(np.abs(V[:, j])))
+        pivots.append(i)
+        pivot = V[i, j]
+        if np.iscomplexobj(V):
+            mag = abs(pivot)
+            if mag > 0.0:
+                V[:, j] = V[:, j] * (pivot.conjugate() / mag)
+        elif pivot < 0.0:
+            V[:, j] = -V[:, j]
+    return V, pivots
+
+
+def convention_cases():
+    """Eigenvector-like inputs plus modulus ties, an exactly zero column and 1x1, real and complex."""
+    rng = np.random.default_rng(404)
+    for n in (1, 2, 3, 5, 8, 13, 24):
+        for kind in ("real", "complex"):
+            yield np.linalg.eigh(random_hermitian(n, 1000 + n, kind))[1][:, ::-1]
+    # ties: equal |re| and |im| in several rows, so the lowest of them must win
+    z = 0.3 - 0.4j
+    yield np.array([[z, 0.0, 1.0], [-z, 0.5j, 0.0], [z.conjugate(), -0.5j, 0.0], [-0.1, 0.5, 0.0]])
+    yield np.array([[0.5, -0.5, 0.0], [-0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.25, -0.5, 0.0]])
+    # an exactly zero column (both zero signs) among random ones
+    for kind in ("real", "complex"):
+        V = rng.standard_normal((6, 4))
+        if kind == "complex":
+            V = V + 1j * rng.standard_normal((6, 4))
+        V[:, 2] = 0.0
+        V[1, 2] = complex(-0.0, -0.0) if kind == "complex" else -0.0
+        yield V
+    yield np.array([[-2.5]])
+    yield np.array([[-1.5 + 2.0j]])
+    yield np.array([[0.0j]])
+    yield np.zeros((0, 0))
+
+
+def test_column_phases_match_reference_loop():
+    for V in convention_cases():
+        got = _fix_column_phases(V)
+        ref, pivots = reference_fix_column_phases(V)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        cols = np.arange(V.shape[1])
+        # same pivot rows: each comes out real and positive, unless its column is zero
+        nonzero = np.abs(V).max(axis=0, initial=0.0) > 0
+        piv = got[pivots, cols][nonzero]
+        assert np.all(piv.real > 0.0) and np.all(np.abs(piv.imag) <= 4 * np.spacing(piv.real))
+        assert np.array_equal(got[:, ~nonzero].view(np.uint64), V[:, ~nonzero].view(np.uint64))  # zero signs kept
+        if np.iscomplexobj(V):
+            assert np.all(np.abs(got - ref) <= 2 * np.spacing(np.abs(ref)))
+        else:
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+def test_tied_pivots_take_the_lowest_row():
+    z = 0.3 - 0.4j
+    V = np.array([[0.1, z], [-0.5, -z], [0.5, z.conjugate()]])
+    got = _fix_column_phases(V)
+    assert np.array_equal(got[:, 0], [-0.1, 0.5, -0.5])  # row 1 wins over row 2
+    # row 0 wins over rows 1 and 2: its entry is made real and positive
+    assert got[0, 1].real > 0.0 and abs(got[0, 1].imag) <= 4 * np.spacing(got[0, 1].real)
+    assert got[1, 1].real < 0.0 and got[2, 1].imag != 0.0
+
+
+def test_eig_hermitian_vectors_follow_reference_loop():
+    for seed in range(30):
+        n = 1 + seed % 17
+        kind = "complex" if seed % 2 else "real"
+        G = random_hermitian(n, 500 + seed, kind)
+        ref, _ = reference_fix_column_phases(np.linalg.eigh(G)[1][:, ::-1])
+        got = eig_hermitian(G).vectors
+        assert got.flags["C_CONTIGUOUS"]
+        if kind == "real":
+            assert np.array_equal(got, ref)
+        else:
+            assert np.all(np.abs(got - ref) <= 2 * np.spacing(np.abs(ref)))
 
 
 def test_determinism_bitwise():

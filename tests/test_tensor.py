@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import otiso
 from otiso import (
@@ -72,6 +73,18 @@ def test_action_matches_naive_oracle_random(kind):
     got = apply_action(g, a).data
     want = naive_action(g[0], g[1], g[2], a.data)
     assert np.allclose(got, want, rtol=0, atol=1e-12 * a.frobenius_norm)
+
+
+@given(dims=st.tuples(*[st.integers(1, 6)] * 3), kind=st.sampled_from(["real", "complex"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_action_matches_naive_oracle_property(dims, kind, seed):
+    a = sample_tensor(dims, RandomModel("gaussian", kind, seed))
+    g = sample_haar_triple(dims, seed + 1, kind)
+    got = apply_action(g, a)
+    assert got.dims == a.dims and got.scalar_kind == kind
+    assert got.data.flags["C_CONTIGUOUS"] and not got.data.flags["WRITEABLE"]
+    want = naive_action(g[0], g[1], g[2], a.data)
+    assert np.max(np.abs(got.data - want)) <= 1e-12 * a.frobenius_norm
 
 
 def test_action_validates_dims_and_kind():
