@@ -139,6 +139,8 @@ def _cmd_hyper(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if not (0.0 <= args.tol < math.inf):
+        raise ConfigInvalid(f"--tol must be finite and >= 0, got {args.tol!r}")
     a = tio.read_tensor_any(args.a)
     b = tio.read_tensor_any(args.b)
     w = tio.read_witness_any(args.witness)

@@ -64,12 +64,13 @@ class DecisionConfig:
     precision_bits: int | None = None
 
     def __post_init__(self):
-        if self.eps is not None and not (self.eps > 0.0):
-            raise ConfigInvalid("eps must be positive when given")
+        # an infinite eps or gap makes the thresholds derived from it infinite or zero
+        if self.eps is not None and not (0.0 < self.eps < math.inf):
+            raise ConfigInvalid("eps must be positive and finite when given")
         if self.precision_bits is not None and self.precision_bits < 1:
             raise ConfigInvalid("precision_bits must be a positive integer")
-        if self.delta_override is not None and not (self.delta_override > 0.0):
-            raise ConfigInvalid("delta_override must be positive when given")
+        if self.delta_override is not None and not (0.0 < self.delta_override < math.inf):
+            raise ConfigInvalid("delta_override must be positive and finite when given")
 
 
 @dataclass(frozen=True)

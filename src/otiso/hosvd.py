@@ -9,6 +9,7 @@ question to a phase-consistency question on the cores.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,7 +156,12 @@ def compare_cores(sa: CoreTensor, sb: CoreTensor, eps: float, delta: float):
     # denominator (one modulus exactly zero while the sum clears the
     # threshold, which the modulus screen above already ruled out) keeps a
     # dead constraint for safety.
-    budget = 2.0 * (eps ** 2) * (n ** 4) * (k_norm ** 2) / (delta ** 2)
+    try:
+        budget = 2.0 * (eps ** 2) * (n ** 4) * (k_norm ** 2) / (delta ** 2)
+    except (OverflowError, ZeroDivisionError):
+        # float ``**`` raises on overflow, and ``delta ** 2`` can underflow
+        # to zero; either way the true budget is beyond any modulus
+        budget = math.inf
     denom = 2.0 * ma * mb
     with np.errstate(divide="ignore", invalid="ignore"):
         carg = np.where(denom > 0.0, (ma * ma + mb * mb - budget) / denom, 2.0)

@@ -8,14 +8,22 @@ slack in the complex case.  Both systems have a two-parameter gauge freedom
 so solutions are pinned by gauging free directions to zero.
 
 Both solvers work on arrays, one row per target in sorted-key order.  The
-sign system is eliminated over GF(2) on rows packed into ``uint64`` words.
-Pivots are kept in reduced echelon form, so a row is reduced by the pivots
-at its own three columns, and rows are reduced a block at a time: each
-vector pass either finds the next pivot or clears a block, which bounds the
-passes by ``n1 + n2 + n3`` plus the number of blocks.  The phase system is
-solved in the spirit of angular synchronization (Singer 2011, ACHA 30(1)):
-batched frontier propagation spreads weighted circular means out from the
-heaviest target, the estimates fix every target's integer wrap, and a
+sign system is first propagated from one seed row in batched frontier
+rounds and checked against every row.  Each row has one variable per mode,
+so the row space of any sign system lies in the annihilator of the two
+gauge directions.  A seed that reaches every variable shows the rank is
+``n1 + n2 + n3 - 2``, so the row space is that annihilator and the reduced
+echelon form, with free columns the last beta and the last gamma, is fixed:
+the propagated solution gauged to +1 there is the elimination's answer bit
+for bit.  Otherwise the system is eliminated over GF(2) on rows packed into
+``uint64`` words; only the elimination yields parity certificates.  Pivots
+are kept in reduced echelon form, so a row is reduced by the pivots at its
+own three columns, and rows are reduced a block at a time: each vector pass
+either finds the next pivot or clears a block, which bounds the passes by
+``n1 + n2 + n3`` plus the number of blocks.  The phase system is solved in
+the spirit of angular synchronization (Singer 2011, ACHA 30(1)): batched
+frontier propagation spreads weighted circular means out from the heaviest
+target, the estimates fix every target's integer wrap, and a
 weighted least-squares solve of the ``(n1+n2+n3)``-square normal equations
 refines the angles, with a maximum-margin linear program as the fallback.
 The normal matrix is factored once, by ``eigh``, into its minimum-norm
@@ -105,36 +113,54 @@ def _parity_certificate(rows: list) -> list:
     return [pos for pos in range(len(rows)) if (prov >> pos) & 1]
 
 
-def solve_signs(targets, dims) -> SignAssignment:
-    """Solve ``s1(i) s2(j) s3(k) = t`` over {-1, +1} for all targets.
+def _propagate_signs(var: np.ndarray, rhs: np.ndarray, dims) -> np.ndarray | None:
+    """The gauged solution by propagation from one seed, or None where elimination must decide.
 
-    ``targets`` maps index triples to +-1, or is the :class:`PhaseTargets`
-    of two real cores (sign -1 where ``|phi| > pi/2``; zero-slack targets
-    are infeasible); ``dims`` gives the three vector lengths.  The system is
-    linear over GF(2) (sign -1 encodes bit 1).  Rows are taken in sorted-key
-    order and each one that is independent of the rows before it becomes a
-    pivot at its lowest free column.  When a row reduces to ``0 = 1``, the
-    pivot rows that span it together with that row form a parity certificate
-    (their targets multiply to -1 while every variable they touch appears an
-    even number of times), raised as :class:`Infeasible`.  Free variables,
-    one per gauge direction and connected component, are fixed to +1.
+    Row 0's first two variables are set to bit 0 and its third to its own
+    bit; then, in batched frontier rounds, every row with exactly one
+    unassigned variable fixes it to ``rhs`` XOR the other two.  Unless that
+    seed reaches every variable, the system is disconnected, leaves a
+    variable untouched or is rank deficient, and None is returned.  The
+    result is gauged so that the last beta and the last gamma sign are +1,
+    then checked against every row; a failing row also returns None.
     """
-    dims = tuple(int(d) for d in dims)
-    if isinstance(targets, PhaseTargets):
-        _reject_dead(targets, "gf2")
-        idx, t = targets.idx, np.where(np.abs(targets.phi) > math.pi / 2, -1, 1)
-    else:
-        keys = sorted(targets)
-        idx, t = np.array(keys, dtype=np.int64).reshape(-1, 3), np.array([targets[k] for k in keys])
-    var = _variables(idx, dims)
-    wrong = np.flatnonzero((t != 1) & (t != -1))
-    if wrong.size:
-        raise ConfigInvalid(f"sign target must be +-1, got {t[wrong[0]].item()!r} at {tuple(idx[wrong[0]].tolist())}")
-    nvar = sum(dims)
+    n1, n2, _ = dims
+    val = np.zeros(sum(dims), dtype=bool)
+    assigned = np.zeros_like(val)
+    val[var[0, 2]] = rhs[0]
+    assigned[var[0]] = True
+    # the rows that still have an unassigned variable, one array per mode
+    c0, c1, c2 = var.T
+    live_rhs = rhs
+    while not assigned.all():
+        m0, m1, m2 = ~assigned[c0], ~assigned[c1], ~assigned[c2]
+        front = (m0 ^ m1 ^ m2) & ~(m0 & m1)  # exactly one unassigned
+        if not front.any():
+            return None
+        f0, f1, f2 = c0[front], c1[front], c2[front]
+        v = np.where(m0[front], f0, np.where(m1[front], f1, f2))
+        # unassigned bits are 0, so XOR over the whole row is the XOR of the other two
+        val[v] = live_rhs[front] ^ val[f0] ^ val[f1] ^ val[f2]
+        assigned[v] = True
+        rest = (m0 | m1 | m2) & ~front
+        c0, c1, c2, live_rhs = c0[rest], c1[rest], c2[rest], live_rhs[rest]
+    # every row has one variable per mode, so flipping two whole modes keeps every row's parity
+    if val[n1 + n2 - 1]:
+        val[: n1 + n2] ^= True
+    if val[-1]:
+        val[:n1] ^= True
+        val[n1 + n2:] ^= True
+    if (val[var[:, 0]] ^ val[var[:, 1]] ^ val[var[:, 2]] ^ rhs).any():
+        return None
+    return np.where(val, -1.0, 1.0)
+
+
+def _eliminate_signs(var: np.ndarray, t: np.ndarray, idx: np.ndarray, nvar: int) -> np.ndarray:
+    """Packed GF(2) elimination in sorted-row order: the signs, or :class:`Infeasible` with a parity certificate."""
+    rhs = t < 0
     rows = np.zeros((len(t), (nvar + 63) // 64), dtype=np.uint64)
     for v in var.T:
         rows[np.arange(len(t)), v >> 6] |= np.left_shift(np.uint64(1), (v & 63).astype(np.uint64))
-    rhs = t < 0
     # Pivot rows in reduced echelon form, stored at their pivot column: a
     # pivot has no bit at any other pivot column, so a row is reduced by
     # XORing in the pivots at its own three columns.  All-zero rows stand
@@ -173,6 +199,44 @@ def solve_signs(targets, dims) -> SignAssignment:
     wrong = np.flatnonzero(signs[var].prod(axis=1) != t)
     if wrong.size:
         raise Infeasible([tuple(idx[wrong[0]].tolist())], "internal: eliminated system fails verification", "gf2")
+    return signs
+
+
+def solve_signs(targets, dims) -> SignAssignment:
+    """Solve ``s1(i) s2(j) s3(k) = t`` over {-1, +1} for all targets.
+
+    ``targets`` maps index triples to +-1, or is the :class:`PhaseTargets`
+    of two real cores (sign -1 where ``|phi| > pi/2``; zero-slack targets
+    are infeasible); ``dims`` gives the three vector lengths.  The system is
+    linear over GF(2) (sign -1 encodes bit 1).  Rows are taken in sorted-key
+    order and each one that is independent of the rows before it becomes a
+    pivot at its lowest free column.  When a row reduces to ``0 = 1``, the
+    pivot rows that span it together with that row form a parity certificate
+    (their targets multiply to -1 while every variable they touch appears an
+    even number of times), raised as :class:`Infeasible`.  Free variables,
+    one per gauge direction and connected component, are fixed to +1.
+
+    The elimination runs only when propagation from row 0 cannot answer:
+    when that seed reaches every variable, the rank is ``n1 + n2 + n3 - 2``,
+    the elimination's free columns are the last beta and the last gamma, and
+    the unique solution with those two signs +1 is its answer; checking it
+    against every row first makes a wrong guess fall back, never return.
+    """
+    dims = tuple(int(d) for d in dims)
+    if isinstance(targets, PhaseTargets):
+        _reject_dead(targets, "gf2")
+        idx, t = targets.idx, np.where(np.abs(targets.phi) > math.pi / 2, -1, 1)
+    else:
+        keys = sorted(targets)
+        idx, t = np.array(keys, dtype=np.int64).reshape(-1, 3), np.array([targets[k] for k in keys])
+    var = _variables(idx, dims)
+    wrong = np.flatnonzero((t != 1) & (t != -1))
+    if wrong.size:
+        raise ConfigInvalid(f"sign target must be +-1, got {t[wrong[0]].item()!r} at {tuple(idx[wrong[0]].tolist())}")
+    rhs = t < 0
+    signs = _propagate_signs(var, rhs, dims) if len(t) else None
+    if signs is None:
+        signs = _eliminate_signs(var, t, idx, sum(dims))
     return SignAssignment(*np.split(signs, np.cumsum(dims[:2])))
 
 

@@ -290,3 +290,38 @@ def test_successive_calls_do_not_share_flags(capsys):
     assert capsys.readouterr().out == ""
     assert main(argv) == 0
     assert capsys.readouterr().out.startswith("trials 2: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["iso", "--eps", "inf"],
+    ["iso", "--eps", "nan"],
+    ["iso", "--delta", "inf"],
+    ["dist", "--eps", "inf"],
+    ["dist", "--eps", "1e-6", "--delta", "inf"],
+])
+def test_non_finite_eps_or_delta_exits_3(tmp_path, capsys, argv):
+    # an infinite eps or gap zeroes the thresholds derived from it (iso --delta
+    # inf gave NO at phase_system on a self-pair); it is a usage error
+    _, _, pa, _ = orbit_files(tmp_path, 912)
+    assert main([argv[0], "--a", str(pa), "--b", str(pa), *argv[1:], "--json"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "positive and finite" in err
+
+
+@pytest.mark.parametrize("extra", [["--eps", "1e308"], ["--delta", "1e-200"]])
+def test_huge_eps_or_tiny_delta_gives_a_verdict(tmp_path, capsys, extra):
+    # the slack budget overflows (eps ** 2) or divides by an underflowed
+    # delta ** 2; either must end in a verdict, not a traceback
+    _, _, pa, pb = orbit_files(tmp_path, 913)
+    assert main(["iso", "--a", str(pa), "--b", str(pb), *extra, "--json"]) in (0, 1, 2)
+    assert json.loads(capsys.readouterr().out)["command"] == "iso"
+
+
+@pytest.mark.parametrize("tol", ["inf", "-1", "nan"])
+def test_verify_tol_must_be_finite_and_non_negative(tmp_path, capsys, tol):
+    _, _, pa, pb = orbit_files(tmp_path, 914)
+    w = tmp_path / "w.json"
+    assert main(["iso", "--a", str(pa), "--b", str(pb), "--witness-out", str(w), "--quiet"]) == 0
+    assert main(["verify", "--a", str(pa), "--b", str(pb), "--witness", str(w), "--tol", tol, "--json"]) == 3
+    assert capsys.readouterr().err.startswith("error: --tol")
+    assert main(["verify", "--a", str(pa), "--b", str(pb), "--witness", str(w), "--tol", "0.5", "--quiet"]) == 0

@@ -134,3 +134,18 @@ def test_compare_cores_validates():
     b = core_of(sample_tensor((3, 3, 4), RandomModel("gaussian", "real", 52)))
     with pytest.raises(DimensionMismatch):
         compare_cores(a, b, eps=1e-6, delta=1.0)
+
+
+def test_compare_cores_overflowing_budget_is_infinite():
+    # at scale 1e80, eps = 1e156 overflows eps ** 2 while the modulus
+    # threshold stays below the core entries; a delta of 1e-170 underflows
+    # delta ** 2 to zero.  Both budgets are beyond any modulus: the targets
+    # get the widest slack instead of an exception
+    a = Tensor3(sample_tensor((4, 4, 4), RandomModel("gaussian", "real", 53)).data * 1e80, "real")
+    b = apply_action(sample_haar_triple((4, 4, 4), 54, "real"), a)
+    with np.errstate(over="ignore"):  # the Gram norms of the backward errors overflow
+        ca, cb = core_of(a), core_of(b)
+    cmp = compare_cores(ca, cb, eps=1e156, delta=min(ca.min_gap, cb.min_gap))
+    assert isinstance(cmp, CoreComparison) and len(cmp.phase_targets) > 0
+    assert np.all(cmp.phase_targets.slack == np.pi)
+    assert isinstance(compare_cores(ca, cb, eps=1e90, delta=1e-170), CoreComparison)

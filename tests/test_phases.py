@@ -27,8 +27,11 @@ from otiso import (
     solve_signs,
     wrap_angle,
 )
+from otiso import phases
+from otiso.cli import main
 from otiso.hosvd import PhaseTargets
-from otiso.phases import _propagate_estimates, _variables
+from otiso.io import write_tensor
+from otiso.phases import _propagate_estimates, _propagate_signs, _variables
 
 
 def all_keys(dims):
@@ -461,3 +464,111 @@ def test_assemble_witness_validation():
     short = PhaseAssignment(alpha=np.zeros(3), beta=np.zeros(2), gamma=np.zeros(2), max_residual=0.0)
     with pytest.raises(DimensionMismatch):
         assemble_witness(a, a, short)
+
+
+@st.composite
+def covering_sign_systems(draw):
+    """Consistent sign systems on real dims 1-9 that one seed propagates through.
+
+    Dense systems take every key.  Sparse ones take the three axis lines
+    through a random centre plus random keys after it in sorted order, so
+    the centre is row 0, the seed, and its lines reach every variable.
+    """
+    dims = tuple(draw(st.integers(1, 9)) for _ in range(3))
+    g = [np.array(draw(st.lists(st.sampled_from((-1, 1)), min_size=d, max_size=d))) for d in dims]
+    if draw(st.booleans()):
+        keys = set(all_keys(dims))
+    else:
+        a, b, c = (draw(st.integers(0, d - 1)) for d in dims)
+        keys = {(i, b, c) for i in range(dims[0])} | {(a, j, c) for j in range(dims[1])}
+        keys |= {(a, b, k) for k in range(dims[2])}
+        extra = draw(st.sets(st.tuples(*(st.integers(0, d - 1) for d in dims)), max_size=2 * sum(dims)))
+        keys |= {k for k in extra if k > (a, b, c)}
+    return {(i, j, k): int(g[0][i] * g[1][j] * g[2][k]) for (i, j, k) in keys}, dims
+
+
+def _var_rhs(targets, dims):
+    keys = sorted(targets)
+    idx = np.array(keys, dtype=np.int64).reshape(-1, 3)
+    return _variables(idx, dims), np.array([targets[k] for k in keys]) < 0
+
+
+@given(covering_sign_systems())
+def test_propagated_signs_match_reference_oracle(system):
+    # the seed reaches every variable, so propagation answers on its own,
+    # with the elimination's own answer: the last beta and gamma signs +1
+    targets, dims = system
+    var, rhs = _var_rhs(targets, dims)
+    fast = _propagate_signs(var, rhs, dims)
+    assert fast is not None
+    out = solve_signs(targets, dims)
+    for got, part, ref in zip((out.s1, out.s2, out.s3), np.split(fast, np.cumsum(dims[:2])),
+                              reference_solve_signs(targets, dims)):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref) and np.array_equal(part, ref)
+
+
+def test_elimination_runs_only_where_propagation_cannot_answer(monkeypatch):
+    calls = []
+    eliminate = phases._eliminate_signs
+
+    def spy(*args):
+        calls.append(len(args[0]))
+        return eliminate(*args)
+
+    monkeypatch.setattr(phases, "_eliminate_signs", spy)
+    rng = np.random.default_rng(73)
+    dims = (4, 3, 5)
+    g = [rng.choice([-1, 1], d) for d in dims]
+
+    def system(keys):
+        return {(i, j, k): int(g[0][i] * g[1][j] * g[2][k]) for (i, j, k) in keys}
+
+    def check(targets, eliminated):
+        calls.clear()
+        out = solve_signs(targets, dims)
+        assert len(calls) == eliminated
+        for got, ref in zip((out.s1, out.s2, out.s3), reference_solve_signs(targets, dims)):
+            assert np.array_equal(got, ref)
+
+    check(system(all_keys(dims)), eliminated=0)
+    # two blocks with no shared variable: the seed reaches only the first
+    check(system(list(itertools.product(range(2), range(2), range(3)))
+                 + list(itertools.product(range(2, 4), range(2, 3), range(3, 5)))), eliminated=1)
+    # gamma_4 is touched by no target
+    check(system([k for k in all_keys(dims) if k[2] != 4]), eliminated=1)
+    # one flipped target: propagation reaches everything but the full check fails
+    bad = system(all_keys(dims))
+    bad[(2, 1, 3)] = -bad[(2, 1, 3)]
+    calls.clear()
+    with pytest.raises(Infeasible) as info:
+        solve_signs(bad, dims)
+    assert len(calls) == 1
+    with pytest.raises(Infeasible) as want:
+        reference_solve_signs(bad, dims)
+    assert info.value.certificate == want.value.certificate
+    assert info.value.solver_path == "gf2"
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_real_orbit_witness_bytes_do_not_depend_on_the_fast_path(tmp_path, monkeypatch, capsys, n):
+    a = sample_tensor((n, n, n), RandomModel("gaussian", "real", 500 + n))
+    b = apply_action(sample_haar_triple((n, n, n), 600 + n, "real"), a)
+    pa, pb = tmp_path / "a.t3b", tmp_path / "b.t3b"
+    write_tensor(a, pa)
+    write_tensor(b, pb)
+    propagate = phases._propagate_signs
+    answered = []
+
+    def spy(*args):
+        out = propagate(*args)
+        answered.append(out is not None)
+        return out
+
+    runs = []
+    for fast in (spy, lambda *args: None):
+        monkeypatch.setattr(phases, "_propagate_signs", fast)
+        w = tmp_path / "w.json"
+        code = main(["iso", "--a", str(pa), "--b", str(pb), "--witness-out", str(w), "--json"])
+        runs.append((code, capsys.readouterr().out, w.read_bytes()))
+    assert answered == [True]
+    assert runs[0][0] == 0 and runs[0] == runs[1]
