@@ -75,7 +75,7 @@ def _cmd_decide(args) -> int:
     """``iso`` runs the exact test, ``dist`` the gapped one."""
     a = tio.read_tensor_any(args.a)
     b = tio.read_tensor_any(args.b)
-    cfg = DecisionConfig(eps=args.eps, delta_override=args.delta, precision_bits=args.bits)
+    cfg = DecisionConfig(eps=args.eps, delta_override=args.delta)
     decide = decide_isomorphism if args.subcommand == "iso" else decide_orbit_distance
     try:
         dec = decide(a, b, cfg)
@@ -185,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_iso.add_argument("--a", required=True)
     p_iso.add_argument("--b", required=True)
     p_iso.add_argument("--eps", type=float, default=None)
-    p_iso.add_argument("--bits", type=int, default=None, help="working precision in bits")
     p_iso.add_argument("--delta", type=float, default=None, help="override the measured spectral gap")
     p_iso.add_argument("--witness-out", default=None, help="write the verified witness as JSON on a YES verdict")
     p_iso.set_defaults(func=_cmd_decide)
@@ -194,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument("--a", required=True)
     p_dist.add_argument("--b", required=True)
     p_dist.add_argument("--eps", type=float, required=True)
-    p_dist.add_argument("--bits", type=int, default=None)
     p_dist.add_argument("--delta", type=float, default=None)
     p_dist.add_argument("--witness-out", default=None)
     p_dist.set_defaults(func=_cmd_decide)

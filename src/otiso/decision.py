@@ -36,9 +36,8 @@ from .tensor import gram  # noqa: F401
 # Multiplier in the certified residual bound gamma * eps.
 C_GAMMA = 8.0
 
-# Exact-mode YES gate: residual <= max(8 n 2^-bits, 1e-8) * ||A~||_F.  The
-# truncation term dominates only at very coarse precision; the floor absorbs
-# eigensolver noise at full double precision.
+# Exact-mode YES gate: residual <= 1e-8 * ||A||_F, which absorbs eigensolver
+# noise at double precision.
 EXACT_RESIDUAL_REL_FLOOR = 1e-8
 
 # Relative tolerance for declaring two Gram spectra equal in exact mode.
@@ -53,22 +52,17 @@ class DecisionConfig:
 
     ``eps`` is required for gapped mode and optional for exact mode (where a
     solver-noise-aware default is derived from the input norms).
-    ``precision_bits`` defaults to 53 in exact mode and to
-    ``ceil(log2(1000 n^7 / eps))`` in gapped mode; explicit smaller values
-    are rejected in gapped mode.  ``delta_override`` substitutes the measured
-    spectral gap, for experiments only.
+    ``delta_override`` substitutes the measured spectral gap, for
+    experiments only.
     """
 
     eps: float | None = None
     delta_override: float | None = None
-    precision_bits: int | None = None
 
     def __post_init__(self):
         # an infinite eps or gap makes the thresholds derived from it infinite or zero
         if self.eps is not None and not (0.0 < self.eps < math.inf):
             raise ConfigInvalid("eps must be positive and finite when given")
-        if self.precision_bits is not None and self.precision_bits < 1:
-            raise ConfigInvalid("precision_bits must be a positive integer")
         if self.delta_override is not None and not (0.0 < self.delta_override < math.inf):
             raise ConfigInvalid("delta_override must be positive and finite when given")
 
@@ -172,26 +166,24 @@ def _validate_pair(a: Tensor3, b: Tensor3):
 def _decide(a: Tensor3, b: Tensor3, cfg: DecisionConfig, exact: bool) -> Decision:
     """The decision spine shared by both modes.
 
-    truncate -> cores -> spectrum check -> compare cores -> solve -> verify.
-    ``exact`` selects only the tolerance policy: the working precision,
-    the default eps, the YES gate (exact residual gate or the certified
-    ``gamma_bound``) and how B's spectra are screened (strict simplicity plus
-    spectrum equality, or the eps-range check plus ``gap_b >= delta/2``).
+    cores -> spectrum check -> compare cores -> solve -> verify.  Exact mode
+    works on the tensors as given; gapped mode first truncates both to the
+    paper's certified ``required_bits(n, eps)``.  Beyond that, ``exact``
+    selects only the tolerance policy: the default eps, the YES gate (exact
+    residual gate or the certified ``gamma_bound``) and how B's spectra are
+    screened (strict simplicity plus spectrum equality, or the eps-range
+    check plus ``gap_b >= delta/2``).
     """
     _validate_pair(a, b)
     n = max(a.dims)
     if exact:
-        bits = cfg.precision_bits if cfg.precision_bits is not None else 53
+        at, bt = a, b
     else:
         if not (a.dims[0] == a.dims[1] == a.dims[2]):
             raise DimensionMismatch(f"gapped mode requires cubic tensors, got dims {a.dims}")
-        need = required_bits(n, cfg.eps)
-        if cfg.precision_bits is not None and cfg.precision_bits < need:
-            raise ConfigInvalid(f"precision_bits={cfg.precision_bits} below required {need} for n={n}, eps={cfg.eps}")
-        bits = cfg.precision_bits if cfg.precision_bits is not None else need
-
-    at = truncate_tensor(a, bits)
-    bt = truncate_tensor(b, bits)
+        bits = required_bits(n, cfg.eps)
+        at = truncate_tensor(a, bits)
+        bt = truncate_tensor(b, bits)
     norm_a = at.frobenius_norm
     norm_b = bt.frobenius_norm
     k_norm = norm_a + norm_b
@@ -200,7 +192,6 @@ def _decide(a: Tensor3, b: Tensor3, cfg: DecisionConfig, exact: bool) -> Decisio
         "mode": "exact_iso" if exact else "gapped_distance",
         "n": n,
         "scalar_kind": a.scalar_kind,
-        "precision_bits": bits,
         "eps": eps,
         "norm_a": norm_a,
         "norm_b": norm_b,
@@ -208,11 +199,13 @@ def _decide(a: Tensor3, b: Tensor3, cfg: DecisionConfig, exact: bool) -> Decisio
     gate = None
     if exact:
         diag["dims"] = list(a.dims)
-        gate = max(8.0 * n * math.ldexp(1.0, -min(bits, 512)), EXACT_RESIDUAL_REL_FLOOR) * max(norm_a, _TINY)
+        gate = EXACT_RESIDUAL_REL_FLOOR * max(norm_a, _TINY)
         diag["residual_gate"] = gate
-    elif abs(norm_a - norm_b) >= 2.0 * eps:
-        diag["step"] = "norm"
-        return Decision("no", None, None, None, diag)
+    else:
+        diag["precision_bits"] = bits
+        if abs(norm_a - norm_b) >= 2.0 * eps:
+            diag["step"] = "norm"
+            return Decision("no", None, None, None, diag)
 
     try:
         ca = core_of(at)
@@ -227,13 +220,11 @@ def _decide(a: Tensor3, b: Tensor3, cfg: DecisionConfig, exact: bool) -> Decisio
 
     if exact:
         diag["spectra_b"] = _spectra_digest(cb)
-        # Weyl: truncation moves entries by <= 2^-bits each, hence any Gram
-        # eigenvalue by at most 2 K t + t^2 with t = n^{3/2} 2^-bits; add a
-        # relative floor for eigensolver noise.
-        t_entry = math.ldexp(1.0, -min(bits, 512)) * (n ** 1.5)
+        # the inputs are compared as given, so only eigensolver noise,
+        # relative to the larger spectrum, separates equal spectra
         for d, (ga, gb) in enumerate(zip(ca.spectra, cb.spectra)):
             scale = max(float(np.max(np.abs(ga.eigenvalues))), float(np.max(np.abs(gb.eigenvalues))), _TINY)
-            tol = TAU_SPECTRA_REL * scale + 2.0 * k_norm * t_entry + t_entry ** 2
+            tol = TAU_SPECTRA_REL * scale
             if not spectra_close(ga, gb, tol):
                 diag["step"] = "spectra"
                 diag["failed_mode"] = d + 1
@@ -295,7 +286,7 @@ def _decide(a: Tensor3, b: Tensor3, cfg: DecisionConfig, exact: bool) -> Decisio
 def decide_isomorphism(a: Tensor3, b: Tensor3, cfg: DecisionConfig | None = None) -> Decision:
     """Decide whether some orthogonal/unitary triple carries ``a`` onto ``b``.
 
-    Pipeline: truncate to working precision, eigendecompose all six Grams
+    Pipeline: eigendecompose all six Grams of the tensors as given
     (cannot_decide on any near-degenerate spectrum), reject on mismatched
     spectra, compare cores, solve the sign/phase system, and verify the
     assembled witness directly.  YES verdicts always carry a witness whose

@@ -123,8 +123,9 @@ def compare_cores(sa: CoreTensor, sb: CoreTensor, eps: float, delta: float):
     ``eps`` is the working tolerance and ``delta`` the certified spectral
     gap.  Entries whose moduli differ by more than the threshold certify the
     pair far apart.  Entries whose combined modulus clears the threshold get
-    a phase target with slack ``arccos`` of the comparison ratio, clamped to
-    [-1, 1]; a slack of zero marks a constraint nothing can satisfy.
+    a phase target whose slack is the largest angle that keeps the entry
+    within the budget ``thr^2/2``; a slack of zero marks a constraint
+    nothing can satisfy.
 
     For non-cubic dims the threshold uses ``n = max(dims)``, a conservative
     stand-in recorded as such in the comparison.
@@ -151,20 +152,19 @@ def compare_cores(sa: CoreTensor, sb: CoreTensor, eps: float, delta: float):
 
     mask = mod_a + mod_b > thr
     ma, mb = mod_a[mask], mod_b[mask]
-    # Law of cosines: the slack is the largest angular deviation that keeps
-    # the per-entry distance within sqrt(2) * thr/2-scaled budget.  A zero
-    # denominator (one modulus exactly zero while the sum clears the
-    # threshold, which the modulus screen above already ruled out) keeps a
-    # dead constraint for safety.
-    try:
-        budget = 2.0 * (eps ** 2) * (n ** 4) * (k_norm ** 2) / (delta ** 2)
-    except (OverflowError, ZeroDivisionError):
-        # float ``**`` raises on overflow, and ``delta ** 2`` can underflow
-        # to zero; either way the true budget is beyond any modulus
-        budget = math.inf
-    denom = 2.0 * ma * mb
+    # Law of cosines in half-angle form: the slack is the largest angular
+    # deviation s with (ma - mb)^2 + 4 ma mb sin^2(s/2) <= budget = thr^2/2.
+    # Unlike arccos of the cosine ratio it keeps slacks far below 1e-8.  With
+    # h = thr/sqrt(2) and d = |ma - mb|, budget - d^2 = (h - d)(h + d), so
+    # nothing overflows before the ratio; an infinite thr gives the widest
+    # slack.  A zero modulus (which the screen above rules out while the sum
+    # clears the threshold) keeps a dead constraint.
+    h = thr / math.sqrt(2.0)
+    d = np.abs(ma - mb)
+    den = 2.0 * np.sqrt(ma) * np.sqrt(mb)
     with np.errstate(divide="ignore", invalid="ignore"):
-        carg = np.where(denom > 0.0, (ma * ma + mb * mb - budget) / denom, 2.0)
+        sin_half = np.sqrt(np.maximum(h - d, 0.0)) * np.sqrt(h + d) / den
+    slack = np.where(den > 0.0, 2.0 * np.arcsin(np.minimum(sin_half, 1.0)), 0.0)
     # arg(b * conj(a)) == arg(b/a) but exact when b == a; numpy may form a
     # complex product's imaginary part with a fused multiply-add, which
     # leaves a rounding residue where a == b, so it is formed explicitly
@@ -177,6 +177,6 @@ def compare_cores(sa: CoreTensor, sb: CoreTensor, eps: float, delta: float):
         dims=sa.dims,
         scalar_kind=sa.core.scalar_kind,
         support_ok=bool(np.array_equal(mod_a > thr, mod_b > thr)),
-        phase_targets=PhaseTargets(np.argwhere(mask), phi, np.arccos(np.clip(carg, -1.0, 1.0)), ma + mb),
+        phase_targets=PhaseTargets(np.argwhere(mask), phi, slack, ma + mb),
         threshold_used=thr,
     )

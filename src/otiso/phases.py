@@ -382,6 +382,8 @@ def assemble_witness(sa: CoreTensor, sb: CoreTensor, assignment) -> TransformTri
     ``exp(i*beta)``, ``exp(i*gamma)``; for a :class:`SignAssignment` they are
     the sign vectors.  Applying the result to ``sa``'s source tensor lands on
     ``sb``'s source whenever the assignment satisfied its constraints.
+    Unitarity is not audited here: ``verify_witness`` checks it before any
+    YES, so a non-unitary candidate ends as ``cannot_decide``.
     """
     if sa.dims != sb.dims:
         raise DimensionMismatch(f"core dims differ: {sa.dims} vs {sb.dims}")
@@ -400,4 +402,4 @@ def assemble_witness(sa: CoreTensor, sb: CoreTensor, assignment) -> TransformTri
         if diags[d].shape[0] != U.shape[0]:
             raise DimensionMismatch(f"assignment length {diags[d].shape[0]} does not match mode-{d + 1} size {U.shape[0]}")
         factors.append((V * diags[d][np.newaxis, :]) @ U.conj().T)
-    return TransformTriple(factors, scalar_kind=kind)
+    return TransformTriple(factors, scalar_kind=kind, check=False)

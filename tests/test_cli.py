@@ -208,6 +208,9 @@ def test_usage_errors():
     assert main([]) == 3
     assert main(["frobnicate"]) == 3
     assert main(["iso", "--a", "x.t3b"]) == 3  # --b missing
+    # there is no precision knob: both modes pick their own working precision
+    assert main(["iso", "--a", "x.t3b", "--b", "y.t3b", "--bits", "40"]) == 3
+    assert main(["dist", "--a", "x.t3b", "--b", "y.t3b", "--eps", "1e-6", "--bits", "60"]) == 3
     assert main(["gen", "--dims", "2", "2", "2", "--out", "/tmp/x.t3b",
                  "--model", "cauchy"]) == 3
 

@@ -25,6 +25,7 @@ from otiso import (
     truncate_tensor,
     verify_witness,
 )
+from otiso.tensor import TAU_UNITARY_REL
 
 
 def naive_action(L, R, T, a):
@@ -96,8 +97,6 @@ def test_config_validation():
         DecisionConfig(eps=0.0)
     with pytest.raises(ConfigInvalid):
         DecisionConfig(eps=-1.0)
-    with pytest.raises(ConfigInvalid):
-        DecisionConfig(precision_bits=0)
     with pytest.raises(ConfigInvalid):
         DecisionConfig(delta_override=-2.0)
     a, b, _ = orbit_pair((3, 3, 3), 77, "real")
@@ -181,24 +180,10 @@ def test_gapped_eps_out_of_range():
         decide_orbit_distance(a, b, DecisionConfig(eps=10.0))
 
 
-def test_gapped_bits_below_required():
-    a, b, _ = orbit_pair((4, 4, 4), 84, "real")
-    cfg = DecisionConfig(eps=1e-6, precision_bits=10)
-    with pytest.raises(ConfigInvalid):
-        decide_orbit_distance(a, b, cfg)
-
-
 def test_gapped_requires_cubic():
     a = sample_tensor((3, 4, 5), RandomModel("gaussian", "real", 85))
     with pytest.raises(DimensionMismatch):
         decide_orbit_distance(a, a, DecisionConfig(eps=1e-8))
-
-
-def test_yes_with_explicit_precision_bits():
-    a, b, _ = orbit_pair((4, 4, 4), 86, "real")
-    d = decide_isomorphism(a, b, DecisionConfig(precision_bits=40))
-    assert d.verdict == "yes"
-    assert d.diagnostics["precision_bits"] == 40
 
 
 def test_zero_targets_are_underdetermined():
@@ -238,3 +223,78 @@ def test_gapped_tied_b_spectrum_is_no_at_gap_b():
     assert d.diagnostics["step"] == "gap_b"
     assert d.diagnostics["failed_mode"] == 1
     assert d.diagnostics["failed_gap"] == 0.0
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("k", [-60, -250])
+def test_small_common_scale_is_decided_on_the_inputs(kind, k):
+    # exact mode compares the tensors as given, so spectra that differ at a
+    # tiny common scale still reject; an absolute grid would zero them
+    s = math.ldexp(1.0, k)
+    a, b, _ = orbit_pair((8, 8, 8), 90, kind)
+    c = sample_tensor((8, 8, 8), RandomModel("gaussian", kind, 91))
+    a, b, c = (Tensor3(s * t.data, kind) for t in (a, b, c))
+    d = decide_isomorphism(a, c)
+    assert d.verdict == "no"
+    assert d.diagnostics["step"] == "spectra"
+    # the scale-free threshold leaves no phase target; never a NO
+    d = decide_isomorphism(a, b)
+    assert d.verdict == "cannot_decide"
+    assert d.diagnostics["step"] == "underdetermined"
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("n", [8, 13])
+@pytest.mark.parametrize("k", [16, 20, 24])
+def test_large_common_scale_orbit_pair_is_yes(kind, n, k):
+    # the slack budget is far below ma*mb here: the slacks must stay
+    # positive, or every target is dead and the pair an unsound NO
+    s = math.ldexp(1.0, k)
+    a, b, _ = orbit_pair((n, n, n), 92, kind)
+    a, b = Tensor3(s * a.data, kind), Tensor3(s * b.data, kind)
+    d = decide_isomorphism(a, b)
+    assert d.verdict == "yes"
+    rep = verify_witness(a, b, d.witness)
+    assert rep.unitary_ok and rep.residual <= d.diagnostics["residual_gate"]
+
+
+def test_only_gapped_mode_truncates(monkeypatch):
+    import otiso.decision as decision
+
+    calls = []
+    real_truncate = decision.truncate_tensor
+
+    def spy(t, bits):
+        calls.append(bits)
+        return real_truncate(t, bits)
+
+    monkeypatch.setattr(decision, "truncate_tensor", spy)
+    a, b, _ = orbit_pair((5, 5, 5), 93, "real")
+    d = decide_isomorphism(a, b)
+    assert d.verdict == "yes" and calls == []
+    assert "precision_bits" not in d.diagnostics
+    eps = d.diagnostics["delta"] / (8.0 * (a.frobenius_norm + b.frobenius_norm))
+    g = decide_orbit_distance(a, b, DecisionConfig(eps=eps))
+    assert g.verdict == "yes"
+    assert g.diagnostics["precision_bits"] == required_bits(5, eps)
+    assert calls == [required_bits(5, eps)] * 2
+
+
+def test_non_unitary_candidate_is_cannot_decide(monkeypatch):
+    # the witness triple is audited once, by verify_witness: a candidate
+    # that is not unitary is refused, not raised as NotUnitary
+    import dataclasses
+
+    import otiso.decision as decision
+
+    real_assemble = decision.assemble_witness
+
+    def skewed(sa, sb, assignment):
+        return real_assemble(dataclasses.replace(sa, bases=(1.01 * sa.bases[0], *sa.bases[1:])), sb, assignment)
+
+    monkeypatch.setattr(decision, "assemble_witness", skewed)
+    a, b, _ = orbit_pair((5, 5, 5), 94, "complex")
+    d = decide_isomorphism(a, b)
+    assert d.verdict == "cannot_decide"
+    assert d.diagnostics["step"] == "witness_verification"
+    assert d.diagnostics["unitarity_defects"][0] > TAU_UNITARY_REL * 5

@@ -138,14 +138,18 @@ def test_compare_cores_validates():
 
 def test_compare_cores_overflowing_budget_is_infinite():
     # at scale 1e80, eps = 1e156 overflows eps ** 2 while the modulus
-    # threshold stays below the core entries; a delta of 1e-170 underflows
-    # delta ** 2 to zero.  Both budgets are beyond any modulus: the targets
-    # get the widest slack instead of an exception
+    # threshold, and with it the budget thr^2/2, stays finite; a delta of
+    # 1e-170 underflows delta ** 2 to zero.  Neither may raise, and each
+    # slack must solve the law of cosines for the finite budget
     a = Tensor3(sample_tensor((4, 4, 4), RandomModel("gaussian", "real", 53)).data * 1e80, "real")
     b = apply_action(sample_haar_triple((4, 4, 4), 54, "real"), a)
     with np.errstate(over="ignore"):  # the Gram norms of the backward errors overflow
         ca, cb = core_of(a), core_of(b)
     cmp = compare_cores(ca, cb, eps=1e156, delta=min(ca.min_gap, cb.min_gap))
     assert isinstance(cmp, CoreComparison) and len(cmp.phase_targets) > 0
-    assert np.all(cmp.phase_targets.slack == np.pi)
+    t = cmp.phase_targets
+    ma, mb = (np.abs(c.core.data[tuple(t.idx.T)]) for c in (ca, cb))
+    budget = cmp.threshold_used ** 2 / 2.0
+    assert np.all((t.slack > 0.0) & (t.slack < np.pi))
+    np.testing.assert_allclose((ma - mb) ** 2 + 4.0 * ma * mb * np.sin(t.slack / 2.0) ** 2, budget, rtol=1e-12)
     assert isinstance(compare_cores(ca, cb, eps=1e90, delta=1e-170), CoreComparison)
