@@ -9,7 +9,6 @@ round out the toolkit.
 """
 
 from .errors import (
-    CannotDecide,
     ConfigInvalid,
     ConvergenceFailure,
     DimensionMismatch,
@@ -43,7 +42,6 @@ from .hosvd import CoreComparison, CoreTensor, PhaseTarget, PhaseTargets, Reject
 from .phases import PhaseAssignment, SignAssignment, assemble_witness, solve_phases, solve_signs, wrap_angle
 from .decision import (
     Decision,
-    DecisionConfig,
     WitnessReport,
     decide_isomorphism,
     decide_orbit_distance,
@@ -105,7 +103,7 @@ from .io import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CannotDecide", "ConfigInvalid", "ConvergenceFailure", "DimensionMismatch",
+    "ConfigInvalid", "ConvergenceFailure", "DimensionMismatch",
     "EpsOutOfRange", "FormatError", "Infeasible", "NonFiniteEntries",
     "NonHermitianInput", "NotUnitary", "OtisoError", "ScalarKindMismatch",
     "RandomModel", "Tensor3", "TransformTriple", "apply_action", "flatten",
@@ -116,7 +114,7 @@ __all__ = [
     "comparison_threshold", "core_of",
     "PhaseAssignment", "SignAssignment", "assemble_witness", "solve_phases",
     "solve_signs", "wrap_angle",
-    "Decision", "DecisionConfig", "WitnessReport", "decide_isomorphism",
+    "Decision", "WitnessReport", "decide_isomorphism",
     "decide_orbit_distance", "required_bits", "truncate_bits", "truncate_tensor",
     "verify_witness",
     "GapExperiment", "GapReport", "TrialRecord", "bound_probability", "emit_csv",

@@ -8,6 +8,7 @@ on stdout, serialized canonically so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import sys
@@ -15,7 +16,7 @@ import sys
 import numpy as np
 
 from . import io as tio
-from .decision import Decision, DecisionConfig, decide_isomorphism, decide_orbit_distance, verify_witness
+from .decision import Decision, decide_isomorphism, decide_orbit_distance, verify_witness
 from .errors import ConfigInvalid, DimensionMismatch, EpsOutOfRange, OtisoError, ScalarKindMismatch
 from .gaps import BETA_EXPERIMENT, GapExperiment, emit_csv, run_gap_experiment, run_tensor_gram_experiment
 from .hypergraph import decide_hypergraph_iso, read_hypergraph
@@ -44,10 +45,20 @@ def _emit(args, report: dict, text: str) -> None:
         print(text)
 
 
+@contextlib.contextmanager
+def _usage_error(*kinds):
+    """Re-raise ``kinds`` as :class:`ConfigInvalid`: input that was read fine but that the command cannot take."""
+    try:
+        yield
+    except kinds as exc:
+        raise ConfigInvalid(str(exc)) from exc
+
+
 def _cmd_gen(args) -> int:
     dims = tuple(args.dims)
     model = RandomModel(distribution=args.model, scalar_kind=args.kind, seed=args.seed)
-    t = sample_tensor(dims, model)
+    with _usage_error(DimensionMismatch):
+        t = sample_tensor(dims, model)
     if args.format == "t3b":
         tio.write_tensor(t, args.out)
     else:
@@ -72,16 +83,11 @@ def _decision_report(command: str, dec: Decision) -> dict:
 
 
 def _cmd_decide(args) -> int:
-    """``iso`` runs the exact test, ``dist`` the gapped one."""
+    """``iso`` runs the exact test, ``dist`` the gapped one at ``--eps``."""
     a = tio.read_tensor_any(args.a)
     b = tio.read_tensor_any(args.b)
-    cfg = DecisionConfig(eps=args.eps, delta_override=args.delta)
-    decide = decide_isomorphism if args.subcommand == "iso" else decide_orbit_distance
-    try:
-        dec = decide(a, b, cfg)
-    except (DimensionMismatch, ScalarKindMismatch) as exc:
-        # both files were read fine: a pair the mode cannot take is a usage error
-        raise ConfigInvalid(str(exc)) from exc
+    with _usage_error(DimensionMismatch, ScalarKindMismatch):
+        dec = decide_isomorphism(a, b) if args.subcommand == "iso" else decide_orbit_distance(a, b, args.eps)
     if args.witness_out and dec.verdict == "yes":
         tio.write_witness_json(dec.witness, args.witness_out)
     detail = "" if dec.residual is None else f" (residual {dec.residual:.6e}, bound {dec.gamma_bound:.6e})"
@@ -124,11 +130,8 @@ def _cmd_gaps(args) -> int:
 def _cmd_hyper(args) -> int:
     g = read_hypergraph(args.g)
     h = read_hypergraph(args.h)
-    try:
+    with _usage_error(DimensionMismatch):
         dec = decide_hypergraph_iso(g, h)
-    except DimensionMismatch as exc:
-        # both files were read fine: differing part sizes are a usage error
-        raise ConfigInvalid(str(exc)) from exc
     perms = None if dec.perms is None else [[v + 1 for v in p] for p in dec.perms.perms]
     _emit(
         args,
@@ -144,7 +147,8 @@ def _cmd_verify(args) -> int:
     a = tio.read_tensor_any(args.a)
     b = tio.read_tensor_any(args.b)
     w = tio.read_witness_any(args.witness)
-    report = verify_witness(a, b, w)
+    with _usage_error(DimensionMismatch):
+        report = verify_witness(a, b, w)
     gate = args.tol * max(a.frobenius_norm, 1e-300)
     ok = report.residual <= gate and report.unitary_ok
     _emit(
@@ -184,8 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_iso = sub.add_parser("iso", parents=[common], help="exact orbit-equivalence decision")
     p_iso.add_argument("--a", required=True)
     p_iso.add_argument("--b", required=True)
-    p_iso.add_argument("--eps", type=float, default=None)
-    p_iso.add_argument("--delta", type=float, default=None, help="override the measured spectral gap")
     p_iso.add_argument("--witness-out", default=None, help="write the verified witness as JSON on a YES verdict")
     p_iso.set_defaults(func=_cmd_decide)
 
@@ -193,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument("--a", required=True)
     p_dist.add_argument("--b", required=True)
     p_dist.add_argument("--eps", type=float, required=True)
-    p_dist.add_argument("--delta", type=float, default=None)
     p_dist.add_argument("--witness-out", default=None)
     p_dist.set_defaults(func=_cmd_decide)
 

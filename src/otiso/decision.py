@@ -4,9 +4,9 @@ Both modes run one shared spine (``_decide``): eigendecompose the six mode
 Grams, bail out when a spectrum is too degenerate to pin its eigenbasis,
 compare cores entrywise, recover per-mode signs/phases, assemble a candidate
 transform, and re-verify it directly against the input tensors.  The entry
-point picks the mode; only the tolerance policy differs between modes.  A
-YES is never returned on the pipeline's say-so alone; the recomputed
-residual must clear the certified bound.
+point picks the mode and takes only the paper's inputs: the two tensors,
+plus ``eps`` in gapped mode.  A YES is never returned on the pipeline's
+say-so alone; the recomputed residual must clear the certified bound.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    CannotDecide,
     ConfigInvalid,
     DimensionMismatch,
     EpsOutOfRange,
@@ -44,27 +43,6 @@ EXACT_RESIDUAL_REL_FLOOR = 1e-8
 TAU_SPECTRA_REL = 1e-8
 
 _TINY = 1e-300
-
-
-@dataclass(frozen=True)
-class DecisionConfig:
-    """Knobs for the decision pipelines; the entry point picks the mode.
-
-    ``eps`` is required for gapped mode and optional for exact mode (where a
-    solver-noise-aware default is derived from the input norms).
-    ``delta_override`` substitutes the measured spectral gap, for
-    experiments only.
-    """
-
-    eps: float | None = None
-    delta_override: float | None = None
-
-    def __post_init__(self):
-        # an infinite eps or gap makes the thresholds derived from it infinite or zero
-        if self.eps is not None and not (0.0 < self.eps < math.inf):
-            raise ConfigInvalid("eps must be positive and finite when given")
-        if self.delta_override is not None and not (0.0 < self.delta_override < math.inf):
-            raise ConfigInvalid("delta_override must be positive and finite when given")
 
 
 @dataclass(frozen=True)
@@ -163,31 +141,37 @@ def _validate_pair(a: Tensor3, b: Tensor3):
         raise ScalarKindMismatch(f"tensor kinds differ: {a.scalar_kind} vs {b.scalar_kind}")
 
 
-def _decide(a: Tensor3, b: Tensor3, cfg: DecisionConfig, exact: bool) -> Decision:
-    """The decision spine shared by both modes.
+def _tied_mode(core: CoreTensor):
+    """``(mode, min_gap)`` of the first spectrum that is not simple (its eigenbasis is not pinned), else None."""
+    return next(((d + 1, float(s.min_gap)) for d, s in enumerate(core.spectra) if not s.simple), None)
 
-    cores -> spectrum check -> compare cores -> solve -> verify.  Exact mode
-    works on the tensors as given; gapped mode first truncates both to the
-    paper's certified ``required_bits(n, eps)``.  Beyond that, ``exact``
-    selects only the tolerance policy: the default eps, the YES gate (exact
-    residual gate or the certified ``gamma_bound``) and how B's spectra are
-    screened (strict simplicity plus spectrum equality, or the eps-range
-    check plus ``gap_b >= delta/2``).
+
+def _decide(a: Tensor3, b: Tensor3, eps: float | None) -> Decision:
+    """The decision spine shared by both modes; ``eps is None`` selects exact mode.
+
+    cores -> spectrum check -> compare cores -> solve -> verify, always at the
+    measured gap ``delta``.  Exact mode works on the tensors as given at
+    ``eps = 1e-8 (||A|| + ||B||)`` and needs all six spectra simple and equal;
+    gapped mode truncates both to ``required_bits(n, eps)`` and needs A's
+    spectra simple and B's gaps at least ``delta/2``.  A spectrum that is not
+    simple gives cannot_decide at ``gap_policy``.
     """
     _validate_pair(a, b)
+    exact = eps is None
     n = max(a.dims)
     if exact:
         at, bt = a, b
     else:
         if not (a.dims[0] == a.dims[1] == a.dims[2]):
             raise DimensionMismatch(f"gapped mode requires cubic tensors, got dims {a.dims}")
-        bits = required_bits(n, cfg.eps)
+        bits = required_bits(n, eps)
         at = truncate_tensor(a, bits)
         bt = truncate_tensor(b, bits)
     norm_a = at.frobenius_norm
     norm_b = bt.frobenius_norm
     k_norm = norm_a + norm_b
-    eps = float(cfg.eps) if cfg.eps is not None else 1e-8 * max(k_norm, _TINY)
+    if exact:
+        eps = 1e-8 * max(k_norm, _TINY)
     diag: dict = {
         "mode": "exact_iso" if exact else "gapped_distance",
         "n": n,
@@ -207,14 +191,14 @@ def _decide(a: Tensor3, b: Tensor3, cfg: DecisionConfig, exact: bool) -> Decisio
             diag["step"] = "norm"
             return Decision("no", None, None, None, diag)
 
-    try:
-        ca = core_of(at)
-        if exact:
-            cb = core_of(bt)
-    except CannotDecide as exc:
+    ca = core_of(at)
+    tied = _tied_mode(ca)
+    if exact and tied is None:
+        cb = core_of(bt)
+        tied = _tied_mode(cb)
+    if tied is not None:
         diag["step"] = "gap_policy"
-        diag["failed_mode"] = exc.mode
-        diag["failed_gap"] = exc.gap
+        diag["failed_mode"], diag["failed_gap"] = tied
         return Decision("cannot_decide", None, None, gate, diag)
     diag["spectra_a"] = _spectra_digest(ca)
 
@@ -230,10 +214,10 @@ def _decide(a: Tensor3, b: Tensor3, cfg: DecisionConfig, exact: bool) -> Decisio
                 diag["failed_mode"] = d + 1
                 diag["spectra_tolerance"] = tol
                 return Decision("no", None, None, gate, diag)
-        delta = cfg.delta_override if cfg.delta_override is not None else min(ca.min_gap, cb.min_gap)
+        delta = min(ca.min_gap, cb.min_gap)
         diag["delta"] = delta
     else:
-        delta = cfg.delta_override if cfg.delta_override is not None else ca.min_gap
+        delta = ca.min_gap
         diag["delta"] = delta
         if not (eps < delta / (4.0 * max(k_norm, _TINY))):
             raise EpsOutOfRange(f"eps={eps} not below delta/(4(|A|+|B|))={delta / (4.0 * max(k_norm, _TINY)):.3e}")
@@ -241,7 +225,7 @@ def _decide(a: Tensor3, b: Tensor3, cfg: DecisionConfig, exact: bool) -> Decisio
         diag["gamma_bound_spectral_form"] = gate
         diag["gamma_bound_dimension_form"] = C_GAMMA * (n ** 8) * eps
         # B's spectra are screened against delta/2, not for strict simplicity.
-        cb = core_of(bt, check_simple=False)
+        cb = core_of(bt)
         diag["spectra_b"] = _spectra_digest(cb)
         for d, s in enumerate(cb.spectra):
             if s.min_gap < delta / 2.0:
@@ -283,27 +267,29 @@ def _decide(a: Tensor3, b: Tensor3, cfg: DecisionConfig, exact: bool) -> Decisio
     return Decision("cannot_decide", witness, report.residual, gate, diag)
 
 
-def decide_isomorphism(a: Tensor3, b: Tensor3, cfg: DecisionConfig | None = None) -> Decision:
+def decide_isomorphism(a: Tensor3, b: Tensor3) -> Decision:
     """Decide whether some orthogonal/unitary triple carries ``a`` onto ``b``.
 
     Pipeline: eigendecompose all six Grams of the tensors as given
-    (cannot_decide on any near-degenerate spectrum), reject on mismatched
+    (cannot_decide on any spectrum that is not simple), reject on mismatched
     spectra, compare cores, solve the sign/phase system, and verify the
-    assembled witness directly.  YES verdicts always carry a witness whose
-    recomputed residual clears the reported gate.
+    assembled witness directly.  The tolerance and the gap are derived from
+    the inputs.  YES verdicts always carry a witness whose recomputed
+    residual clears the reported gate.
     """
-    return _decide(a, b, cfg or DecisionConfig(), exact=True)
+    return _decide(a, b, None)
 
 
-def decide_orbit_distance(a: Tensor3, b: Tensor3, cfg: DecisionConfig) -> Decision:
-    """Gap-certified orbit distance decision.
+def decide_orbit_distance(a: Tensor3, b: Tensor3, eps: float) -> Decision:
+    """Gap-certified orbit distance decision at tolerance ``eps``.
 
-    Requires cubic tensors and an explicit ``eps`` satisfying
-    ``eps < delta / (4 (||A~|| + ||B~||))`` for the measured (or overridden)
-    gap ``delta``.  YES means some triple carries ``a`` within
+    Requires cubic tensors and a positive, finite ``eps`` satisfying
+    ``eps < delta / (4 (||A~|| + ||B~||))`` for the gap ``delta`` measured on
+    A's spectra.  YES means some triple carries ``a`` within
     ``gamma_bound = C_GAMMA n^{7/2} ||A~||^2 eps / delta`` of ``b``, witnessed
     and re-verified; NO certifies the orbits stay ``eps`` apart.
     """
-    if cfg is None or cfg.eps is None:
-        raise ConfigInvalid("gapped mode requires an explicit eps")
-    return _decide(a, b, cfg, exact=False)
+    # an infinite eps makes the thresholds derived from it infinite or zero
+    if not (0.0 < eps < math.inf):
+        raise ConfigInvalid(f"eps must be positive and finite, got {eps!r}")
+    return _decide(a, b, float(eps))

@@ -43,23 +43,6 @@ class FormatError(OtisoError):
     """A serialized tensor, witness, or hypergraph file is malformed."""
 
 
-class CannotDecide(OtisoError):
-    """A Gram spectrum is not simple, so the spectral pipeline cannot proceed.
-
-    Attributes
-    ----------
-    mode : int
-        1-based flattening mode whose Gram spectrum failed.
-    gap : float
-        The offending minimum adjacent eigenvalue gap.
-    """
-
-    def __init__(self, mode: int, gap: float, message: str | None = None):
-        self.mode = int(mode)
-        self.gap = float(gap)
-        super().__init__(message or f"mode-{mode} Gram spectrum is not simple (min gap {gap:.3e})")
-
-
 class Infeasible(OtisoError):
     """A sign or phase constraint system admits no solution.
 

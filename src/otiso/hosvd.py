@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CannotDecide, DimensionMismatch, ScalarKindMismatch
+from .errors import DimensionMismatch, ScalarKindMismatch
 from .spectral import SpectralData, eig_hermitian
 from .tensor import Tensor3, TransformTriple, apply_action, gram
 
@@ -92,21 +92,15 @@ class RejectFar:
     threshold: float
 
 
-def core_of(a: Tensor3, check_simple: bool = True) -> CoreTensor:
-    """Compute the spectral core; raises :class:`CannotDecide` on a spectrum that is not simple.
+def core_of(a: Tensor3) -> CoreTensor:
+    """Compute the spectral core and the three mode spectra it was built from.
 
-    A genuinely repeated eigenvalue leaves the eigenbasis (and hence the
-    core) underdetermined.  ``check_simple=False`` skips the check for
-    callers that screen the gaps against their own threshold.
+    The core is returned even when a spectrum is not simple; callers read
+    ``SpectralData.simple`` or ``min_gap`` on ``spectra`` and judge whether
+    the eigenbases pin it down.
     """
-    bases = []
-    spectra = []
-    for mode in (1, 2, 3):
-        s = eig_hermitian(gram(a, mode))
-        if check_simple and not s.simple:
-            raise CannotDecide(mode, s.min_gap)
-        bases.append(s.vectors)
-        spectra.append(s)
+    spectra = [eig_hermitian(gram(a, mode)) for mode in (1, 2, 3)]
+    bases = [s.vectors for s in spectra]
     inv = TransformTriple([U.conj().T for U in bases], a.scalar_kind, check=False)
     core = apply_action(inv, a)
     return CoreTensor(core=core, bases=tuple(bases), spectra=tuple(spectra), source_norm=a.frobenius_norm)

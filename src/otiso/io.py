@@ -81,12 +81,42 @@ def _entries_to_json(arr: np.ndarray, kind: str) -> list:
     return np.stack([arr.real, arr.imag], axis=-1).tolist()
 
 
+def _is_json_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _number_from_json(v) -> float:
+    """A JSON number (int or float) as a float; a bool, string or anything else is malformed."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise FormatError(f"entry must be a JSON number, got {v!r}")
+    try:
+        return float(v)
+    except OverflowError as exc:
+        raise FormatError(f"entry {v} is beyond double range") from exc
+
+
 def _scalar_from_json(v, kind: str):
     if kind == "real":
-        return float(v)
+        return _number_from_json(v)
     if not (isinstance(v, (list, tuple)) and len(v) == 2):
         raise FormatError(f"complex entry must be a [re, im] pair, got {v!r}")
-    return complex(float(v[0]), float(v[1]))
+    return complex(_number_from_json(v[0]), _number_from_json(v[1]))
+
+
+def _json_header(obj, fmt: str) -> tuple[str, tuple[int, int, int]]:
+    """Check the format/version/scalar_kind/dims block both JSON documents share; returns (kind, dims)."""
+    if not isinstance(obj, dict) or obj.get("format") != fmt:
+        raise FormatError(f"not a {fmt} document")
+    version = obj.get("version")
+    if not (_is_json_int(version) and version == 1):
+        raise FormatError(f"unsupported {fmt} version {version!r}")
+    kind = obj.get("scalar_kind")
+    if kind not in _KIND_TO_BYTE:
+        raise FormatError(f"unknown scalar_kind {kind!r}")
+    dims = obj.get("dims")
+    if not (isinstance(dims, list) and len(dims) == 3 and all(_is_json_int(d) and d >= 1 for d in dims)):
+        raise FormatError(f"dims must be three positive integers, got {dims!r}")
+    return kind, tuple(dims)
 
 
 def tensor_to_json_obj(a: Tensor3) -> dict:
@@ -100,16 +130,7 @@ def tensor_to_json_obj(a: Tensor3) -> dict:
 
 
 def tensor_from_json_obj(obj) -> Tensor3:
-    if not isinstance(obj, dict) or obj.get("format") != "t3b-json":
-        raise FormatError("not a t3b-json document")
-    if obj.get("version") != 1:
-        raise FormatError(f"unsupported t3b-json version {obj.get('version')!r}")
-    kind = obj.get("scalar_kind")
-    if kind not in _KIND_TO_BYTE:
-        raise FormatError(f"unknown scalar_kind {kind!r}")
-    dims = obj.get("dims")
-    if not (isinstance(dims, list) and len(dims) == 3 and all(isinstance(d, int) and d >= 1 for d in dims)):
-        raise FormatError(f"dims must be three positive integers, got {dims!r}")
+    kind, dims = _json_header(obj, "t3b-json")
     entries = obj.get("entries")
     count = dims[0] * dims[1] * dims[2]
     if not isinstance(entries, list) or len(entries) != count:
@@ -137,11 +158,11 @@ def write_tensor_json(a: Tensor3, path) -> None:
 
 
 def _load_json(path):
-    """Parse an ASCII JSON document; a non-ASCII byte is a format error like any bad JSON."""
+    """Parse an ASCII JSON document; bad syntax, a non-ASCII byte, an over-long integer or too deep nesting is a format error."""
     with open(path, "r", encoding="ascii") as fh:
         try:
             return json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise FormatError(f"invalid JSON in {path}: {exc}") from exc
 
 
@@ -207,16 +228,7 @@ def witness_to_json_obj(g: TransformTriple) -> dict:
 
 
 def witness_from_json_obj(obj) -> TransformTriple:
-    if not isinstance(obj, dict) or obj.get("format") != "witness-json":
-        raise FormatError("not a witness-json document")
-    if obj.get("version") != 1:
-        raise FormatError(f"unsupported witness-json version {obj.get('version')!r}")
-    kind = obj.get("scalar_kind")
-    if kind not in _KIND_TO_BYTE:
-        raise FormatError(f"unknown scalar_kind {kind!r}")
-    dims = obj.get("dims")
-    if not (isinstance(dims, list) and len(dims) == 3 and all(isinstance(d, int) and d >= 1 for d in dims)):
-        raise FormatError(f"dims must be three positive integers, got {dims!r}")
+    kind, dims = _json_header(obj, "witness-json")
     raw = obj.get("factors")
     if not (isinstance(raw, list) and len(raw) == 3):
         raise FormatError("factors must be a list of three matrices")

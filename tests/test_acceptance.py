@@ -11,7 +11,6 @@ import time
 import numpy as np
 
 from otiso import (
-    DecisionConfig,
     GapExperiment,
     Infeasible,
     PhaseTarget,
@@ -107,15 +106,14 @@ def test_criterion_03_gapped_decision():
         eps = delta / (8.0 * (a.frobenius_norm + b0.frobenius_norm))
         gamma = 8.0 * n ** 3.5 * a.frobenius_norm ** 2 * eps / delta
         e = sample_tensor((n, n, n), RandomModel("gaussian", "real", 55000 + seed))
-        cfg = DecisionConfig(eps=eps)
 
         near = Tensor3(b0.data + (0.5 * eps / e.frobenius_norm) * e.data)
-        d1 = decide_orbit_distance(a, near, cfg)
+        d1 = decide_orbit_distance(a, near, eps)
         if d1.verdict == "yes" and d1.residual <= gamma:
             yes += 1
 
         far = Tensor3(b0.data + (2.0 * d1.gamma_bound / e.frobenius_norm) * e.data)
-        if decide_orbit_distance(a, far, cfg).verdict == "no":
+        if decide_orbit_distance(a, far, eps).verdict == "no":
             no += 1
     ok = yes >= 95 and no >= 95
     report(3, ok, f"perturbation |E|=eps/2: YES with residual <= 8 n^3.5 |A|^2 eps/delta "

@@ -1,5 +1,6 @@
 """End-to-end decision procedures: exact orbit membership and gapped distance."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,9 +8,9 @@ import pytest
 
 from otiso import (
     ConfigInvalid,
-    DecisionConfig,
     DimensionMismatch,
     EpsOutOfRange,
+    PhaseTargets,
     RandomModel,
     ScalarKindMismatch,
     Tensor3,
@@ -93,15 +94,30 @@ def test_exact_iso_deterministic():
 
 
 def test_config_validation():
-    with pytest.raises(ConfigInvalid):
-        DecisionConfig(eps=0.0)
-    with pytest.raises(ConfigInvalid):
-        DecisionConfig(eps=-1.0)
-    with pytest.raises(ConfigInvalid):
-        DecisionConfig(delta_override=-2.0)
     a, b, _ = orbit_pair((3, 3, 3), 77, "real")
-    with pytest.raises(ConfigInvalid):
-        decide_orbit_distance(a, b, DecisionConfig())  # eps required
+    for eps in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ConfigInvalid, match="positive and finite"):
+            decide_orbit_distance(a, b, eps)
+    with pytest.raises(TypeError):
+        decide_orbit_distance(a, b)  # eps required
+    with pytest.raises(TypeError):
+        decide_isomorphism(a, b, 1e-6)  # exact mode takes no tolerance
+
+
+def test_tied_spectrum_is_cannot_decide_at_gap_policy():
+    # two pairs of identical mode-1 slices force a repeated zero eigenvalue;
+    # the core is still built, and the spine refuses to decide on it
+    base = np.random.default_rng(44).standard_normal((2, 3, 3))
+    tied = Tensor3(np.stack([base[0], base[0], base[1], base[1]]))
+    assert not core_of(tied).spectra[0].simple
+    other = sample_tensor((4, 3, 3), RandomModel("gaussian", "real", 44))
+    for a, b in ((tied, other), (other, tied)):  # A tied, then only B tied
+        d = decide_isomorphism(a, b)
+        assert d.verdict == "cannot_decide" and d.witness is None
+        assert d.diagnostics["step"] == "gap_policy"
+        assert d.diagnostics["failed_mode"] == 1
+        assert d.diagnostics["failed_gap"] >= 0.0
+        assert "spectra_a" not in d.diagnostics and "spectra_b" not in d.diagnostics
 
 
 def test_pair_validation():
@@ -153,8 +169,7 @@ def test_gapped_yes_on_small_perturbation():
     eps = delta / (8.0 * (a.frobenius_norm + b0.frobenius_norm))
     e = sample_tensor((n, n, n), RandomModel("gaussian", "real", 81))
     b = Tensor3(b0.data + (0.5 * eps / e.frobenius_norm) * e.data)
-    cfg = DecisionConfig(eps=eps)
-    d = decide_orbit_distance(a, b, cfg)
+    d = decide_orbit_distance(a, b, eps)
     assert d.verdict == "yes"
     assert d.witness is not None
     assert d.residual <= d.gamma_bound
@@ -169,7 +184,7 @@ def test_gapped_no_on_norm_mismatch():
     probe = decide_isomorphism(a, b0)
     eps = probe.diagnostics["delta"] / (8.0 * (a.frobenius_norm + b0.frobenius_norm))
     far = Tensor3(3.0 * b0.data)
-    d = decide_orbit_distance(a, far, DecisionConfig(eps=eps))
+    d = decide_orbit_distance(a, far, eps)
     assert d.verdict == "no"
     assert d.diagnostics["step"] == "norm"
 
@@ -177,35 +192,54 @@ def test_gapped_no_on_norm_mismatch():
 def test_gapped_eps_out_of_range():
     a, b, _ = orbit_pair((4, 4, 4), 83, "real")
     with pytest.raises(EpsOutOfRange):
-        decide_orbit_distance(a, b, DecisionConfig(eps=10.0))
+        decide_orbit_distance(a, b, 10.0)
 
 
 def test_gapped_requires_cubic():
     a = sample_tensor((3, 4, 5), RandomModel("gaussian", "real", 85))
     with pytest.raises(DimensionMismatch):
-        decide_orbit_distance(a, a, DecisionConfig(eps=1e-8))
+        decide_orbit_distance(a, a, 1e-8)
 
 
-def test_zero_targets_are_underdetermined():
+def test_zero_targets_are_underdetermined(monkeypatch):
+    # with no phase target nothing pins the per-mode gauge, so the identity
+    # guess is no evidence: a pair it does not carry is cannot_decide, not NO
+    import otiso.decision as decision
+
+    real_compare = decision.compare_cores
+
+    def no_targets(sa, sb, eps, delta):
+        empty = PhaseTargets(np.zeros((0, 3), dtype=np.int64), np.zeros(0), np.zeros(0), np.zeros(0))
+        return dataclasses.replace(real_compare(sa, sb, eps, delta), phase_targets=empty)
+
+    monkeypatch.setattr(decision, "compare_cores", no_targets)
     a, b, _ = orbit_pair((6, 6, 6), 87, "real")
-    cfg = DecisionConfig(eps=1e3 * a.frobenius_norm)
-    d = decide_isomorphism(a, b, cfg)
+    d = decide_isomorphism(a, b)
     assert d.verdict == "cannot_decide"
     assert d.diagnostics["phase_targets"] == 0
     assert d.diagnostics["step"] == "underdetermined"
     assert d.diagnostics["solver_path"] == "identity"
-    assert decide_isomorphism(a, a, cfg).verdict == "yes"
+    assert decide_isomorphism(a, a).verdict == "yes"
 
 
 def test_gapped_no_on_small_gap_b():
+    # a diagonal B of A's norm whose Gram spectra (the same in all three
+    # modes) are simple, but with a top gap of delta_A/4, below delta_A/2
     n = 6
-    a, b, _ = orbit_pair((n, n, n), 88, "real")
-    delta = 4.0 * max(s.min_gap for s in core_of(b).spectra)
-    eps = delta / (8.0 * (a.frobenius_norm + b.frobenius_norm))
-    d = decide_orbit_distance(a, b, DecisionConfig(eps=eps, delta_override=delta))
+    a = sample_tensor((n, n, n), RandomModel("gaussian", "real", 88))
+    delta = core_of(a).min_gap
+    lam = np.linspace(1.0, 2.0, n)
+    lam[-1] = lam[-2]
+    lam *= (a.frobenius_norm ** 2 - delta / 4.0) / lam.sum()
+    lam[-1] += delta / 4.0
+    b = np.zeros((n, n, n))
+    b[np.arange(n), np.arange(n), np.arange(n)] = np.sqrt(lam)
+    eps = delta / (16.0 * a.frobenius_norm)
+    d = decide_orbit_distance(a, Tensor3(b), eps)
     assert d.verdict == "no"
     assert d.diagnostics["step"] == "gap_b"
     assert d.diagnostics["failed_mode"] == 1
+    assert 0.0 < d.diagnostics["failed_gap"] < d.diagnostics["delta"] / 2.0
     assert d.gamma_bound is not None
 
 
@@ -218,7 +252,7 @@ def test_gapped_tied_b_spectrum_is_no_at_gap_b():
     tied[np.arange(n), np.arange(n), np.arange(n)] = a.frobenius_norm / math.sqrt(n)
     delta = core_of(a).min_gap
     eps = delta / (16.0 * a.frobenius_norm)
-    d = decide_orbit_distance(a, Tensor3(tied), DecisionConfig(eps=eps))
+    d = decide_orbit_distance(a, Tensor3(tied), eps)
     assert d.verdict == "no"
     assert d.diagnostics["step"] == "gap_b"
     assert d.diagnostics["failed_mode"] == 1
@@ -274,7 +308,7 @@ def test_only_gapped_mode_truncates(monkeypatch):
     assert d.verdict == "yes" and calls == []
     assert "precision_bits" not in d.diagnostics
     eps = d.diagnostics["delta"] / (8.0 * (a.frobenius_norm + b.frobenius_norm))
-    g = decide_orbit_distance(a, b, DecisionConfig(eps=eps))
+    g = decide_orbit_distance(a, b, eps)
     assert g.verdict == "yes"
     assert g.diagnostics["precision_bits"] == required_bits(5, eps)
     assert calls == [required_bits(5, eps)] * 2

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from otiso import (
-    CannotDecide,
     CoreComparison,
     CoreTensor,
     DimensionMismatch,
@@ -51,19 +50,6 @@ def test_core_spectra_match_across_orbit():
     ea = eig_hermitian(gram(core_of(a).core, 1)).eigenvalues
     eb = eig_hermitian(gram(core_of(b).core, 1)).eigenvalues
     assert np.max(np.abs(ea - eb)) <= 1e-8 * max(np.abs(ea).max(), 1.0)
-
-
-def test_core_of_degenerate_raises_cannot_decide():
-    # two pairs of identical mode-1 slices force a repeated zero eigenvalue
-    base = np.random.default_rng(44).standard_normal((2, 3, 3))
-    arr = np.stack([base[0], base[0], base[1], base[1]])
-    with pytest.raises(CannotDecide) as info:
-        core_of(Tensor3(arr))
-    assert info.value.mode == 1
-    assert info.value.gap >= 0.0
-
-    with pytest.raises(CannotDecide):
-        core_of(Tensor3(np.ones((3, 3, 3))))
 
 
 def test_comparison_threshold_formula():

@@ -25,6 +25,7 @@ from otiso import (
     tensor_to_bytes,
     tensor_to_json_obj,
     witness_from_bytes,
+    witness_from_json_obj,
     witness_to_bytes,
     witness_to_json_obj,
     write_tensor,
@@ -153,6 +154,26 @@ def test_json_format_errors():
     with pytest.raises(FormatError):
         tensor_from_json_obj({"format": "t3b-json", "version": 1, "scalar_kind": "real",
                               "dims": [1, 1, 2], "entries": [[[0.0]]]})  # dims mismatch
+    good = {"format": "t3b-json", "version": 1, "scalar_kind": "real", "dims": [1, 1, 1], "entries": [1.5]}
+    assert tensor_from_json_obj(good).data[0, 0, 0] == 1.5
+    cplx = {**good, "scalar_kind": "complex", "entries": [[1, 2]]}
+    assert tensor_from_json_obj(cplx).data[0, 0, 0] == 1 + 2j
+    for bad in ({"dims": [True, True, True]}, {"dims": [1, 1, 1.0]}, {"dims": [1, 1, 0]},
+                {"version": True}, {"entries": ["1.5"]}, {"entries": [True]}, {"entries": [None]},
+                {"entries": [[[1.5]]]}, {"entries": [10 ** 400]},
+                {"scalar_kind": "complex", "entries": [[1.0, "2"]]},
+                {"scalar_kind": "complex", "entries": [[False, 2.0]]}):
+        with pytest.raises(FormatError):
+            tensor_from_json_obj({**good, **bad})
+
+
+@pytest.mark.parametrize("entry", ["1" * 5000, "[" * 100000 + "]" * 100000])
+def test_unparseable_json_is_a_format_error(tmp_path, entry):
+    # an integer past the interpreter's digit limit, and nesting too deep to parse
+    path = tmp_path / "t.json"
+    path.write_text('{"format":"t3b-json","version":1,"scalar_kind":"real","dims":[1,1,1],"entries":[%s]}' % entry)
+    with pytest.raises(FormatError):
+        read_tensor_json(path)
 
 
 def test_dumps_canonical_stable():
@@ -196,3 +217,10 @@ def test_witness_format_errors():
         witness_from_bytes(b"XXXX" + buf[4:])
     with pytest.raises(FormatError):
         witness_from_bytes(buf + b"\x00")
+    good = {"format": "witness-json", "version": 1, "scalar_kind": "real", "dims": [1, 1, 1],
+            "factors": [[[1.0]], [[1.0]], [[1]]]}
+    assert [witness_from_json_obj(good)[d][0, 0] for d in range(3)] == [1.0, 1.0, 1.0]
+    for bad in ({"dims": [True, True, True]}, {"dims": [1, 1, -1]}, {"version": True},
+                {"factors": [[[1.0]], [[1.0]], [["1.5"]]]}, {"factors": [[[1.0]], [[True]], [[1.0]]]}):
+        with pytest.raises(FormatError):
+            witness_from_json_obj({**good, **bad})
