@@ -37,7 +37,7 @@ from .tensor import (
     unflatten,
     unitarity_defect,
 )
-from .spectral import SpectralData, eig_hermitian, spectra_close, weyl_perturbation_bound
+from .spectral import SpectralData, eig_hermitian, spectra_close
 from .hosvd import CoreComparison, CoreTensor, PhaseTarget, PhaseTargets, RejectFar, compare_cores, comparison_threshold, core_of
 from .phases import PhaseAssignment, SignAssignment, assemble_witness, solve_phases, solve_signs, wrap_angle
 from .decision import (
@@ -81,11 +81,7 @@ from .hypergraph import (
 from .io import (
     dumps_canonical,
     read_tensor,
-    read_tensor_any,
-    read_tensor_json,
     read_witness,
-    read_witness_any,
-    read_witness_json,
     tensor_from_bytes,
     tensor_from_json_obj,
     tensor_to_bytes,
@@ -109,7 +105,7 @@ __all__ = [
     "RandomModel", "Tensor3", "TransformTriple", "apply_action", "flatten",
     "generator", "gram", "haar_factor", "identity_triple", "sample_entries", "sample_haar_triple",
     "sample_tensor", "unflatten", "unitarity_defect",
-    "SpectralData", "eig_hermitian", "spectra_close", "weyl_perturbation_bound",
+    "SpectralData", "eig_hermitian", "spectra_close",
     "CoreComparison", "CoreTensor", "PhaseTarget", "PhaseTargets", "RejectFar", "compare_cores",
     "comparison_threshold", "core_of",
     "PhaseAssignment", "SignAssignment", "assemble_witness", "solve_phases",
@@ -125,7 +121,7 @@ __all__ = [
     "parse_hypergraph", "random_hypergraph", "random_perm_triple",
     "read_hypergraph", "relabel", "write_hypergraph",
     "dumps_canonical",
-    "read_tensor", "read_tensor_any", "read_tensor_json", "read_witness", "read_witness_any", "read_witness_json",
+    "read_tensor", "read_witness",
     "tensor_from_bytes", "tensor_from_json_obj", "tensor_to_bytes",
     "tensor_to_json_obj", "witness_from_bytes", "witness_from_json_obj",
     "witness_to_bytes", "witness_to_json_obj", "write_tensor",

@@ -84,8 +84,8 @@ def _decision_report(command: str, dec: Decision) -> dict:
 
 def _cmd_decide(args) -> int:
     """``iso`` runs the exact test, ``dist`` the gapped one at ``--eps``."""
-    a = tio.read_tensor_any(args.a)
-    b = tio.read_tensor_any(args.b)
+    a = tio.read_tensor(args.a)
+    b = tio.read_tensor(args.b)
     with _usage_error(DimensionMismatch, ScalarKindMismatch):
         dec = decide_isomorphism(a, b) if args.subcommand == "iso" else decide_orbit_distance(a, b, args.eps)
     if args.witness_out and dec.verdict == "yes":
@@ -144,9 +144,9 @@ def _cmd_hyper(args) -> int:
 def _cmd_verify(args) -> int:
     if not (0.0 <= args.tol < math.inf):
         raise ConfigInvalid(f"--tol must be finite and >= 0, got {args.tol!r}")
-    a = tio.read_tensor_any(args.a)
-    b = tio.read_tensor_any(args.b)
-    w = tio.read_witness_any(args.witness)
+    a = tio.read_tensor(args.a)
+    b = tio.read_tensor(args.b)
+    w = tio.read_witness(args.witness)
     with _usage_error(DimensionMismatch):
         report = verify_witness(a, b, w)
     gate = args.tol * max(a.frobenius_norm, 1e-300)

@@ -127,7 +127,7 @@ def _identity_assignment(dims, kind):
 
 
 def _solve_assignment(cmp: CoreComparison):
-    """Dispatch on scalar kind: sign system for real cores, phase LP for complex."""
+    """Dispatch on scalar kind: sign system for real cores, phase least squares for complex."""
     if not cmp.phase_targets:
         return _identity_assignment(cmp.dims, cmp.scalar_kind)
     solve = solve_phases if cmp.scalar_kind == "complex" else solve_signs

@@ -51,11 +51,11 @@ class Infeasible(OtisoError):
     certificate : list
         Constraint keys witnessing the contradiction.  For sign systems this
         is a set of constraints whose parity product is inconsistent; for
-        phase systems it is the set of violated constraints at the best
-        feasible point found.
+        phase systems it is the set of violated constraints at the
+        least-squares point.
     solver_path : str or None
-        The solver path that rejected the system (``"gf2"``, ``"lstsq"`` or
-        ``"lp"``), when a solver raised it.
+        The solver path that rejected the system (``"gf2"`` or ``"lstsq"``),
+        when a solver raised it.
     """
 
     def __init__(self, certificate, message: str | None = None, solver_path: str | None = None):

@@ -5,6 +5,8 @@ three little-endian u32 dims, then the entries as little-endian f64 in
 C order (lexicographic (i, j, k)); complex entries are (re, im) pairs.
 Witness files use the same matrix-block conventions under magic ``T3W1``:
 kind byte, three u32 sizes, then the three square factors back to back.
+:func:`read_tensor` and :func:`read_witness` read either form, told apart
+by the leading magic bytes.
 """
 
 from __future__ import annotations
@@ -40,19 +42,23 @@ def tensor_to_bytes(a: Tensor3) -> bytes:
     return head + _entries_to_bytes(a.data, a.scalar_kind)
 
 
-def tensor_from_bytes(buf: bytes) -> Tensor3:
+def _binary_header(buf: bytes, magic: bytes, what: str) -> tuple[str, tuple[int, int, int]]:
+    """Check the 17-byte header T3B and T3W share (length, magic, kind byte, dims); returns (kind, dims)."""
     if len(buf) < 17:
-        raise FormatError(f"tensor blob too short ({len(buf)} bytes)")
-    if buf[:4] != TENSOR_MAGIC:
-        raise FormatError(f"bad magic {buf[:4]!r}, expected {TENSOR_MAGIC!r}")
-    kind_byte, d0, d1, d2 = struct.unpack("<BIII", buf[4:17])
+        raise FormatError(f"{what} blob too short ({len(buf)} bytes)")
+    if buf[:4] != magic:
+        raise FormatError(f"bad magic {buf[:4]!r}, expected {magic!r}")
+    kind_byte, dims = buf[4], struct.unpack("<III", buf[5:17])
     if kind_byte not in _BYTE_TO_KIND:
         raise FormatError(f"unknown scalar-kind byte {kind_byte}")
-    kind = _BYTE_TO_KIND[kind_byte]
-    dims = (d0, d1, d2)
     if min(dims) < 1:
         raise FormatError(f"non-positive dimension in header: {dims}")
-    count = d0 * d1 * d2
+    return _BYTE_TO_KIND[kind_byte], dims
+
+
+def tensor_from_bytes(buf: bytes) -> Tensor3:
+    kind, dims = _binary_header(buf, TENSOR_MAGIC, "tensor")
+    count = dims[0] * dims[1] * dims[2]
     width = 8 if kind == "real" else 16
     expected = 17 + width * count
     if len(buf) != expected:
@@ -67,11 +73,6 @@ def tensor_from_bytes(buf: bytes) -> Tensor3:
 def write_tensor(a: Tensor3, path) -> None:
     with open(path, "wb") as fh:
         fh.write(tensor_to_bytes(a))
-
-
-def read_tensor(path) -> Tensor3:
-    with open(path, "rb") as fh:
-        return tensor_from_bytes(fh.read())
 
 
 def _entries_to_json(arr: np.ndarray, kind: str) -> list:
@@ -157,17 +158,19 @@ def write_tensor_json(a: Tensor3, path) -> None:
         fh.write(dumps_canonical(tensor_to_json_obj(a)))
 
 
-def _load_json(path):
+def _load_json(buf: bytes, path):
     """Parse an ASCII JSON document; bad syntax, a non-ASCII byte, an over-long integer or too deep nesting is a format error."""
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            return json.load(fh)
-        except (ValueError, RecursionError) as exc:
-            raise FormatError(f"invalid JSON in {path}: {exc}") from exc
+    try:
+        return json.loads(buf.decode("ascii"))
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+        raise FormatError(f"invalid JSON in {path}: {exc}") from exc
 
 
-def read_tensor_json(path) -> Tensor3:
-    return tensor_from_json_obj(_load_json(path))
+def read_tensor(path) -> Tensor3:
+    """A T3B binary or ``t3b-json`` tensor file, told apart by the magic bytes."""
+    with open(path, "rb") as fh:
+        buf = fh.read()
+    return tensor_from_bytes(buf) if buf.startswith(TENSOR_MAGIC) else tensor_from_json_obj(_load_json(buf, path))
 
 
 def witness_to_bytes(g: TransformTriple) -> bytes:
@@ -182,19 +185,9 @@ def witness_from_bytes(buf: bytes) -> TransformTriple:
     Verification (residual and unitarity audit) is a separate concern, so a
     witness read back from disk never raises on imperfect factors.
     """
-    if len(buf) < 17:
-        raise FormatError(f"witness blob too short ({len(buf)} bytes)")
-    if buf[:4] != WITNESS_MAGIC:
-        raise FormatError(f"bad magic {buf[:4]!r}, expected {WITNESS_MAGIC!r}")
-    kind_byte, d0, d1, d2 = struct.unpack("<BIII", buf[4:17])
-    if kind_byte not in _BYTE_TO_KIND:
-        raise FormatError(f"unknown scalar-kind byte {kind_byte}")
-    kind = _BYTE_TO_KIND[kind_byte]
-    dims = (d0, d1, d2)
-    if min(dims) < 1:
-        raise FormatError(f"non-positive dimension in header: {dims}")
+    kind, dims = _binary_header(buf, WITNESS_MAGIC, "witness")
     width = 8 if kind == "real" else 16
-    expected = 17 + width * (d0 * d0 + d1 * d1 + d2 * d2)
+    expected = 17 + width * sum(n * n for n in dims)
     if len(buf) != expected:
         raise FormatError(f"witness payload length {len(buf) - 17} does not match dims {dims}")
     factors = []
@@ -210,11 +203,6 @@ def witness_from_bytes(buf: bytes) -> TransformTriple:
 def write_witness(g: TransformTriple, path) -> None:
     with open(path, "wb") as fh:
         fh.write(witness_to_bytes(g))
-
-
-def read_witness(path) -> TransformTriple:
-    with open(path, "rb") as fh:
-        return witness_from_bytes(fh.read())
 
 
 def witness_to_json_obj(g: TransformTriple) -> dict:
@@ -250,20 +238,8 @@ def write_witness_json(g: TransformTriple, path) -> None:
         fh.write(dumps_canonical(witness_to_json_obj(g)))
 
 
-def read_witness_json(path) -> TransformTriple:
-    return witness_from_json_obj(_load_json(path))
-
-
-def _has_magic(path, magic: bytes) -> bool:
+def read_witness(path) -> TransformTriple:
+    """A T3W binary or ``witness-json`` witness file, told apart by the magic bytes."""
     with open(path, "rb") as fh:
-        return fh.read(len(magic)) == magic
-
-
-def read_tensor_any(path) -> Tensor3:
-    """Sniff binary vs JSON tensor by magic bytes."""
-    return read_tensor(path) if _has_magic(path, TENSOR_MAGIC) else read_tensor_json(path)
-
-
-def read_witness_any(path) -> TransformTriple:
-    """Sniff binary vs JSON witness by magic bytes."""
-    return read_witness(path) if _has_magic(path, WITNESS_MAGIC) else read_witness_json(path)
+        buf = fh.read()
+    return witness_from_bytes(buf) if buf.startswith(WITNESS_MAGIC) else witness_from_json_obj(_load_json(buf, path))

@@ -25,9 +25,10 @@ the spirit of angular synchronization (Singer 2011, ACHA 30(1)): batched
 frontier propagation spreads weighted circular means out from the heaviest
 target, the estimates fix every target's integer wrap, and a
 weighted least-squares solve of the ``(n1+n2+n3)``-square normal equations
-refines the angles, with a maximum-margin linear program as the fallback.
-The normal matrix is factored once, by ``eigh``, into its minimum-norm
-pseudo-inverse; the solve and its refinement pass both reuse it.
+refines the angles.  The normal matrix is factored once, by ``eigh``, into
+its minimum-norm pseudo-inverse; the solve and its refinement pass both
+reuse it.  A target the least-squares point misses makes the system
+infeasible.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigInvalid, DimensionMismatch, Infeasible
-from .hosvd import CoreComparison, CoreTensor, PhaseTargets
+from .hosvd import CoreTensor, PhaseTargets
 from .tensor import TransformTriple
 
 TWO_PI = 2.0 * math.pi
@@ -69,7 +70,7 @@ class PhaseAssignment:
     beta: np.ndarray
     gamma: np.ndarray
     max_residual: float
-    solver_path: str = "lstsq"  # "lp" when the max-margin LP ran, "identity" without targets
+    solver_path: str = "lstsq"  # "identity" when no target pinned the gauge
 
 
 def wrap_angle(x):
@@ -278,39 +279,30 @@ def _propagate_estimates(var: np.ndarray, targets: PhaseTargets, nvar: int) -> n
             return est
 
 
-def _circular_residuals(x, var, phi):
-    return np.abs(wrap_angle(phi - (x[var[:, 0]] + x[var[:, 1]] + x[var[:, 2]])))
-
-
-def solve_phases(cmp, dims=None) -> PhaseAssignment:
+def solve_phases(targets, dims) -> PhaseAssignment:
     """Recover per-mode angles satisfying every target's strict slack bound.
 
-    Accepts a :class:`CoreComparison`, or a :class:`PhaseTargets` or raw
-    ``{(i,j,k): PhaseTarget}`` mapping plus ``dims``.  Two stages:
-    propagation produces estimates good enough to pin each constraint's
-    integer wrap; with wraps fixed the system is linear, solved by weighted
-    least squares on the normal equations and, if any strict inequality
-    still fails, refined by a maximum-margin linear program (``solver_path``
-    ``"lp"``).  The normal matrix is factored once with ``eigh``; its
-    eigenvalues at or below ``lstsq``'s default cutoff (machine epsilon
-    times ``n1+n2+n3`` times the largest) count as zero, which gives the
-    minimum-norm solution ``lstsq(..., rcond=None)`` gives, on both passes
-    (the second refines the first on its own residual).  The returned
-    assignment is verified post hoc against every constraint; failure
-    raises :class:`Infeasible` with the violated keys.
+    ``targets`` is the :class:`PhaseTargets` of two complex cores or a
+    ``{(i,j,k): PhaseTarget}`` mapping; ``dims`` gives the three vector
+    lengths.  Two stages: propagation produces estimates good enough to pin
+    each constraint's integer wrap; with wraps fixed the system is linear,
+    solved by weighted least squares on the normal equations.  The normal
+    matrix is factored once with ``eigh``; its eigenvalues at or below
+    ``lstsq``'s default cutoff (machine epsilon times ``n1+n2+n3`` times the
+    largest) count as zero, which gives the minimum-norm solution
+    ``lstsq(..., rcond=None)`` gives, on both passes (the second refines the
+    first on its own residual).  The result is checked against every
+    constraint; a miss raises :class:`Infeasible` with the violated keys at
+    the least-squares point.
     """
-    if isinstance(cmp, CoreComparison):
-        cmp, dims = cmp.phase_targets, cmp.dims
-    elif dims is None:
-        raise ConfigInvalid("dims required when passing raw targets")
-    targets = cmp if isinstance(cmp, PhaseTargets) else PhaseTargets.from_mapping(cmp)
+    if not isinstance(targets, PhaseTargets):
+        targets = PhaseTargets.from_mapping(targets)
     if not len(targets):
         raise ConfigInvalid("at least one phase target is required")
     dims = tuple(int(d) for d in dims)
     nvar = sum(dims)
     var = _variables(targets.idx, dims)
     _reject_dead(targets, "lstsq")
-    slacks = targets.slack
 
     est = _propagate_estimates(var, targets, nvar)
     # Fix integer wraps at the estimates; the constraint becomes linear in R.
@@ -328,50 +320,14 @@ def solve_phases(cmp, dims=None) -> PhaseAssignment:
     for _ in range(2):  # the second pass refines x on its own residual
         r = t_lin - (x[var[:, 0]] + x[var[:, 1]] + x[var[:, 2]])
         x = x + Q @ (inv * (Q.T @ np.bincount(var.ravel(), np.repeat(w * r, 3), nvar)))
-    resid = _circular_residuals(x, var, targets.phi)
-    ok = resid < slacks - STRICT_TOL
-    path = "lstsq"
-
-    if not bool(np.all(ok)):
-        path = "lp"
-        rows = np.zeros((len(targets), nvar))
-        rows[np.arange(len(targets))[:, None], var] = 1.0
-        x_lp = _max_margin_lp(rows, t_lin, slacks, x)
-        if x_lp is not None:
-            resid_lp = _circular_residuals(x_lp, var, targets.phi)
-            if float(np.max(resid_lp - slacks)) < float(np.max(resid - slacks)):
-                x, resid = x_lp, resid_lp
-            ok = resid < slacks - STRICT_TOL
+    resid = np.abs(wrap_angle(targets.phi - (x[var[:, 0]] + x[var[:, 1]] + x[var[:, 2]])))
+    ok = resid < targets.slack - STRICT_TOL
     if not bool(np.all(ok)):
         violated = targets.keys(~ok)
-        raise Infeasible(violated, f"{len(violated)} phase constraints unsatisfied at the best point found", path)
+        raise Infeasible(violated, f"{len(violated)} phase constraints unsatisfied at the least-squares point", "lstsq")
 
     alpha, beta, gamma = (_canonical_angles(part) for part in np.split(x, np.cumsum(dims[:2])))
-    return PhaseAssignment(alpha, beta, gamma, max_residual=float(np.max(resid)), solver_path=path)
-
-
-def _max_margin_lp(rows, t_lin, slacks, x0):
-    """maximize m s.t. |rows @ x - t_lin| <= slacks - m; None when the LP fails."""
-    from scipy.optimize import linprog
-
-    ncon, nvar = rows.shape
-    # variables: (x, m); maximize m
-    A_ub = np.zeros((2 * ncon, nvar + 1))
-    b_ub = np.zeros(2 * ncon)
-    A_ub[:ncon, :nvar] = rows
-    A_ub[:ncon, nvar] = 1.0
-    b_ub[:ncon] = slacks + t_lin
-    A_ub[ncon:, :nvar] = -rows
-    A_ub[ncon:, nvar] = 1.0
-    b_ub[ncon:] = slacks - t_lin
-    c = np.zeros(nvar + 1)
-    c[nvar] = -1.0
-    # keep x near the wrap-fixing estimates so the linearization stays valid
-    bounds = [(float(x0[v] - TWO_PI), float(x0[v] + TWO_PI)) for v in range(nvar)] + [(None, None)]
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if not res.success:
-        return None
-    return np.asarray(res.x[:nvar])
+    return PhaseAssignment(alpha, beta, gamma, max_residual=float(np.max(resid)))
 
 
 def assemble_witness(sa: CoreTensor, sb: CoreTensor, assignment) -> TransformTriple:

@@ -52,13 +52,6 @@ class SpectralData:
         scale = float(np.max(np.abs(self.eigenvalues))) if self.dim else 0.0
         return DEGENERACY_REL * max(scale, 1e-300)
 
-    def to_json(self) -> dict:
-        return {
-            "eigenvalues": [float(x) for x in self.eigenvalues],
-            "min_gap": float(self.min_gap),
-            "backward_error": None if self.backward_error is None else float(self.backward_error),
-        }
-
 
 def _fix_column_phases(V: np.ndarray) -> np.ndarray:
     """Largest-modulus entry per column made real and positive (ties: lowest row).
@@ -129,18 +122,3 @@ def spectra_close(s1: SpectralData, s2: SpectralData, tol: float) -> bool:
         raise DimensionMismatch(f"spectra have different sizes {s1.dim} and {s2.dim}")
     return bool(np.max(np.abs(s1.eigenvalues - s2.eigenvalues)) <= tol)
 
-
-def weyl_perturbation_bound(G: np.ndarray, Gp: np.ndarray) -> float:
-    """Certified sup-norm eigenvalue movement between ``G`` and ``Gp``.
-
-    The Frobenius norm of the difference bounds the movement of each sorted
-    eigenvalue; so does ``n * max |entry difference|``.  The smaller of the
-    two is returned.
-    """
-    G = np.asarray(G)
-    Gp = np.asarray(Gp)
-    if G.shape != Gp.shape:
-        raise DimensionMismatch(f"shapes {G.shape} and {Gp.shape} differ")
-    E = Gp - G
-    n = G.shape[0]
-    return float(min(np.linalg.norm(E), n * np.max(np.abs(E)) if E.size else 0.0))

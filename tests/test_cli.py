@@ -1,10 +1,15 @@
 """Command-line interface: exit codes, deterministic reruns, file plumbing."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import otiso
 from otiso import (
     RandomModel,
     Tensor3,
@@ -12,7 +17,7 @@ from otiso import (
     format_hypergraph,
     random_hypergraph,
     random_perm_triple,
-    read_witness_json,
+    read_witness,
     relabel,
     sample_haar_triple,
     sample_tensor,
@@ -69,7 +74,7 @@ def test_iso_yes_with_witness_out(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["verdict"] == "yes"
     assert report["residual"] <= report["diagnostics"]["residual_gate"]
-    w = read_witness_json(wpath)
+    w = read_witness(wpath)
     assert verify_witness(a, b, w).residual == report["residual"]
 
 
@@ -98,6 +103,24 @@ def test_iso_no_and_cannot_decide(tmp_path):
     ones = tmp_path / "ones.t3b"
     write_tensor(Tensor3(np.ones((3, 3, 3))), ones)
     assert main(["iso", "--a", str(ones), "--b", str(ones), "--quiet"]) == 2
+
+
+def test_conjugate_pair_is_a_least_squares_no_without_scipy(tmp_path):
+    # a complex tensor and its conjugate share spectra and core moduli, so the phase solve rejects them
+    a = sample_tensor((4, 4, 4), RandomModel("gaussian", "complex", 12))
+    pa, pb = tmp_path / "a.t3b", tmp_path / "b.t3b"
+    write_tensor(a, pa)
+    write_tensor(Tensor3(a.data.conj(), "complex"), pb)
+    script = ("import sys\nfrom otiso.cli import main\n"
+              "code = main(sys.argv[1:])\nprint('scipy' in sys.modules)\nsys.exit(code)")
+    env = dict(os.environ, PYTHONPATH=str(Path(otiso.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script, "iso", "--a", str(pa), "--b", str(pb), "--json"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1, proc.stderr
+    report, scipy_loaded = proc.stdout.splitlines()
+    diagnostics = json.loads(report)["diagnostics"]
+    assert diagnostics["step"] == "phase_system" and diagnostics["solver_path"] == "lstsq"
+    assert scipy_loaded == "False"
 
 
 def test_iso_json_reruns_byte_identical(tmp_path, capsys):

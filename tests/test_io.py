@@ -13,11 +13,7 @@ from otiso import (
     TransformTriple,
     dumps_canonical,
     read_tensor,
-    read_tensor_any,
-    read_tensor_json,
     read_witness,
-    read_witness_any,
-    read_witness_json,
     sample_haar_triple,
     sample_tensor,
     tensor_from_bytes,
@@ -57,7 +53,6 @@ def test_binary_round_trip(tmp_path):
         path = tmp_path / f"{kind}.t3b"
         write_tensor(a, path)
         assert np.array_equal(read_tensor(path).data, a.data)
-        assert np.array_equal(read_tensor_any(path).data, a.data)
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
@@ -113,9 +108,8 @@ def test_json_round_trip(tmp_path):
         a = sample_tensor((2, 3, 2), RandomModel("uniform_pm", kind, seed))
         path = tmp_path / f"{kind}.json"
         write_tensor_json(a, path)
-        b = read_tensor_json(path)
+        b = read_tensor(path)
         assert np.array_equal(b.data, a.data)
-        assert np.array_equal(read_tensor_any(path).data, a.data)
         doc = json.loads(path.read_text())
         assert doc["scalar_kind"] == kind
 
@@ -173,7 +167,7 @@ def test_unparseable_json_is_a_format_error(tmp_path, entry):
     path = tmp_path / "t.json"
     path.write_text('{"format":"t3b-json","version":1,"scalar_kind":"real","dims":[1,1,1],"entries":[%s]}' % entry)
     with pytest.raises(FormatError):
-        read_tensor_json(path)
+        read_tensor(path)
 
 
 def test_dumps_canonical_stable():
@@ -200,12 +194,8 @@ def test_witness_round_trips(tmp_path):
 
         jpath = tmp_path / f"{kind}.wjson"
         write_witness_json(g, jpath)
-        got_j = read_witness_json(jpath)
+        got_j = read_witness(jpath)
         assert all(np.array_equal(got_j[d], g[d]) for d in range(3))
-
-        # sniffing picks the right parser for either file
-        assert all(np.array_equal(read_witness_any(bpath)[d], g[d]) for d in range(3))
-        assert all(np.array_equal(read_witness_any(jpath)[d], g[d]) for d in range(3))
 
 
 def test_witness_format_errors():
