@@ -38,7 +38,7 @@ from .tensor import (
     unitarity_defect,
 )
 from .spectral import SpectralData, eig_hermitian, spectra_close
-from .hosvd import CoreComparison, CoreTensor, PhaseTarget, PhaseTargets, RejectFar, compare_cores, comparison_threshold, core_of
+from .hosvd import CoreComparison, CoreTensor, PhaseTargets, RejectFar, compare_cores, comparison_threshold, core_of
 from .phases import PhaseAssignment, SignAssignment, assemble_witness, solve_phases, solve_signs, wrap_angle
 from .decision import (
     Decision,
@@ -106,7 +106,7 @@ __all__ = [
     "generator", "gram", "haar_factor", "identity_triple", "sample_entries", "sample_haar_triple",
     "sample_tensor", "unflatten", "unitarity_defect",
     "SpectralData", "eig_hermitian", "spectra_close",
-    "CoreComparison", "CoreTensor", "PhaseTarget", "PhaseTargets", "RejectFar", "compare_cores",
+    "CoreComparison", "CoreTensor", "PhaseTargets", "RejectFar", "compare_cores",
     "comparison_threshold", "core_of",
     "PhaseAssignment", "SignAssignment", "assemble_witness", "solve_phases",
     "solve_signs", "wrap_angle",

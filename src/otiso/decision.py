@@ -24,7 +24,7 @@ from .errors import (
     ScalarKindMismatch,
 )
 from .hosvd import CoreComparison, CoreTensor, RejectFar, compare_cores, core_of
-from .phases import PhaseAssignment, SignAssignment, assemble_witness, solve_phases, solve_signs
+from .phases import PhaseAssignment, SignAssignment, assemble_witness, incidence_rank, solve_phases, solve_signs
 from .spectral import spectra_close
 from .tensor import TAU_UNITARY_REL, Tensor3, TransformTriple, apply_action
 
@@ -261,9 +261,11 @@ def _decide(a: Tensor3, b: Tensor3, eps: float | None) -> Decision:
         return Decision("yes", witness, report.residual, gate, diag)
     # A feasible assignment whose witness fails verification means the
     # numerics left the certified regime; refusing to answer is the only
-    # sound option.  With no phase targets at all, nothing pinned the
-    # per-mode gauge, so the identity guess was never evidence.
-    diag["step"] = "underdetermined" if not cmp.phase_targets else "witness_verification"
+    # sound option.  Targets whose incidence has rank below n1+n2+n3-2 leave
+    # some per-mode angle unpinned beyond the gauge, so the solver's guess
+    # there was never evidence.
+    unpinned = incidence_rank(cmp.phase_targets, cmp.dims) < sum(cmp.dims) - 2
+    diag["step"] = "underdetermined" if unpinned else "witness_verification"
     return Decision("cannot_decide", witness, report.residual, gate, diag)
 
 

@@ -38,25 +38,17 @@ class CoreTensor:
 
 
 @dataclass(frozen=True)
-class PhaseTarget:
-    """One per-entry phase constraint: |phi - (alpha_i + beta_j + gamma_k)| < slack."""
-
-    phi: float    # argument of core_b / core_a at the entry, in (-pi, pi]
-    slack: float  # admissible angular deviation, in [0, pi]
-    weight: float  # |core_a| + |core_b| at the entry; used to prioritize anchors
-
-
-@dataclass(frozen=True)
 class PhaseTargets:
-    """A system of :class:`PhaseTarget` constraints as parallel arrays.
+    """Per-entry phase constraints ``|phi - (alpha_i + beta_j + gamma_k)| < slack`` as parallel arrays.
 
     Row ``r`` constrains entry ``idx[r]``; rows are in sorted-key order.
+    This is the one input form of ``solve_signs`` and ``solve_phases``.
     """
 
     idx: np.ndarray     # (m, 3) int64 index triples
-    phi: np.ndarray     # (m,) float64
-    slack: np.ndarray   # (m,) float64
-    weight: np.ndarray  # (m,) float64
+    phi: np.ndarray     # (m,) float64 argument of core_b / core_a at the entry, in (-pi, pi]
+    slack: np.ndarray   # (m,) float64 admissible angular deviation, in [0, pi]
+    weight: np.ndarray  # (m,) float64 |core_a| + |core_b| at the entry; ranks propagation seeds
 
     def __len__(self) -> int:
         return len(self.phi)
@@ -64,13 +56,6 @@ class PhaseTargets:
     def keys(self, rows=None) -> list:
         """Index triples (as int tuples) of the selected rows, all rows by default."""
         return [tuple(k) for k in (self.idx if rows is None else self.idx[rows]).tolist()]
-
-    @classmethod
-    def from_mapping(cls, targets) -> "PhaseTargets":
-        """Arrays from a ``{(i, j, k): PhaseTarget}`` mapping."""
-        keys = sorted(targets)
-        cols = np.array([(targets[k].phi, targets[k].slack, targets[k].weight) for k in keys]).reshape(-1, 3)
-        return cls(np.array(keys, dtype=np.int64).reshape(-1, 3), cols[:, 0], cols[:, 1], cols[:, 2])
 
 
 @dataclass(frozen=True)

@@ -7,28 +7,25 @@ slack in the complex case.  Both systems have a two-parameter gauge freedom
 (shift all alpha by theta and all beta by -theta, and likewise alpha/gamma),
 so solutions are pinned by gauging free directions to zero.
 
-Both solvers work on arrays, one row per target in sorted-key order.  The
-sign system is first propagated from one seed row in batched frontier
-rounds and checked against every row.  Each row has one variable per mode,
-so the row space of any sign system lies in the annihilator of the two
-gauge directions.  A seed that reaches every variable shows the rank is
-``n1 + n2 + n3 - 2``, so the row space is that annihilator and the reduced
-echelon form, with free columns the last beta and the last gamma, is fixed:
-the propagated solution gauged to +1 there is the elimination's answer bit
-for bit.  Otherwise the system is eliminated over GF(2) on rows packed into
-``uint64`` words; only the elimination yields parity certificates.  Pivots
-are kept in reduced echelon form, so a row is reduced by the pivots at its
-own three columns, and rows are reduced a block at a time: each vector pass
-either finds the next pivot or clears a block, which bounds the passes by
-``n1 + n2 + n3`` plus the number of blocks.  The phase system is solved in
-the spirit of angular synchronization (Singer 2011, ACHA 30(1)): batched
-frontier propagation spreads weighted circular means out from the heaviest
-target, the estimates fix every target's integer wrap, and a
-weighted least-squares solve of the ``(n1+n2+n3)``-square normal equations
-refines the angles.  The normal matrix is factored once, by ``eigh``, into
-its minimum-norm pseudo-inverse; the solve and its refinement pass both
-reuse it.  A target the least-squares point misses makes the system
-infeasible.
+Both solvers take the :class:`PhaseTargets` arrays that ``compare_cores``
+builds, one row per target in sorted-key order.  The sign system is first
+propagated from one seed row in batched frontier rounds and checked
+against every row.  Each row has one variable per mode, so the row space
+of any sign system lies in the annihilator of the two gauge directions.  A
+seed that reaches every variable shows the rank is ``n1 + n2 + n3 - 2``,
+so the row space is that annihilator and the reduced echelon form, with
+free columns the last beta and the last gamma, is fixed: the propagated
+solution gauged to +1 there is the elimination's answer bit for bit.
+Otherwise the system is eliminated over GF(2), one row at a time on
+Python-int bit rows; only the elimination yields parity certificates.  The
+phase system is solved in the spirit of angular synchronization (Singer
+2011, ACHA 30(1)): batched frontier propagation spreads weighted circular
+means out from the heaviest target, the estimates fix every target's
+integer wrap, and a weighted least-squares solve of the
+``(n1+n2+n3)``-square normal equations refines the angles.  The normal
+matrix is factored once, by ``eigh``, into its minimum-norm
+pseudo-inverse; the solve and its refinement pass both reuse it.  A target
+the least-squares point misses makes the system infeasible.
 """
 
 from __future__ import annotations
@@ -43,13 +40,6 @@ from .hosvd import CoreTensor, PhaseTargets
 from .tensor import TransformTriple
 
 TWO_PI = 2.0 * math.pi
-
-# A circular residual strictly below (slack - STRICT_TOL) counts as satisfying
-# the strict inequality; anything closer is treated as a violation.
-STRICT_TOL = 1e-12
-
-# Rows reduced per vector pass in the GF(2) sign elimination.
-_GF2_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -93,25 +83,22 @@ def _variables(idx: np.ndarray, dims) -> np.ndarray:
     return idx + np.array([0, dims[0], dims[0] + dims[1]])
 
 
+def _normal_matrix(var: np.ndarray, w: np.ndarray, nvar: int) -> np.ndarray:
+    """``M^T diag(w) M`` for the 0/1 target-variable incidence ``M``."""
+    pairs = (var[:, :, None] * nvar + var[:, None, :]).ravel()
+    return np.bincount(pairs, np.repeat(w, 9), nvar * nvar).reshape(nvar, nvar)
+
+
+def incidence_rank(targets: PhaseTargets, dims) -> int:
+    """Rank of the targets' 0/1 incidence: ``n1 + n2 + n3 - 2`` when they pin every angle up to the gauge."""
+    var = _variables(targets.idx, dims)
+    return int(np.linalg.matrix_rank(_normal_matrix(var, np.ones(len(var)), sum(dims))))
+
+
 def _reject_dead(targets: PhaseTargets, solver_path: str) -> None:
-    dead = targets.slack <= STRICT_TOL
+    dead = targets.slack <= 0.0
     if dead.any():
         raise Infeasible(targets.keys(dead), "targets with zero slack admit no strict solution", solver_path)
-
-
-def _parity_certificate(rows: list) -> list:
-    """Positions of the rows that XOR to zero; ``rows[:-1]`` are independent and span ``rows[-1]``."""
-    basis = {}
-    for pos, coef in enumerate(rows):
-        prov = 1 << pos
-        while coef:
-            col = (coef & -coef).bit_length() - 1
-            if col not in basis:
-                basis[col] = (coef, prov)
-                break
-            coef ^= basis[col][0]
-            prov ^= basis[col][1]
-    return [pos for pos in range(len(rows)) if (prov >> pos) & 1]
 
 
 def _propagate_signs(var: np.ndarray, rhs: np.ndarray, dims) -> np.ndarray | None:
@@ -156,59 +143,51 @@ def _propagate_signs(var: np.ndarray, rhs: np.ndarray, dims) -> np.ndarray | Non
     return np.where(val, -1.0, 1.0)
 
 
-def _eliminate_signs(var: np.ndarray, t: np.ndarray, idx: np.ndarray, nvar: int) -> np.ndarray:
-    """Packed GF(2) elimination in sorted-row order: the signs, or :class:`Infeasible` with a parity certificate."""
-    rhs = t < 0
-    rows = np.zeros((len(t), (nvar + 63) // 64), dtype=np.uint64)
-    for v in var.T:
-        rows[np.arange(len(t)), v >> 6] |= np.left_shift(np.uint64(1), (v & 63).astype(np.uint64))
-    # Pivot rows in reduced echelon form, stored at their pivot column: a
-    # pivot has no bit at any other pivot column, so a row is reduced by
-    # XORing in the pivots at its own three columns.  All-zero rows stand
-    # in for columns without a pivot.
-    piv = np.zeros((nvar, rows.shape[1]), dtype=np.uint64)
-    piv_rhs = np.zeros(nvar, dtype=bool)
-    piv_from = []  # original row of each pivot, in the order found
-    start = 0
-    while start < len(t):
-        block = slice(start, min(start + _GF2_BLOCK, len(t)))
-        vb = var[block]
-        red = rows[block] ^ piv[vb[:, 0]] ^ piv[vb[:, 1]] ^ piv[vb[:, 2]]
-        red_rhs = rhs[block] ^ piv_rhs[vb[:, 0]] ^ piv_rhs[vb[:, 1]] ^ piv_rhs[vb[:, 2]]
-        nonzero = red.any(axis=1)
-        first = int(np.argmax(nonzero)) if nonzero.any() else len(red)
-        # rows before ``first`` are spanned by the pivots so far
-        clash = np.flatnonzero(red_rhs[:first])
-        if clash.size:
-            basis = piv_from + [start + int(clash[0])]
-            orig = [sum(1 << int(v) for v in var[r]) for r in basis]
-            certificate = [tuple(idx[basis[pos]].tolist()) for pos in _parity_certificate(orig)]
-            raise Infeasible(certificate, "sign constraints contain an odd inconsistency cycle", "gf2")
-        if first < len(red):
-            coef = int.from_bytes(red[first].astype("<u8").tobytes(), "little")
-            col = (coef & -coef).bit_length() - 1
-            hit = ((piv[:, col >> 6] >> np.uint64(col & 63)) & np.uint64(1)).astype(bool)
-            piv[hit] ^= red[first]
-            piv_rhs[hit] ^= red_rhs[first]
-            piv[col], piv_rhs[col] = red[first], red_rhs[first]
-            piv_from.append(start + first)
-        start += first + 1 if first < len(red) else len(red)
+def _eliminate_signs(var: np.ndarray, rhs: np.ndarray, idx: np.ndarray, nvar: int) -> np.ndarray:
+    """GF(2) elimination in sorted-row order: the signs, or :class:`Infeasible` with a parity certificate."""
+    # Pivots in reduced echelon form at their pivot column, as [bits, rhs,
+    # provenance]: a pivot has no bit at any other pivot column, so a row is
+    # reduced by the pivots at its own three columns.  Provenance is a bit set
+    # over the pivots found so far (in order) whose rows XOR to that pivot.
+    piv = {}
+    piv_rows = []
+    for row, (cols, bit) in enumerate(zip(var.tolist(), rhs.tolist())):
+        coef, prov = (1 << cols[0]) | (1 << cols[1]) | (1 << cols[2]), 0
+        for c in cols:
+            p = piv.get(c)
+            if p:
+                coef, bit, prov = coef ^ p[0], bit ^ p[1], prov ^ p[2]
+        if not coef:
+            if bit:
+                rows = [r for k, r in enumerate(piv_rows) if prov >> k & 1] + [row]
+                raise Infeasible(
+                    [tuple(k) for k in idx[rows].tolist()], "sign constraints contain an odd inconsistency cycle", "gf2"
+                )
+            continue
+        col = (coef & -coef).bit_length() - 1
+        prov ^= 1 << len(piv_rows)
+        piv_rows.append(row)
+        for p in piv.values():
+            if p[0] >> col & 1:
+                p[0], p[1], p[2] = p[0] ^ coef, p[1] ^ bit, p[2] ^ prov
+        piv[col] = [coef, bit, prov]
     # free variables are +1, so each pivot variable equals its reduced rhs
-    signs = np.where(piv_rhs, -1.0, 1.0)
+    signs = np.ones(nvar)
+    signs[[c for c, p in piv.items() if p[1]]] = -1.0
     # elimination is exact, but verify anyway: a silent solver bug here would
     # poison every YES verdict downstream
-    wrong = np.flatnonzero(signs[var].prod(axis=1) != t)
+    wrong = np.flatnonzero((signs[var].prod(axis=1) < 0) != rhs)
     if wrong.size:
         raise Infeasible([tuple(idx[wrong[0]].tolist())], "internal: eliminated system fails verification", "gf2")
     return signs
 
 
-def solve_signs(targets, dims) -> SignAssignment:
+def solve_signs(targets: PhaseTargets, dims) -> SignAssignment:
     """Solve ``s1(i) s2(j) s3(k) = t`` over {-1, +1} for all targets.
 
-    ``targets`` maps index triples to +-1, or is the :class:`PhaseTargets`
-    of two real cores (sign -1 where ``|phi| > pi/2``; zero-slack targets
-    are infeasible); ``dims`` gives the three vector lengths.  The system is
+    ``targets`` is the :class:`PhaseTargets` of two real cores: the sign
+    ``t`` is -1 where ``|phi| > pi/2``, and zero-slack targets are
+    infeasible.  ``dims`` gives the three vector lengths.  The system is
     linear over GF(2) (sign -1 encodes bit 1).  Rows are taken in sorted-key
     order and each one that is independent of the rows before it becomes a
     pivot at its lowest free column.  When a row reduces to ``0 = 1``, the
@@ -224,20 +203,12 @@ def solve_signs(targets, dims) -> SignAssignment:
     against every row first makes a wrong guess fall back, never return.
     """
     dims = tuple(int(d) for d in dims)
-    if isinstance(targets, PhaseTargets):
-        _reject_dead(targets, "gf2")
-        idx, t = targets.idx, np.where(np.abs(targets.phi) > math.pi / 2, -1, 1)
-    else:
-        keys = sorted(targets)
-        idx, t = np.array(keys, dtype=np.int64).reshape(-1, 3), np.array([targets[k] for k in keys])
-    var = _variables(idx, dims)
-    wrong = np.flatnonzero((t != 1) & (t != -1))
-    if wrong.size:
-        raise ConfigInvalid(f"sign target must be +-1, got {t[wrong[0]].item()!r} at {tuple(idx[wrong[0]].tolist())}")
-    rhs = t < 0
-    signs = _propagate_signs(var, rhs, dims) if len(t) else None
+    _reject_dead(targets, "gf2")
+    var = _variables(targets.idx, dims)
+    rhs = np.abs(targets.phi) > math.pi / 2
+    signs = _propagate_signs(var, rhs, dims) if len(rhs) else None
     if signs is None:
-        signs = _eliminate_signs(var, t, idx, sum(dims))
+        signs = _eliminate_signs(var, rhs, targets.idx, sum(dims))
     return SignAssignment(*np.split(signs, np.cumsum(dims[:2])))
 
 
@@ -279,24 +250,23 @@ def _propagate_estimates(var: np.ndarray, targets: PhaseTargets, nvar: int) -> n
             return est
 
 
-def solve_phases(targets, dims) -> PhaseAssignment:
+def solve_phases(targets: PhaseTargets, dims) -> PhaseAssignment:
     """Recover per-mode angles satisfying every target's strict slack bound.
 
-    ``targets`` is the :class:`PhaseTargets` of two complex cores or a
-    ``{(i,j,k): PhaseTarget}`` mapping; ``dims`` gives the three vector
-    lengths.  Two stages: propagation produces estimates good enough to pin
-    each constraint's integer wrap; with wraps fixed the system is linear,
-    solved by weighted least squares on the normal equations.  The normal
-    matrix is factored once with ``eigh``; its eigenvalues at or below
-    ``lstsq``'s default cutoff (machine epsilon times ``n1+n2+n3`` times the
-    largest) count as zero, which gives the minimum-norm solution
+    ``targets`` is the :class:`PhaseTargets` of two complex cores and
+    ``dims`` gives the three vector lengths; a target is met when its
+    circular residual is strictly below its slack, so a zero-slack target
+    is infeasible.  Two stages: propagation produces estimates good enough
+    to pin each constraint's integer wrap; with wraps fixed the system is
+    linear, solved by weighted least squares on the normal equations.  The
+    normal matrix is factored once with ``eigh``; its eigenvalues at or
+    below ``lstsq``'s default cutoff (machine epsilon times ``n1+n2+n3``
+    times the largest) count as zero, which gives the minimum-norm solution
     ``lstsq(..., rcond=None)`` gives, on both passes (the second refines the
     first on its own residual).  The result is checked against every
     constraint; a miss raises :class:`Infeasible` with the violated keys at
     the least-squares point.
     """
-    if not isinstance(targets, PhaseTargets):
-        targets = PhaseTargets.from_mapping(targets)
     if not len(targets):
         raise ConfigInvalid("at least one phase target is required")
     dims = tuple(int(d) for d in dims)
@@ -310,8 +280,7 @@ def solve_phases(targets, dims) -> PhaseAssignment:
     t_lin = s0 + wrap_angle(targets.phi - s0)
     w = np.maximum(targets.weight, 1e-300)
     # normal equations M^T W M x = M^T W t, M the 0/1 target-variable incidence
-    pairs = (var[:, :, None] * nvar + var[:, None, :]).ravel()
-    gram = np.bincount(pairs, np.repeat(w, 9), nvar * nvar).reshape(nvar, nvar)
+    gram = _normal_matrix(var, w, nvar)
     # the minimum-norm pseudo-inverse, factored once for both passes
     lam, Q = np.linalg.eigh(gram)
     keep = np.abs(lam) > np.finfo(np.float64).eps * nvar * np.max(np.abs(lam))
@@ -321,7 +290,7 @@ def solve_phases(targets, dims) -> PhaseAssignment:
         r = t_lin - (x[var[:, 0]] + x[var[:, 1]] + x[var[:, 2]])
         x = x + Q @ (inv * (Q.T @ np.bincount(var.ravel(), np.repeat(w * r, 3), nvar)))
     resid = np.abs(wrap_angle(targets.phi - (x[var[:, 0]] + x[var[:, 1]] + x[var[:, 2]])))
-    ok = resid < targets.slack - STRICT_TOL
+    ok = resid < targets.slack
     if not bool(np.all(ok)):
         violated = targets.keys(~ok)
         raise Infeasible(violated, f"{len(violated)} phase constraints unsatisfied at the least-squares point", "lstsq")

@@ -221,6 +221,21 @@ def test_zero_targets_are_underdetermined(monkeypatch):
     assert d.diagnostics["solver_path"] == "identity"
     assert decide_isomorphism(a, a).verdict == "yes"
 
+    # a near-diagonal pair leaves 19 targets at n = 12; they touch every
+    # variable, but their incidence has rank 16 of the 34 the gauge allows,
+    # so the unpinned angles, not the numerics, make the witness miss
+    monkeypatch.undo()
+    n = 12
+    rng = np.random.default_rng(0)
+    diag = np.zeros((n, n, n), dtype=complex)
+    diag[np.arange(n), np.arange(n), np.arange(n)] = np.arange(1, n + 1) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+    a = Tensor3(diag + 1e-4 * (rng.standard_normal(diag.shape) + 1j * rng.standard_normal(diag.shape)), "complex")
+    d = decide_isomorphism(a, apply_action(sample_haar_triple((n, n, n), 50, "complex"), a))
+    assert d.verdict == "cannot_decide"
+    assert d.diagnostics["phase_targets"] == 19
+    assert d.diagnostics["step"] == "underdetermined"
+    assert d.diagnostics["solver_path"] == "lstsq"
+
 
 def test_gapped_no_on_small_gap_b():
     # a diagonal B of A's norm whose Gram spectra (the same in all three
@@ -279,7 +294,7 @@ def test_small_common_scale_is_decided_on_the_inputs(kind, k):
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
 @pytest.mark.parametrize("n", [8, 13])
-@pytest.mark.parametrize("k", [16, 20, 24])
+@pytest.mark.parametrize("k", [16, 20, 24, 28, 30, 32])
 def test_large_common_scale_orbit_pair_is_yes(kind, n, k):
     # the slack budget is far below ma*mb here: the slacks must stay
     # positive, or every target is dead and the pair an unsound NO

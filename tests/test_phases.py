@@ -12,7 +12,6 @@ from otiso import (
     DimensionMismatch,
     Infeasible,
     PhaseAssignment,
-    PhaseTarget,
     RandomModel,
     SignAssignment,
     apply_action,
@@ -38,6 +37,18 @@ def all_keys(dims):
     return list(itertools.product(*(range(d) for d in dims)))
 
 
+def phase_targets(rows):
+    """PhaseTargets from ``{(i, j, k): (phi, slack, weight)}``, rows in sorted-key order."""
+    keys = sorted(rows)
+    cols = np.array([rows[k] for k in keys], dtype=np.float64).reshape(-1, 3).T
+    return PhaseTargets(np.array(keys, dtype=np.int64).reshape(-1, 3), *cols)
+
+
+def sign_targets(signs):
+    """A ``{(i, j, k): +-1}`` sign system as PhaseTargets: phi 0 for +1 and pi for -1."""
+    return phase_targets({k: (0.0 if t == 1 else math.pi, 1.0, 1.0) for k, t in signs.items()})
+
+
 def circ_resid(assign, key, phi):
     i, j, k = key
     s = assign.alpha[i] + assign.beta[j] + assign.gamma[k]
@@ -54,7 +65,7 @@ def test_wrap_angle_frozen():
 
 def test_solve_signs_all_positive():
     dims = (2, 2, 2)
-    out = solve_signs({k: 1 for k in all_keys(dims)}, dims)
+    out = solve_signs(sign_targets({k: 1 for k in all_keys(dims)}), dims)
     for v in (out.s1, out.s2, out.s3):
         assert np.array_equal(v, np.ones(2))
 
@@ -63,7 +74,7 @@ def test_solve_signs_product_form_vs_bruteforce():
     dims = (2, 2, 2)
     s1, s2, s3 = (1, -1), (1, 1), (1, -1)
     targets = {(i, j, k): s1[i] * s2[j] * s3[k] for (i, j, k) in all_keys(dims)}
-    out = solve_signs(targets, dims)
+    out = solve_signs(sign_targets(targets), dims)
     for (i, j, k), t in targets.items():
         assert out.s1[i] * out.s2[j] * out.s3[k] == t
     # exhaustive check: every satisfying assignment realizes the same products
@@ -82,7 +93,7 @@ def test_solve_signs_partial_random_systems():
         g1, g2, g3 = (rng.choice([-1, 1], size=d) for d in dims)
         keys = [k for k in all_keys(dims) if rng.random() < 0.4]
         targets = {(i, j, k): int(g1[i] * g2[j] * g3[k]) for (i, j, k) in keys}
-        out = solve_signs(targets, dims)
+        out = solve_signs(sign_targets(targets), dims)
         for (i, j, k), t in targets.items():
             assert out.s1[i] * out.s2[j] * out.s3[k] == t
 
@@ -142,7 +153,7 @@ def test_solve_signs_matches_reference_oracle(system):
         want = reference_solve_signs(targets, dims)
     except Infeasible as exc:
         with pytest.raises(Infeasible) as info:
-            solve_signs(targets, dims)
+            solve_signs(sign_targets(targets), dims)
         cert = info.value.certificate
         assert cert == exc.certificate
         # a parity certificate: every variable an even number of times, targets multiply to -1
@@ -152,7 +163,7 @@ def test_solve_signs_matches_reference_oracle(system):
         assert math.prod(targets[key] for key in cert) == -1
         assert info.value.solver_path == "gf2"
         return
-    out = solve_signs(targets, dims)
+    out = solve_signs(sign_targets(targets), dims)
     for got, ref in zip((out.s1, out.s2, out.s3), want):
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
@@ -160,21 +171,19 @@ def test_solve_signs_matches_reference_oracle(system):
 def test_solve_signs_infeasible_four_cycle():
     targets = {(0, 0, 0): 1, (1, 0, 0): 1, (0, 1, 0): 1, (1, 1, 0): -1}
     with pytest.raises(Infeasible) as info:
-        solve_signs(targets, (2, 2, 2))
+        solve_signs(sign_targets(targets), (2, 2, 2))
     assert sorted(info.value.certificate) == sorted(targets.keys())
 
 
 def test_solve_signs_validation():
-    with pytest.raises(ConfigInvalid):
-        solve_signs({(0, 0, 0): 2}, (1, 1, 1))
     with pytest.raises(DimensionMismatch):
-        solve_signs({(0, 0, 3): 1}, (2, 2, 2))
+        solve_signs(sign_targets({(0, 0, 3): 1}), (2, 2, 2))
 
 
 def test_solve_phases_zero_targets_give_zero_angles():
     dims = (3, 3, 3)
-    targets = {k: PhaseTarget(phi=0.0, slack=0.1, weight=1.0) for k in all_keys(dims)}
-    out = solve_phases(targets, dims)
+    targets = {k: (0.0, 0.1, 1.0) for k in all_keys(dims)}
+    out = solve_phases(phase_targets(targets), dims)
     assert out.max_residual == 0.0
     for v in (out.alpha, out.beta, out.gamma):
         assert np.array_equal(v, np.zeros(3))
@@ -186,13 +195,11 @@ def test_solve_phases_forward_recovery():
     for _ in range(20):
         al, be, ga = (rng.uniform(-np.pi, np.pi, d) for d in dims)
         targets = {
-            (i, j, k): PhaseTarget(
-                phi=float(wrap_angle(al[i] + be[j] + ga[k])), slack=1e-3, weight=1.0
-            )
+            (i, j, k): (float(wrap_angle(al[i] + be[j] + ga[k])), 1e-3, 1.0)
             for (i, j, k) in all_keys(dims)
         }
-        out = solve_phases(targets, dims)
-        worst = max(circ_resid(out, key, t.phi) for key, t in targets.items())
+        out = solve_phases(phase_targets(targets), dims)
+        worst = max(circ_resid(out, key, t[0]) for key, t in targets.items())
         assert worst <= 1e-8
         assert out.max_residual < 1e-3
 
@@ -203,16 +210,14 @@ def test_solve_phases_corrupted_constraint_infeasible():
     for _ in range(10):
         al, be, ga = (rng.uniform(-np.pi, np.pi, d) for d in dims)
         targets = {
-            (i, j, k): PhaseTarget(
-                phi=float(wrap_angle(al[i] + be[j] + ga[k])), slack=0.1, weight=1.0
-            )
+            (i, j, k): (float(wrap_angle(al[i] + be[j] + ga[k])), 0.1, 1.0)
             for (i, j, k) in all_keys(dims)
         }
         bad = tuple(int(rng.integers(0, 3)) for _ in range(3))
-        t = targets[bad]
-        targets[bad] = PhaseTarget(phi=float(wrap_angle(t.phi + np.pi)), slack=t.slack, weight=t.weight)
+        phi, slack, weight = targets[bad]
+        targets[bad] = (float(wrap_angle(phi + np.pi)), slack, weight)
         with pytest.raises(Infeasible) as info:
-            solve_phases(targets, dims)
+            solve_phases(phase_targets(targets), dims)
         assert bad in info.value.certificate
         assert info.value.solver_path == "lstsq"
 
@@ -222,33 +227,31 @@ def test_solve_phases_gauge_invariant_residuals():
     dims = (3, 3, 4)
     al, be, ga = (rng.uniform(-np.pi, np.pi, d) for d in dims)
     targets = {
-        (i, j, k): PhaseTarget(
-            phi=float(wrap_angle(al[i] + be[j] + ga[k])), slack=0.05, weight=1.0
-        )
+        (i, j, k): (float(wrap_angle(al[i] + be[j] + ga[k])), 0.05, 1.0)
         for (i, j, k) in all_keys(dims)
     }
-    out = solve_phases(targets, dims)
+    out = solve_phases(phase_targets(targets), dims)
     theta = 0.7318
     shifted = PhaseAssignment(
         alpha=out.alpha + theta, beta=out.beta - theta, gamma=out.gamma,
         max_residual=out.max_residual,
     )
     for key, t in targets.items():
-        assert abs(circ_resid(out, key, t.phi) - circ_resid(shifted, key, t.phi)) <= 1e-12
+        assert abs(circ_resid(out, key, t[0]) - circ_resid(shifted, key, t[0])) <= 1e-12
 
 
 def noisy_targets(rng, keys, angles, slack, noise):
     al, be, ga = angles
     return {
-        (i, j, k): PhaseTarget(phi=float(wrap_angle(al[i] + be[j] + ga[k] + rng.uniform(-noise, noise))),
-                               slack=slack, weight=float(rng.uniform(0.1, 10.0)))
+        (i, j, k): (float(wrap_angle(al[i] + be[j] + ga[k] + rng.uniform(-noise, noise))), slack,
+                    float(rng.uniform(0.1, 10.0)))
         for (i, j, k) in keys
     }
 
 
 def assert_within_slack(out, targets):
-    for key, t in targets.items():
-        assert circ_resid(out, key, t.phi) < t.slack
+    for key, (phi, slack, _) in targets.items():
+        assert circ_resid(out, key, phi) < slack
 
 
 def test_solve_phases_sparse_masks_reseed():
@@ -263,7 +266,7 @@ def test_solve_phases_sparse_masks_reseed():
         blocks = itertools.chain(itertools.product(range(3), repeat=3), itertools.product(range(3, 5), repeat=3))
         keys = {k for k in blocks if rng.random() < 0.8} | {(0, 0, 0), (3, 3, 3), (2, 5, 5), (2, 5, 6), (6, 6, 7)}
         targets = noisy_targets(rng, keys, angles, slack=0.2, noise=0.02)
-        out = solve_phases(targets, dims)
+        out = solve_phases(phase_targets(targets), dims)
         assert out.solver_path == "lstsq"
         assert_within_slack(out, targets)
         assert abs(float(wrap_angle(out.alpha[5]))) <= 1e-12
@@ -274,7 +277,7 @@ def test_solve_phases_dense_noisy_within_slack():
     for dims in [(4, 5, 3), (6, 6, 6), (9, 7, 8)]:
         angles = [rng.uniform(-np.pi, np.pi, d) for d in dims]
         targets = noisy_targets(rng, all_keys(dims), angles, slack=0.1, noise=0.05)
-        out = solve_phases(targets, dims)
+        out = solve_phases(phase_targets(targets), dims)
         assert out.solver_path == "lstsq"
         assert_within_slack(out, targets)
 
@@ -287,9 +290,9 @@ def test_solve_phases_equivariant_under_gauge():
     angles = [rng.uniform(-np.pi, np.pi, d) for d in dims]
     targets = noisy_targets(rng, all_keys(dims), angles, slack=0.1, noise=0.05)
     u, v, w = (rng.uniform(-np.pi, np.pi, d) for d in dims)
-    moved = {(i, j, k): PhaseTarget(phi=float(wrap_angle(t.phi + u[i] + v[j] + w[k])), slack=t.slack, weight=t.weight)
-             for (i, j, k), t in targets.items()}
-    out, out_moved = solve_phases(targets, dims), solve_phases(moved, dims)
+    moved = {(i, j, k): (float(wrap_angle(phi + u[i] + v[j] + w[k])), slack, weight)
+             for (i, j, k), (phi, slack, weight) in targets.items()}
+    out, out_moved = solve_phases(phase_targets(targets), dims), solve_phases(phase_targets(moved), dims)
     assert_within_slack(out_moved, moved)
     for (i, j, k) in targets:
         fit = out.alpha[i] + out.beta[j] + out.gamma[k]
@@ -413,10 +416,13 @@ def test_decide_isomorphism_yes_on_haar_pairs(kind):
 
 def test_solve_phases_validation():
     with pytest.raises(ConfigInvalid):
-        solve_phases({}, (2, 2, 2))
+        solve_phases(phase_targets({}), (2, 2, 2))
     with pytest.raises(TypeError):
-        solve_phases({(0, 0, 0): PhaseTarget(phi=0.0, slack=0.1, weight=1.0)})
-    dead = {(0, 0, 0): PhaseTarget(phi=0.0, slack=0.0, weight=1.0)}
+        solve_phases(phase_targets({(0, 0, 0): (0.0, 0.1, 1.0)}))
+    # a residual strictly below the slack meets the target, however thin the slack
+    thin = solve_phases(phase_targets({(0, 0, 0): (0.5, 1e-13, 1.0)}), (1, 1, 1))
+    assert thin.max_residual < 1e-13
+    dead = phase_targets({(0, 0, 0): (0.0, 0.0, 1.0)})
     with pytest.raises(Infeasible) as info:
         solve_phases(dead, (1, 1, 1))
     assert (0, 0, 0) in info.value.certificate
@@ -501,7 +507,7 @@ def test_propagated_signs_match_reference_oracle(system):
     var, rhs = _var_rhs(targets, dims)
     fast = _propagate_signs(var, rhs, dims)
     assert fast is not None
-    out = solve_signs(targets, dims)
+    out = solve_signs(sign_targets(targets), dims)
     for got, part, ref in zip((out.s1, out.s2, out.s3), np.split(fast, np.cumsum(dims[:2])),
                               reference_solve_signs(targets, dims)):
         assert got.dtype == ref.dtype and np.array_equal(got, ref) and np.array_equal(part, ref)
@@ -525,7 +531,7 @@ def test_elimination_runs_only_where_propagation_cannot_answer(monkeypatch):
 
     def check(targets, eliminated):
         calls.clear()
-        out = solve_signs(targets, dims)
+        out = solve_signs(sign_targets(targets), dims)
         assert len(calls) == eliminated
         for got, ref in zip((out.s1, out.s2, out.s3), reference_solve_signs(targets, dims)):
             assert np.array_equal(got, ref)
@@ -541,7 +547,7 @@ def test_elimination_runs_only_where_propagation_cannot_answer(monkeypatch):
     bad[(2, 1, 3)] = -bad[(2, 1, 3)]
     calls.clear()
     with pytest.raises(Infeasible) as info:
-        solve_signs(bad, dims)
+        solve_signs(sign_targets(bad), dims)
     assert len(calls) == 1
     with pytest.raises(Infeasible) as want:
         reference_solve_signs(bad, dims)

@@ -1,0 +1,76 @@
+"""Run every decision op of the benchmark workloads through one source tree's CLI.
+
+    python3 tools/equivalence.py SRC SEED [SEED ...] > ops.jsonl
+
+``SRC`` is a checkout (or its ``src/`` directory); ``otiso`` is imported
+from there.  For each seed, the ``iso``, ``dist`` and ``hyper`` ops of every
+workload in ``bench/workloads.py`` are generated exactly as the benchmark
+generates them and passed to ``otiso.cli.main`` in process, one at a time.
+Each op prints one JSON line: workload, seed, label, exit code, stdout,
+stderr and the sha256 of the witness file it wrote (null when none).  The
+work directory's path is replaced by ``$WORK``, so runs of two source trees
+compare with ``diff``.
+"""
+
+from __future__ import annotations
+
+import os
+
+# Single-threaded BLAS, as the benchmark runs; set before numpy is imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import contextlib
+import hashlib
+import importlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import workloads  # noqa: E402
+
+DECISIONS = ("iso", "dist", "hyper")
+
+
+def run_op(cli, op, work: Path) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(op.argv)
+    witness = op.check.get("witness")
+    digest = hashlib.sha256(witness.read_bytes()).hexdigest() if witness and witness.exists() else None
+    return {"label": op.label, "code": code, "stdout": out.getvalue().replace(str(work), "$WORK"),
+            "stderr": err.getvalue().replace(str(work), "$WORK"), "witness_sha256": digest}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("src", type=Path)
+    parser.add_argument("seeds", type=int, nargs="+", metavar="seed")
+    args = parser.parse_args(argv)
+    src = args.src.resolve()
+    if (src / "src" / "otiso").is_dir():
+        src = src / "src"
+    if not (src / "otiso" / "cli.py").is_file():
+        print(f"error: no otiso sources under {src}", file=sys.stderr)
+        return 2
+    sys.path.insert(0, str(src))
+    cli = importlib.import_module("otiso.cli")
+    if not Path(cli.__file__).resolve().is_relative_to(src):
+        print(f"error: imported otiso from {cli.__file__}, not {src}", file=sys.stderr)
+        return 2
+    for seed in args.seeds:
+        for name in workloads.WORKLOADS:
+            with tempfile.TemporaryDirectory() as tmp:
+                work = Path(tmp)
+                for op in workloads.generate(name, seed, work):
+                    if op.argv[0] in DECISIONS:
+                        print(json.dumps({"workload": name, "seed": seed, **run_op(cli, op, work)}), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
