@@ -23,8 +23,8 @@ from .errors import (
     Infeasible,
     ScalarKindMismatch,
 )
-from .hosvd import CoreComparison, CoreTensor, RejectFar, compare_cores, core_of
-from .phases import PhaseAssignment, SignAssignment, assemble_witness, incidence_rank, solve_phases, solve_signs
+from .hosvd import CoreTensor, RejectFar, compare_cores, core_of
+from .phases import Assignment, assemble_witness, incidence_rank, solve_phases, solve_signs
 from .spectral import spectra_close
 from .tensor import TAU_UNITARY_REL, Tensor3, TransformTriple, apply_action
 
@@ -117,23 +117,6 @@ def _spectra_digest(core: CoreTensor) -> list[dict]:
     ]
 
 
-def _identity_assignment(dims, kind):
-    if kind == "complex":
-        return PhaseAssignment(
-            alpha=np.zeros(dims[0]), beta=np.zeros(dims[1]), gamma=np.zeros(dims[2]), max_residual=0.0,
-            solver_path="identity",
-        )
-    return SignAssignment(s1=np.ones(dims[0]), s2=np.ones(dims[1]), s3=np.ones(dims[2]), solver_path="identity")
-
-
-def _solve_assignment(cmp: CoreComparison):
-    """Dispatch on scalar kind: sign system for real cores, phase least squares for complex."""
-    if not cmp.phase_targets:
-        return _identity_assignment(cmp.dims, cmp.scalar_kind)
-    solve = solve_phases if cmp.scalar_kind == "complex" else solve_signs
-    return solve(cmp.phase_targets, cmp.dims)
-
-
 def _validate_pair(a: Tensor3, b: Tensor3):
     if a.dims != b.dims:
         raise DimensionMismatch(f"tensor dims differ: {a.dims} vs {b.dims}")
@@ -144,6 +127,16 @@ def _validate_pair(a: Tensor3, b: Tensor3):
 def _tied_mode(core: CoreTensor):
     """``(mode, min_gap)`` of the first spectrum that is not simple (its eigenbasis is not pinned), else None."""
     return next(((d + 1, float(s.min_gap)) for d, s in enumerate(core.spectra) if not s.simple), None)
+
+
+def _gap(core: CoreTensor) -> float:
+    """The core's smallest spectral gap, capped at its largest Gram eigenvalue.
+
+    No adjacent gap of a PSD spectrum exceeds its top eigenvalue, so the cap
+    only acts when every mode has size 1 and there is no gap at all.
+    """
+    top = max(float(np.max(s.eigenvalues)) for s in core.spectra)
+    return min(core.min_gap, max(top, _TINY))
 
 
 def _decide(a: Tensor3, b: Tensor3, eps: float | None) -> Decision:
@@ -214,10 +207,10 @@ def _decide(a: Tensor3, b: Tensor3, eps: float | None) -> Decision:
                 diag["failed_mode"] = d + 1
                 diag["spectra_tolerance"] = tol
                 return Decision("no", None, None, gate, diag)
-        delta = min(ca.min_gap, cb.min_gap)
+        delta = min(_gap(ca), _gap(cb))
         diag["delta"] = delta
     else:
-        delta = ca.min_gap
+        delta = _gap(ca)
         diag["delta"] = delta
         if not (eps < delta / (4.0 * max(k_norm, _TINY))):
             raise EpsOutOfRange(f"eps={eps} not below delta/(4(|A|+|B|))={delta / (4.0 * max(k_norm, _TINY)):.3e}")
@@ -234,18 +227,24 @@ def _decide(a: Tensor3, b: Tensor3, eps: float | None) -> Decision:
                 diag["failed_gap"] = float(s.min_gap)
                 return Decision("no", None, None, gate, diag)
 
-    cmp = compare_cores(ca, cb, eps, delta)
+    # n = max(dims) is a conservative stand-in for non-cubic dims
+    thr = 2.0 * eps * (n ** 2) * k_norm / delta
+    cmp = compare_cores(ca, cb, thr)
     if isinstance(cmp, RejectFar):
         diag["step"] = "modulus"
         diag["reject_entry"] = list(cmp.entry)
-        diag["reject_threshold"] = cmp.threshold
+        diag["reject_threshold"] = thr
         return Decision("no", None, None, gate, diag)
-    diag["phase_targets"] = len(cmp.phase_targets)
-    diag["threshold_modulus"] = cmp.threshold_used
+    targets = cmp.phase_targets
+    diag["phase_targets"] = len(targets)
+    diag["threshold_modulus"] = thr
     diag["support_ok"] = cmp.support_ok
 
     try:
-        assignment = _solve_assignment(cmp)
+        if not targets:
+            assignment = Assignment(tuple(np.ones(d) for d in a.dims), "identity")
+        else:
+            assignment = (solve_phases if a.scalar_kind == "complex" else solve_signs)(targets, a.dims)
     except Infeasible as exc:
         diag["solver_path"] = exc.solver_path
         diag["step"] = "phase_system"
@@ -264,7 +263,7 @@ def _decide(a: Tensor3, b: Tensor3, eps: float | None) -> Decision:
     # sound option.  Targets whose incidence has rank below n1+n2+n3-2 leave
     # some per-mode angle unpinned beyond the gauge, so the solver's guess
     # there was never evidence.
-    unpinned = incidence_rank(cmp.phase_targets, cmp.dims) < sum(cmp.dims) - 2
+    unpinned = incidence_rank(targets, a.dims) < sum(a.dims) - 2
     diag["step"] = "underdetermined" if unpinned else "witness_verification"
     return Decision("cannot_decide", witness, report.residual, gate, diag)
 

@@ -26,7 +26,6 @@ class CoreTensor:
     core: Tensor3
     bases: tuple[np.ndarray, np.ndarray, np.ndarray]  # eigenvector matrices U1, U2, U3
     spectra: tuple[SpectralData, SpectralData, SpectralData]
-    source_norm: float
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -62,19 +61,15 @@ class PhaseTargets:
 class CoreComparison:
     """Outcome of the entrywise modulus/support screen on two cores."""
 
-    dims: tuple[int, int, int]
-    scalar_kind: str
     support_ok: bool
     phase_targets: PhaseTargets
-    threshold_used: float
 
 
 @dataclass(frozen=True)
 class RejectFar:
-    """Moduli differ beyond the threshold: the pair is certifiably far."""
+    """Moduli differ beyond the threshold at ``entry``: the pair is certifiably far."""
 
     entry: tuple[int, int, int]
-    threshold: float
 
 
 def core_of(a: Tensor3) -> CoreTensor:
@@ -88,36 +83,25 @@ def core_of(a: Tensor3) -> CoreTensor:
     bases = [s.vectors for s in spectra]
     inv = TransformTriple([U.conj().T for U in bases], a.scalar_kind, check=False)
     core = apply_action(inv, a)
-    return CoreTensor(core=core, bases=tuple(bases), spectra=tuple(spectra), source_norm=a.frobenius_norm)
+    return CoreTensor(core=core, bases=tuple(bases), spectra=tuple(spectra))
 
 
-def comparison_threshold(eps: float, n: int, delta: float, k_norm: float) -> float:
-    """Modulus threshold 2*eps*n^2*K/delta used by both the screen and targeting."""
-    return 2.0 * eps * (n ** 2) * k_norm / delta
+def compare_cores(sa: CoreTensor, sb: CoreTensor, thr: float):
+    """Entrywise screen of two cores at modulus threshold ``thr``: :class:`CoreComparison` or :class:`RejectFar`.
 
-
-def compare_cores(sa: CoreTensor, sb: CoreTensor, eps: float, delta: float):
-    """Entrywise screen of two cores; returns a :class:`CoreComparison` or :class:`RejectFar`.
-
-    ``eps`` is the working tolerance and ``delta`` the certified spectral
-    gap.  Entries whose moduli differ by more than the threshold certify the
-    pair far apart.  Entries whose combined modulus clears the threshold get
-    a phase target whose slack is the largest angle that keeps the entry
-    within the budget ``thr^2/2``; a slack of zero marks a constraint
-    nothing can satisfy.
-
-    For non-cubic dims the threshold uses ``n = max(dims)``, a conservative
-    stand-in recorded as such in the comparison.
+    The caller sets ``thr`` (the decision spine derives it from its
+    tolerance and the certified spectral gap); it may be zero or infinite.
+    Entries whose moduli differ by more than ``thr`` certify the pair far
+    apart.  Entries whose combined modulus clears ``thr`` get a phase target
+    whose slack is the largest angle that keeps the entry within the budget
+    ``thr^2/2``; a slack of zero marks a constraint nothing can satisfy.
     """
     if sa.dims != sb.dims:
         raise DimensionMismatch(f"core dims differ: {sa.dims} vs {sb.dims}")
     if sa.core.scalar_kind != sb.core.scalar_kind:
         raise ScalarKindMismatch("cores have different scalar kinds")
-    if not (eps > 0.0) or not (delta > 0.0):
-        raise ValueError("eps and delta must be positive")
-    n = max(sa.dims)
-    k_norm = sa.source_norm + sb.source_norm
-    thr = comparison_threshold(eps, n, delta, k_norm)
+    if not (thr >= 0.0):
+        raise ValueError(f"thr must be non-negative, got {thr!r}")
 
     A = sa.core.data
     B = sb.core.data
@@ -127,7 +111,7 @@ def compare_cores(sa: CoreTensor, sb: CoreTensor, eps: float, delta: float):
     diff = np.abs(mod_a - mod_b)
     worst = np.unravel_index(int(np.argmax(diff)), diff.shape)
     if diff[worst] > thr:
-        return RejectFar(entry=tuple(int(x) for x in worst), threshold=thr)
+        return RejectFar(entry=tuple(int(x) for x in worst))
 
     mask = mod_a + mod_b > thr
     ma, mb = mod_a[mask], mod_b[mask]
@@ -153,9 +137,6 @@ def compare_cores(sa: CoreTensor, sb: CoreTensor, eps: float, delta: float):
         prod.imag = b.imag * a.real - b.real * a.imag
     phi = np.where(ma > 0.0, np.angle(prod), 0.0)
     return CoreComparison(
-        dims=sa.dims,
-        scalar_kind=sa.core.scalar_kind,
         support_ok=bool(np.array_equal(mod_a > thr, mod_b > thr)),
         phase_targets=PhaseTargets(np.argwhere(mask), phi, slack, ma + mb),
-        threshold_used=thr,
     )

@@ -26,6 +26,10 @@ integer wrap, and a weighted least-squares solve of the
 matrix is factored once, by ``eigh``, into its minimum-norm
 pseudo-inverse; the solve and its refinement pass both reuse it.  A target
 the least-squares point misses makes the system infeasible.
+
+Both return one :class:`Assignment`: the three per-mode unit diagonals
+(``+-1.0`` signs, or ``exp(i*angle)`` phases) that ``assemble_witness``
+places between the two eigenbases.
 """
 
 from __future__ import annotations
@@ -43,24 +47,11 @@ TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
-class SignAssignment:
-    """Per-mode sign vectors with entries in {-1, +1}."""
+class Assignment:
+    """Per-mode unit diagonals: real +-1.0 signs or complex unit phases."""
 
-    s1: np.ndarray
-    s2: np.ndarray
-    s3: np.ndarray
-    solver_path: str = "gf2"  # "identity" when no target pinned the gauge
-
-
-@dataclass(frozen=True)
-class PhaseAssignment:
-    """Per-mode angle vectors in [0, 2pi) and the worst circular residual."""
-
-    alpha: np.ndarray
-    beta: np.ndarray
-    gamma: np.ndarray
-    max_residual: float
-    solver_path: str = "lstsq"  # "identity" when no target pinned the gauge
+    diagonals: tuple[np.ndarray, np.ndarray, np.ndarray]
+    solver_path: str  # "gf2" | "lstsq" | "identity" when no target pinned the gauge
 
 
 def wrap_angle(x):
@@ -182,7 +173,7 @@ def _eliminate_signs(var: np.ndarray, rhs: np.ndarray, idx: np.ndarray, nvar: in
     return signs
 
 
-def solve_signs(targets: PhaseTargets, dims) -> SignAssignment:
+def solve_signs(targets: PhaseTargets, dims) -> Assignment:
     """Solve ``s1(i) s2(j) s3(k) = t`` over {-1, +1} for all targets.
 
     ``targets`` is the :class:`PhaseTargets` of two real cores: the sign
@@ -201,6 +192,7 @@ def solve_signs(targets: PhaseTargets, dims) -> SignAssignment:
     the elimination's free columns are the last beta and the last gamma, and
     the unique solution with those two signs +1 is its answer; checking it
     against every row first makes a wrong guess fall back, never return.
+    The diagonals are the ``+-1.0`` sign vectors, on solver path ``"gf2"``.
     """
     dims = tuple(int(d) for d in dims)
     _reject_dead(targets, "gf2")
@@ -209,7 +201,7 @@ def solve_signs(targets: PhaseTargets, dims) -> SignAssignment:
     signs = _propagate_signs(var, rhs, dims) if len(rhs) else None
     if signs is None:
         signs = _eliminate_signs(var, rhs, targets.idx, sum(dims))
-    return SignAssignment(*np.split(signs, np.cumsum(dims[:2])))
+    return Assignment(tuple(np.split(signs, np.cumsum(dims[:2]))), "gf2")
 
 
 def _propagate_estimates(var: np.ndarray, targets: PhaseTargets, nvar: int) -> np.ndarray:
@@ -250,7 +242,7 @@ def _propagate_estimates(var: np.ndarray, targets: PhaseTargets, nvar: int) -> n
             return est
 
 
-def solve_phases(targets: PhaseTargets, dims) -> PhaseAssignment:
+def solve_phases(targets: PhaseTargets, dims) -> Assignment:
     """Recover per-mode angles satisfying every target's strict slack bound.
 
     ``targets`` is the :class:`PhaseTargets` of two complex cores and
@@ -265,7 +257,8 @@ def solve_phases(targets: PhaseTargets, dims) -> PhaseAssignment:
     ``lstsq(..., rcond=None)`` gives, on both passes (the second refines the
     first on its own residual).  The result is checked against every
     constraint; a miss raises :class:`Infeasible` with the violated keys at
-    the least-squares point.
+    the least-squares point.  The diagonals are ``exp(i*angle)`` of the
+    angles taken to [0, 2pi), on solver path ``"lstsq"``.
     """
     if not len(targets):
         raise ConfigInvalid("at least one phase target is required")
@@ -295,36 +288,25 @@ def solve_phases(targets: PhaseTargets, dims) -> PhaseAssignment:
         violated = targets.keys(~ok)
         raise Infeasible(violated, f"{len(violated)} phase constraints unsatisfied at the least-squares point", "lstsq")
 
-    alpha, beta, gamma = (_canonical_angles(part) for part in np.split(x, np.cumsum(dims[:2])))
-    return PhaseAssignment(alpha, beta, gamma, max_residual=float(np.max(resid)))
+    parts = np.split(x, np.cumsum(dims[:2]))
+    return Assignment(tuple(np.exp(1j * _canonical_angles(part)) for part in parts), "lstsq")
 
 
-def assemble_witness(sa: CoreTensor, sb: CoreTensor, assignment) -> TransformTriple:
+def assemble_witness(sa: CoreTensor, sb: CoreTensor, assignment: Assignment) -> TransformTriple:
     """Build the transform triple ``(V1 D1 U1*, V2 D2 U2*, V3 D3 U3*)``.
 
-    ``U_d`` come from ``sa``, ``V_d`` from ``sb``.  For a
-    :class:`PhaseAssignment` the diagonals are ``exp(i*alpha)``,
-    ``exp(i*beta)``, ``exp(i*gamma)``; for a :class:`SignAssignment` they are
-    the sign vectors.  Applying the result to ``sa``'s source tensor lands on
-    ``sb``'s source whenever the assignment satisfied its constraints.
-    Unitarity is not audited here: ``verify_witness`` checks it before any
-    YES, so a non-unitary candidate ends as ``cannot_decide``.
+    ``U_d`` come from ``sa``, ``V_d`` from ``sb`` and ``D_d`` is the
+    assignment's mode-``d`` diagonal; the triple is complex when any factor
+    is.  Applying the result to ``sa``'s source tensor lands on ``sb``'s
+    source whenever the assignment satisfied its constraints.  Unitarity is
+    not audited here: ``verify_witness`` checks it before any YES, so a
+    non-unitary candidate ends as ``cannot_decide``.
     """
     if sa.dims != sb.dims:
         raise DimensionMismatch(f"core dims differ: {sa.dims} vs {sb.dims}")
-    if isinstance(assignment, PhaseAssignment):
-        diags = [np.exp(1j * assignment.alpha), np.exp(1j * assignment.beta), np.exp(1j * assignment.gamma)]
-        kind = "complex"
-    elif isinstance(assignment, SignAssignment):
-        diags = [assignment.s1.astype(np.float64), assignment.s2.astype(np.float64), assignment.s3.astype(np.float64)]
-        kind = "complex" if sa.core.scalar_kind == "complex" else "real"
-    else:
-        raise ConfigInvalid(f"unsupported assignment type {type(assignment).__name__}")
     factors = []
-    for d in range(3):
-        U = sa.bases[d]
-        V = sb.bases[d]
-        if diags[d].shape[0] != U.shape[0]:
-            raise DimensionMismatch(f"assignment length {diags[d].shape[0]} does not match mode-{d + 1} size {U.shape[0]}")
-        factors.append((V * diags[d][np.newaxis, :]) @ U.conj().T)
-    return TransformTriple(factors, scalar_kind=kind, check=False)
+    for mode, (U, V, d) in enumerate(zip(sa.bases, sb.bases, assignment.diagonals), 1):
+        if d.shape[0] != U.shape[0]:
+            raise DimensionMismatch(f"assignment length {d.shape[0]} does not match mode-{mode} size {U.shape[0]}")
+        factors.append((V * d) @ U.conj().T)
+    return TransformTriple(factors, check=False)

@@ -14,9 +14,6 @@ from otiso import (
     RandomModel,
     Tensor3,
     apply_action,
-    format_hypergraph,
-    random_hypergraph,
-    random_perm_triple,
     read_witness,
     relabel,
     sample_haar_triple,
@@ -27,6 +24,7 @@ from otiso import (
     write_tensor_json,
     write_witness_json,
 )
+from otiso.hypergraph import format_hypergraph, random_hypergraph, random_perm_triple
 from otiso.cli import _jsonable, main
 from otiso.decision import Decision
 

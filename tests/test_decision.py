@@ -5,27 +5,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from otiso import (
     ConfigInvalid,
     DimensionMismatch,
     EpsOutOfRange,
-    PhaseTargets,
     RandomModel,
     ScalarKindMismatch,
     Tensor3,
     TransformTriple,
     apply_action,
-    core_of,
     decide_isomorphism,
     decide_orbit_distance,
-    required_bits,
     sample_haar_triple,
     sample_tensor,
-    truncate_bits,
-    truncate_tensor,
     verify_witness,
 )
+from otiso.decision import required_bits, truncate_bits, truncate_tensor
+from otiso.hosvd import PhaseTargets, core_of
 from otiso.tensor import TAU_UNITARY_REL
 
 
@@ -208,9 +206,9 @@ def test_zero_targets_are_underdetermined(monkeypatch):
 
     real_compare = decision.compare_cores
 
-    def no_targets(sa, sb, eps, delta):
+    def no_targets(sa, sb, thr):
         empty = PhaseTargets(np.zeros((0, 3), dtype=np.int64), np.zeros(0), np.zeros(0), np.zeros(0))
-        return dataclasses.replace(real_compare(sa, sb, eps, delta), phase_targets=empty)
+        return dataclasses.replace(real_compare(sa, sb, thr), phase_targets=empty)
 
     monkeypatch.setattr(decision, "compare_cores", no_targets)
     a, b, _ = orbit_pair((6, 6, 6), 87, "real")
@@ -272,6 +270,50 @@ def test_gapped_tied_b_spectrum_is_no_at_gap_b():
     assert d.diagnostics["step"] == "gap_b"
     assert d.diagnostics["failed_mode"] == 1
     assert d.diagnostics["failed_gap"] == 0.0
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_one_by_one_by_one_pairs_are_decided(kind):
+    # every mode has size 1, so no spectrum has a gap; the gap is capped at
+    # the top Gram eigenvalue rather than left infinite, which would zero the
+    # threshold, every slack and the gapped bound, and make every pair a NO
+    def t(x):
+        return Tensor3(np.full((1, 1, 1), x), kind)
+
+    for seed in range(10):
+        a, b, _ = orbit_pair((1, 1, 1), 95 + seed, kind)
+        d = decide_isomorphism(a, b)
+        assert d.verdict == "yes", d.diagnostics
+        assert d.diagnostics["delta"] == pytest.approx(a.frobenius_norm ** 2)
+        g = decide_orbit_distance(a, b, 1e-3 * a.frobenius_norm)
+        assert g.verdict == "yes" and g.residual <= g.gamma_bound
+    assert decide_isomorphism(t(2.0), t(2.0)).verdict == "yes"
+    assert decide_isomorphism(t(0.0), t(0.0)).verdict == "yes"
+    d = decide_isomorphism(t(3.0), t(1.0))
+    assert d.verdict == "no" and d.diagnostics["step"] == "spectra"
+    g = decide_orbit_distance(t(2.0), t(-2.0), 1e-3)
+    assert g.verdict == "yes" and g.gamma_bound == pytest.approx(8e-3)
+    g = decide_orbit_distance(t(2.0), t(-2.5), 1e-3)
+    assert g.verdict == "no" and g.diagnostics["step"] == "norm"
+
+
+@given(
+    dims=st.tuples(*(st.integers(1, 8) for _ in range(3))),
+    kind=st.sampled_from(["real", "complex"]),
+    distribution=st.sampled_from(["gaussian", "rademacher", "uniform_pm"]),
+    seed=st.integers(0, 2 ** 32),
+)
+@example(dims=(1, 1, 1), kind="real", distribution="gaussian", seed=0)
+@example(dims=(1, 1, 1), kind="complex", distribution="gaussian", seed=0)
+def test_orbit_pairs_are_never_no_and_independent_pairs_never_yes(dims, kind, distribution, seed):
+    # the README contract on any dims the types accept, in either order
+    a = sample_tensor(dims, RandomModel(distribution, kind, seed))
+    orbit = apply_action(sample_haar_triple(dims, seed + 1, kind), a)
+    independent = sample_tensor(dims, RandomModel("gaussian", kind, seed + 2))
+    for b, never in ((orbit, "no"), (independent, "yes")):
+        d = decide_isomorphism(a, b)
+        assert d.verdict != never, (d.verdict, d.diagnostics)
+        assert decide_isomorphism(b, a).verdict == d.verdict
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])

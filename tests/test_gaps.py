@@ -12,22 +12,22 @@ from otiso import (
     GapReport,
     RandomModel,
     Tensor3,
-    TrialRecord,
-    bound_probability,
-    eig_hermitian,
     emit_csv,
-    gap_target,
-    generator,
-    gram,
-    log_slope,
     read_csv,
     run_gap_experiment,
     run_tensor_gram_experiment,
-    sample_entries,
     sample_tensor,
+)
+from otiso.gaps import (
+    TrialRecord,
+    bound_probability,
+    gap_target,
+    log_slope,
     survival_curve,
     tensor_gap_target,
 )
+from otiso.spectral import eig_hermitian
+from otiso.tensor import generator, gram, sample_entries
 from otiso.gaps import BETA_CALIBRATED, BETA_EXPERIMENT, _spectrum_record
 
 GAUSS = RandomModel("gaussian", "real", 2024)

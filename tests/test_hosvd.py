@@ -4,25 +4,26 @@ import numpy as np
 import pytest
 
 from otiso import (
-    CoreComparison,
-    CoreTensor,
     DimensionMismatch,
     RandomModel,
-    RejectFar,
     Tensor3,
     apply_action,
-    compare_cores,
-    comparison_threshold,
-    core_of,
-    eig_hermitian,
-    gram,
+    decide_isomorphism,
     sample_haar_triple,
     sample_tensor,
 )
+from otiso.hosvd import CoreComparison, CoreTensor, RejectFar, compare_cores, core_of
+from otiso.spectral import eig_hermitian
+from otiso.tensor import gram
 
 
 def offdiag_norm(M):
     return float(np.linalg.norm(M - np.diag(np.diag(M))))
+
+
+def spine_threshold(eps, n, k_norm, delta):
+    """The modulus threshold ``2 eps n^2 K / delta`` the decision spine hands ``compare_cores``."""
+    return 2.0 * eps * (n ** 2) * k_norm / delta
 
 
 def test_core_norm_preserved_and_all_orthogonal():
@@ -30,7 +31,6 @@ def test_core_norm_preserved_and_all_orthogonal():
         a = sample_tensor((5, 4, 6), RandomModel("gaussian", kind, seed))
         ct = core_of(a)
         assert abs(ct.core.frobenius_norm - a.frobenius_norm) <= 1e-10 * a.frobenius_norm
-        assert ct.source_norm == a.frobenius_norm
         tol = 1e-8 * a.frobenius_norm ** 2
         for mode in (1, 2, 3):
             assert offdiag_norm(gram(ct.core, mode)) <= tol
@@ -53,14 +53,25 @@ def test_core_spectra_match_across_orbit():
 
 
 def test_comparison_threshold_formula():
-    # 2 eps n^2 K / delta
-    assert comparison_threshold(0.5, 2, 4.0, 3.0) == 2 * 0.5 * 4 * 3.0 / 4.0
+    # the spine's threshold is 2 eps n^2 K / delta with n = max(dims), and
+    # compare_cores at that threshold yields the targets the decision counted
+    a = sample_tensor((5, 3, 4), RandomModel("gaussian", "real", 44))
+    b = apply_action(sample_haar_triple((5, 3, 4), 45, "real"), a)
+    d = decide_isomorphism(a, b)
+    g = d.diagnostics
+    assert d.verdict == "yes"
+    k_norm = a.frobenius_norm + b.frobenius_norm
+    assert g["eps"] == 1e-8 * k_norm
+    assert g["threshold_modulus"] == 2 * g["eps"] * 5 ** 2 * k_norm / g["delta"]
+    cmp = compare_cores(core_of(a), core_of(b), g["threshold_modulus"])
+    assert len(cmp.phase_targets) == g["phase_targets"] > 0
 
 
 def test_compare_identical_cores():
     a = sample_tensor((4, 4, 4), RandomModel("gaussian", "complex", 45))
     ct = core_of(a)
-    cmp = compare_cores(ct, ct, eps=1e-8, delta=ct.min_gap)
+    thr = spine_threshold(1e-8, 4, 2 * a.frobenius_norm, ct.min_gap)
+    cmp = compare_cores(ct, ct, thr)
     assert isinstance(cmp, CoreComparison)
     assert cmp.support_ok
     assert len(cmp.phase_targets) > 0
@@ -69,7 +80,7 @@ def test_compare_identical_cores():
     assert np.all(pt.phi == 0.0)
     assert np.all((0.0 < pt.slack) & (pt.slack <= np.pi))
     # targets exist exactly where |Sa| + |Sb| clears the threshold, in sorted-key order
-    assert pt.keys() == sorted(map(tuple, np.argwhere(2 * np.abs(ct.core.data) > cmp.threshold_used).tolist()))
+    assert pt.keys() == sorted(map(tuple, np.argwhere(2 * np.abs(ct.core.data) > thr).tolist()))
 
 
 def test_compare_scaled_entry_rejects_far():
@@ -78,13 +89,13 @@ def test_compare_scaled_entry_rejects_far():
     scaled = np.array(ct.core.data)
     assert abs(scaled[0, 0, 0]) > 1e-8
     scaled[0, 0, 0] *= 10.0
-    other = CoreTensor(core=Tensor3(scaled), bases=ct.bases, spectra=ct.spectra,
-                       source_norm=float(np.linalg.norm(scaled)))
-    out = compare_cores(ct, other, eps=1e-8, delta=ct.min_gap)
+    other = CoreTensor(core=Tensor3(scaled), bases=ct.bases, spectra=ct.spectra)
+    thr = spine_threshold(1e-8, 3, a.frobenius_norm + float(np.linalg.norm(scaled)), ct.min_gap)
+    out = compare_cores(ct, other, thr)
     assert isinstance(out, RejectFar)
     assert out.entry == (0, 0, 0)
     mod_a, mod_b = abs(ct.core.data[out.entry]), abs(other.core.data[out.entry])
-    assert abs(mod_a - mod_b) > out.threshold
+    assert abs(mod_a - mod_b) > thr
 
 
 def test_forward_phase_recovery():
@@ -93,9 +104,8 @@ def test_forward_phase_recovery():
     rng = np.random.default_rng(48)
     al, be, ga = (rng.uniform(-np.pi, np.pi, d) for d in ct.dims)
     phase = np.exp(1j * (al[:, None, None] + be[None, :, None] + ga[None, None, :]))
-    other = CoreTensor(core=Tensor3(ct.core.data * phase), bases=ct.bases,
-                       spectra=ct.spectra, source_norm=ct.source_norm)
-    cmp = compare_cores(ct, other, eps=1e-6, delta=ct.min_gap)
+    other = CoreTensor(core=Tensor3(ct.core.data * phase), bases=ct.bases, spectra=ct.spectra)
+    cmp = compare_cores(ct, other, spine_threshold(1e-6, 5, 2 * a.frobenius_norm, ct.min_gap))
     assert isinstance(cmp, CoreComparison)
     assert len(cmp.phase_targets) > 0
     i, j, k = cmp.phase_targets.idx.T
@@ -108,7 +118,7 @@ def test_isomorphy_transfer_moduli_agree():
     a = sample_tensor((4, 4, 4), RandomModel("gaussian", "complex", 49))
     b = apply_action(sample_haar_triple((4, 4, 4), 50, "complex"), a)
     ca, cb = core_of(a), core_of(b)
-    cmp = compare_cores(ca, cb, eps=1e-7, delta=min(ca.min_gap, cb.min_gap))
+    cmp = compare_cores(ca, cb, spine_threshold(1e-7, 4, a.frobenius_norm + b.frobenius_norm, min(ca.min_gap, cb.min_gap)))
     assert isinstance(cmp, CoreComparison)
     for key in cmp.phase_targets.keys():
         ma, mb = abs(ca.core.data[key]), abs(cb.core.data[key])
@@ -119,23 +129,32 @@ def test_compare_cores_validates():
     a = core_of(sample_tensor((3, 3, 3), RandomModel("gaussian", "real", 51)))
     b = core_of(sample_tensor((3, 3, 4), RandomModel("gaussian", "real", 52)))
     with pytest.raises(DimensionMismatch):
-        compare_cores(a, b, eps=1e-6, delta=1.0)
+        compare_cores(a, b, 1.0)
+    # a zero or infinite threshold is a valid screen; a negative or NaN one is not
+    for thr in (0.0, np.inf):
+        assert isinstance(compare_cores(a, a, thr), CoreComparison)
+    for thr in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="non-negative"):
+            compare_cores(a, a, thr)
 
 
 def test_compare_cores_overflowing_budget_is_infinite():
-    # at scale 1e80, eps = 1e156 overflows eps ** 2 while the modulus
-    # threshold, and with it the budget thr^2/2, stays finite; a delta of
-    # 1e-170 underflows delta ** 2 to zero.  Neither may raise, and each
-    # slack must solve the law of cosines for the finite budget
+    # at scale 1e80, the spine's threshold at eps = 1e156 stays finite (about
+    # 5e78, as does the budget thr^2/2) though eps ** 2 would overflow, and
+    # eps = 1e90 over a delta of 1e-170 overflows it to inf.  Neither may
+    # raise, and each slack must solve the law of cosines for the finite budget
     a = Tensor3(sample_tensor((4, 4, 4), RandomModel("gaussian", "real", 53)).data * 1e80, "real")
     b = apply_action(sample_haar_triple((4, 4, 4), 54, "real"), a)
     with np.errstate(over="ignore"):  # the Gram norms of the backward errors overflow
         ca, cb = core_of(a), core_of(b)
-    cmp = compare_cores(ca, cb, eps=1e156, delta=min(ca.min_gap, cb.min_gap))
+    k_norm = a.frobenius_norm + b.frobenius_norm
+    thr = spine_threshold(1e156, 4, k_norm, min(ca.min_gap, cb.min_gap))
+    cmp = compare_cores(ca, cb, thr)
     assert isinstance(cmp, CoreComparison) and len(cmp.phase_targets) > 0
     t = cmp.phase_targets
     ma, mb = (np.abs(c.core.data[tuple(t.idx.T)]) for c in (ca, cb))
-    budget = cmp.threshold_used ** 2 / 2.0
+    budget = thr ** 2 / 2.0
     assert np.all((t.slack > 0.0) & (t.slack < np.pi))
     np.testing.assert_allclose((ma - mb) ** 2 + 4.0 * ma * mb * np.sin(t.slack / 2.0) ** 2, budget, rtol=1e-12)
-    assert isinstance(compare_cores(ca, cb, eps=1e90, delta=1e-170), CoreComparison)
+    huge = spine_threshold(1e90, 4, k_norm, 1e-170)
+    assert huge == np.inf and isinstance(compare_cores(ca, cb, huge), CoreComparison)

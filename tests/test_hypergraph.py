@@ -11,15 +11,17 @@ from otiso import (
     FormatError,
     PermTriple,
     TripartiteHypergraph,
-    adjacency_tensor,
     decide_hypergraph_iso,
+    read_hypergraph,
+    relabel,
+    write_hypergraph,
+)
+from otiso.hypergraph import (
+    adjacency_tensor,
     format_hypergraph,
     parse_hypergraph,
     random_hypergraph,
     random_perm_triple,
-    read_hypergraph,
-    relabel,
-    write_hypergraph,
 )
 from otiso.hypergraph import AMBIGUITY_MARGIN, _match_rows, _signed_match_defect
 

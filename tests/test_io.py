@@ -11,11 +11,17 @@ from otiso import (
     RandomModel,
     Tensor3,
     TransformTriple,
-    dumps_canonical,
     read_tensor,
     read_witness,
     sample_haar_triple,
     sample_tensor,
+    write_tensor,
+    write_tensor_json,
+    write_witness,
+    write_witness_json,
+)
+from otiso.io import (
+    dumps_canonical,
     tensor_from_bytes,
     tensor_from_json_obj,
     tensor_to_bytes,
@@ -24,10 +30,6 @@ from otiso import (
     witness_from_json_obj,
     witness_to_bytes,
     witness_to_json_obj,
-    write_tensor,
-    write_tensor_json,
-    write_witness,
-    write_witness_json,
 )
 
 

@@ -11,26 +11,26 @@ from otiso import (
     ConfigInvalid,
     DimensionMismatch,
     Infeasible,
-    PhaseAssignment,
     RandomModel,
-    SignAssignment,
     apply_action,
-    assemble_witness,
-    compare_cores,
-    core_of,
     decide_isomorphism,
-    identity_triple,
     sample_haar_triple,
     sample_tensor,
+)
+from otiso import phases
+from otiso.cli import main
+from otiso.hosvd import PhaseTargets, compare_cores, core_of
+from otiso.io import write_tensor
+from otiso.phases import (
+    Assignment,
+    _propagate_estimates,
+    _propagate_signs,
+    _variables,
+    assemble_witness,
     solve_phases,
     solve_signs,
     wrap_angle,
 )
-from otiso import phases
-from otiso.cli import main
-from otiso.hosvd import PhaseTargets
-from otiso.io import write_tensor
-from otiso.phases import _propagate_estimates, _propagate_signs, _variables
 
 
 def all_keys(dims):
@@ -49,10 +49,20 @@ def sign_targets(signs):
     return phase_targets({k: (0.0 if t == 1 else math.pi, 1.0, 1.0) for k, t in signs.items()})
 
 
+def diagonal_angles(assign):
+    """The per-mode angles of an assignment's unit diagonals."""
+    return tuple(np.angle(d) for d in assign.diagonals)
+
+
 def circ_resid(assign, key, phi):
-    i, j, k = key
-    s = assign.alpha[i] + assign.beta[j] + assign.gamma[k]
-    return abs(float(wrap_angle(s - phi)))
+    (i, j, k), (alpha, beta, gamma) = key, diagonal_angles(assign)
+    return abs(float(wrap_angle(alpha[i] + beta[j] + gamma[k] - phi)))
+
+
+def max_residual(assign, targets):
+    """Worst circular residual over ``targets`` (PhaseTargets), from the diagonals' angles."""
+    (i, j, k), (alpha, beta, gamma) = targets.idx.T, diagonal_angles(assign)
+    return float(np.max(np.abs(wrap_angle(alpha[i] + beta[j] + gamma[k] - targets.phi))))
 
 
 def test_wrap_angle_frozen():
@@ -66,7 +76,8 @@ def test_wrap_angle_frozen():
 def test_solve_signs_all_positive():
     dims = (2, 2, 2)
     out = solve_signs(sign_targets({k: 1 for k in all_keys(dims)}), dims)
-    for v in (out.s1, out.s2, out.s3):
+    assert out.solver_path == "gf2"
+    for v in out.diagonals:
         assert np.array_equal(v, np.ones(2))
 
 
@@ -74,9 +85,9 @@ def test_solve_signs_product_form_vs_bruteforce():
     dims = (2, 2, 2)
     s1, s2, s3 = (1, -1), (1, 1), (1, -1)
     targets = {(i, j, k): s1[i] * s2[j] * s3[k] for (i, j, k) in all_keys(dims)}
-    out = solve_signs(sign_targets(targets), dims)
+    o1, o2, o3 = solve_signs(sign_targets(targets), dims).diagonals
     for (i, j, k), t in targets.items():
-        assert out.s1[i] * out.s2[j] * out.s3[k] == t
+        assert o1[i] * o2[j] * o3[k] == t
     # exhaustive check: every satisfying assignment realizes the same products
     sols = 0
     for bits in itertools.product((1, -1), repeat=6):
@@ -93,9 +104,9 @@ def test_solve_signs_partial_random_systems():
         g1, g2, g3 = (rng.choice([-1, 1], size=d) for d in dims)
         keys = [k for k in all_keys(dims) if rng.random() < 0.4]
         targets = {(i, j, k): int(g1[i] * g2[j] * g3[k]) for (i, j, k) in keys}
-        out = solve_signs(sign_targets(targets), dims)
+        o1, o2, o3 = solve_signs(sign_targets(targets), dims).diagonals
         for (i, j, k), t in targets.items():
-            assert out.s1[i] * out.s2[j] * out.s3[k] == t
+            assert o1[i] * o2[j] * o3[k] == t
 
 
 def reference_solve_signs(targets, dims):
@@ -164,7 +175,7 @@ def test_solve_signs_matches_reference_oracle(system):
         assert info.value.solver_path == "gf2"
         return
     out = solve_signs(sign_targets(targets), dims)
-    for got, ref in zip((out.s1, out.s2, out.s3), want):
+    for got, ref in zip(out.diagonals, want):
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
 
@@ -182,11 +193,12 @@ def test_solve_signs_validation():
 
 def test_solve_phases_zero_targets_give_zero_angles():
     dims = (3, 3, 3)
-    targets = {k: (0.0, 0.1, 1.0) for k in all_keys(dims)}
-    out = solve_phases(phase_targets(targets), dims)
-    assert out.max_residual == 0.0
-    for v in (out.alpha, out.beta, out.gamma):
-        assert np.array_equal(v, np.zeros(3))
+    targets = phase_targets({k: (0.0, 0.1, 1.0) for k in all_keys(dims)})
+    out = solve_phases(targets, dims)
+    assert out.solver_path == "lstsq"
+    assert max_residual(out, targets) == 0.0
+    for v in out.diagonals:
+        assert np.array_equal(v, np.ones(3)) and np.iscomplexobj(v)
 
 
 def test_solve_phases_forward_recovery():
@@ -201,7 +213,7 @@ def test_solve_phases_forward_recovery():
         out = solve_phases(phase_targets(targets), dims)
         worst = max(circ_resid(out, key, t[0]) for key, t in targets.items())
         assert worst <= 1e-8
-        assert out.max_residual < 1e-3
+        assert max_residual(out, phase_targets(targets)) < 1e-3
 
 
 def test_solve_phases_corrupted_constraint_infeasible():
@@ -232,10 +244,8 @@ def test_solve_phases_gauge_invariant_residuals():
     }
     out = solve_phases(phase_targets(targets), dims)
     theta = 0.7318
-    shifted = PhaseAssignment(
-        alpha=out.alpha + theta, beta=out.beta - theta, gamma=out.gamma,
-        max_residual=out.max_residual,
-    )
+    d1, d2, d3 = out.diagonals
+    shifted = Assignment((d1 * np.exp(1j * theta), d2 * np.exp(-1j * theta), d3), out.solver_path)
     for key, t in targets.items():
         assert abs(circ_resid(out, key, t[0]) - circ_resid(shifted, key, t[0])) <= 1e-12
 
@@ -269,7 +279,7 @@ def test_solve_phases_sparse_masks_reseed():
         out = solve_phases(phase_targets(targets), dims)
         assert out.solver_path == "lstsq"
         assert_within_slack(out, targets)
-        assert abs(float(wrap_angle(out.alpha[5]))) <= 1e-12
+        assert abs(float(diagonal_angles(out)[0][5])) <= 1e-12
 
 
 def test_solve_phases_dense_noisy_within_slack():
@@ -294,9 +304,10 @@ def test_solve_phases_equivariant_under_gauge():
              for (i, j, k), (phi, slack, weight) in targets.items()}
     out, out_moved = solve_phases(phase_targets(targets), dims), solve_phases(phase_targets(moved), dims)
     assert_within_slack(out_moved, moved)
+    (a1, b1, g1), (a2, b2, g2) = diagonal_angles(out), diagonal_angles(out_moved)
     for (i, j, k) in targets:
-        fit = out.alpha[i] + out.beta[j] + out.gamma[k]
-        fit_moved = out_moved.alpha[i] + out_moved.beta[j] + out_moved.gamma[k]
+        fit = a1[i] + b1[j] + g1[k]
+        fit_moved = a2[i] + b2[j] + g2[k]
         assert abs(float(wrap_angle(fit_moved - fit - u[i] - v[j] - w[k]))) <= 1e-9
 
 
@@ -375,7 +386,7 @@ def test_factored_solve_matches_two_pass_lstsq():
         out = solve_phases(targets, dims)
         assert ref < 0.3 and out.solver_path == "lstsq"
         # a few ulps of pi absolute, for systems that both solvers fit exactly
-        assert out.max_residual <= 1.05 * ref + 8 * np.spacing(np.pi)
+        assert max_residual(out, targets) <= 1.05 * ref + 8 * np.spacing(np.pi)
         cases += ref > 1e-3
     assert cases >= 40
 
@@ -420,8 +431,8 @@ def test_solve_phases_validation():
     with pytest.raises(TypeError):
         solve_phases(phase_targets({(0, 0, 0): (0.0, 0.1, 1.0)}))
     # a residual strictly below the slack meets the target, however thin the slack
-    thin = solve_phases(phase_targets({(0, 0, 0): (0.5, 1e-13, 1.0)}), (1, 1, 1))
-    assert thin.max_residual < 1e-13
+    thin = phase_targets({(0, 0, 0): (0.5, 1e-13, 1.0)})
+    assert max_residual(solve_phases(thin, (1, 1, 1)), thin) < 1e-13
     dead = phase_targets({(0, 0, 0): (0.0, 0.0, 1.0)})
     with pytest.raises(Infeasible) as info:
         solve_phases(dead, (1, 1, 1))
@@ -431,16 +442,16 @@ def test_solve_phases_validation():
 def test_assemble_witness_identity_and_signs():
     a = sample_tensor((2, 2, 2), RandomModel("gaussian", "real", 64))
     ct = core_of(a)
-    eye_ct = type(ct)(core=a, bases=tuple(np.eye(2) for _ in range(3)),
-                      spectra=ct.spectra, source_norm=a.frobenius_norm)
-    zero_phase = PhaseAssignment(alpha=np.zeros(2), beta=np.zeros(2), gamma=np.zeros(2), max_residual=0.0)
+    eye_ct = type(ct)(core=a, bases=tuple(np.eye(2) for _ in range(3)), spectra=ct.spectra)
+    zero_phase = Assignment(tuple(np.exp(1j * np.zeros(2)) for _ in range(3)), "lstsq")
     w = assemble_witness(eye_ct, eye_ct, zero_phase)
     for d in range(3):
         assert np.allclose(w[d], np.eye(2), atol=1e-15)
     assert w.scalar_kind == "complex"
 
-    flip = SignAssignment(s1=-np.ones(2), s2=-np.ones(2), s3=-np.ones(2))
+    flip = Assignment(tuple(-np.ones(2) for _ in range(3)), "gf2")
     w2 = assemble_witness(eye_ct, eye_ct, flip)
+    assert w2.scalar_kind == "real"
     for d in range(3):
         assert np.array_equal(w2[d], -np.eye(2))
     acted = apply_action(w2, a)
@@ -453,11 +464,9 @@ def test_assemble_witness_end_to_end():
         g = sample_haar_triple((4, 4, 4), seed + 100, kind)
         b = apply_action(g, a)
         ca, cb = core_of(a), core_of(b)
-        cmp = compare_cores(ca, cb, eps=1e-8, delta=min(ca.min_gap, cb.min_gap))
-        if kind == "real":
-            assignment = solve_signs(cmp.phase_targets, ca.dims)
-        else:
-            assignment = solve_phases(cmp.phase_targets, cmp.dims)
+        eps, k_norm = 1e-8, a.frobenius_norm + b.frobenius_norm
+        cmp = compare_cores(ca, cb, 2.0 * eps * 4 ** 2 * k_norm / min(ca.min_gap, cb.min_gap))
+        assignment = (solve_signs if kind == "real" else solve_phases)(cmp.phase_targets, ca.dims)
         w = assemble_witness(ca, cb, assignment)
         res = np.linalg.norm(apply_action(w, a.astype_kind(w.scalar_kind)).data - b.astype_kind(w.scalar_kind).data)
         assert res <= 1e-6 * a.frobenius_norm
@@ -465,10 +474,8 @@ def test_assemble_witness_end_to_end():
 
 def test_assemble_witness_validation():
     a = core_of(sample_tensor((2, 2, 2), RandomModel("gaussian", "real", 67)))
-    with pytest.raises(ConfigInvalid):
-        assemble_witness(a, a, identity_triple((2, 2, 2), "real"))
-    short = PhaseAssignment(alpha=np.zeros(3), beta=np.zeros(2), gamma=np.zeros(2), max_residual=0.0)
-    with pytest.raises(DimensionMismatch):
+    short = Assignment((np.ones(3), np.ones(2), np.ones(2)), "identity")
+    with pytest.raises(DimensionMismatch, match="mode-1"):
         assemble_witness(a, a, short)
 
 
@@ -508,7 +515,7 @@ def test_propagated_signs_match_reference_oracle(system):
     fast = _propagate_signs(var, rhs, dims)
     assert fast is not None
     out = solve_signs(sign_targets(targets), dims)
-    for got, part, ref in zip((out.s1, out.s2, out.s3), np.split(fast, np.cumsum(dims[:2])),
+    for got, part, ref in zip(out.diagonals, np.split(fast, np.cumsum(dims[:2])),
                               reference_solve_signs(targets, dims)):
         assert got.dtype == ref.dtype and np.array_equal(got, ref) and np.array_equal(part, ref)
 
@@ -533,7 +540,7 @@ def test_elimination_runs_only_where_propagation_cannot_answer(monkeypatch):
         calls.clear()
         out = solve_signs(sign_targets(targets), dims)
         assert len(calls) == eliminated
-        for got, ref in zip((out.s1, out.s2, out.s3), reference_solve_signs(targets, dims)):
+        for got, ref in zip(out.diagonals, reference_solve_signs(targets, dims)):
             assert np.array_equal(got, ref)
 
     check(system(all_keys(dims)), eliminated=0)

@@ -8,12 +8,11 @@ from otiso import (
     NonHermitianInput,
     RandomModel,
     apply_action,
-    eig_hermitian,
-    gram,
     sample_haar_triple,
     sample_tensor,
-    spectra_close,
 )
+from otiso.spectral import eig_hermitian, spectra_close
+from otiso.tensor import gram
 from otiso.spectral import DEGENERACY_REL, _fix_column_phases
 
 

@@ -17,14 +17,10 @@ from otiso import (
     Tensor3,
     TransformTriple,
     apply_action,
-    flatten,
-    gram,
-    identity_triple,
     sample_haar_triple,
     sample_tensor,
-    unflatten,
-    unitarity_defect,
 )
+from otiso.tensor import flatten, gram, identity_triple, unflatten, unitarity_defect
 
 
 def naive_action(L, R, T, a):
