@@ -1,12 +1,13 @@
 """Orbit decision procedures: exact isomorphism testing and gapped orbit distance.
 
 Both modes run one shared spine (``_decide``): eigendecompose the six mode
-Grams, bail out when a spectrum is too degenerate to pin its eigenbasis,
-compare cores entrywise, recover per-mode signs/phases, assemble a candidate
-transform, and re-verify it directly against the input tensors.  The entry
-point picks the mode and takes only the paper's inputs: the two tensors,
-plus ``eps`` in gapped mode.  A YES is never returned on the pipeline's
-say-so alone; the recomputed residual must clear the certified bound.
+Grams in one stacked pass, bail out when a spectrum is too degenerate to pin
+its eigenbasis, compare cores entrywise, recover per-mode signs/phases,
+assemble a candidate transform, and re-verify it directly against the input
+tensors.  The entry point picks the mode and takes only the paper's inputs:
+the two tensors, plus ``eps`` in gapped mode.  A YES is never returned on
+the pipeline's say-so alone; the recomputed residual must clear the
+certified bound.
 """
 
 from __future__ import annotations
@@ -184,10 +185,10 @@ def _decide(a: Tensor3, b: Tensor3, eps: float | None) -> Decision:
             diag["step"] = "norm"
             return Decision("no", None, None, None, diag)
 
-    ca = core_of(at)
+    # one stacked pass for both tensors; gapped mode screens B's gaps below
+    ca, cb = core_of(at, bt)
     tied = _tied_mode(ca)
     if exact and tied is None:
-        cb = core_of(bt)
         tied = _tied_mode(cb)
     if tied is not None:
         diag["step"] = "gap_policy"
@@ -218,7 +219,6 @@ def _decide(a: Tensor3, b: Tensor3, eps: float | None) -> Decision:
         diag["gamma_bound_spectral_form"] = gate
         diag["gamma_bound_dimension_form"] = C_GAMMA * (n ** 8) * eps
         # B's spectra are screened against delta/2, not for strict simplicity.
-        cb = core_of(bt)
         diag["spectra_b"] = _spectra_digest(cb)
         for d, s in enumerate(cb.spectra):
             if s.min_gap < delta / 2.0:

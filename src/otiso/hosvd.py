@@ -15,8 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, ScalarKindMismatch
-from .spectral import SpectralData, eig_hermitian
+from .spectral import SpectralData, eig_hermitian_stack
 from .tensor import Tensor3, TransformTriple, apply_action, gram
+
+# Not called here: bench/spans.py wraps this name on this module.
+from .spectral import eig_hermitian  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -72,18 +75,38 @@ class RejectFar:
     entry: tuple[int, int, int]
 
 
-def core_of(a: Tensor3) -> CoreTensor:
-    """Compute the spectral core and the three mode spectra it was built from.
+def mode_spectra(tensors, *, vectors: bool = True) -> list[tuple[SpectralData, SpectralData, SpectralData]]:
+    """The three mode-Gram spectra of each tensor, from one stacked eigendecomposition per Gram shape and dtype.
 
-    The core is returned even when a spectrum is not simple; callers read
-    ``SpectralData.simple`` or ``min_gap`` on ``spectra`` and judge whether
-    the eigenbases pin it down.
+    The Grams of a cubic pair all share one :func:`eig_hermitian_stack`
+    call; every spectrum equals ``eig_hermitian(gram(a, mode))`` bit for
+    bit.  ``vectors=False`` is the values-only path.
     """
-    spectra = [eig_hermitian(gram(a, mode)) for mode in (1, 2, 3)]
-    bases = [s.vectors for s in spectra]
-    inv = TransformTriple([U.conj().T for U in bases], a.scalar_kind, check=False)
-    core = apply_action(inv, a)
-    return CoreTensor(core=core, bases=tuple(bases), spectra=tuple(spectra))
+    grams = [gram(a, mode) for a in tensors for mode in (1, 2, 3)]
+    groups: dict = {}
+    for pos, G in enumerate(grams):
+        groups.setdefault((G.shape, G.dtype), []).append(pos)
+    flat = [None] * len(grams)
+    for rows in groups.values():
+        for pos, s in zip(rows, eig_hermitian_stack(np.stack([grams[p] for p in rows]), vectors=vectors)):
+            flat[pos] = s
+    return [tuple(flat[3 * t:3 * t + 3]) for t in range(len(tensors))]
+
+
+def core_of(*tensors: Tensor3) -> tuple[CoreTensor, ...]:
+    """The spectral core of each tensor, with the three mode spectra it was built from.
+
+    All the tensors' Grams are eigendecomposed in one :func:`mode_spectra`
+    pass.  A core is returned even when a spectrum is not simple; callers
+    read ``SpectralData.simple`` or ``min_gap`` on ``spectra`` and judge
+    whether the eigenbases pin it down.
+    """
+    cores = []
+    for a, spectra in zip(tensors, mode_spectra(tensors)):
+        bases = tuple(s.vectors for s in spectra)
+        inv = TransformTriple([U.conj().T for U in bases], a.scalar_kind, check=False)
+        cores.append(CoreTensor(core=apply_action(inv, a), bases=bases, spectra=spectra))
+    return tuple(cores)
 
 
 def compare_cores(sa: CoreTensor, sb: CoreTensor, thr: float):

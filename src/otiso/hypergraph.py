@@ -17,8 +17,12 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, FormatError
-from .spectral import eig_hermitian
-from .tensor import Tensor3, generator, gram
+from .hosvd import mode_spectra
+from .tensor import Tensor3, generator
+
+# Not called here: bench/spans.py wraps these names on this module.
+from .spectral import eig_hermitian  # noqa: F401
+from .tensor import gram  # noqa: F401
 
 # Absolute tolerance for declaring two Gram spectra equal; adjacency
 # spectra of isomorphic hypergraphs agree exactly in exact arithmetic.
@@ -171,13 +175,9 @@ def decide_hypergraph_iso(g: TripartiteHypergraph, h: TripartiteHypergraph) -> H
         raise DimensionMismatch(f"part sizes differ: {g.part_sizes} vs {h.part_sizes}")
     a = adjacency_tensor(g)
     b = adjacency_tensor(h)
-    spectra = []
-    diag: dict = {"spectra_dist": [], "min_gaps": [], "margins": []}
-    for mode in (1, 2, 3):
-        sa = eig_hermitian(gram(a, mode))
-        sb = eig_hermitian(gram(b, mode))
-        diag["spectra_dist"].append(float(np.max(np.abs(sa.eigenvalues - sb.eigenvalues))))
-        spectra.append((sa, sb))
+    spectra = list(zip(*mode_spectra([a, b])))
+    diag: dict = {"spectra_dist": [float(np.max(np.abs(sa.eigenvalues - sb.eigenvalues))) for sa, sb in spectra],
+                  "min_gaps": [], "margins": []}
     if max(diag["spectra_dist"]) > SPECTRA_TOL:
         diag["step"] = "spectra"
         return HypergraphDecision("no", None, diag)
@@ -209,25 +209,32 @@ def decide_hypergraph_iso(g: TripartiteHypergraph, h: TripartiteHypergraph) -> H
 
 def parse_hypergraph(text: str) -> TripartiteHypergraph:
     """Text format: first line 'l m n', then one 1-based edge 'i j k' per line."""
-    # A comment takes its whole line: a '#' after an edge fails the edge parse.
-    lines = [ln for ln in map(str.lstrip, text.splitlines()) if ln and ln[0] != "#"]
-    if not lines:
+    lines = text.splitlines()
+    if "#" in text:
+        # A comment takes its whole line: a '#' after an edge fails the edge parse.
+        lines = [ln for ln in lines if not ln.lstrip().startswith("#")]
+    pos = next((p for p, ln in enumerate(lines) if ln.strip()), None)
+    if pos is None:
         raise FormatError("empty hypergraph document")
-    head = lines[0].split()
+    header = lines[pos].lstrip()
+    head = header.split()
     if len(head) != 3:
-        raise FormatError(f"header must be three part sizes, got {lines[0]!r}")
+        raise FormatError(f"header must be three part sizes, got {header!r}")
     try:
         sizes = tuple(int(v) for v in head)
     except ValueError as exc:
-        raise FormatError(f"non-integer part size in {lines[0]!r}") from exc
-    body = lines[1:]
+        raise FormatError(f"non-integer part size in {header!r}") from exc
     try:
         with warnings.catch_warnings():
             # numpy 1.x reads an int64 field such as '1.5' through float, with only a DeprecationWarning
             warnings.simplefilter("error", DeprecationWarning)
-            edges = np.loadtxt(body, dtype=np.int64, ndmin=2, comments=None) if body else np.empty((0, 3), np.int64)
+            # loadtxt skips blank and whitespace-only lines; a body of only those holds no edge
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            edges = np.loadtxt(lines[pos + 1:], dtype=np.int64, ndmin=2, comments=None)
     except (ValueError, OverflowError, DeprecationWarning) as exc:
         raise FormatError(f"edge lines must hold three integer indices: {exc}") from exc
+    if not edges.size:
+        edges = edges.reshape(0, 3)
     if edges.shape[1] != 3:
         raise FormatError(f"edge lines must have three indices, got {edges.shape[1]}")
     return TripartiteHypergraph(sizes, edges - 1)

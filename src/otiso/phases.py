@@ -18,14 +18,23 @@ free columns the last beta and the last gamma, is fixed: the propagated
 solution gauged to +1 there is the elimination's answer bit for bit.
 Otherwise the system is eliminated over GF(2), one row at a time on
 Python-int bit rows; only the elimination yields parity certificates.  The
-phase system is solved in the spirit of angular synchronization (Singer
-2011, ACHA 30(1)): batched frontier propagation spreads weighted circular
+phase system is angular synchronization (Singer 2011, ACHA 30(1)), solved
+in two stages, each checked against every target.  First a closed form on
+the core grid: with ``z = weight * exp(i*phi)`` (zero off the targets), the
+argument of ``sum_jk z[i,j,k] * conj(z[i0,j,k])`` is ``alpha_i - alpha_i0``
+for the heaviest target ``(i0, j0, k0)``, so three contractions give every
+angle relative to that anchor and one shift puts the anchor on its own
+``phi``.  It answers dense consistent systems, on solver path
+``"anchored"``.  When it misses a target (sparse systems, whose rows share
+no target with the anchor's slice, and every inconsistent system), the
+second stage runs: batched frontier propagation spreads weighted circular
 means out from the heaviest target, the estimates fix every target's
 integer wrap, and a weighted least-squares solve of the
 ``(n1+n2+n3)``-square normal equations refines the angles.  The normal
 matrix is factored once, by ``eigh``, into its minimum-norm
 pseudo-inverse; the solve and its refinement pass both reuse it.  A target
-the least-squares point misses makes the system infeasible.
+the least-squares point misses makes the system infeasible, on solver path
+``"lstsq"``.
 
 Both return one :class:`Assignment`: the three per-mode unit diagonals
 (``+-1.0`` signs, or ``exp(i*angle)`` phases) that ``assemble_witness``
@@ -51,7 +60,7 @@ class Assignment:
     """Per-mode unit diagonals: real +-1.0 signs or complex unit phases."""
 
     diagonals: tuple[np.ndarray, np.ndarray, np.ndarray]
-    solver_path: str  # "gf2" | "lstsq" | "identity" when no target pinned the gauge
+    solver_path: str  # "gf2" | "anchored" | "lstsq" | "identity" when no target pinned the gauge
 
 
 def wrap_angle(x):
@@ -205,7 +214,7 @@ def solve_signs(targets: PhaseTargets, dims) -> Assignment:
 
 
 def _propagate_estimates(var: np.ndarray, targets: PhaseTargets, nvar: int) -> np.ndarray:
-    """Stage 1: batched frontier propagation with weighted circular means.
+    """Stage 2, first step: batched frontier propagation with weighted circular means.
 
     Returns an initial angle estimate per variable.  Propagation is seeded
     at the heaviest target (its first two variables gauged to zero).  In
@@ -242,31 +251,47 @@ def _propagate_estimates(var: np.ndarray, targets: PhaseTargets, nvar: int) -> n
             return est
 
 
-def solve_phases(targets: PhaseTargets, dims) -> Assignment:
-    """Recover per-mode angles satisfying every target's strict slack bound.
+def _residuals(x: np.ndarray, var: np.ndarray, targets: PhaseTargets) -> np.ndarray:
+    """Per target, the circular residual ``|phi - (alpha_i + beta_j + gamma_k)|`` at the angles ``x``."""
+    return np.abs(wrap_angle(targets.phi - (x[var[:, 0]] + x[var[:, 1]] + x[var[:, 2]])))
 
-    ``targets`` is the :class:`PhaseTargets` of two complex cores and
-    ``dims`` gives the three vector lengths; a target is met when its
-    circular residual is strictly below its slack, so a zero-slack target
-    is infeasible.  Two stages: propagation produces estimates good enough
-    to pin each constraint's integer wrap; with wraps fixed the system is
-    linear, solved by weighted least squares on the normal equations.  The
-    normal matrix is factored once with ``eigh``; its eigenvalues at or
-    below ``lstsq``'s default cutoff (machine epsilon times ``n1+n2+n3``
-    times the largest) count as zero, which gives the minimum-norm solution
-    ``lstsq(..., rcond=None)`` gives, on both passes (the second refines the
-    first on its own residual).  The result is checked against every
-    constraint; a miss raises :class:`Infeasible` with the violated keys at
-    the least-squares point.  The diagonals are ``exp(i*angle)`` of the
-    angles taken to [0, 2pi), on solver path ``"lstsq"``.
+
+def _phase_assignment(x: np.ndarray, dims, solver_path: str) -> Assignment:
+    parts = np.split(x, np.cumsum(dims[:2]))
+    return Assignment(tuple(np.exp(1j * _canonical_angles(part)) for part in parts), solver_path)
+
+
+def _anchored_phases(targets: PhaseTargets, var: np.ndarray, dims) -> Assignment | None:
+    """Stage 1: closed-form angles from the heaviest target's three slices, or None when they miss a target.
+
+    With ``z = weight * exp(i*phi)`` on the core grid (zero off the targets)
+    and the heaviest target at ``(i0, j0, k0)``, a consistent system has
+    ``z[i,j,k] * conj(z[i0,j,k]) = |.| * exp(i*(alpha_i - alpha_i0))``, so
+    ``alpha_i - alpha_i0`` is the argument of that product summed over
+    ``(j, k)``: one contraction per mode gives every angle relative to the
+    anchor, and shifting alpha puts the anchor's sum on its own ``phi``.
+    A row with no target in common with the anchor's slice gets angle 0, so
+    sparse systems miss and fall through; the answer is returned only when
+    every target's residual is strictly below its slack.
     """
-    if not len(targets):
-        raise ConfigInvalid("at least one phase target is required")
-    dims = tuple(int(d) for d in dims)
-    nvar = sum(dims)
-    var = _variables(targets.idx, dims)
-    _reject_dead(targets, "lstsq")
+    i, j, k = targets.idx.T
+    z = np.zeros(dims, dtype=np.complex128)
+    z[i, j, k] = targets.weight * np.exp(1j * targets.phi)
+    anchor = int(np.argmax(targets.weight))
+    i0, j0, k0 = targets.idx[anchor].tolist()
+    alpha = np.angle(z.reshape(dims[0], -1) @ z[i0].conj().ravel())
+    beta = np.angle(np.einsum("ijk,ik->j", z, z[:, j0].conj()))
+    gamma = np.angle(z[:, :, k0].conj().ravel() @ z.reshape(-1, dims[2]))
+    alpha += targets.phi[anchor] - (alpha[i0] + beta[j0] + gamma[k0])
+    x = np.concatenate([alpha, beta, gamma])
+    if not bool(np.all(_residuals(x, var, targets) < targets.slack)):
+        return None
+    return _phase_assignment(x, dims, "anchored")
 
+
+def _least_squares_phases(targets: PhaseTargets, var: np.ndarray, dims) -> Assignment:
+    """Stage 2: propagation pins each target's wrap, then weighted least squares; :class:`Infeasible` on a miss."""
+    nvar = sum(dims)
     est = _propagate_estimates(var, targets, nvar)
     # Fix integer wraps at the estimates; the constraint becomes linear in R.
     s0 = est[var[:, 0]] + est[var[:, 1]] + est[var[:, 2]]
@@ -282,14 +307,39 @@ def solve_phases(targets: PhaseTargets, dims) -> Assignment:
     for _ in range(2):  # the second pass refines x on its own residual
         r = t_lin - (x[var[:, 0]] + x[var[:, 1]] + x[var[:, 2]])
         x = x + Q @ (inv * (Q.T @ np.bincount(var.ravel(), np.repeat(w * r, 3), nvar)))
-    resid = np.abs(wrap_angle(targets.phi - (x[var[:, 0]] + x[var[:, 1]] + x[var[:, 2]])))
-    ok = resid < targets.slack
+    ok = _residuals(x, var, targets) < targets.slack
     if not bool(np.all(ok)):
         violated = targets.keys(~ok)
         raise Infeasible(violated, f"{len(violated)} phase constraints unsatisfied at the least-squares point", "lstsq")
+    return _phase_assignment(x, dims, "lstsq")
 
-    parts = np.split(x, np.cumsum(dims[:2]))
-    return Assignment(tuple(np.exp(1j * _canonical_angles(part)) for part in parts), "lstsq")
+
+def solve_phases(targets: PhaseTargets, dims) -> Assignment:
+    """Recover per-mode angles satisfying every target's strict slack bound.
+
+    ``targets`` is the :class:`PhaseTargets` of two complex cores and
+    ``dims`` gives the three vector lengths; a target is met when its
+    circular residual is strictly below its slack, so a zero-slack target
+    is infeasible.  Two stages, each checked against every target.  The
+    closed form anchored at the heaviest target answers dense consistent
+    systems on solver path ``"anchored"``.  Otherwise propagation produces
+    estimates good enough to pin each constraint's integer wrap; with wraps
+    fixed the system is linear, solved by weighted least squares on the
+    normal equations.  The normal matrix is factored once with ``eigh``;
+    its eigenvalues at or below ``lstsq``'s default cutoff (machine epsilon
+    times ``n1+n2+n3`` times the largest) count as zero, which gives the
+    minimum-norm solution ``lstsq(..., rcond=None)`` gives, on both passes
+    (the second refines the first on its own residual).  That answer is on
+    solver path ``"lstsq"``; a miss there raises :class:`Infeasible` with
+    the violated keys at the least-squares point.  The diagonals are
+    ``exp(i*angle)`` of the angles taken to [0, 2pi).
+    """
+    if not len(targets):
+        raise ConfigInvalid("at least one phase target is required")
+    dims = tuple(int(d) for d in dims)
+    var = _variables(targets.idx, dims)
+    _reject_dead(targets, "lstsq")
+    return _anchored_phases(targets, var, dims) or _least_squares_phases(targets, var, dims)
 
 
 def assemble_witness(sa: CoreTensor, sb: CoreTensor, assignment: Assignment) -> TransformTriple:

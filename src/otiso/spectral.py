@@ -7,7 +7,9 @@ Everything downstream (cores, phase recovery, decisions) consumes
 * eigenvector columns are paired with the eigenvalues and each column is
   normalized so that its largest-modulus entry is real and positive (ties
   broken by the lowest row index), all columns in one vectorized pass;
-* the same input matrix yields bit-identical output on repeated calls.
+* the same input matrix yields bit-identical output on repeated calls, and
+  the same output whether it is factored alone or in a stack
+  (``eig_hermitian_stack``, one batched LAPACK pass for many matrices).
 """
 
 from __future__ import annotations
@@ -56,7 +58,8 @@ class SpectralData:
 def _fix_column_phases(V: np.ndarray) -> np.ndarray:
     """Largest-modulus entry per column made real and positive (ties: lowest row).
 
-    One ``argmax(|V|, axis=0)`` picks each column's pivot; ``np.argmax``
+    ``V`` is one matrix or a stack of them (columns along the last axis).
+    One ``argmax(|V|)`` over the rows picks each column's pivot; ``np.argmax``
     returns the first occurrence of the maximum, which is the tie-break the
     convention asks for.  Each column is then multiplied by its unit
     ``conj(pivot) / |pivot|`` (the pivot's sign in the real case) in one
@@ -68,7 +71,7 @@ def _fix_column_phases(V: np.ndarray) -> np.ndarray:
     """
     if not V.size:
         return V
-    piv = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
+    piv = np.take_along_axis(V, np.argmax(np.abs(V), axis=-2)[..., np.newaxis, :], axis=-2)
     if not np.iscomplexobj(V):
         return V * np.where(piv < 0.0, -1.0, 1.0)
     mag = np.hypot(piv.real, piv.imag)
@@ -78,7 +81,7 @@ def _fix_column_phases(V: np.ndarray) -> np.ndarray:
 
 
 def eig_hermitian(G: np.ndarray, *, vectors: bool = True) -> SpectralData:
-    """Eigendecomposition under the package conventions.
+    """Eigendecomposition of one matrix under the package conventions.
 
     Raises :class:`NonHermitianInput` when ``||G - G*||_F`` exceeds
     ``TAU_HERMITIAN_REL * ||G||_F`` and :class:`ConvergenceFailure` when the
@@ -87,33 +90,52 @@ def eig_hermitian(G: np.ndarray, *, vectors: bool = True) -> SpectralData:
     products do not leak into the output.  With ``vectors=False`` only the
     eigenvalues are computed (LAPACK's values-only driver, which may differ
     from the vectors path in the last ulp); ``vectors`` and
-    ``backward_error`` are then ``None``.
+    ``backward_error`` are then ``None``.  This is a stack of one for
+    :func:`eig_hermitian_stack`.
     """
     G = np.asarray(G)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {G.shape}")
-    Gh = G.conj().T
-    normG = float(np.linalg.norm(G))
-    defect = float(np.linalg.norm(G - Gh))
-    if defect > TAU_HERMITIAN_REL * max(normG, 1e-300):
-        raise NonHermitianInput(f"Hermiticity defect {defect:.3e} exceeds tolerance for norm {normG:.3e}")
+    return eig_hermitian_stack(G[np.newaxis], vectors=vectors)[0]
+
+
+def eig_hermitian_stack(G: np.ndarray, *, vectors: bool = True) -> list[SpectralData]:
+    """:func:`eig_hermitian` of every matrix of a ``(k, n, n)`` stack, in one batched pass.
+
+    The Hermiticity gate, the symmetrization, one batched ``eigh`` (or
+    ``eigvalsh``), the column phase convention and the residual product all
+    run on the whole stack; LAPACK factors each matrix on its own, so every
+    field equals the one-matrix result bit for bit.  Only the backward
+    error's norm is taken per matrix, as ``np.linalg.norm`` of that matrix,
+    which fixes its summation order.  A gate failure names the first
+    offending matrix.
+    """
+    G = np.asarray(G)
+    if G.ndim != 3 or G.shape[1] != G.shape[2]:
+        raise DimensionMismatch(f"expected a stack of square matrices, got shape {G.shape}")
+    Gh = G.conj().swapaxes(1, 2)
+    normG = np.linalg.norm(G, axis=(1, 2))
+    defect = np.linalg.norm(G - Gh, axis=(1, 2))
+    bad = np.flatnonzero(defect > TAU_HERMITIAN_REL * np.maximum(normG, 1e-300))
+    if bad.size:
+        i = bad[0]
+        raise NonHermitianInput(f"Hermiticity defect {defect[i]:.3e} exceeds tolerance for norm {normG[i]:.3e}")
     H = (G + Gh) / 2.0
     try:
         lam, V = np.linalg.eigh(H) if vectors else (np.linalg.eigvalsh(H), None)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure is environment-dependent
         raise ConvergenceFailure(str(exc)) from exc
-    lam = lam[::-1].copy()
-    if lam.shape[0] > 1:
-        min_gap = float(np.min(lam[:-1] - lam[1:]))
+    lam = lam[:, ::-1].copy()
+    if lam.shape[1] > 1:
         # eigh guarantees ordering, so gaps are nonnegative up to roundoff
-        min_gap = max(min_gap, 0.0)
+        gaps = [max(g, 0.0) for g in np.min(lam[:, :-1] - lam[:, 1:], axis=1).tolist()]
     else:
-        min_gap = float("inf")
+        gaps = [float("inf")] * len(lam)
     if V is None:
-        return SpectralData(eigenvalues=lam, vectors=None, min_gap=min_gap, backward_error=None)
-    V = _fix_column_phases(V[:, ::-1])
-    backward = float(np.linalg.norm(H @ V - V * lam[np.newaxis, :]))
-    return SpectralData(eigenvalues=lam, vectors=V, min_gap=min_gap, backward_error=backward)
+        return [SpectralData(vals, None, g, None) for vals, g in zip(lam, gaps)]
+    V = _fix_column_phases(V[:, :, ::-1])
+    R = H @ V - V * lam[:, np.newaxis, :]
+    return [SpectralData(vals, v, g, float(np.linalg.norm(r))) for vals, v, g, r in zip(lam, V, gaps, R)]
 
 
 def spectra_close(s1: SpectralData, s2: SpectralData, tol: float) -> bool:

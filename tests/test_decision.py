@@ -107,7 +107,7 @@ def test_tied_spectrum_is_cannot_decide_at_gap_policy():
     # the core is still built, and the spine refuses to decide on it
     base = np.random.default_rng(44).standard_normal((2, 3, 3))
     tied = Tensor3(np.stack([base[0], base[0], base[1], base[1]]))
-    assert not core_of(tied).spectra[0].simple
+    assert not core_of(tied)[0].spectra[0].simple
     other = sample_tensor((4, 3, 3), RandomModel("gaussian", "real", 44))
     for a, b in ((tied, other), (other, tied)):  # A tied, then only B tied
         d = decide_isomorphism(a, b)
@@ -240,7 +240,7 @@ def test_gapped_no_on_small_gap_b():
     # modes) are simple, but with a top gap of delta_A/4, below delta_A/2
     n = 6
     a = sample_tensor((n, n, n), RandomModel("gaussian", "real", 88))
-    delta = core_of(a).min_gap
+    delta = core_of(a)[0].min_gap
     lam = np.linspace(1.0, 2.0, n)
     lam[-1] = lam[-2]
     lam *= (a.frobenius_norm ** 2 - delta / 4.0) / lam.sum()
@@ -263,7 +263,7 @@ def test_gapped_tied_b_spectrum_is_no_at_gap_b():
     a = sample_tensor((n, n, n), RandomModel("gaussian", "real", 89))
     tied = np.zeros((n, n, n))
     tied[np.arange(n), np.arange(n), np.arange(n)] = a.frobenius_norm / math.sqrt(n)
-    delta = core_of(a).min_gap
+    delta = core_of(a)[0].min_gap
     eps = delta / (16.0 * a.frobenius_norm)
     d = decide_orbit_distance(a, Tensor3(tied), eps)
     assert d.verdict == "no"

@@ -29,7 +29,7 @@ def spine_threshold(eps, n, k_norm, delta):
 def test_core_norm_preserved_and_all_orthogonal():
     for seed, kind in [(40, "real"), (41, "complex")]:
         a = sample_tensor((5, 4, 6), RandomModel("gaussian", kind, seed))
-        ct = core_of(a)
+        ct = core_of(a)[0]
         assert abs(ct.core.frobenius_norm - a.frobenius_norm) <= 1e-10 * a.frobenius_norm
         tol = 1e-8 * a.frobenius_norm ** 2
         for mode in (1, 2, 3):
@@ -40,15 +40,15 @@ def test_core_of_diagonal_tensor_is_diagonal_up_to_phase():
     arr = np.zeros((3, 3, 3))
     for i, d in enumerate((4.0, -2.0, 1.0)):  # distinct moduli, descending
         arr[i, i, i] = d
-    ct = core_of(Tensor3(arr))
+    ct = core_of(Tensor3(arr))[0]
     assert np.allclose(np.abs(ct.core.data), np.abs(arr), rtol=0, atol=1e-12)
 
 
 def test_core_spectra_match_across_orbit():
     a = sample_tensor((4, 4, 4), RandomModel("gaussian", "complex", 42))
     b = apply_action(sample_haar_triple((4, 4, 4), 43, "complex"), a)
-    ea = eig_hermitian(gram(core_of(a).core, 1)).eigenvalues
-    eb = eig_hermitian(gram(core_of(b).core, 1)).eigenvalues
+    ea = eig_hermitian(gram(core_of(a)[0].core, 1)).eigenvalues
+    eb = eig_hermitian(gram(core_of(b)[0].core, 1)).eigenvalues
     assert np.max(np.abs(ea - eb)) <= 1e-8 * max(np.abs(ea).max(), 1.0)
 
 
@@ -63,13 +63,13 @@ def test_comparison_threshold_formula():
     k_norm = a.frobenius_norm + b.frobenius_norm
     assert g["eps"] == 1e-8 * k_norm
     assert g["threshold_modulus"] == 2 * g["eps"] * 5 ** 2 * k_norm / g["delta"]
-    cmp = compare_cores(core_of(a), core_of(b), g["threshold_modulus"])
+    cmp = compare_cores(*core_of(a, b), g["threshold_modulus"])
     assert len(cmp.phase_targets) == g["phase_targets"] > 0
 
 
 def test_compare_identical_cores():
     a = sample_tensor((4, 4, 4), RandomModel("gaussian", "complex", 45))
-    ct = core_of(a)
+    ct = core_of(a)[0]
     thr = spine_threshold(1e-8, 4, 2 * a.frobenius_norm, ct.min_gap)
     cmp = compare_cores(ct, ct, thr)
     assert isinstance(cmp, CoreComparison)
@@ -85,7 +85,7 @@ def test_compare_identical_cores():
 
 def test_compare_scaled_entry_rejects_far():
     a = sample_tensor((3, 3, 3), RandomModel("gaussian", "real", 46))
-    ct = core_of(a)
+    ct = core_of(a)[0]
     scaled = np.array(ct.core.data)
     assert abs(scaled[0, 0, 0]) > 1e-8
     scaled[0, 0, 0] *= 10.0
@@ -100,7 +100,7 @@ def test_compare_scaled_entry_rejects_far():
 
 def test_forward_phase_recovery():
     a = sample_tensor((4, 3, 5), RandomModel("gaussian", "complex", 47))
-    ct = core_of(a)
+    ct = core_of(a)[0]
     rng = np.random.default_rng(48)
     al, be, ga = (rng.uniform(-np.pi, np.pi, d) for d in ct.dims)
     phase = np.exp(1j * (al[:, None, None] + be[None, :, None] + ga[None, None, :]))
@@ -117,7 +117,7 @@ def test_forward_phase_recovery():
 def test_isomorphy_transfer_moduli_agree():
     a = sample_tensor((4, 4, 4), RandomModel("gaussian", "complex", 49))
     b = apply_action(sample_haar_triple((4, 4, 4), 50, "complex"), a)
-    ca, cb = core_of(a), core_of(b)
+    ca, cb = core_of(a, b)
     cmp = compare_cores(ca, cb, spine_threshold(1e-7, 4, a.frobenius_norm + b.frobenius_norm, min(ca.min_gap, cb.min_gap)))
     assert isinstance(cmp, CoreComparison)
     for key in cmp.phase_targets.keys():
@@ -126,8 +126,8 @@ def test_isomorphy_transfer_moduli_agree():
 
 
 def test_compare_cores_validates():
-    a = core_of(sample_tensor((3, 3, 3), RandomModel("gaussian", "real", 51)))
-    b = core_of(sample_tensor((3, 3, 4), RandomModel("gaussian", "real", 52)))
+    a = core_of(sample_tensor((3, 3, 3), RandomModel("gaussian", "real", 51)))[0]
+    b = core_of(sample_tensor((3, 3, 4), RandomModel("gaussian", "real", 52)))[0]
     with pytest.raises(DimensionMismatch):
         compare_cores(a, b, 1.0)
     # a zero or infinite threshold is a valid screen; a negative or NaN one is not
@@ -146,7 +146,7 @@ def test_compare_cores_overflowing_budget_is_infinite():
     a = Tensor3(sample_tensor((4, 4, 4), RandomModel("gaussian", "real", 53)).data * 1e80, "real")
     b = apply_action(sample_haar_triple((4, 4, 4), 54, "real"), a)
     with np.errstate(over="ignore"):  # the Gram norms of the backward errors overflow
-        ca, cb = core_of(a), core_of(b)
+        ca, cb = core_of(a, b)
     k_norm = a.frobenius_norm + b.frobenius_norm
     thr = spine_threshold(1e156, 4, k_norm, min(ca.min_gap, cb.min_gap))
     cmp = compare_cores(ca, cb, thr)

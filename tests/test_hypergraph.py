@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from otiso import (
     DimensionMismatch,
@@ -262,6 +262,7 @@ def hypergraph_documents(draw):
 
 @settings(max_examples=300)
 @given(hypergraph_documents())
+@example("1 1 1\n \n\n")  # a body of blank lines only holds no edge
 def test_parse_matches_reference_parser(text):
     if beyond_int64_parse(text):  # the one known difference: always a FormatError now
         with pytest.raises(FormatError):

@@ -23,6 +23,7 @@ from otiso.hosvd import PhaseTargets, compare_cores, core_of
 from otiso.io import write_tensor
 from otiso.phases import (
     Assignment,
+    _least_squares_phases,
     _propagate_estimates,
     _propagate_signs,
     _variables,
@@ -195,7 +196,7 @@ def test_solve_phases_zero_targets_give_zero_angles():
     dims = (3, 3, 3)
     targets = phase_targets({k: (0.0, 0.1, 1.0) for k in all_keys(dims)})
     out = solve_phases(targets, dims)
-    assert out.solver_path == "lstsq"
+    assert out.solver_path == "anchored"
     assert max_residual(out, targets) == 0.0
     for v in out.diagonals:
         assert np.array_equal(v, np.ones(3)) and np.iscomplexobj(v)
@@ -288,7 +289,7 @@ def test_solve_phases_dense_noisy_within_slack():
         angles = [rng.uniform(-np.pi, np.pi, d) for d in dims]
         targets = noisy_targets(rng, all_keys(dims), angles, slack=0.1, noise=0.05)
         out = solve_phases(phase_targets(targets), dims)
-        assert out.solver_path == "lstsq"
+        assert out.solver_path == "anchored"
         assert_within_slack(out, targets)
 
 
@@ -383,7 +384,7 @@ def test_factored_solve_matches_two_pass_lstsq():
         if not len(targets):
             continue
         ref = reference_lstsq_residual(targets, dims)
-        out = solve_phases(targets, dims)
+        out = _least_squares_phases(targets, _variables(targets.idx, dims), dims)
         assert ref < 0.3 and out.solver_path == "lstsq"
         # a few ulps of pi absolute, for systems that both solvers fit exactly
         assert max_residual(out, targets) <= 1.05 * ref + 8 * np.spacing(np.pi)
@@ -414,6 +415,37 @@ def test_argmax_seeding_matches_stable_sort_on_ties():
     assert np.array_equal(est, [0.0, 1.0, 0.0, 0.5])
 
 
+@st.composite
+def dense_phase_systems(draw):
+    """Consistent complex systems on dims in [2, 8]^3 with at least 90% of the entries as targets.
+
+    Each target's phi is off the planted angles by at most ``noise``, a
+    third of the common slack at most, and zero in about half the draws.
+    """
+    dims = tuple(draw(st.integers(2, 8)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    size = math.prod(dims)
+    keep = np.ones(size, dtype=bool)
+    keep[rng.choice(size, draw(st.integers(0, size // 10)), replace=False)] = False
+    idx = np.argwhere(keep.reshape(dims))
+    slack = draw(st.floats(1e-6, 0.5))
+    noise = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0 / 3.0))) * slack
+    al, be, ga = (rng.uniform(-np.pi, np.pi, d) for d in dims)
+    phi = wrap_angle(al[idx[:, 0]] + be[idx[:, 1]] + ga[idx[:, 2]] + rng.uniform(-noise, noise, len(idx)))
+    weight = 10.0 ** rng.uniform(-1.0, 1.0, len(idx))
+    return PhaseTargets(idx, phi, np.full(len(idx), slack), weight), dims, noise
+
+
+@given(dense_phase_systems())
+def test_dense_consistent_systems_meet_every_target(system):
+    targets, dims, noise = system
+    out = solve_phases(targets, dims)
+    assert max_residual(out, targets) < targets.slack[0]
+    if noise == 0.0:
+        # every slice shares a target with the anchor's, so the closed form answers
+        assert out.solver_path == "anchored"
+
+
 @pytest.mark.parametrize("kind", ["real", "complex"])
 def test_decide_isomorphism_yes_on_haar_pairs(kind):
     for n in (8, 16, 24):
@@ -422,7 +454,7 @@ def test_decide_isomorphism_yes_on_haar_pairs(kind):
         d = decide_isomorphism(a, b)
         assert d.verdict == "yes", (n, d.diagnostics)
         assert d.residual <= d.diagnostics["residual_gate"]
-        assert d.diagnostics["solver_path"] == ("gf2" if kind == "real" else "lstsq")
+        assert d.diagnostics["solver_path"] == ("gf2" if kind == "real" else "anchored")
 
 
 def test_solve_phases_validation():
@@ -441,7 +473,7 @@ def test_solve_phases_validation():
 
 def test_assemble_witness_identity_and_signs():
     a = sample_tensor((2, 2, 2), RandomModel("gaussian", "real", 64))
-    ct = core_of(a)
+    ct = core_of(a)[0]
     eye_ct = type(ct)(core=a, bases=tuple(np.eye(2) for _ in range(3)), spectra=ct.spectra)
     zero_phase = Assignment(tuple(np.exp(1j * np.zeros(2)) for _ in range(3)), "lstsq")
     w = assemble_witness(eye_ct, eye_ct, zero_phase)
@@ -463,7 +495,7 @@ def test_assemble_witness_end_to_end():
         a = sample_tensor((4, 4, 4), RandomModel("gaussian", kind, seed))
         g = sample_haar_triple((4, 4, 4), seed + 100, kind)
         b = apply_action(g, a)
-        ca, cb = core_of(a), core_of(b)
+        ca, cb = core_of(a, b)
         eps, k_norm = 1e-8, a.frobenius_norm + b.frobenius_norm
         cmp = compare_cores(ca, cb, 2.0 * eps * 4 ** 2 * k_norm / min(ca.min_gap, cb.min_gap))
         assignment = (solve_signs if kind == "real" else solve_phases)(cmp.phase_targets, ca.dims)
@@ -473,7 +505,7 @@ def test_assemble_witness_end_to_end():
 
 
 def test_assemble_witness_validation():
-    a = core_of(sample_tensor((2, 2, 2), RandomModel("gaussian", "real", 67)))
+    a = core_of(sample_tensor((2, 2, 2), RandomModel("gaussian", "real", 67)))[0]
     short = Assignment((np.ones(3), np.ones(2), np.ones(2)), "identity")
     with pytest.raises(DimensionMismatch, match="mode-1"):
         assemble_witness(a, a, short)

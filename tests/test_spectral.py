@@ -11,9 +11,10 @@ from otiso import (
     sample_haar_triple,
     sample_tensor,
 )
-from otiso.spectral import eig_hermitian, spectra_close
+from otiso.hosvd import mode_spectra
+from otiso.spectral import eig_hermitian, eig_hermitian_stack, spectra_close
 from otiso.tensor import gram
-from otiso.spectral import DEGENERACY_REL, _fix_column_phases
+from otiso.spectral import DEGENERACY_REL, TAU_HERMITIAN_REL, SpectralData, _fix_column_phases
 
 
 def random_hermitian(n, seed, kind="real"):
@@ -148,6 +149,54 @@ def test_eig_hermitian_vectors_follow_reference_loop():
             assert np.array_equal(got, ref)
         else:
             assert np.all(np.abs(got - ref) <= 2 * np.spacing(np.abs(ref)))
+
+
+def reference_eig_hermitian(G, *, vectors=True):
+    """One matrix at a time: eig_hermitian as it was before the stacked pass."""
+    Gh = G.conj().T
+    normG = float(np.linalg.norm(G))
+    if float(np.linalg.norm(G - Gh)) > TAU_HERMITIAN_REL * max(normG, 1e-300):
+        raise NonHermitianInput("reference")
+    H = (G + Gh) / 2.0
+    lam, V = np.linalg.eigh(H) if vectors else (np.linalg.eigvalsh(H), None)
+    lam = lam[::-1].copy()
+    min_gap = max(float(np.min(lam[:-1] - lam[1:])), 0.0) if lam.shape[0] > 1 else float("inf")
+    if V is None:
+        return SpectralData(lam, None, min_gap, None)
+    V = _fix_column_phases(V[:, ::-1])
+    return SpectralData(lam, V, min_gap, float(np.linalg.norm(H @ V - V * lam[np.newaxis, :])))
+
+
+def assert_same_spectrum(got, want):
+    assert np.array_equal(got.eigenvalues, want.eigenvalues)
+    assert (got.vectors is None) == (want.vectors is None)
+    if want.vectors is not None:
+        assert np.array_equal(got.vectors, want.vectors)
+    assert got.min_gap == want.min_gap and got.backward_error == want.backward_error
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("dims", [(6, 6, 6), (5, 3, 4), (2, 8, 16), (1, 1, 1)])
+def test_stacked_pass_equals_one_matrix_at_a_time(dims, kind):
+    # a pair's six Grams go through one stack per Gram size (one for cubic
+    # dims, three for (5, 3, 4)), yet every field is the one-matrix result
+    a = sample_tensor(dims, RandomModel("gaussian", kind, 90))
+    b = apply_action(sample_haar_triple(dims, 91, kind), a)
+    for vectors in (True, False):
+        stacked = mode_spectra([a, b], vectors=vectors)
+        for t, spectra in zip((a, b), stacked):
+            for mode, s in zip((1, 2, 3), spectra):
+                G = gram(t, mode)
+                assert_same_spectrum(s, eig_hermitian(G, vectors=vectors))
+                assert_same_spectrum(s, reference_eig_hermitian(G, vectors=vectors))
+
+
+def test_stack_gate_names_the_first_non_hermitian_matrix():
+    G = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 2.0], [0.0, 0.0]])])
+    with pytest.raises(NonHermitianInput, match=r"defect 1\.414e\+00 .* norm 1\.000e\+00"):
+        eig_hermitian_stack(G)
+    with pytest.raises(DimensionMismatch):
+        eig_hermitian_stack(np.eye(2))
 
 
 def test_determinism_bitwise():

@@ -3,11 +3,11 @@
     python3 tools/equivalence.py SRC SEED [SEED ...] > ops.jsonl
 
 ``SRC`` is a checkout (or its ``src/`` directory); ``otiso`` is imported
-from there.  For each seed, the ``iso``, ``dist`` and ``hyper`` ops of every
+from there.  For each seed, the ``iso``, ``dist``, ``hyper`` and ``gaps`` ops of every
 workload in ``bench/workloads.py`` are generated exactly as the benchmark
 generates them and passed to ``otiso.cli.main`` in process, one at a time.
 Each op prints one JSON line: workload, seed, label, exit code, stdout,
-stderr and the sha256 of the witness file it wrote (null when none).  The
+stderr and the sha256 of the witness or CSV file it wrote (null when none).  The
 work directory's path is replaced by ``$WORK``, so runs of two source trees
 compare with ``diff``.
 """
@@ -33,17 +33,19 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402
 
-DECISIONS = ("iso", "dist", "hyper")
+COMMANDS = ("iso", "dist", "hyper", "gaps")
 
 
 def run_op(cli, op, work: Path) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(op.argv)
-    witness = op.check.get("witness")
-    digest = hashlib.sha256(witness.read_bytes()).hexdigest() if witness and witness.exists() else None
+    digests = {}
+    for key in ("witness", "csv"):
+        path = op.check.get(key)
+        digests[f"{key}_sha256"] = hashlib.sha256(path.read_bytes()).hexdigest() if path and path.exists() else None
     return {"label": op.label, "code": code, "stdout": out.getvalue().replace(str(work), "$WORK"),
-            "stderr": err.getvalue().replace(str(work), "$WORK"), "witness_sha256": digest}
+            "stderr": err.getvalue().replace(str(work), "$WORK"), **digests}
 
 
 def main(argv=None) -> int:
@@ -67,7 +69,7 @@ def main(argv=None) -> int:
             with tempfile.TemporaryDirectory() as tmp:
                 work = Path(tmp)
                 for op in workloads.generate(name, seed, work):
-                    if op.argv[0] in DECISIONS:
+                    if op.argv[0] in COMMANDS:
                         print(json.dumps({"workload": name, "seed": seed, **run_op(cli, op, work)}), flush=True)
     return 0
 
