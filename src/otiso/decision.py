@@ -148,7 +148,8 @@ def _decide(a: Tensor3, b: Tensor3, eps: float | None) -> Decision:
     ``eps = 1e-8 (||A|| + ||B||)`` and needs all six spectra simple and equal;
     gapped mode truncates both to ``required_bits(n, eps)`` and needs A's
     spectra simple and B's gaps at least ``delta/2``.  A spectrum that is not
-    simple gives cannot_decide at ``gap_policy``.
+    simple gives cannot_decide at ``gap_policy``; in exact mode only once the
+    spectra match, since a mismatch is already a sound NO.
     """
     _validate_pair(a, b)
     exact = eps is None
@@ -187,19 +188,12 @@ def _decide(a: Tensor3, b: Tensor3, eps: float | None) -> Decision:
 
     # one stacked pass for both tensors; gapped mode screens B's gaps below
     ca, cb = core_of(at, bt)
-    tied = _tied_mode(ca)
-    if exact and tied is None:
-        tied = _tied_mode(cb)
-    if tied is not None:
-        diag["step"] = "gap_policy"
-        diag["failed_mode"], diag["failed_gap"] = tied
-        return Decision("cannot_decide", None, None, gate, diag)
-    diag["spectra_a"] = _spectra_digest(ca)
-
+    diag["spectra_a"], diag["spectra_b"] = _spectra_digest(ca), _spectra_digest(cb)
     if exact:
-        diag["spectra_b"] = _spectra_digest(cb)
-        # the inputs are compared as given, so only eigensolver noise,
-        # relative to the larger spectrum, separates equal spectra
+        # Gram spectra are orbit invariants, simple or not, so they are
+        # compared before a tie is refused.  The inputs are compared as given,
+        # so only eigensolver noise, relative to the larger spectrum,
+        # separates equal spectra.
         for d, (ga, gb) in enumerate(zip(ca.spectra, cb.spectra)):
             scale = max(float(np.max(np.abs(ga.eigenvalues))), float(np.max(np.abs(gb.eigenvalues))), _TINY)
             tol = TAU_SPECTRA_REL * scale
@@ -208,18 +202,23 @@ def _decide(a: Tensor3, b: Tensor3, eps: float | None) -> Decision:
                 diag["failed_mode"] = d + 1
                 diag["spectra_tolerance"] = tol
                 return Decision("no", None, None, gate, diag)
-        delta = min(_gap(ca), _gap(cb))
-        diag["delta"] = delta
-    else:
-        delta = _gap(ca)
-        diag["delta"] = delta
+    tied = _tied_mode(ca)
+    if exact and tied is None:
+        tied = _tied_mode(cb)
+    if tied is not None:
+        diag["step"] = "gap_policy"
+        diag["failed_mode"], diag["failed_gap"] = tied
+        return Decision("cannot_decide", None, None, gate, diag)
+
+    delta = min(_gap(ca), _gap(cb)) if exact else _gap(ca)
+    diag["delta"] = delta
+    if not exact:
         if not (eps < delta / (4.0 * max(k_norm, _TINY))):
             raise EpsOutOfRange(f"eps={eps} not below delta/(4(|A|+|B|))={delta / (4.0 * max(k_norm, _TINY)):.3e}")
         gate = C_GAMMA * (n ** 3.5) * (norm_a ** 2) * eps / delta
         diag["gamma_bound_spectral_form"] = gate
         diag["gamma_bound_dimension_form"] = C_GAMMA * (n ** 8) * eps
         # B's spectra are screened against delta/2, not for strict simplicity.
-        diag["spectra_b"] = _spectra_digest(cb)
         for d, s in enumerate(cb.spectra):
             if s.min_gap < delta / 2.0:
                 diag["step"] = "gap_b"
@@ -271,9 +270,9 @@ def _decide(a: Tensor3, b: Tensor3, eps: float | None) -> Decision:
 def decide_isomorphism(a: Tensor3, b: Tensor3) -> Decision:
     """Decide whether some orthogonal/unitary triple carries ``a`` onto ``b``.
 
-    Pipeline: eigendecompose all six Grams of the tensors as given
-    (cannot_decide on any spectrum that is not simple), reject on mismatched
-    spectra, compare cores, solve the sign/phase system, and verify the
+    Pipeline: eigendecompose all six Grams of the tensors as given, reject
+    on mismatched spectra (cannot_decide when equal spectra are not simple),
+    compare cores, solve the sign/phase system, and verify the
     assembled witness directly.  The tolerance and the gap are derived from
     the inputs.  YES verdicts always carry a witness whose recomputed
     residual clears the reported gate.

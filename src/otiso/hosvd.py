@@ -50,7 +50,7 @@ class PhaseTargets:
     idx: np.ndarray     # (m, 3) int64 index triples
     phi: np.ndarray     # (m,) float64 argument of core_b / core_a at the entry, in (-pi, pi]
     slack: np.ndarray   # (m,) float64 admissible angular deviation, in [0, pi]
-    weight: np.ndarray  # (m,) float64 |core_a| + |core_b| at the entry; ranks propagation seeds
+    weight: np.ndarray  # (m,) float64 |core_a| + |core_b| at the entry; picks the anchor, ranks propagation seeds
 
     def __len__(self) -> int:
         return len(self.phi)

@@ -8,28 +8,34 @@ slack in the complex case.  Both systems have a two-parameter gauge freedom
 so solutions are pinned by gauging free directions to zero.
 
 Both solvers take the :class:`PhaseTargets` arrays that ``compare_cores``
-builds, one row per target in sorted-key order.  The sign system is first
-propagated from one seed row in batched frontier rounds and checked
-against every row.  Each row has one variable per mode, so the row space
-of any sign system lies in the annihilator of the two gauge directions.  A
-seed that reaches every variable shows the rank is ``n1 + n2 + n3 - 2``,
-so the row space is that annihilator and the reduced echelon form, with
-free columns the last beta and the last gamma, is fixed: the propagated
-solution gauged to +1 there is the elimination's answer bit for bit.
-Otherwise the system is eliminated over GF(2), one row at a time on
-Python-int bit rows; only the elimination yields parity certificates.  The
-phase system is angular synchronization (Singer 2011, ACHA 30(1)), solved
-in two stages, each checked against every target.  First a closed form on
-the core grid: with ``z = weight * exp(i*phi)`` (zero off the targets), the
-argument of ``sum_jk z[i,j,k] * conj(z[i0,j,k])`` is ``alpha_i - alpha_i0``
-for the heaviest target ``(i0, j0, k0)``, so three contractions give every
-angle relative to that anchor and one shift puts the anchor on its own
-``phi``.  It answers dense consistent systems, on solver path
-``"anchored"``.  When it misses a target (sparse systems, whose rows share
-no target with the anchor's slice, and every inconsistent system), the
-second stage runs: batched frontier propagation spreads weighted circular
-means out from the heaviest target, the estimates fix every target's
-integer wrap, and a weighted least-squares solve of the
+builds, one row per target in sorted-key order.  Both systems are angular
+synchronization (Singer 2011, ACHA 30(1)), signs being phases in {0, pi},
+and both first try one closed form on the core grid, checked against every
+target.  With ``z`` the targets' values on the grid (``weight *
+exp(i*phi)`` for phases, ``+-1`` for signs; zero off the targets), the
+slice sum ``sum_jk z[i,j,k] * conj(z[i0,j,k])`` carries ``alpha_i -
+alpha_i0`` relative to the heaviest target ``(i0, j0, k0)``: its argument
+for phases, its sign for signs.  Three contractions give every variable
+relative to that anchor, and one shift puts the anchor on its own target.
+
+For signs, the closed form's answer is kept only when every slice sum is
+nonzero and every row is met.  Then every slice shares a target with the
+anchor's slice, so each variable is pinned relative to the anchor and the
+rank is ``n1 + n2 + n3 - 2``.  Each row has one variable per mode, so the
+row space of any sign system lies in the annihilator of the two gauge
+directions; at that rank it is the annihilator, and the reduced echelon
+form, with free columns the last beta and the last gamma, is fixed.  The
+anchored signs gauged to +1 there are the elimination's answer bit for
+bit.  Otherwise the system is eliminated over GF(2), one row at a time on
+Python-int bit rows; only the elimination yields parity certificates.  All
+sign answers are on solver path ``"gf2"``.
+
+For phases, the closed form answers dense consistent systems on solver
+path ``"anchored"``.  When it misses a target (sparse systems, whose rows
+share no target with the anchor's slice, and every inconsistent system),
+a second stage runs: batched frontier propagation spreads weighted
+circular means out from the heaviest target, the estimates fix every
+target's integer wrap, and a weighted least-squares solve of the
 ``(n1+n2+n3)``-square normal equations refines the angles.  The normal
 matrix is factored once, by ``eigh``, into its minimum-norm
 pseudo-inverse; the solve and its refinement pass both reuse it.  A target
@@ -101,37 +107,39 @@ def _reject_dead(targets: PhaseTargets, solver_path: str) -> None:
         raise Infeasible(targets.keys(dead), "targets with zero slack admit no strict solution", solver_path)
 
 
-def _propagate_signs(var: np.ndarray, rhs: np.ndarray, dims) -> np.ndarray | None:
-    """The gauged solution by propagation from one seed, or None where elimination must decide.
+def _anchor_sums(targets: PhaseTargets, values: np.ndarray, dims) -> tuple[int, np.ndarray]:
+    """The heaviest target's row, and per variable the grid contracted with the anchor's slice in that mode.
 
-    Row 0's first two variables are set to bit 0 and its third to its own
-    bit; then, in batched frontier rounds, every row with exactly one
-    unassigned variable fixes it to ``rhs`` XOR the other two.  Unless that
-    seed reaches every variable, the system is disconnected, leaves a
-    variable untouched or is rank deficient, and None is returned.  The
-    result is gauged so that the last beta and the last gamma sign are +1,
-    then checked against every row; a failing row also returns None.
+    The grid ``z`` holds ``values`` at the targets and zero elsewhere; for
+    the anchor at ``(i0, j0, k0)`` the mode-1 sum at ``i`` is
+    ``sum_jk z[i,j,k] * conj(z[i0,j,k])``, and likewise for j and k.  The
+    three sums are concatenated in variable order.
+    """
+    z = np.zeros(dims, dtype=values.dtype)
+    z[tuple(targets.idx.T)] = values
+    anchor = int(np.argmax(targets.weight))
+    i0, j0, k0 = targets.idx[anchor].tolist()
+    return anchor, np.concatenate([
+        z.reshape(dims[0], -1) @ z[i0].conj().ravel(),
+        np.einsum("ijk,ik->j", z, z[:, j0].conj()),
+        z[:, :, k0].conj().ravel() @ z.reshape(-1, dims[2]),
+    ])
+
+
+def _anchored_signs(targets: PhaseTargets, var: np.ndarray, rhs: np.ndarray, dims) -> np.ndarray | None:
+    """The gauged signs from the heaviest target's three slices, or None where elimination must decide.
+
+    A slice sum's sign is that variable's sign relative to the anchor's.
+    Alpha is flipped so the anchor meets its own target, and the last beta
+    and the last gamma are gauged to +1.  A zero sum or a missed row gives None.
     """
     n1, n2, _ = dims
-    val = np.zeros(sum(dims), dtype=bool)
-    assigned = np.zeros_like(val)
-    val[var[0, 2]] = rhs[0]
-    assigned[var[0]] = True
-    # the rows that still have an unassigned variable, one array per mode
-    c0, c1, c2 = var.T
-    live_rhs = rhs
-    while not assigned.all():
-        m0, m1, m2 = ~assigned[c0], ~assigned[c1], ~assigned[c2]
-        front = (m0 ^ m1 ^ m2) & ~(m0 & m1)  # exactly one unassigned
-        if not front.any():
-            return None
-        f0, f1, f2 = c0[front], c1[front], c2[front]
-        v = np.where(m0[front], f0, np.where(m1[front], f1, f2))
-        # unassigned bits are 0, so XOR over the whole row is the XOR of the other two
-        val[v] = live_rhs[front] ^ val[f0] ^ val[f1] ^ val[f2]
-        assigned[v] = True
-        rest = (m0 | m1 | m2) & ~front
-        c0, c1, c2, live_rhs = c0[rest], c1[rest], c2[rest], live_rhs[rest]
+    anchor, sums = _anchor_sums(targets, np.where(rhs, -1.0, 1.0), dims)
+    if not sums.all():
+        return None
+    val = sums < 0
+    if rhs[anchor]:
+        val[:n1] ^= True
     # every row has one variable per mode, so flipping two whole modes keeps every row's parity
     if val[n1 + n2 - 1]:
         val[: n1 + n2] ^= True
@@ -187,27 +195,25 @@ def solve_signs(targets: PhaseTargets, dims) -> Assignment:
 
     ``targets`` is the :class:`PhaseTargets` of two real cores: the sign
     ``t`` is -1 where ``|phi| > pi/2``, and zero-slack targets are
-    infeasible.  ``dims`` gives the three vector lengths.  The system is
-    linear over GF(2) (sign -1 encodes bit 1).  Rows are taken in sorted-key
-    order and each one that is independent of the rows before it becomes a
-    pivot at its lowest free column.  When a row reduces to ``0 = 1``, the
-    pivot rows that span it together with that row form a parity certificate
-    (their targets multiply to -1 while every variable they touch appears an
-    even number of times), raised as :class:`Infeasible`.  Free variables,
-    one per gauge direction and connected component, are fixed to +1.
-
-    The elimination runs only when propagation from row 0 cannot answer:
-    when that seed reaches every variable, the rank is ``n1 + n2 + n3 - 2``,
-    the elimination's free columns are the last beta and the last gamma, and
-    the unique solution with those two signs +1 is its answer; checking it
-    against every row first makes a wrong guess fall back, never return.
-    The diagonals are the ``+-1.0`` sign vectors, on solver path ``"gf2"``.
+    infeasible.  ``dims`` gives the three vector lengths.  The closed form
+    anchored at the heaviest target answers first: when it meets every row
+    and every slice sum is nonzero, the rank is ``n1 + n2 + n3 - 2`` and its
+    signs, gauged to +1 at the last beta and the last gamma, are the
+    elimination's answer.  Otherwise the system is eliminated over GF(2)
+    (sign -1 encodes bit 1): rows are taken in sorted-key order and each one
+    independent of the rows before it becomes a pivot at its lowest free
+    column.  When a row reduces to ``0 = 1``, the pivot rows that span it
+    together with that row form a parity certificate (their targets multiply
+    to -1 while every variable they touch appears an even number of times),
+    raised as :class:`Infeasible`.  Free variables, one per gauge direction
+    and connected component, are fixed to +1.  The diagonals are the
+    ``+-1.0`` sign vectors, on solver path ``"gf2"``.
     """
     dims = tuple(int(d) for d in dims)
     _reject_dead(targets, "gf2")
     var = _variables(targets.idx, dims)
     rhs = np.abs(targets.phi) > math.pi / 2
-    signs = _propagate_signs(var, rhs, dims) if len(rhs) else None
+    signs = _anchored_signs(targets, var, rhs, dims) if len(rhs) else None
     if signs is None:
         signs = _eliminate_signs(var, rhs, targets.idx, sum(dims))
     return Assignment(tuple(np.split(signs, np.cumsum(dims[:2]))), "gf2")
@@ -274,16 +280,10 @@ def _anchored_phases(targets: PhaseTargets, var: np.ndarray, dims) -> Assignment
     sparse systems miss and fall through; the answer is returned only when
     every target's residual is strictly below its slack.
     """
-    i, j, k = targets.idx.T
-    z = np.zeros(dims, dtype=np.complex128)
-    z[i, j, k] = targets.weight * np.exp(1j * targets.phi)
-    anchor = int(np.argmax(targets.weight))
-    i0, j0, k0 = targets.idx[anchor].tolist()
-    alpha = np.angle(z.reshape(dims[0], -1) @ z[i0].conj().ravel())
-    beta = np.angle(np.einsum("ijk,ik->j", z, z[:, j0].conj()))
-    gamma = np.angle(z[:, :, k0].conj().ravel() @ z.reshape(-1, dims[2]))
-    alpha += targets.phi[anchor] - (alpha[i0] + beta[j0] + gamma[k0])
-    x = np.concatenate([alpha, beta, gamma])
+    anchor, sums = _anchor_sums(targets, targets.weight * np.exp(1j * targets.phi), dims)
+    x = np.angle(sums)
+    a, b, c = var[anchor].tolist()
+    x[: dims[0]] += targets.phi[anchor] - (x[a] + x[b] + x[c])
     if not bool(np.all(_residuals(x, var, targets) < targets.slack)):
         return None
     return _phase_assignment(x, dims, "anchored")

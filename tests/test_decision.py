@@ -104,18 +104,24 @@ def test_config_validation():
 
 def test_tied_spectrum_is_cannot_decide_at_gap_policy():
     # two pairs of identical mode-1 slices force a repeated zero eigenvalue;
-    # the core is still built, and the spine refuses to decide on it
+    # the core is still built.  Spectra are orbit invariants, tied or not, so
+    # an independent partner is NO at spectra, and only a partner with equal
+    # spectra reaches the refusal
     base = np.random.default_rng(44).standard_normal((2, 3, 3))
     tied = Tensor3(np.stack([base[0], base[0], base[1], base[1]]))
     assert not core_of(tied)[0].spectra[0].simple
     other = sample_tensor((4, 3, 3), RandomModel("gaussian", "real", 44))
+    image = apply_action(sample_haar_triple((4, 3, 3), 45, "real"), tied)
     for a, b in ((tied, other), (other, tied)):  # A tied, then only B tied
+        d = decide_isomorphism(a, b)
+        assert d.verdict == "no" and d.witness is None
+        assert d.diagnostics["step"] == "spectra"
+    for a, b in ((tied, image), (image, tied)):
         d = decide_isomorphism(a, b)
         assert d.verdict == "cannot_decide" and d.witness is None
         assert d.diagnostics["step"] == "gap_policy"
         assert d.diagnostics["failed_mode"] == 1
         assert d.diagnostics["failed_gap"] >= 0.0
-        assert "spectra_a" not in d.diagnostics and "spectra_b" not in d.diagnostics
 
 
 def test_pair_validation():

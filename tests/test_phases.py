@@ -23,9 +23,9 @@ from otiso.hosvd import PhaseTargets, compare_cores, core_of
 from otiso.io import write_tensor
 from otiso.phases import (
     Assignment,
+    _anchored_signs,
     _least_squares_phases,
     _propagate_estimates,
-    _propagate_signs,
     _variables,
     assemble_witness,
     solve_phases,
@@ -513,11 +513,12 @@ def test_assemble_witness_validation():
 
 @st.composite
 def covering_sign_systems(draw):
-    """Consistent sign systems on real dims 1-9 that one seed propagates through.
+    """Consistent sign systems on real dims 1-9 whose every slice shares a target with row 0's slices.
 
     Dense systems take every key.  Sparse ones take the three axis lines
     through a random centre plus random keys after it in sorted order, so
-    the centre is row 0, the seed, and its lines reach every variable.
+    the centre is row 0, the anchor among equal weights, and each slice
+    meets one of its lines.
     """
     dims = tuple(draw(st.integers(1, 9)) for _ in range(3))
     g = [np.array(draw(st.lists(st.sampled_from((-1, 1)), min_size=d, max_size=d))) for d in dims]
@@ -540,11 +541,11 @@ def _var_rhs(targets, dims):
 
 @given(covering_sign_systems())
 def test_propagated_signs_match_reference_oracle(system):
-    # the seed reaches every variable, so propagation answers on its own,
+    # every slice sum is nonzero, so the anchored form answers on its own,
     # with the elimination's own answer: the last beta and gamma signs +1
     targets, dims = system
     var, rhs = _var_rhs(targets, dims)
-    fast = _propagate_signs(var, rhs, dims)
+    fast = _anchored_signs(sign_targets(targets), var, rhs, dims)
     assert fast is not None
     out = solve_signs(sign_targets(targets), dims)
     for got, part, ref in zip(out.diagonals, np.split(fast, np.cumsum(dims[:2])),
@@ -552,7 +553,56 @@ def test_propagated_signs_match_reference_oracle(system):
         assert got.dtype == ref.dtype and np.array_equal(got, ref) and np.array_equal(part, ref)
 
 
-def test_elimination_runs_only_where_propagation_cannot_answer(monkeypatch):
+@st.composite
+def weighted_sign_systems(draw):
+    """Sign systems on dims in [1, 8]^3 with random weights, so any row can be the anchor.
+
+    Entries are kept at any density from 5% to all.  Optionally only two
+    diagonal blocks that share no variable are kept, one slice of a mode of
+    size 2 or more is left untouched, and one target is flipped.  Returns
+    the ``{key: +-1}`` dict for the oracle and the same system as
+    PhaseTargets.
+    """
+    dims = tuple(draw(st.integers(1, 8)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    g = [rng.choice([-1, 1], d) for d in dims]
+    keep = rng.random(dims) < draw(st.floats(0.05, 1.0))
+    if draw(st.booleans()):
+        c0, c1, c2 = (int(rng.integers(0, d + 1)) for d in dims)
+        blocks = np.zeros(dims, dtype=bool)
+        blocks[:c0, :c1, :c2] = blocks[c0:, c1:, c2:] = True
+        keep &= blocks
+    wide = [mode for mode in range(3) if dims[mode] > 1]
+    if wide and draw(st.booleans()):
+        mode = draw(st.sampled_from(wide))
+        np.moveaxis(keep, mode, 0)[rng.integers(dims[mode])] = False
+    idx = np.argwhere(keep)
+    t = g[0][idx[:, 0]] * g[1][idx[:, 1]] * g[2][idx[:, 2]]
+    if len(idx) and draw(st.booleans()):
+        t[rng.integers(len(idx))] *= -1
+    targets = {tuple(key): int(v) for key, v in zip(idx.tolist(), t)}
+    phi = np.where(t < 0, math.pi, 0.0)
+    return targets, dims, PhaseTargets(idx, phi, np.ones(len(idx)), rng.uniform(0.5, 2.0, len(idx)))
+
+
+@given(weighted_sign_systems())
+def test_anchored_signs_equal_the_elimination_or_raise_its_certificate(system):
+    # nonzero slice sums and every row met imply full rank, so whichever
+    # target anchors the closed form, its answer is the elimination's
+    targets, dims, weighted = system
+    try:
+        want = reference_solve_signs(targets, dims)
+    except Infeasible as exc:
+        with pytest.raises(Infeasible) as info:
+            solve_signs(weighted, dims)
+        assert info.value.certificate == exc.certificate
+        return
+    out = solve_signs(weighted, dims)
+    for got, ref in zip(out.diagonals, want):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
+def test_elimination_runs_only_where_the_anchored_form_cannot_answer(monkeypatch):
     calls = []
     eliminate = phases._eliminate_signs
 
@@ -576,12 +626,12 @@ def test_elimination_runs_only_where_propagation_cannot_answer(monkeypatch):
             assert np.array_equal(got, ref)
 
     check(system(all_keys(dims)), eliminated=0)
-    # two blocks with no shared variable: the seed reaches only the first
+    # two blocks with no shared variable: the second block's slice sums are zero
     check(system(list(itertools.product(range(2), range(2), range(3)))
                  + list(itertools.product(range(2, 4), range(2, 3), range(3, 5)))), eliminated=1)
     # gamma_4 is touched by no target
     check(system([k for k in all_keys(dims) if k[2] != 4]), eliminated=1)
-    # one flipped target: propagation reaches everything but the full check fails
+    # one flipped target: the slice sums stay nonzero, but the full check fails
     bad = system(all_keys(dims))
     bad[(2, 1, 3)] = -bad[(2, 1, 3)]
     calls.clear()
@@ -601,17 +651,17 @@ def test_real_orbit_witness_bytes_do_not_depend_on_the_fast_path(tmp_path, monke
     pa, pb = tmp_path / "a.t3b", tmp_path / "b.t3b"
     write_tensor(a, pa)
     write_tensor(b, pb)
-    propagate = phases._propagate_signs
+    anchored = phases._anchored_signs
     answered = []
 
     def spy(*args):
-        out = propagate(*args)
+        out = anchored(*args)
         answered.append(out is not None)
         return out
 
     runs = []
     for fast in (spy, lambda *args: None):
-        monkeypatch.setattr(phases, "_propagate_signs", fast)
+        monkeypatch.setattr(phases, "_anchored_signs", fast)
         w = tmp_path / "w.json"
         code = main(["iso", "--a", str(pa), "--b", str(pb), "--witness-out", str(w), "--json"])
         runs.append((code, capsys.readouterr().out, w.read_bytes()))
