@@ -6,12 +6,15 @@ C order (lexicographic (i, j, k)); complex entries are (re, im) pairs.
 Witness files use the same matrix-block conventions under magic ``T3W1``:
 kind byte, three u32 sizes, then the three square factors back to back.
 :func:`read_tensor` and :func:`read_witness` read either form, told apart
-by the leading magic bytes.
+by the leading magic bytes.  The JSON writers emit each float as
+``format(v, ".16e")``, whose 17 significant digits read back bit for bit;
+the readers take any JSON number.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -24,6 +27,35 @@ WITNESS_MAGIC = b"T3W1"
 
 _KIND_TO_BYTE = {"real": 0, "complex": 1}
 _BYTE_TO_KIND = {0: "real", 1: "complex"}
+
+
+def _words(*columns) -> np.ndarray:
+    """Four columns of ASCII codes as one uint32 per row, so that one lookup moves four bytes."""
+    return np.stack(np.broadcast_arrays(*columns), axis=1).astype(np.uint8).view(np.uint32).ravel()
+
+
+def _split(x):
+    """Dekker's split of float64 ``x`` into two halves of at most 26 significant bits each."""
+    c = 134217729.0 * x  # 2**27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+# Tables of the ``.16e`` encoder.  For |v| in [1e-7, 1e17], j = floor(log10|v|) + 7
+# indexes the decimal exponent k clipped to -6..16, the exact scale 10**(16 - k)
+# and its Dekker halves, and the exponent field "e-06" .. "e+16".  The other
+# words are "ddd" for 0..999, "d.d" for the first two digits (indexed by
+# 0..999 as well, so that every index is in range) and the sign, each padded
+# with spaces to four bytes.
+_K = np.clip(np.arange(25) - 7, -6, 16)
+_SCALE = np.array([float(10 ** (16 - k)) for k in _K.tolist()])  # Python ints: 10**22 overflows int64
+_SCALE_HI, _SCALE_LO = _split(_SCALE)
+_D, _ZERO, _SP = np.arange(1000), ord("0"), ord(" ")
+_EXPONENT_WORDS = _words(ord("e"), np.where(_K < 0, ord("-"), ord("+")), _ZERO + abs(_K) // 10, _ZERO + abs(_K) % 10)
+_DIGIT_WORDS = _words(_ZERO + _D // 100, _ZERO + _D // 10 % 10, _ZERO + _D % 10, _SP)
+_LEAD_WORDS = _words(_ZERO + _D // 10 % 10, ord("."), _ZERO + _D % 10, _SP)
+_SIGN_WORDS = _words([_SP, ord("-")], _SP, _SP, _SP)
+_TAIL_DIVISORS = np.array([1e12, 1e9, 1e6, 1e3, 1.0])[:, None]
 
 
 def _entries_to_bytes(arr: np.ndarray, kind: str) -> bytes:
@@ -75,11 +107,72 @@ def write_tensor(a: Tensor3, path) -> None:
         fh.write(tensor_to_bytes(a))
 
 
-def _entries_to_json(arr: np.ndarray, kind: str) -> list:
-    """Nested lists of floats, complex entries as ``[re, im]`` pairs."""
-    if kind == "real":
-        return arr.tolist()
-    return np.stack([arr.real, arr.imag], axis=-1).tolist()
+def _e16_words(values: np.ndarray) -> np.ndarray:
+    """``format(v, ".16e")`` of each finite float64 with spaces mixed in, 32 bytes viewed as 8 uint32 each.
+
+    With ``k = floor(log10|v|)`` in -6..16 the scale ``10**(16 - k)`` is exact,
+    and Dekker's error-free product (Numer. Math. 18, 1971) splits
+    ``|v| * 10**(16 - k)`` into ``p + lo`` with no rounding.  When
+    ``1e16 < p < 1e17`` the exponent is ``k``, and ``p``, being above 2**53,
+    is an even integer, so ``p + rint(lo)`` is the 17-digit significand
+    rounded half to even, as ``format`` rounds.  Every other value (zero,
+    below 1e-6, from 1e17 up, or next to a power of ten where ``log10``
+    rounds) goes through one ``%`` formatting of them all.
+    """
+    a = np.minimum(np.maximum(np.abs(values), 1e-7), 1e17)
+    j = (np.log10(a) + 7.0).astype(np.intp)  # truncation is floor here, the sum being >= 0
+    p = a * _SCALE[j]
+    ah, al = _split(a)
+    sh, sl = _SCALE_HI[j], _SCALE_LO[j]
+    lo = ((ah * sh - p) + ah * sl + al * sh) + al * sl
+    lead, rest = np.divmod(p.astype(np.int64) + np.rint(lo).astype(np.int64), 10 ** 15)
+    # the last 15 digits in five groups of three; below 2**53 float division floors exactly
+    tail = np.floor(rest / _TAIL_DIVISORS)
+    tail[1:] -= 1000.0 * tail[:-1]
+    words = np.empty((8, values.size), np.uint32)
+    words[0] = _SIGN_WORDS[np.signbit(values).view(np.int8)]
+    words[1] = _LEAD_WORDS[lead]
+    words[2:7] = _DIGIT_WORDS[tail.astype(np.intp)]
+    words[7] = _EXPONENT_WORDS[j]
+    words = words.T
+    slow = np.flatnonzero((p <= 1e16) | (p >= 1e17))
+    if slow.size:
+        text = ("%32.16e" * slow.size) % tuple(values[slow].tolist())
+        words[slow] = np.frombuffer(text.encode("ascii"), np.uint32).reshape(-1, 8)
+    return words
+
+
+def _json_lists(arrays: list[np.ndarray], kind: str) -> bytes:
+    """Compact JSON nested lists of the arrays, comma-separated; complex entries are ``[re, im]`` pairs.
+
+    Each number fills a fixed-width slot of a byte template that also holds
+    its brackets and comma, and one ``translate`` deletes the spaces.  A
+    non-finite float raises ``ValueError``, as :func:`dumps_canonical` does.
+    """
+    shapes = [x.shape + (2,) if kind == "complex" else x.shape for x in arrays]
+    dtype = np.complex128 if kind == "complex" else np.float64
+    values = np.concatenate([x.reshape(-1) for x in arrays], dtype=dtype).view(np.float64)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("a non-finite float has no JSON form")
+    # per number: up to 3 "[" (bytes 0-3), the number (4-35), up to 3 "]" (36-38), "," (39)
+    rows = np.full((values.size, 40), ord(" "), np.uint8)
+    rows.view(np.uint32)[:, 1:9] = _e16_words(values)
+    start = 0
+    for shape in shapes:
+        size = math.prod(shape)
+        block = rows[start:start + size].reshape(*shape, 40)
+        for t in range(1, len(shape) + 1):  # first and last element of each list t levels deep
+            block[(..., *(0,) * t, t - 1)] = ord("[")
+            block[(..., *(-1,) * t, 35 + t)] = ord("]")
+        start += size
+    rows[:-1, 39] = ord(",")
+    return rows.tobytes().translate(None, b" ")
+
+
+def _json_document(fmt: str, kind: str, dims, key: bytes, payload: bytes) -> bytes:
+    """The bytes :func:`dumps_canonical` writes for this document: sorted keys, no spaces, a newline."""
+    return b'{"dims":[%d,%d,%d],"%s":%s,"format":"%s","scalar_kind":"%s","version":1}\n' % (
+        *dims, key, payload, fmt.encode("ascii"), kind.encode("ascii"))
 
 
 def _is_json_int(v) -> bool:
@@ -120,16 +213,6 @@ def _json_header(obj, fmt: str) -> tuple[str, tuple[int, int, int]]:
     return kind, tuple(dims)
 
 
-def tensor_to_json_obj(a: Tensor3) -> dict:
-    return {
-        "format": "t3b-json",
-        "version": 1,
-        "scalar_kind": a.scalar_kind,
-        "dims": list(a.dims),
-        "entries": _entries_to_json(a.data.reshape(-1), a.scalar_kind),
-    }
-
-
 def tensor_from_json_obj(obj) -> Tensor3:
     kind, dims = _json_header(obj, "t3b-json")
     entries = obj.get("entries")
@@ -154,8 +237,9 @@ def dumps_canonical(obj) -> str:
 
 
 def write_tensor_json(a: Tensor3, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(dumps_canonical(tensor_to_json_obj(a)))
+    entries = _json_lists([a.data.reshape(-1)], a.scalar_kind)
+    with open(path, "wb") as fh:
+        fh.write(_json_document("t3b-json", a.scalar_kind, a.dims, b"entries", entries))
 
 
 def _load_json(buf: bytes, path):
@@ -205,16 +289,6 @@ def write_witness(g: TransformTriple, path) -> None:
         fh.write(witness_to_bytes(g))
 
 
-def witness_to_json_obj(g: TransformTriple) -> dict:
-    return {
-        "format": "witness-json",
-        "version": 1,
-        "scalar_kind": g.scalar_kind,
-        "dims": list(g.dims),
-        "factors": [_entries_to_json(g[d], g.scalar_kind) for d in range(3)],
-    }
-
-
 def witness_from_json_obj(obj) -> TransformTriple:
     kind, dims = _json_header(obj, "witness-json")
     raw = obj.get("factors")
@@ -234,8 +308,9 @@ def witness_from_json_obj(obj) -> TransformTriple:
 
 
 def write_witness_json(g: TransformTriple, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(dumps_canonical(witness_to_json_obj(g)))
+    factors = b"[" + _json_lists([g[d] for d in range(3)], g.scalar_kind) + b"]"
+    with open(path, "wb") as fh:
+        fh.write(_json_document("witness-json", g.scalar_kind, g.dims, b"factors", factors))
 
 
 def read_witness(path) -> TransformTriple:

@@ -14,6 +14,7 @@ from otiso import (
     RandomModel,
     Tensor3,
     apply_action,
+    read_tensor,
     read_witness,
     relabel,
     sample_haar_triple,
@@ -61,6 +62,13 @@ def test_gen_json_format(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["format"] == "t3b-json"
     assert doc["dims"] == [2, 3, 2]
+    # a rerun writes the same bytes, and they read back as the binary form's bits
+    again, binary = tmp_path / "again.json", tmp_path / "t.t3b"
+    assert main(["gen", "--dims", "2", "3", "2", "--out", str(again),
+                 "--format", "json", "--quiet"]) == 0
+    assert main(["gen", "--dims", "2", "3", "2", "--out", str(binary), "--quiet"]) == 0
+    assert again.read_bytes() == out.read_bytes()
+    assert read_tensor(out).data.tobytes() == read_tensor(binary).data.tobytes()
 
 
 def test_iso_yes_with_witness_out(tmp_path, capsys):

@@ -320,6 +320,20 @@ def test_orbit_pairs_are_never_no_and_independent_pairs_never_yes(dims, kind, di
         d = decide_isomorphism(a, b)
         assert d.verdict != never, (d.verdict, d.diagnostics)
         assert decide_isomorphism(b, a).verdict == d.verdict
+    # a tensor whose mode-1 Gram is 3·I has a fully tied spectrum; against an
+    # independent tensor the spectra differ, which is a NO before any refusal
+    n1, rest = dims[0], dims[1] * dims[2]
+    if n1 <= rest:
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((rest, n1))
+        if kind == "complex":
+            m = m + 1j * rng.standard_normal((rest, n1))
+        rows = math.sqrt(3.0) * np.linalg.qr(m)[0].T  # orthonormal rows scaled: rows @ rows^H = 3·I
+        tied = Tensor3(rows.reshape(dims), kind)
+        assert n1 == 1 or not core_of(tied)[0].spectra[0].simple
+        for x, y in ((tied, independent), (independent, tied)):
+            d = decide_isomorphism(x, y)
+            assert d.verdict == "no" and d.diagnostics["step"] == "spectra", (d.verdict, d.diagnostics)
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])

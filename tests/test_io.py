@@ -5,6 +5,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from otiso import (
     FormatError,
@@ -21,15 +22,14 @@ from otiso import (
     write_witness_json,
 )
 from otiso.io import (
+    _e16_words,
     dumps_canonical,
     tensor_from_bytes,
     tensor_from_json_obj,
     tensor_to_bytes,
-    tensor_to_json_obj,
     witness_from_bytes,
     witness_from_json_obj,
     witness_to_bytes,
-    witness_to_json_obj,
 )
 
 
@@ -90,9 +90,12 @@ def test_binary_format_errors():
         tensor_from_bytes(nan_payload)
 
 
-def test_json_document_shape():
+def test_json_document_shape(tmp_path):
+    path = tmp_path / "t.json"
     a = Tensor3(np.array([[[1.0 + 2.0j, -3.0 + 0.5j]]]), "complex")
-    obj = tensor_to_json_obj(a)
+    write_tensor_json(a, path)
+    obj = json.loads(path.read_text())
+    assert list(obj) == ["dims", "entries", "format", "scalar_kind", "version"]  # sorted keys
     assert obj["format"] == "t3b-json"
     assert obj["version"] == 1
     assert obj["scalar_kind"] == "complex"
@@ -101,8 +104,8 @@ def test_json_document_shape():
     assert obj["entries"] == [[1.0, 2.0], [-3.0, 0.5]]
     assert tensor_from_json_obj(obj) == a
 
-    r = Tensor3(np.arange(1.0, 9.0).reshape(2, 2, 2))
-    assert tensor_to_json_obj(r)["entries"] == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
+    write_tensor_json(Tensor3(np.arange(1.0, 9.0).reshape(2, 2, 2)), path)
+    assert json.loads(path.read_text())["entries"] == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
 
 
 def test_json_round_trip(tmp_path):
@@ -116,29 +119,65 @@ def test_json_round_trip(tmp_path):
         assert doc["scalar_kind"] == kind
 
 
-def _scalar_json_reference(x, kind):
-    return float(x) if kind == "real" else [float(x.real), float(x.imag)]
+def _e16_reference(arr, kind):
+    """The JSON text of nested lists of ``arr``, one ``format(v, ".16e")`` per float."""
+    if arr.ndim:
+        return "[" + ",".join(_e16_reference(x, kind) for x in arr) + "]"
+    if kind == "complex":
+        return "[%s,%s]" % (format(arr.real, ".16e"), format(arr.imag, ".16e"))
+    return format(float(arr), ".16e")
 
 
-def test_json_bytes_match_per_entry_form():
-    # the array-based writers must emit exactly what a per-entry float() loop emits
+def test_json_bytes_match_per_entry_form(tmp_path):
+    # the array encoder must emit exactly what a per-entry format(v, ".16e") loop emits
     rng = np.random.default_rng(97)
-    special = np.array([0.0, -0.0, 5e-324, -2.2e-308, 1e-300, 1.0 / 3.0, -1e300, 123456789.0])
+    special = np.array([0.0, -0.0, 5e-324, -2.2e-308, 1e-300, 1.0 / 3.0, -1e300, 123456789.0,
+                        1e-6, 9.999999999999999e-07, 1e16, 1e17, 0.1, 1.0])
     for kind in ("real", "complex"):
         vals = rng.standard_normal(60)
         vals[: special.size] = special
         if kind == "complex":
             vals = vals + 1j * np.concatenate([special[::-1], rng.standard_normal(60 - special.size)])
-        a = Tensor3(vals[:60].reshape(3, 4, 5), kind)
-        want = {"format": "t3b-json", "version": 1, "scalar_kind": kind, "dims": [3, 4, 5],
-                "entries": [_scalar_json_reference(x, kind) for x in a.data.reshape(-1)]}
-        assert dumps_canonical(tensor_to_json_obj(a)) == dumps_canonical(want)
+        path = tmp_path / f"{kind}.json"
+        a = Tensor3(vals.reshape(3, 4, 5), kind)
+        write_tensor_json(a, path)
+        head = '{"dims":[3,4,5],"entries":'
+        tail = ',"format":"t3b-json","scalar_kind":"%s","version":1}\n' % kind
+        assert path.read_bytes() == (head + _e16_reference(a.data.reshape(-1), kind) + tail).encode()
+        assert np.array_equal(read_tensor(path).data, a.data)
 
         factors = [vals[:9].reshape(3, 3), vals[9:25].reshape(4, 4), vals[25:50].reshape(5, 5)]
         g = TransformTriple(factors, kind, check=False)
-        want = {"format": "witness-json", "version": 1, "scalar_kind": kind, "dims": [3, 4, 5],
-                "factors": [[[_scalar_json_reference(x, kind) for x in row] for row in g[d]] for d in range(3)]}
-        assert dumps_canonical(witness_to_json_obj(g)) == dumps_canonical(want)
+        write_witness_json(g, path)
+        head = '{"dims":[3,4,5],"factors":['
+        tail = '],"format":"witness-json","scalar_kind":"%s","version":1}\n' % kind
+        body = ",".join(_e16_reference(g[d], kind) for d in range(3))
+        assert path.read_bytes() == (head + body + tail).encode()
+        assert all(np.array_equal(read_witness(path)[d], g[d]) for d in range(3))
+
+
+def _ulps_from(x: float, steps: int) -> float:
+    for _ in range(abs(steps)):
+        x = float(np.nextafter(x, np.inf if steps > 0 else 0.0))
+    return x
+
+
+# floats within a few ulps of a power of ten, where log10 rounds and the
+# 17-digit significand can carry into the next decade
+_NEAR_POWERS_OF_TEN = st.builds(lambda e, steps, sign: sign * _ulps_from(10.0 ** e, steps),
+                                st.integers(-30, 30), st.integers(-3, 3), st.sampled_from([1.0, -1.0]))
+
+
+@given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+                          st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+                          _NEAR_POWERS_OF_TEN),
+                min_size=1, max_size=40))
+def test_e16_encoder_matches_format_and_reads_back(values):
+    arr = np.array(values, dtype=np.float64)
+    texts = [row.tobytes().decode("ascii").replace(" ", "") for row in _e16_words(arr)]
+    assert texts == [format(v, ".16e") for v in values]
+    back = np.array(json.loads("[" + ",".join(texts) + "]"), dtype=np.float64)
+    assert back.tobytes() == arr.tobytes()  # same bits, the sign of zero included
 
 
 def test_json_format_errors():

@@ -7,9 +7,11 @@ from there.  For each seed, the ``iso``, ``dist``, ``hyper`` and ``gaps`` ops of
 workload in ``bench/workloads.py`` are generated exactly as the benchmark
 generates them and passed to ``otiso.cli.main`` in process, one at a time.
 Each op prints one JSON line: workload, seed, label, exit code, stdout,
-stderr and the sha256 of the witness or CSV file it wrote (null when none).  The
-work directory's path is replaced by ``$WORK``, so runs of two source trees
-compare with ``diff``.
+stderr and the sha256 of the witness or CSV file it wrote (null when none).
+``witness_values_sha256`` hashes the witness factors' float64 values as
+``json`` parses them, so two trees that write the same numbers as different
+text differ in ``witness_sha256`` alone.  The work directory's path is
+replaced by ``$WORK``, so runs of two source trees compare with ``diff``.
 """
 
 from __future__ import annotations
@@ -31,9 +33,16 @@ import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 
 COMMANDS = ("iso", "dist", "hyper", "gaps")
+
+
+def witness_values_digest(path: Path) -> str:
+    """sha256 of a JSON witness's three factors as float64 arrays (complex entries as re, im pairs)."""
+    factors = json.loads(path.read_bytes())["factors"]
+    return hashlib.sha256(b"".join(np.asarray(f, dtype=np.float64).tobytes() for f in factors)).hexdigest()
 
 
 def run_op(cli, op, work: Path) -> dict:
@@ -44,6 +53,8 @@ def run_op(cli, op, work: Path) -> dict:
     for key in ("witness", "csv"):
         path = op.check.get(key)
         digests[f"{key}_sha256"] = hashlib.sha256(path.read_bytes()).hexdigest() if path and path.exists() else None
+        if key == "witness":
+            digests["witness_values_sha256"] = witness_values_digest(path) if digests["witness_sha256"] else None
     return {"label": op.label, "code": code, "stdout": out.getvalue().replace(str(work), "$WORK"),
             "stderr": err.getvalue().replace(str(work), "$WORK"), **digests}
 
