@@ -117,7 +117,9 @@ def _e16_words(values: np.ndarray) -> np.ndarray:
     is an even integer, so ``p + rint(lo)`` is the 17-digit significand
     rounded half to even, as ``format`` rounds.  Every other value (zero,
     below 1e-6, from 1e17 up, or next to a power of ten where ``log10``
-    rounds) goes through one ``%`` formatting of them all.
+    rounds) goes through one ``%`` formatting of them all.  That ``%`` alone
+    would serve every value, but at about 0.9 us per float it is 4-8 times
+    slower than this path (timings in ``BENCH_18.json``).
     """
     a = np.minimum(np.maximum(np.abs(values), 1e-7), 1e17)
     j = (np.log10(a) + 7.0).astype(np.intp)  # truncation is floor here, the sum being >= 0
