@@ -243,7 +243,7 @@ def _decide(a: Tensor3, b: Tensor3, eps: float | None) -> Decision:
         if not targets:
             assignment = Assignment(tuple(np.ones(d) for d in a.dims), "identity")
         else:
-            assignment = (solve_phases if a.scalar_kind == "complex" else solve_signs)(targets, a.dims)
+            assignment = (solve_phases if a.scalar_kind == "complex" else solve_signs)(targets)
     except Infeasible as exc:
         diag["solver_path"] = exc.solver_path
         diag["step"] = "phase_system"
@@ -262,7 +262,7 @@ def _decide(a: Tensor3, b: Tensor3, eps: float | None) -> Decision:
     # sound option.  Targets whose incidence has rank below n1+n2+n3-2 leave
     # some per-mode angle unpinned beyond the gauge, so the solver's guess
     # there was never evidence.
-    unpinned = incidence_rank(targets, a.dims) < sum(a.dims) - 2
+    unpinned = incidence_rank(targets) < sum(a.dims) - 2
     diag["step"] = "underdetermined" if unpinned else "witness_verification"
     return Decision("cannot_decide", witness, report.residual, gate, diag)
 

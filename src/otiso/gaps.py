@@ -59,8 +59,8 @@ class GapExperiment:
     def __post_init__(self):
         if self.n < 1:
             raise ConfigInvalid("n must be >= 1")
-        if self.trials < 0:
-            raise ConfigInvalid("trials must be >= 0")
+        if self.trials < 1:
+            raise ConfigInvalid("trials must be >= 1")
         if (self.zeta is None) == (self.p is None):
             raise ConfigInvalid("give exactly one of zeta or p")
         if self.zeta is not None:
@@ -167,8 +167,6 @@ def _spectrum_record(trial: int, seed: int, spectra) -> TrialRecord:
 
 def run_gap_experiment(cfg: GapExperiment) -> GapReport:
     """Sample n x p matrices, eigendecompose the p x p Gram, record min adjacent gaps."""
-    if cfg.trials < 1:
-        raise ConfigInvalid("trials must be >= 1")
     p = cfg.resolved_p
     records = []
     for trial in range(cfg.trials):

@@ -41,23 +41,23 @@ class CoreTensor:
 
 @dataclass(frozen=True)
 class PhaseTargets:
-    """Per-entry phase constraints ``|phi - (alpha_i + beta_j + gamma_k)| < slack`` as parallel arrays.
+    """Per-entry phase constraints ``|phi - (alpha_i + beta_j + gamma_k)| < slack`` on the core grid.
 
-    Row ``r`` constrains entry ``idx[r]``; rows are in sorted-key order.
-    This is the one input form of ``solve_signs`` and ``solve_phases``.
+    All three arrays have the cores' shape.  The targets are the entries of
+    positive weight; ``phi`` and ``slack`` are read only there.  This is the
+    one input form of ``solve_signs`` and ``solve_phases``.
     """
 
-    idx: np.ndarray     # (m, 3) int64 index triples
-    phi: np.ndarray     # (m,) float64 argument of core_b / core_a at the entry, in (-pi, pi]
-    slack: np.ndarray   # (m,) float64 admissible angular deviation, in [0, pi]
-    weight: np.ndarray  # (m,) float64 |core_a| + |core_b| at the entry; picks the anchor, ranks propagation seeds
+    phi: np.ndarray     # float64 argument of core_b / core_a, in (-pi, pi]
+    slack: np.ndarray   # float64 admissible angular deviation, in [0, pi]
+    weight: np.ndarray  # float64 |core_a| + |core_b| at a target, else 0; picks the anchor, ranks propagation seeds
 
     def __len__(self) -> int:
-        return len(self.phi)
+        return np.count_nonzero(self.weight)
 
-    def keys(self, rows=None) -> list:
-        """Index triples (as int tuples) of the selected rows, all rows by default."""
-        return [tuple(k) for k in (self.idx if rows is None else self.idx[rows]).tolist()]
+    def keys(self, where) -> list:
+        """Index triples (as int tuples) of the true entries of the boolean grid ``where``, in sorted order."""
+        return [tuple(k) for k in np.argwhere(where).tolist()]
 
 
 @dataclass(frozen=True)
@@ -136,8 +136,6 @@ def compare_cores(sa: CoreTensor, sb: CoreTensor, thr: float):
     if diff[worst] > thr:
         return RejectFar(entry=tuple(int(x) for x in worst))
 
-    mask = mod_a + mod_b > thr
-    ma, mb = mod_a[mask], mod_b[mask]
     # Law of cosines in half-angle form: the slack is the largest angular
     # deviation s with (ma - mb)^2 + 4 ma mb sin^2(s/2) <= budget = thr^2/2.
     # Unlike arccos of the cosine ratio it keeps slacks far below 1e-8.  With
@@ -146,20 +144,19 @@ def compare_cores(sa: CoreTensor, sb: CoreTensor, thr: float):
     # slack.  A zero modulus (which the screen above rules out while the sum
     # clears the threshold) keeps a dead constraint.
     h = thr / math.sqrt(2.0)
-    d = np.abs(ma - mb)
-    den = 2.0 * np.sqrt(ma) * np.sqrt(mb)
+    den = 2.0 * np.sqrt(mod_a) * np.sqrt(mod_b)
     with np.errstate(divide="ignore", invalid="ignore"):
-        sin_half = np.sqrt(np.maximum(h - d, 0.0)) * np.sqrt(h + d) / den
+        sin_half = np.sqrt(np.maximum(h - diff, 0.0)) * np.sqrt(h + diff) / den
     slack = np.where(den > 0.0, 2.0 * np.arcsin(np.minimum(sin_half, 1.0)), 0.0)
     # arg(b * conj(a)) == arg(b/a) but exact when b == a; numpy may form a
     # complex product's imaginary part with a fused multiply-add, which
     # leaves a rounding residue where a == b, so it is formed explicitly
-    a, b = A[mask], B[mask]
-    prod = b * np.conj(a)
+    prod = B * np.conj(A)
     if np.iscomplexobj(prod):
-        prod.imag = b.imag * a.real - b.real * a.imag
-    phi = np.where(ma > 0.0, np.angle(prod), 0.0)
+        prod.imag = B.imag * A.real - B.real * A.imag
+    phi = np.where(mod_a > 0.0, np.angle(prod), 0.0)
+    total = mod_a + mod_b
     return CoreComparison(
         support_ok=bool(np.array_equal(mod_a > thr, mod_b > thr)),
-        phase_targets=PhaseTargets(np.argwhere(mask), phi, slack, ma + mb),
+        phase_targets=PhaseTargets(phi, slack, np.where(total > thr, total, 0.0)),
     )

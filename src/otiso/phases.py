@@ -7,40 +7,41 @@ slack in the complex case.  Both systems have a two-parameter gauge freedom
 (shift all alpha by theta and all beta by -theta, and likewise alpha/gamma),
 so solutions are pinned by gauging free directions to zero.
 
-Both solvers take the :class:`PhaseTargets` arrays that ``compare_cores``
-builds, one row per target in sorted-key order.  Both systems are angular
-synchronization (Singer 2011, ACHA 30(1)), signs being phases in {0, pi},
-and both first try one closed form on the core grid, checked against every
-target.  With ``z`` the targets' values on the grid (``weight *
-exp(i*phi)`` for phases, ``+-1`` for signs; zero off the targets), the
-slice sum ``sum_jk z[i,j,k] * conj(z[i0,j,k])`` carries ``alpha_i -
-alpha_i0`` relative to the heaviest target ``(i0, j0, k0)``: its argument
-for phases, its sign for signs.  Three contractions give every variable
-relative to that anchor, and one shift puts the anchor on its own target.
+Both solvers take the :class:`PhaseTargets` that ``compare_cores`` builds:
+``phi``, ``slack`` and ``weight`` on the core grid, the targets being the
+entries of positive weight.  Both systems are angular synchronization
+(Singer 2011, ACHA 30(1)), signs being phases in {0, pi}, and both first
+try one closed form on that grid, checked against every target.  With
+``z`` the targets' values on the grid (``weight * exp(i*phi)`` for phases,
+``+-1`` for signs; zero off the targets), the slice sum ``sum_jk
+z[i,j,k] * conj(z[i0,j,k])`` carries ``alpha_i - alpha_i0`` relative to
+the heaviest target ``(i0, j0, k0)``: its argument for phases, its sign
+for signs.  Three contractions give every variable relative to that
+anchor, and one shift puts the anchor on its own target.
 
 For signs, the closed form's answer is kept only when every slice sum is
-nonzero and every row is met.  Then every slice shares a target with the
-anchor's slice, so each variable is pinned relative to the anchor and the
-rank is ``n1 + n2 + n3 - 2``.  Each row has one variable per mode, so the
-row space of any sign system lies in the annihilator of the two gauge
-directions; at that rank it is the annihilator, and the reduced echelon
-form, with free columns the last beta and the last gamma, is fixed.  The
-anchored signs gauged to +1 there are the elimination's answer bit for
-bit.  Otherwise the system is eliminated over GF(2), one row at a time on
-Python-int bit rows; only the elimination yields parity certificates.  All
-sign answers are on solver path ``"gf2"``.
+nonzero and every target is met.  Then every slice shares a target with
+the anchor's slice, so each variable is pinned relative to the anchor and
+the rank is ``n1 + n2 + n3 - 2``.  A target's row has one variable per
+mode, so the row space of any sign system lies in the annihilator of the
+two gauge directions; at that rank it is the annihilator, and the reduced
+echelon form, with free columns the last beta and the last gamma, is
+fixed.  The anchored signs gauged to +1 there are the elimination's answer
+bit for bit.  Otherwise the system is eliminated over GF(2), one row at a
+time in sorted-key order on Python-int bit rows; only the elimination
+yields parity certificates.  All sign answers are on solver path ``"gf2"``.
 
 For phases, the closed form answers dense consistent systems on solver
-path ``"anchored"``.  When it misses a target (sparse systems, whose rows
-share no target with the anchor's slice, and every inconsistent system),
-a second stage runs: batched frontier propagation spreads weighted
-circular means out from the heaviest target, the estimates fix every
-target's integer wrap, and a weighted least-squares solve of the
-``(n1+n2+n3)``-square normal equations refines the angles.  The normal
-matrix is factored once, by ``eigh``, into its minimum-norm
-pseudo-inverse; the solve and its refinement pass both reuse it.  A target
-the least-squares point misses makes the system infeasible, on solver path
-``"lstsq"``.
+path ``"anchored"``.  When it misses a target (sparse systems, whose
+slices share no target with the anchor's slice, and every inconsistent
+system), a second stage runs on the targets as rows: batched frontier
+propagation spreads weighted circular means out from the heaviest target,
+the estimates fix every target's integer wrap, and a weighted
+least-squares solve of the ``(n1+n2+n3)``-square normal equations refines
+the angles.  The normal matrix is factored once, by ``eigh``, into its
+minimum-norm pseudo-inverse; the solve and its refinement pass both reuse
+it.  A target the least-squares point misses makes the system infeasible,
+on solver path ``"lstsq"``.
 
 Both return one :class:`Assignment`: the three per-mode unit diagonals
 (``+-1.0`` signs, or ``exp(i*angle)`` phases) that ``assemble_witness``
@@ -81,12 +82,11 @@ def _canonical_angles(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _variables(idx: np.ndarray, dims) -> np.ndarray:
-    """Per target, the three variable columns ``(i, n1 + j, n1 + n2 + k)``."""
-    out = np.flatnonzero(((idx < 0) | (idx >= np.array(dims))).any(axis=1))
-    if out.size:
-        raise DimensionMismatch(f"target key {tuple(idx[out[0]].tolist())} out of range for dims {dims}")
-    return idx + np.array([0, dims[0], dims[0] + dims[1]])
+def _rows(targets: PhaseTargets) -> tuple[np.ndarray, np.ndarray]:
+    """Per target in sorted-key order, its key and variable columns ``(i, n1 + j, n1 + n2 + k)``; fallbacks only."""
+    idx = np.argwhere(targets.weight > 0)
+    n1, n2, _ = targets.weight.shape
+    return idx, idx + np.array([0, n1, n1 + n2])
 
 
 def _normal_matrix(var: np.ndarray, w: np.ndarray, nvar: int) -> np.ndarray:
@@ -95,64 +95,67 @@ def _normal_matrix(var: np.ndarray, w: np.ndarray, nvar: int) -> np.ndarray:
     return np.bincount(pairs, np.repeat(w, 9), nvar * nvar).reshape(nvar, nvar)
 
 
-def incidence_rank(targets: PhaseTargets, dims) -> int:
+def incidence_rank(targets: PhaseTargets) -> int:
     """Rank of the targets' 0/1 incidence: ``n1 + n2 + n3 - 2`` when they pin every angle up to the gauge."""
-    var = _variables(targets.idx, dims)
-    return int(np.linalg.matrix_rank(_normal_matrix(var, np.ones(len(var)), sum(dims))))
+    _, var = _rows(targets)
+    return int(np.linalg.matrix_rank(_normal_matrix(var, np.ones(len(var)), sum(targets.weight.shape))))
 
 
 def _reject_dead(targets: PhaseTargets, solver_path: str) -> None:
-    dead = targets.slack <= 0.0
+    dead = (targets.weight > 0) & (targets.slack <= 0.0)
     if dead.any():
         raise Infeasible(targets.keys(dead), "targets with zero slack admit no strict solution", solver_path)
 
 
-def _anchor_sums(targets: PhaseTargets, values: np.ndarray, dims) -> tuple[int, np.ndarray]:
-    """The heaviest target's row, and per variable the grid contracted with the anchor's slice in that mode.
+def _anchor_sums(targets: PhaseTargets, values: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """The heaviest target, and per variable the grid contracted with the anchor's slice in that mode.
 
-    The grid ``z`` holds ``values`` at the targets and zero elsewhere; for
-    the anchor at ``(i0, j0, k0)`` the mode-1 sum at ``i`` is
+    The grid ``z`` holds ``values`` at the targets and +0 elsewhere (a -0.0
+    would turn a zero sum's angle into pi).  The anchor ``(i0, j0, k0)`` is
+    the first maximum of ``weight`` in C order; the mode-1 sum at ``i`` is
     ``sum_jk z[i,j,k] * conj(z[i0,j,k])``, and likewise for j and k.  The
     three sums are concatenated in variable order.
     """
-    z = np.zeros(dims, dtype=values.dtype)
-    z[tuple(targets.idx.T)] = values
-    anchor = int(np.argmax(targets.weight))
-    i0, j0, k0 = targets.idx[anchor].tolist()
+    z = np.where(targets.weight > 0, values, 0)
+    anchor = np.unravel_index(np.argmax(targets.weight), z.shape)
+    i0, j0, k0 = anchor
     return anchor, np.concatenate([
-        z.reshape(dims[0], -1) @ z[i0].conj().ravel(),
+        z.reshape(z.shape[0], -1) @ z[i0].conj().ravel(),
         np.einsum("ijk,ik->j", z, z[:, j0].conj()),
-        z[:, :, k0].conj().ravel() @ z.reshape(-1, dims[2]),
+        z[:, :, k0].conj().ravel() @ z.reshape(-1, z.shape[2]),
     ])
 
 
-def _anchored_signs(targets: PhaseTargets, var: np.ndarray, rhs: np.ndarray, dims) -> np.ndarray | None:
+def _anchored_signs(targets: PhaseTargets, rhs: np.ndarray) -> np.ndarray | None:
     """The gauged signs from the heaviest target's three slices, or None where elimination must decide.
 
     A slice sum's sign is that variable's sign relative to the anchor's.
     Alpha is flipped so the anchor meets its own target, and the last beta
-    and the last gamma are gauged to +1.  A zero sum or a missed row gives None.
+    and the last gamma are gauged to +1.  A zero sum or a missed target gives None.
     """
-    n1, n2, _ = dims
-    anchor, sums = _anchor_sums(targets, np.where(rhs, -1.0, 1.0), dims)
+    n1, n2, _ = rhs.shape
+    anchor, sums = _anchor_sums(targets, np.where(rhs, -1.0, 1.0))
     if not sums.all():
         return None
     val = sums < 0
     if rhs[anchor]:
         val[:n1] ^= True
-    # every row has one variable per mode, so flipping two whole modes keeps every row's parity
+    # every target has one variable per mode, so flipping two whole modes keeps every target's parity
     if val[n1 + n2 - 1]:
         val[: n1 + n2] ^= True
     if val[-1]:
         val[:n1] ^= True
         val[n1 + n2:] ^= True
-    if (val[var[:, 0]] ^ val[var[:, 1]] ^ val[var[:, 2]] ^ rhs).any():
+    a, b, c = np.split(val, (n1, n1 + n2))
+    if np.any((a[:, None, None] ^ b[:, None]) ^ c ^ rhs, where=targets.weight > 0):
         return None
     return np.where(val, -1.0, 1.0)
 
 
-def _eliminate_signs(var: np.ndarray, rhs: np.ndarray, idx: np.ndarray, nvar: int) -> np.ndarray:
+def _eliminate_signs(targets: PhaseTargets, rhs: np.ndarray) -> np.ndarray:
     """GF(2) elimination in sorted-row order: the signs, or :class:`Infeasible` with a parity certificate."""
+    idx, var = _rows(targets)
+    rhs = rhs[targets.weight > 0]
     # Pivots in reduced echelon form at their pivot column, as [bits, rhs,
     # provenance]: a pivot has no bit at any other pivot column, so a row is
     # reduced by the pivots at its own three columns.  Provenance is a bit set
@@ -180,7 +183,7 @@ def _eliminate_signs(var: np.ndarray, rhs: np.ndarray, idx: np.ndarray, nvar: in
                 p[0], p[1], p[2] = p[0] ^ coef, p[1] ^ bit, p[2] ^ prov
         piv[col] = [coef, bit, prov]
     # free variables are +1, so each pivot variable equals its reduced rhs
-    signs = np.ones(nvar)
+    signs = np.ones(sum(targets.weight.shape))
     signs[[c for c, p in piv.items() if p[1]]] = -1.0
     # elimination is exact, but verify anyway: a silent solver bug here would
     # poison every YES verdict downstream
@@ -190,43 +193,42 @@ def _eliminate_signs(var: np.ndarray, rhs: np.ndarray, idx: np.ndarray, nvar: in
     return signs
 
 
-def solve_signs(targets: PhaseTargets, dims) -> Assignment:
+def solve_signs(targets: PhaseTargets) -> Assignment:
     """Solve ``s1(i) s2(j) s3(k) = t`` over {-1, +1} for all targets.
 
     ``targets`` is the :class:`PhaseTargets` of two real cores: the sign
     ``t`` is -1 where ``|phi| > pi/2``, and zero-slack targets are
-    infeasible.  ``dims`` gives the three vector lengths.  The closed form
-    anchored at the heaviest target answers first: when it meets every row
-    and every slice sum is nonzero, the rank is ``n1 + n2 + n3 - 2`` and its
-    signs, gauged to +1 at the last beta and the last gamma, are the
-    elimination's answer.  Otherwise the system is eliminated over GF(2)
-    (sign -1 encodes bit 1): rows are taken in sorted-key order and each one
-    independent of the rows before it becomes a pivot at its lowest free
-    column.  When a row reduces to ``0 = 1``, the pivot rows that span it
-    together with that row form a parity certificate (their targets multiply
-    to -1 while every variable they touch appears an even number of times),
-    raised as :class:`Infeasible`.  Free variables, one per gauge direction
-    and connected component, are fixed to +1.  The diagonals are the
-    ``+-1.0`` sign vectors, on solver path ``"gf2"``.
+    infeasible.  The closed form anchored at the heaviest target answers
+    first: when it meets every target and every slice sum is nonzero, the
+    rank is ``n1 + n2 + n3 - 2`` and its signs, gauged to +1 at the last
+    beta and the last gamma, are the elimination's answer.  Otherwise the
+    system is eliminated over GF(2) (sign -1 encodes bit 1): rows are taken
+    in sorted-key order and each one independent of the rows before it
+    becomes a pivot at its lowest free column.  When a row reduces to
+    ``0 = 1``, the pivot rows that span it together with that row form a
+    parity certificate (their targets multiply to -1 while every variable
+    they touch appears an even number of times), raised as
+    :class:`Infeasible`.  Free variables, one per gauge direction and
+    connected component, are fixed to +1.  The diagonals are the ``+-1.0``
+    sign vectors, on solver path ``"gf2"``.
     """
-    dims = tuple(int(d) for d in dims)
     _reject_dead(targets, "gf2")
-    var = _variables(targets.idx, dims)
     rhs = np.abs(targets.phi) > math.pi / 2
-    signs = _anchored_signs(targets, var, rhs, dims) if len(rhs) else None
+    signs = _anchored_signs(targets, rhs)
     if signs is None:
-        signs = _eliminate_signs(var, rhs, targets.idx, sum(dims))
-    return Assignment(tuple(np.split(signs, np.cumsum(dims[:2]))), "gf2")
+        signs = _eliminate_signs(targets, rhs)
+    return Assignment(tuple(np.split(signs, np.cumsum(rhs.shape[:2]))), "gf2")
 
 
-def _propagate_estimates(var: np.ndarray, targets: PhaseTargets, nvar: int) -> np.ndarray:
+def _propagate_estimates(var: np.ndarray, phi: np.ndarray, weight: np.ndarray, nvar: int) -> np.ndarray:
     """Stage 2, first step: batched frontier propagation with weighted circular means.
 
-    Returns an initial angle estimate per variable.  Propagation is seeded
-    at the heaviest target (its first two variables gauged to zero).  In
-    each round, every unassigned variable that has a target with its other
-    two variables assigned gets the weighted circular mean over all such
-    targets.  When propagation stalls, it is reseeded at the heaviest
+    Takes the targets as rows (variable columns, ``phi`` and ``weight``)
+    and returns an initial angle estimate per variable.  Propagation is
+    seeded at the heaviest target (its first two variables gauged to zero).
+    In each round, every unassigned variable that has a target with its
+    other two variables assigned gets the weighted circular mean over all
+    such targets.  When propagation stalls, it is reseeded at the heaviest
     target that touches an unassigned variable, found by one masked
     ``argmax`` (the lowest row among equal weights, as a stable sort would
     order them).  Untouched variables stay at zero.
@@ -241,33 +243,28 @@ def _propagate_estimates(var: np.ndarray, targets: PhaseTargets, nvar: int) -> n
         if front.size:
             # unassigned estimates are zero, so the row sum is the other two
             v = var[front][missing[front]]
-            ang = targets.phi[front] - est[var[front]].sum(axis=1)
-            w = targets.weight[front]
+            ang = phi[front] - est[var[front]].sum(axis=1)
+            w = weight[front]
             acc = np.bincount(v, w * np.cos(ang), nvar) + 1j * np.bincount(v, w * np.sin(ang), nvar)
             v = np.unique(v)
             est[v] = np.angle(acc[v])
             assigned[v] = True
         elif (touched & ~assigned).any():
             # heaviest target with two unassigned variables; argmax keeps the lowest row on ties
-            seed = int(np.argmax(np.where(n_missing >= 2, targets.weight, -np.inf)))
+            seed = int(np.argmax(np.where(n_missing >= 2, weight, -np.inf)))
             vs = var[seed][missing[seed]]
-            est[vs[-1]] = wrap_angle(targets.phi[seed] - est[var[seed]].sum())
+            est[vs[-1]] = wrap_angle(phi[seed] - est[var[seed]].sum())
             assigned[vs] = True
         else:
             return est
 
 
-def _residuals(x: np.ndarray, var: np.ndarray, targets: PhaseTargets) -> np.ndarray:
-    """Per target, the circular residual ``|phi - (alpha_i + beta_j + gamma_k)|`` at the angles ``x``."""
-    return np.abs(wrap_angle(targets.phi - (x[var[:, 0]] + x[var[:, 1]] + x[var[:, 2]])))
-
-
-def _phase_assignment(x: np.ndarray, dims, solver_path: str) -> Assignment:
-    parts = np.split(x, np.cumsum(dims[:2]))
+def _phase_assignment(x: np.ndarray, shape, solver_path: str) -> Assignment:
+    parts = np.split(x, np.cumsum(shape[:2]))
     return Assignment(tuple(np.exp(1j * _canonical_angles(part)) for part in parts), solver_path)
 
 
-def _anchored_phases(targets: PhaseTargets, var: np.ndarray, dims) -> Assignment | None:
+def _anchored_phases(targets: PhaseTargets) -> Assignment | None:
     """Stage 1: closed-form angles from the heaviest target's three slices, or None when they miss a target.
 
     With ``z = weight * exp(i*phi)`` on the core grid (zero off the targets)
@@ -276,27 +273,33 @@ def _anchored_phases(targets: PhaseTargets, var: np.ndarray, dims) -> Assignment
     ``alpha_i - alpha_i0`` is the argument of that product summed over
     ``(j, k)``: one contraction per mode gives every angle relative to the
     anchor, and shifting alpha puts the anchor's sum on its own ``phi``.
-    A row with no target in common with the anchor's slice gets angle 0, so
-    sparse systems miss and fall through; the answer is returned only when
-    every target's residual is strictly below its slack.
+    A slice with no target in common with the anchor's slice gets angle 0,
+    so sparse systems miss and fall through; the answer is returned only
+    when every target's residual is strictly below its slack.
     """
-    anchor, sums = _anchor_sums(targets, targets.weight * np.exp(1j * targets.phi), dims)
+    anchor, sums = _anchor_sums(targets, targets.weight * np.exp(1j * targets.phi))
     x = np.angle(sums)
-    a, b, c = var[anchor].tolist()
-    x[: dims[0]] += targets.phi[anchor] - (x[a] + x[b] + x[c])
-    if not bool(np.all(_residuals(x, var, targets) < targets.slack)):
+    n1, n2, _ = targets.phi.shape
+    i0, j0, k0 = anchor
+    x[:n1] += targets.phi[anchor] - (x[i0] + x[n1 + j0] + x[n1 + n2 + k0])
+    a, b, c = np.split(x, (n1, n1 + n2))
+    resid = np.abs(wrap_angle(targets.phi - ((a[:, None, None] + b[:, None]) + c)))
+    if not np.all(resid < targets.slack, where=targets.weight > 0):
         return None
-    return _phase_assignment(x, dims, "anchored")
+    return _phase_assignment(x, targets.phi.shape, "anchored")
 
 
-def _least_squares_phases(targets: PhaseTargets, var: np.ndarray, dims) -> Assignment:
+def _least_squares_phases(targets: PhaseTargets) -> Assignment:
     """Stage 2: propagation pins each target's wrap, then weighted least squares; :class:`Infeasible` on a miss."""
-    nvar = sum(dims)
-    est = _propagate_estimates(var, targets, nvar)
+    on = targets.weight > 0
+    idx, var = _rows(targets)
+    phi, weight = targets.phi[on], targets.weight[on]
+    nvar = sum(on.shape)
+    est = _propagate_estimates(var, phi, weight, nvar)
     # Fix integer wraps at the estimates; the constraint becomes linear in R.
     s0 = est[var[:, 0]] + est[var[:, 1]] + est[var[:, 2]]
-    t_lin = s0 + wrap_angle(targets.phi - s0)
-    w = np.maximum(targets.weight, 1e-300)
+    t_lin = s0 + wrap_angle(phi - s0)
+    w = np.maximum(weight, 1e-300)
     # normal equations M^T W M x = M^T W t, M the 0/1 target-variable incidence
     gram = _normal_matrix(var, w, nvar)
     # the minimum-norm pseudo-inverse, factored once for both passes
@@ -307,39 +310,37 @@ def _least_squares_phases(targets: PhaseTargets, var: np.ndarray, dims) -> Assig
     for _ in range(2):  # the second pass refines x on its own residual
         r = t_lin - (x[var[:, 0]] + x[var[:, 1]] + x[var[:, 2]])
         x = x + Q @ (inv * (Q.T @ np.bincount(var.ravel(), np.repeat(w * r, 3), nvar)))
-    ok = _residuals(x, var, targets) < targets.slack
+    ok = np.abs(wrap_angle(phi - (x[var[:, 0]] + x[var[:, 1]] + x[var[:, 2]]))) < targets.slack[on]
     if not bool(np.all(ok)):
-        violated = targets.keys(~ok)
+        violated = [tuple(k) for k in idx[~ok].tolist()]
         raise Infeasible(violated, f"{len(violated)} phase constraints unsatisfied at the least-squares point", "lstsq")
-    return _phase_assignment(x, dims, "lstsq")
+    return _phase_assignment(x, on.shape, "lstsq")
 
 
-def solve_phases(targets: PhaseTargets, dims) -> Assignment:
+def solve_phases(targets: PhaseTargets) -> Assignment:
     """Recover per-mode angles satisfying every target's strict slack bound.
 
-    ``targets`` is the :class:`PhaseTargets` of two complex cores and
-    ``dims`` gives the three vector lengths; a target is met when its
-    circular residual is strictly below its slack, so a zero-slack target
-    is infeasible.  Two stages, each checked against every target.  The
-    closed form anchored at the heaviest target answers dense consistent
-    systems on solver path ``"anchored"``.  Otherwise propagation produces
-    estimates good enough to pin each constraint's integer wrap; with wraps
-    fixed the system is linear, solved by weighted least squares on the
-    normal equations.  The normal matrix is factored once with ``eigh``;
-    its eigenvalues at or below ``lstsq``'s default cutoff (machine epsilon
-    times ``n1+n2+n3`` times the largest) count as zero, which gives the
-    minimum-norm solution ``lstsq(..., rcond=None)`` gives, on both passes
-    (the second refines the first on its own residual).  That answer is on
-    solver path ``"lstsq"``; a miss there raises :class:`Infeasible` with
-    the violated keys at the least-squares point.  The diagonals are
-    ``exp(i*angle)`` of the angles taken to [0, 2pi).
+    ``targets`` is the :class:`PhaseTargets` of two complex cores; a target
+    is met when its circular residual is strictly below its slack, so a
+    zero-slack target is infeasible.  Two stages, each checked against
+    every target.  The closed form anchored at the heaviest target answers
+    dense consistent systems on solver path ``"anchored"``.  Otherwise
+    propagation produces estimates good enough to pin each constraint's
+    integer wrap; with wraps fixed the system is linear, solved by weighted
+    least squares on the normal equations.  The normal matrix is factored
+    once with ``eigh``; its eigenvalues at or below ``lstsq``'s default
+    cutoff (machine epsilon times ``n1+n2+n3`` times the largest) count as
+    zero, which gives the minimum-norm solution ``lstsq(..., rcond=None)``
+    gives, on both passes (the second refines the first on its own
+    residual).  That answer is on solver path ``"lstsq"``; a miss there
+    raises :class:`Infeasible` with the violated keys at the least-squares
+    point.  The diagonals are ``exp(i*angle)`` of the angles taken to
+    [0, 2pi).
     """
     if not len(targets):
         raise ConfigInvalid("at least one phase target is required")
-    dims = tuple(int(d) for d in dims)
-    var = _variables(targets.idx, dims)
     _reject_dead(targets, "lstsq")
-    return _anchored_phases(targets, var, dims) or _least_squares_phases(targets, var, dims)
+    return _anchored_phases(targets) or _least_squares_phases(targets)
 
 
 def assemble_witness(sa: CoreTensor, sb: CoreTensor, assignment: Assignment) -> TransformTriple:

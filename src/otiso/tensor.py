@@ -113,7 +113,8 @@ class Tensor3:
         )
 
     def __hash__(self):
-        return hash((self.dims, self.scalar_kind, self.data.tobytes()))
+        # + 0.0 turns -0.0 into +0.0 in both parts, so entries that compare equal hash equal
+        return hash((self.dims, self.scalar_kind, (self.data + 0.0).tobytes()))
 
     def __repr__(self) -> str:
         return f"Tensor3(dims={self.dims}, kind={self.scalar_kind}, norm={self.frobenius_norm:.6g})"

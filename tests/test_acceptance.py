@@ -213,11 +213,13 @@ def test_criterion_08_solver_oracle_equivalence():
             all(bits[i] * bits[2 + j] * bits[4 + k] == t for (i, j, k), t in targets.items())
             for bits in itertools.product((1, -1), repeat=6)
         )
-        # sign -1 is the angle pi
-        phi = np.array([0.0 if targets[k] == 1 else np.pi for k in keys])
-        signs = PhaseTargets(np.array(keys, dtype=np.int64).reshape(-1, 3), phi, np.ones(len(keys)), np.ones(len(keys)))
+        # sign -1 is the angle pi; the targets are the entries of weight 1
+        phi, weight = np.zeros((2, 2, 2)), np.zeros((2, 2, 2))
+        for k in keys:
+            phi[k], weight[k] = (0.0 if targets[k] == 1 else np.pi), 1.0
+        signs = PhaseTargets(phi, np.ones((2, 2, 2)), weight)
         try:
-            s1, s2, s3 = solve_signs(signs, (2, 2, 2)).diagonals
+            s1, s2, s3 = solve_signs(signs).diagonals
             mine = all(s1[i] * s2[j] * s3[k] == t for (i, j, k), t in targets.items())
         except Infeasible:
             mine = False
@@ -230,7 +232,8 @@ def test_criterion_08_solver_oracle_equivalence():
         idx = np.array(list(itertools.product(*(range(d) for d in dims))))
         i, j, k = idx.T
         phi = wrap_angle(al[i] + be[j] + ga[k])
-        out = solve_phases(PhaseTargets(idx, phi, np.full(len(phi), 1e-3), np.ones(len(phi))), dims)
+        # idx enumerates the grid in C order, so the rows reshape onto it
+        out = solve_phases(PhaseTargets(phi.reshape(dims), np.full(dims, 1e-3), np.ones(dims)))
         alpha, beta, gamma = (np.angle(d) for d in out.diagonals)
         s = alpha[i] + beta[j] + gamma[k]
         worst = max(worst, float(np.max(np.abs(wrap_angle(s - phi)))))

@@ -213,7 +213,7 @@ def test_zero_targets_are_underdetermined(monkeypatch):
     real_compare = decision.compare_cores
 
     def no_targets(sa, sb, thr):
-        empty = PhaseTargets(np.zeros((0, 3), dtype=np.int64), np.zeros(0), np.zeros(0), np.zeros(0))
+        empty = PhaseTargets(*(np.zeros(sa.dims) for _ in range(3)))  # weight 0 everywhere: no target
         return dataclasses.replace(real_compare(sa, sb, thr), phase_targets=empty)
 
     monkeypatch.setattr(decision, "compare_cores", no_targets)

@@ -76,11 +76,11 @@ def test_compare_identical_cores():
     assert cmp.support_ok
     assert len(cmp.phase_targets) > 0
     pt = cmp.phase_targets
-    assert pt.idx.shape == (len(pt), 3)
-    assert np.all(pt.phi == 0.0)
-    assert np.all((0.0 < pt.slack) & (pt.slack <= np.pi))
+    on = pt.weight > 0
+    assert np.all(pt.phi[on] == 0.0)
+    assert np.all((0.0 < pt.slack[on]) & (pt.slack[on] <= np.pi))
     # targets exist exactly where |Sa| + |Sb| clears the threshold, in sorted-key order
-    assert pt.keys() == sorted(map(tuple, np.argwhere(2 * np.abs(ct.core.data) > thr).tolist()))
+    assert pt.keys(on) == sorted(map(tuple, np.argwhere(2 * np.abs(ct.core.data) > thr).tolist()))
 
 
 def test_compare_scaled_entry_rejects_far():
@@ -108,9 +108,9 @@ def test_forward_phase_recovery():
     cmp = compare_cores(ct, other, spine_threshold(1e-6, 5, 2 * a.frobenius_norm, ct.min_gap))
     assert isinstance(cmp, CoreComparison)
     assert len(cmp.phase_targets) > 0
-    i, j, k = cmp.phase_targets.idx.T
+    i, j, k = np.nonzero(cmp.phase_targets.weight > 0)
     want = np.angle(np.exp(1j * (al[i] + be[j] + ga[k])))
-    dev = np.angle(np.exp(1j * (cmp.phase_targets.phi - want)))
+    dev = np.angle(np.exp(1j * (cmp.phase_targets.phi[i, j, k] - want)))
     assert np.max(np.abs(dev)) <= 1e-10
 
 
@@ -118,9 +118,15 @@ def test_isomorphy_transfer_moduli_agree():
     a = sample_tensor((4, 4, 4), RandomModel("gaussian", "complex", 49))
     b = apply_action(sample_haar_triple((4, 4, 4), 50, "complex"), a)
     ca, cb = core_of(a, b)
-    cmp = compare_cores(ca, cb, spine_threshold(1e-7, 4, a.frobenius_norm + b.frobenius_norm, min(ca.min_gap, cb.min_gap)))
+    thr = spine_threshold(1e-7, 4, a.frobenius_norm + b.frobenius_norm, min(ca.min_gap, cb.min_gap))
+    cmp = compare_cores(ca, cb, thr)
     assert isinstance(cmp, CoreComparison)
-    for key in cmp.phase_targets.keys():
+    # weight is |Sa| + |Sb| exactly at the entries where it clears thr, and 0 everywhere else
+    total = np.abs(ca.core.data) + np.abs(cb.core.data)
+    pt = cmp.phase_targets
+    assert np.array_equal(pt.weight, np.where(total > thr, total, 0.0))
+    assert len(pt) == np.count_nonzero(total > thr) > 0
+    for key in pt.keys(total > thr):
         ma, mb = abs(ca.core.data[key]), abs(cb.core.data[key])
         assert abs(ma - mb) <= 1e-8 * max(ma, 1.0)
 
@@ -152,9 +158,10 @@ def test_compare_cores_overflowing_budget_is_infinite():
     cmp = compare_cores(ca, cb, thr)
     assert isinstance(cmp, CoreComparison) and len(cmp.phase_targets) > 0
     t = cmp.phase_targets
-    ma, mb = (np.abs(c.core.data[tuple(t.idx.T)]) for c in (ca, cb))
+    on = t.weight > 0
+    ma, mb = (np.abs(c.core.data[on]) for c in (ca, cb))
     budget = thr ** 2 / 2.0
-    assert np.all((t.slack > 0.0) & (t.slack < np.pi))
-    np.testing.assert_allclose((ma - mb) ** 2 + 4.0 * ma * mb * np.sin(t.slack / 2.0) ** 2, budget, rtol=1e-12)
+    assert np.all((t.slack[on] > 0.0) & (t.slack[on] < np.pi))
+    np.testing.assert_allclose((ma - mb) ** 2 + 4.0 * ma * mb * np.sin(t.slack[on] / 2.0) ** 2, budget, rtol=1e-12)
     huge = spine_threshold(1e90, 4, k_norm, 1e-170)
     assert huge == np.inf and isinstance(compare_cores(ca, cb, huge), CoreComparison)

@@ -26,7 +26,6 @@ from otiso.phases import (
     _anchored_signs,
     _least_squares_phases,
     _propagate_estimates,
-    _variables,
     assemble_witness,
     solve_phases,
     solve_signs,
@@ -38,16 +37,29 @@ def all_keys(dims):
     return list(itertools.product(*(range(d) for d in dims)))
 
 
-def phase_targets(rows):
-    """PhaseTargets from ``{(i, j, k): (phi, slack, weight)}``, rows in sorted-key order."""
+def grid_targets(idx, phi, slack, weight, dims):
+    """PhaseTargets on the ``dims`` grid from rows: each row's phi, slack and weight at its key, weight 0 elsewhere."""
+    grids = np.zeros((3, *dims))
+    grids[(slice(None), *np.asarray(idx, dtype=np.int64).reshape(-1, 3).T)] = [phi, slack, weight]
+    return PhaseTargets(*grids)
+
+
+def target_rows(targets):
+    """The targets as rows in sorted-key order: variable columns ``(i, n1 + j, n1 + n2 + k)``, phi and weight."""
+    on = targets.weight > 0
+    n1, n2, _ = on.shape
+    return np.argwhere(on) + np.array([0, n1, n1 + n2]), targets.phi[on], targets.weight[on]
+
+
+def phase_targets(rows, dims):
+    """PhaseTargets from ``{(i, j, k): (phi, slack, weight)}`` on the ``dims`` grid."""
     keys = sorted(rows)
-    cols = np.array([rows[k] for k in keys], dtype=np.float64).reshape(-1, 3).T
-    return PhaseTargets(np.array(keys, dtype=np.int64).reshape(-1, 3), *cols)
+    return grid_targets(keys, *np.array([rows[k] for k in keys], dtype=np.float64).reshape(-1, 3).T, dims)
 
 
-def sign_targets(signs):
+def sign_targets(signs, dims):
     """A ``{(i, j, k): +-1}`` sign system as PhaseTargets: phi 0 for +1 and pi for -1."""
-    return phase_targets({k: (0.0 if t == 1 else math.pi, 1.0, 1.0) for k, t in signs.items()})
+    return phase_targets({k: (0.0 if t == 1 else math.pi, 1.0, 1.0) for k, t in signs.items()}, dims)
 
 
 def diagonal_angles(assign):
@@ -62,8 +74,8 @@ def circ_resid(assign, key, phi):
 
 def max_residual(assign, targets):
     """Worst circular residual over ``targets`` (PhaseTargets), from the diagonals' angles."""
-    (i, j, k), (alpha, beta, gamma) = targets.idx.T, diagonal_angles(assign)
-    return float(np.max(np.abs(wrap_angle(alpha[i] + beta[j] + gamma[k] - targets.phi))))
+    (i, j, k), (alpha, beta, gamma) = np.nonzero(targets.weight > 0), diagonal_angles(assign)
+    return float(np.max(np.abs(wrap_angle(alpha[i] + beta[j] + gamma[k] - targets.phi[i, j, k]))))
 
 
 def test_wrap_angle_frozen():
@@ -76,7 +88,7 @@ def test_wrap_angle_frozen():
 
 def test_solve_signs_all_positive():
     dims = (2, 2, 2)
-    out = solve_signs(sign_targets({k: 1 for k in all_keys(dims)}), dims)
+    out = solve_signs(sign_targets({k: 1 for k in all_keys(dims)}, dims))
     assert out.solver_path == "gf2"
     for v in out.diagonals:
         assert np.array_equal(v, np.ones(2))
@@ -86,7 +98,7 @@ def test_solve_signs_product_form_vs_bruteforce():
     dims = (2, 2, 2)
     s1, s2, s3 = (1, -1), (1, 1), (1, -1)
     targets = {(i, j, k): s1[i] * s2[j] * s3[k] for (i, j, k) in all_keys(dims)}
-    o1, o2, o3 = solve_signs(sign_targets(targets), dims).diagonals
+    o1, o2, o3 = solve_signs(sign_targets(targets, dims)).diagonals
     for (i, j, k), t in targets.items():
         assert o1[i] * o2[j] * o3[k] == t
     # exhaustive check: every satisfying assignment realizes the same products
@@ -105,7 +117,7 @@ def test_solve_signs_partial_random_systems():
         g1, g2, g3 = (rng.choice([-1, 1], size=d) for d in dims)
         keys = [k for k in all_keys(dims) if rng.random() < 0.4]
         targets = {(i, j, k): int(g1[i] * g2[j] * g3[k]) for (i, j, k) in keys}
-        o1, o2, o3 = solve_signs(sign_targets(targets), dims).diagonals
+        o1, o2, o3 = solve_signs(sign_targets(targets, dims)).diagonals
         for (i, j, k), t in targets.items():
             assert o1[i] * o2[j] * o3[k] == t
 
@@ -165,7 +177,7 @@ def test_solve_signs_matches_reference_oracle(system):
         want = reference_solve_signs(targets, dims)
     except Infeasible as exc:
         with pytest.raises(Infeasible) as info:
-            solve_signs(sign_targets(targets), dims)
+            solve_signs(sign_targets(targets, dims))
         cert = info.value.certificate
         assert cert == exc.certificate
         # a parity certificate: every variable an even number of times, targets multiply to -1
@@ -175,7 +187,7 @@ def test_solve_signs_matches_reference_oracle(system):
         assert math.prod(targets[key] for key in cert) == -1
         assert info.value.solver_path == "gf2"
         return
-    out = solve_signs(sign_targets(targets), dims)
+    out = solve_signs(sign_targets(targets, dims))
     for got, ref in zip(out.diagonals, want):
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
@@ -183,19 +195,14 @@ def test_solve_signs_matches_reference_oracle(system):
 def test_solve_signs_infeasible_four_cycle():
     targets = {(0, 0, 0): 1, (1, 0, 0): 1, (0, 1, 0): 1, (1, 1, 0): -1}
     with pytest.raises(Infeasible) as info:
-        solve_signs(sign_targets(targets), (2, 2, 2))
+        solve_signs(sign_targets(targets, (2, 2, 2)))
     assert sorted(info.value.certificate) == sorted(targets.keys())
-
-
-def test_solve_signs_validation():
-    with pytest.raises(DimensionMismatch):
-        solve_signs(sign_targets({(0, 0, 3): 1}), (2, 2, 2))
 
 
 def test_solve_phases_zero_targets_give_zero_angles():
     dims = (3, 3, 3)
-    targets = phase_targets({k: (0.0, 0.1, 1.0) for k in all_keys(dims)})
-    out = solve_phases(targets, dims)
+    targets = phase_targets({k: (0.0, 0.1, 1.0) for k in all_keys(dims)}, dims)
+    out = solve_phases(targets)
     assert out.solver_path == "anchored"
     assert max_residual(out, targets) == 0.0
     for v in out.diagonals:
@@ -211,10 +218,10 @@ def test_solve_phases_forward_recovery():
             (i, j, k): (float(wrap_angle(al[i] + be[j] + ga[k])), 1e-3, 1.0)
             for (i, j, k) in all_keys(dims)
         }
-        out = solve_phases(phase_targets(targets), dims)
+        out = solve_phases(phase_targets(targets, dims))
         worst = max(circ_resid(out, key, t[0]) for key, t in targets.items())
         assert worst <= 1e-8
-        assert max_residual(out, phase_targets(targets)) < 1e-3
+        assert max_residual(out, phase_targets(targets, dims)) < 1e-3
 
 
 def test_solve_phases_corrupted_constraint_infeasible():
@@ -230,7 +237,7 @@ def test_solve_phases_corrupted_constraint_infeasible():
         phi, slack, weight = targets[bad]
         targets[bad] = (float(wrap_angle(phi + np.pi)), slack, weight)
         with pytest.raises(Infeasible) as info:
-            solve_phases(phase_targets(targets), dims)
+            solve_phases(phase_targets(targets, dims))
         assert bad in info.value.certificate
         assert info.value.solver_path == "lstsq"
 
@@ -243,7 +250,7 @@ def test_solve_phases_gauge_invariant_residuals():
         (i, j, k): (float(wrap_angle(al[i] + be[j] + ga[k])), 0.05, 1.0)
         for (i, j, k) in all_keys(dims)
     }
-    out = solve_phases(phase_targets(targets), dims)
+    out = solve_phases(phase_targets(targets, dims))
     theta = 0.7318
     d1, d2, d3 = out.diagonals
     shifted = Assignment((d1 * np.exp(1j * theta), d2 * np.exp(-1j * theta), d3), out.solver_path)
@@ -277,7 +284,7 @@ def test_solve_phases_sparse_masks_reseed():
         blocks = itertools.chain(itertools.product(range(3), repeat=3), itertools.product(range(3, 5), repeat=3))
         keys = {k for k in blocks if rng.random() < 0.8} | {(0, 0, 0), (3, 3, 3), (2, 5, 5), (2, 5, 6), (6, 6, 7)}
         targets = noisy_targets(rng, keys, angles, slack=0.2, noise=0.02)
-        out = solve_phases(phase_targets(targets), dims)
+        out = solve_phases(phase_targets(targets, dims))
         assert out.solver_path == "lstsq"
         assert_within_slack(out, targets)
         assert abs(float(diagonal_angles(out)[0][5])) <= 1e-12
@@ -288,7 +295,7 @@ def test_solve_phases_dense_noisy_within_slack():
     for dims in [(4, 5, 3), (6, 6, 6), (9, 7, 8)]:
         angles = [rng.uniform(-np.pi, np.pi, d) for d in dims]
         targets = noisy_targets(rng, all_keys(dims), angles, slack=0.1, noise=0.05)
-        out = solve_phases(phase_targets(targets), dims)
+        out = solve_phases(phase_targets(targets, dims))
         assert out.solver_path == "anchored"
         assert_within_slack(out, targets)
 
@@ -303,7 +310,7 @@ def test_solve_phases_equivariant_under_gauge():
     u, v, w = (rng.uniform(-np.pi, np.pi, d) for d in dims)
     moved = {(i, j, k): (float(wrap_angle(phi + u[i] + v[j] + w[k])), slack, weight)
              for (i, j, k), (phi, slack, weight) in targets.items()}
-    out, out_moved = solve_phases(phase_targets(targets), dims), solve_phases(phase_targets(moved), dims)
+    out, out_moved = solve_phases(phase_targets(targets, dims)), solve_phases(phase_targets(moved, dims))
     assert_within_slack(out_moved, moved)
     (a1, b1, g1), (a2, b2, g2) = diagonal_angles(out), diagonal_angles(out_moved)
     for (i, j, k) in targets:
@@ -312,20 +319,20 @@ def test_solve_phases_equivariant_under_gauge():
         assert abs(float(wrap_angle(fit_moved - fit - u[i] - v[j] - w[k]))) <= 1e-9
 
 
-def reference_propagate(var, targets, nvar):
+def reference_propagate(var, phi, weight, nvar):
     """Propagation reseeded through a full stable sort of the weights, as before the masked argmax."""
     est = np.zeros(nvar)
     assigned = np.zeros(nvar, dtype=bool)
     touched = np.bincount(var.ravel(), minlength=nvar) > 0
-    heaviest_first = np.argsort(-targets.weight, kind="stable")
+    heaviest_first = np.argsort(-weight, kind="stable")
     while True:
         missing = ~assigned[var]
         n_missing = missing.sum(axis=1)
         front = np.flatnonzero(n_missing == 1)
         if front.size:
             v = var[front][missing[front]]
-            ang = targets.phi[front] - est[var[front]].sum(axis=1)
-            w = targets.weight[front]
+            ang = phi[front] - est[var[front]].sum(axis=1)
+            w = weight[front]
             acc = np.bincount(v, w * np.cos(ang), nvar) + 1j * np.bincount(v, w * np.sin(ang), nvar)
             v = np.unique(v)
             est[v] = np.angle(acc[v])
@@ -333,27 +340,27 @@ def reference_propagate(var, targets, nvar):
         elif (touched & ~assigned).any():
             seed = heaviest_first[np.flatnonzero(n_missing[heaviest_first] >= 2)[0]]
             vs = var[seed][missing[seed]]
-            est[vs[-1]] = wrap_angle(targets.phi[seed] - est[var[seed]].sum())
+            est[vs[-1]] = wrap_angle(phi[seed] - est[var[seed]].sum())
             assigned[vs] = True
         else:
             return est
 
 
-def reference_lstsq_residual(targets, dims):
+def reference_lstsq_residual(targets):
     """Worst circular residual of the two-pass ``lstsq`` fit on the normal equations, as before the factored solve."""
-    nvar = sum(dims)
-    var = _variables(targets.idx, dims)
-    est = reference_propagate(var, targets, nvar)
+    nvar = sum(targets.weight.shape)
+    var, phi, weight = target_rows(targets)
+    est = reference_propagate(var, phi, weight, nvar)
     s0 = est[var[:, 0]] + est[var[:, 1]] + est[var[:, 2]]
-    t_lin = s0 + wrap_angle(targets.phi - s0)
-    w = np.maximum(targets.weight, 1e-300)
+    t_lin = s0 + wrap_angle(phi - s0)
+    w = np.maximum(weight, 1e-300)
     pairs = (var[:, :, None] * nvar + var[:, None, :]).ravel()
     gram = np.bincount(pairs, np.repeat(w, 9), nvar * nvar).reshape(nvar, nvar)
     x = np.zeros(nvar)
     for _ in range(2):
         r = t_lin - (x[var[:, 0]] + x[var[:, 1]] + x[var[:, 2]])
         x = x + np.linalg.lstsq(gram, np.bincount(var.ravel(), np.repeat(w * r, 3), nvar), rcond=None)[0]
-    return float(np.max(np.abs(wrap_angle(targets.phi - (x[var[:, 0]] + x[var[:, 1]] + x[var[:, 2]])))))
+    return float(np.max(np.abs(wrap_angle(phi - (x[var[:, 0]] + x[var[:, 1]] + x[var[:, 2]])))))
 
 
 def forward_system(rng, dims, blocks, density, decades, noise, slack=0.3, ties=False):
@@ -364,7 +371,7 @@ def forward_system(rng, dims, blocks, density, decades, noise, slack=0.3, ties=F
     phi = wrap_angle(angles[0][idx[:, 0]] + angles[1][idx[:, 1]] + angles[2][idx[:, 2]]
                      + rng.uniform(-noise, noise, len(idx)))
     weight = 10.0 ** (rng.integers(-1, 2, len(idx)) if ties else rng.uniform(-decades / 2, decades / 2, len(idx)))
-    return PhaseTargets(idx, phi, np.full(len(idx), slack), weight)
+    return grid_targets(idx, phi, np.full(len(idx), slack), weight, dims)
 
 
 def split_blocks(dims, parts):
@@ -383,8 +390,8 @@ def test_factored_solve_matches_two_pass_lstsq():
         targets = forward_system(rng, dims, split_blocks(dims, parts), density=0.7, decades=decades, noise=0.03)
         if not len(targets):
             continue
-        ref = reference_lstsq_residual(targets, dims)
-        out = _least_squares_phases(targets, _variables(targets.idx, dims), dims)
+        ref = reference_lstsq_residual(targets)
+        out = _least_squares_phases(targets)
         assert ref < 0.3 and out.solver_path == "lstsq"
         # a few ulps of pi absolute, for systems that both solvers fit exactly
         assert max_residual(out, targets) <= 1.05 * ref + 8 * np.spacing(np.pi)
@@ -403,15 +410,15 @@ def test_argmax_seeding_matches_stable_sort_on_ties():
         targets = forward_system(rng, dims, split_blocks(dims, parts), density=0.3, decades=0, noise=0.0, ties=True)
         if not len(targets):
             continue
-        var = _variables(targets.idx, dims)
-        got = _propagate_estimates(var, targets, sum(dims))
-        assert np.array_equal(got, reference_propagate(var, targets, sum(dims)))
+        rows = target_rows(targets)
+        got = _propagate_estimates(*rows, sum(dims))
+        assert np.array_equal(got, reference_propagate(*rows, sum(dims)))
         checked += 1
     assert checked >= 30
     # two equal weights: the seed is row 0, which gauges alpha_0 and beta_0 to
     # zero; seeding at row 1 would gauge alpha_1 instead
-    targets = PhaseTargets(np.array([[0, 0, 0], [1, 0, 0]]), np.array([0.5, 1.5]), np.full(2, 0.3), np.ones(2))
-    est = _propagate_estimates(_variables(targets.idx, (2, 1, 1)), targets, 4)
+    targets = grid_targets([[0, 0, 0], [1, 0, 0]], [0.5, 1.5], np.full(2, 0.3), np.ones(2), (2, 1, 1))
+    est = _propagate_estimates(*target_rows(targets), 4)
     assert np.array_equal(est, [0.0, 1.0, 0.0, 0.5])
 
 
@@ -433,14 +440,14 @@ def dense_phase_systems(draw):
     al, be, ga = (rng.uniform(-np.pi, np.pi, d) for d in dims)
     phi = wrap_angle(al[idx[:, 0]] + be[idx[:, 1]] + ga[idx[:, 2]] + rng.uniform(-noise, noise, len(idx)))
     weight = 10.0 ** rng.uniform(-1.0, 1.0, len(idx))
-    return PhaseTargets(idx, phi, np.full(len(idx), slack), weight), dims, noise
+    return grid_targets(idx, phi, np.full(len(idx), slack), weight, dims), noise
 
 
 @given(dense_phase_systems())
 def test_dense_consistent_systems_meet_every_target(system):
-    targets, dims, noise = system
-    out = solve_phases(targets, dims)
-    assert max_residual(out, targets) < targets.slack[0]
+    targets, noise = system
+    out = solve_phases(targets)
+    assert max_residual(out, targets) < targets.slack.max()
     if noise == 0.0:
         # every slice shares a target with the anchor's, so the closed form answers
         assert out.solver_path == "anchored"
@@ -459,15 +466,15 @@ def test_decide_isomorphism_yes_on_haar_pairs(kind):
 
 def test_solve_phases_validation():
     with pytest.raises(ConfigInvalid):
-        solve_phases(phase_targets({}), (2, 2, 2))
-    with pytest.raises(TypeError):
-        solve_phases(phase_targets({(0, 0, 0): (0.0, 0.1, 1.0)}))
+        solve_phases(phase_targets({}, (2, 2, 2)))
+    with pytest.raises(TypeError):  # the dims are the grid's shape, not an argument
+        solve_phases(phase_targets({(0, 0, 0): (0.0, 0.1, 1.0)}, (1, 1, 1)), (1, 1, 1))
     # a residual strictly below the slack meets the target, however thin the slack
-    thin = phase_targets({(0, 0, 0): (0.5, 1e-13, 1.0)})
-    assert max_residual(solve_phases(thin, (1, 1, 1)), thin) < 1e-13
-    dead = phase_targets({(0, 0, 0): (0.0, 0.0, 1.0)})
+    thin = phase_targets({(0, 0, 0): (0.5, 1e-13, 1.0)}, (1, 1, 1))
+    assert max_residual(solve_phases(thin), thin) < 1e-13
+    dead = phase_targets({(0, 0, 0): (0.0, 0.0, 1.0)}, (1, 1, 1))
     with pytest.raises(Infeasible) as info:
-        solve_phases(dead, (1, 1, 1))
+        solve_phases(dead)
     assert (0, 0, 0) in info.value.certificate
 
 
@@ -498,7 +505,7 @@ def test_assemble_witness_end_to_end():
         ca, cb = core_of(a, b)
         eps, k_norm = 1e-8, a.frobenius_norm + b.frobenius_norm
         cmp = compare_cores(ca, cb, 2.0 * eps * 4 ** 2 * k_norm / min(ca.min_gap, cb.min_gap))
-        assignment = (solve_signs if kind == "real" else solve_phases)(cmp.phase_targets, ca.dims)
+        assignment = (solve_signs if kind == "real" else solve_phases)(cmp.phase_targets)
         w = assemble_witness(ca, cb, assignment)
         res = np.linalg.norm(apply_action(w, a.astype_kind(w.scalar_kind)).data - b.astype_kind(w.scalar_kind).data)
         assert res <= 1e-6 * a.frobenius_norm
@@ -533,10 +540,12 @@ def covering_sign_systems(draw):
     return {(i, j, k): int(g[0][i] * g[1][j] * g[2][k]) for (i, j, k) in keys}, dims
 
 
-def _var_rhs(targets, dims):
-    keys = sorted(targets)
-    idx = np.array(keys, dtype=np.int64).reshape(-1, 3)
-    return _variables(idx, dims), np.array([targets[k] for k in keys]) < 0
+def _rhs(targets, dims):
+    """The ``{key: +-1}`` system's -1 entries as a boolean grid."""
+    rhs = np.zeros(dims, dtype=bool)
+    for key, t in targets.items():
+        rhs[key] = t < 0
+    return rhs
 
 
 @given(covering_sign_systems())
@@ -544,10 +553,9 @@ def test_propagated_signs_match_reference_oracle(system):
     # every slice sum is nonzero, so the anchored form answers on its own,
     # with the elimination's own answer: the last beta and gamma signs +1
     targets, dims = system
-    var, rhs = _var_rhs(targets, dims)
-    fast = _anchored_signs(sign_targets(targets), var, rhs, dims)
+    fast = _anchored_signs(sign_targets(targets, dims), _rhs(targets, dims))
     assert fast is not None
-    out = solve_signs(sign_targets(targets), dims)
+    out = solve_signs(sign_targets(targets, dims))
     for got, part, ref in zip(out.diagonals, np.split(fast, np.cumsum(dims[:2])),
                               reference_solve_signs(targets, dims)):
         assert got.dtype == ref.dtype and np.array_equal(got, ref) and np.array_equal(part, ref)
@@ -582,7 +590,7 @@ def weighted_sign_systems(draw):
         t[rng.integers(len(idx))] *= -1
     targets = {tuple(key): int(v) for key, v in zip(idx.tolist(), t)}
     phi = np.where(t < 0, math.pi, 0.0)
-    return targets, dims, PhaseTargets(idx, phi, np.ones(len(idx)), rng.uniform(0.5, 2.0, len(idx)))
+    return targets, dims, grid_targets(idx, phi, np.ones(len(idx)), rng.uniform(0.5, 2.0, len(idx)), dims)
 
 
 @given(weighted_sign_systems())
@@ -594,10 +602,10 @@ def test_anchored_signs_equal_the_elimination_or_raise_its_certificate(system):
         want = reference_solve_signs(targets, dims)
     except Infeasible as exc:
         with pytest.raises(Infeasible) as info:
-            solve_signs(weighted, dims)
+            solve_signs(weighted)
         assert info.value.certificate == exc.certificate
         return
-    out = solve_signs(weighted, dims)
+    out = solve_signs(weighted)
     for got, ref in zip(out.diagonals, want):
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
@@ -620,7 +628,7 @@ def test_elimination_runs_only_where_the_anchored_form_cannot_answer(monkeypatch
 
     def check(targets, eliminated):
         calls.clear()
-        out = solve_signs(sign_targets(targets), dims)
+        out = solve_signs(sign_targets(targets, dims))
         assert len(calls) == eliminated
         for got, ref in zip(out.diagonals, reference_solve_signs(targets, dims)):
             assert np.array_equal(got, ref)
@@ -636,7 +644,7 @@ def test_elimination_runs_only_where_the_anchored_form_cannot_answer(monkeypatch
     bad[(2, 1, 3)] = -bad[(2, 1, 3)]
     calls.clear()
     with pytest.raises(Infeasible) as info:
-        solve_signs(sign_targets(bad), dims)
+        solve_signs(sign_targets(bad, dims))
     assert len(calls) == 1
     with pytest.raises(Infeasible) as want:
         reference_solve_signs(bad, dims)

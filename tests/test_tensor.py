@@ -276,6 +276,15 @@ def test_tensor3_data_read_only():
         t.data[0, 0, 0] = 5.0
 
 
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_tensors_that_compare_equal_hash_equal(kind):
+    # -0.0 == 0.0, so a signed zero in any part must not change the hash
+    zero = np.zeros((1, 1, 2), dtype=np.float64 if kind == "real" else np.complex128)
+    signed = [[[0.0, -0.0]]] if kind == "real" else [[[complex(-0.0, 0.0), complex(0.0, -0.0)]]]
+    a, b = Tensor3(signed, kind), Tensor3(zero, kind)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+
+
 def test_transform_triple_validation():
     with pytest.raises(NotUnitary):
         TransformTriple([np.eye(2) * 2.0, np.eye(2), np.eye(2)])
