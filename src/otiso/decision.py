@@ -1,10 +1,10 @@
 """Orbit decision procedures: exact isomorphism testing and gapped orbit distance.
 
-Both modes run one shared spine (``_decide``): eigendecompose the six mode
-Grams in one stacked pass, bail out when a spectrum is too degenerate to pin
-its eigenbasis, compare cores entrywise, recover per-mode signs/phases,
-assemble a candidate transform, and re-verify it directly against the input
-tensors.  The entry point picks the mode and takes only the paper's inputs:
+Both modes run one shared spine (``_decide``): reject on mismatched Frobenius
+norms, eigendecompose the six mode Grams in one stacked pass, bail out when a
+spectrum is too degenerate to pin its eigenbasis, compare cores entrywise,
+recover per-mode signs/phases, assemble a candidate transform, and re-verify
+it directly against the input tensors.  The entry point picks the mode and takes only the paper's inputs:
 the two tensors, plus ``eps`` in gapped mode.  A YES is never returned on
 the pipeline's say-so alone; the recomputed residual must clear the
 certified bound.
@@ -143,8 +143,8 @@ def _gap(core: CoreTensor) -> float:
 def _decide(a: Tensor3, b: Tensor3, eps: float | None) -> Decision:
     """The decision spine shared by both modes; ``eps is None`` selects exact mode.
 
-    cores -> spectrum check -> compare cores -> solve -> verify, always at the
-    measured gap ``delta``.  Exact mode works on the tensors as given at
+    norm -> cores -> spectrum check -> compare cores -> solve -> verify, always
+    at the measured gap ``delta``.  Exact mode works on the tensors as given at
     ``eps = 1e-8 (||A|| + ||B||)`` and needs all six spectra simple and equal;
     gapped mode truncates both to ``required_bits(n, eps)`` and needs A's
     spectra simple and B's gaps at least ``delta/2``.  A spectrum that is not
@@ -182,9 +182,14 @@ def _decide(a: Tensor3, b: Tensor3, eps: float | None) -> Decision:
         diag["residual_gate"] = gate
     else:
         diag["precision_bits"] = bits
-        if abs(norm_a - norm_b) >= 2.0 * eps:
-            diag["step"] = "norm"
-            return Decision("no", None, None, None, diag)
+    # The action preserves the Frobenius norm, so a gap of 2 eps is a sound
+    # NO in both modes; in exact mode that is about 4x the YES gate.
+    norm_gap = abs(norm_a - norm_b)
+    if norm_gap >= 2.0 * eps:
+        diag["step"] = "norm"
+        diag["norm_gap"] = norm_gap
+        diag["norm_threshold"] = 2.0 * eps
+        return Decision("no", None, None, gate, diag)
 
     # one stacked pass for both tensors; gapped mode screens B's gaps below
     ca, cb = core_of(at, bt)
@@ -270,10 +275,10 @@ def _decide(a: Tensor3, b: Tensor3, eps: float | None) -> Decision:
 def decide_isomorphism(a: Tensor3, b: Tensor3) -> Decision:
     """Decide whether some orthogonal/unitary triple carries ``a`` onto ``b``.
 
-    Pipeline: eigendecompose all six Grams of the tensors as given, reject
-    on mismatched spectra (cannot_decide when equal spectra are not simple),
-    compare cores, solve the sign/phase system, and verify the
-    assembled witness directly.  The tolerance and the gap are derived from
+    Pipeline: reject on mismatched norms, eigendecompose all six Grams of
+    the tensors as given, reject on mismatched spectra (cannot_decide when
+    equal spectra are not simple), compare cores, solve the sign/phase
+    system, and verify the assembled witness directly.  The tolerance and the gap are derived from
     the inputs.  YES verdicts always carry a witness whose recomputed
     residual clears the reported gate.
     """

@@ -135,14 +135,20 @@ def compare_cores(sa: CoreTensor, sb: CoreTensor, thr: float):
     worst = np.unravel_index(int(np.argmax(diff)), diff.shape)
     if diff[worst] > thr:
         return RejectFar(entry=tuple(int(x) for x in worst))
+    total = mod_a + mod_b
+    on = total > thr
+    if not on.any():
+        # No target: phi and slack would never be read, and every modulus is
+        # at most thr, so the supports agree.
+        return CoreComparison(support_ok=True, phase_targets=PhaseTargets(*(np.zeros(A.shape) for _ in range(3))))
 
     # Law of cosines in half-angle form: the slack is the largest angular
     # deviation s with (ma - mb)^2 + 4 ma mb sin^2(s/2) <= budget = thr^2/2.
     # Unlike arccos of the cosine ratio it keeps slacks far below 1e-8.  With
     # h = thr/sqrt(2) and d = |ma - mb|, budget - d^2 = (h - d)(h + d), so
-    # nothing overflows before the ratio; an infinite thr gives the widest
-    # slack.  A zero modulus (which the screen above rules out while the sum
-    # clears the threshold) keeps a dead constraint.
+    # nothing overflows before the ratio.  A zero modulus (which the screen
+    # above rules out while the sum clears the threshold) keeps a dead
+    # constraint.
     h = thr / math.sqrt(2.0)
     den = 2.0 * np.sqrt(mod_a) * np.sqrt(mod_b)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -155,8 +161,7 @@ def compare_cores(sa: CoreTensor, sb: CoreTensor, thr: float):
     if np.iscomplexobj(prod):
         prod.imag = B.imag * A.real - B.real * A.imag
     phi = np.where(mod_a > 0.0, np.angle(prod), 0.0)
-    total = mod_a + mod_b
     return CoreComparison(
         support_ok=bool(np.array_equal(mod_a > thr, mod_b > thr)),
-        phase_targets=PhaseTargets(phi, slack, np.where(total > thr, total, 0.0)),
+        phase_targets=PhaseTargets(phi, slack, np.where(on, total, 0.0)),
     )

@@ -139,6 +139,12 @@ def random_perm_triple(part_sizes, seed: int, *, stream=()) -> PermTriple:
     return PermTriple(tuple(tuple(int(v) for v in rng.permutation(s)) for s in part_sizes))
 
 
+def _sorted_degrees(g: TripartiteHypergraph) -> list[np.ndarray]:
+    """Each part's vertex degrees, sorted: relabelling a part permutes its degrees."""
+    coords = np.unravel_index(g.edge_index, g.part_sizes)
+    return [np.sort(np.bincount(c, minlength=size)) for c, size in zip(coords, g.part_sizes)]
+
+
 def _match_rows(va: np.ndarray, vb: np.ndarray):
     """Row matching by absolute correlation.
 
@@ -166,13 +172,18 @@ def _signed_match_defect(va: np.ndarray, vb: np.ndarray, perm) -> float:
 def decide_hypergraph_iso(g: TripartiteHypergraph, h: TripartiteHypergraph) -> HypergraphDecision:
     """Spectral test with exact combinatorial confirmation.
 
-    NO when some mode's Gram spectra disagree beyond SPECTRA_TOL, or when the
-    extracted relabelling fails the exact edge-set check.  cannot_decide when
-    a spectrum is too degenerate to pin its eigenbasis or the row matching is
-    ambiguous.  YES always carries a PermTriple verified on the edge sets.
+    NO when some part's sorted degree sequences differ (checked first, before
+    any tensor is built), when some mode's Gram spectra disagree beyond
+    SPECTRA_TOL, or when the extracted relabelling fails the exact edge-set
+    check.  cannot_decide when a spectrum is too degenerate to pin its
+    eigenbasis or the row matching is ambiguous.  YES always carries a PermTriple verified on the edge sets.
     """
     if g.part_sizes != h.part_sizes:
         raise DimensionMismatch(f"part sizes differ: {g.part_sizes} vs {h.part_sizes}")
+    for d, (dg, dh) in enumerate(zip(_sorted_degrees(g), _sorted_degrees(h))):
+        if not np.array_equal(dg, dh):
+            return HypergraphDecision("no", None, {"step": "degrees", "failed_part": d + 1,
+                                                   "edge_counts": [g.edge_count, h.edge_count]})
     a = adjacency_tensor(g)
     b = adjacency_tensor(h)
     spectra = list(zip(*mode_spectra([a, b])))

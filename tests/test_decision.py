@@ -48,6 +48,11 @@ def orbit_pair(dims, seed, kind):
     return a, apply_action(g, a), g
 
 
+def at_norm_of(a, t):
+    """``t`` rescaled to ``a``'s Frobenius norm, so that a pair with ``a`` passes the norm step."""
+    return Tensor3((a.frobenius_norm / t.frobenius_norm) * t.data, t.scalar_kind)
+
+
 def test_exact_iso_yes():
     for dims, seed, kind in [((4, 4, 4), 70, "real"), ((5, 3, 4), 71, "real"),
                              ((4, 4, 4), 72, "complex"), ((3, 5, 4), 73, "complex")]:
@@ -67,10 +72,17 @@ def test_exact_iso_no_independent_and_scaled():
     d = decide_isomorphism(a, b)
     assert d.verdict == "no"
     assert d.witness is None
+    assert d.diagnostics["step"] == "norm"
+    # at A's norm the independent partner still differs in its spectra
+    d1 = decide_isomorphism(a, at_norm_of(a, b))
+    assert d1.verdict == "no" and d1.diagnostics["step"] == "spectra"
 
     d2 = decide_isomorphism(a, Tensor3(2.0 * a.data))
-    assert d2.verdict == "no"
-    assert d2.diagnostics["step"] == "spectra"
+    assert d2.verdict == "no" and d2.gamma_bound == d2.diagnostics["residual_gate"]
+    assert d2.diagnostics["step"] == "norm"
+    assert d2.diagnostics["norm_gap"] == a.frobenius_norm
+    assert d2.diagnostics["norm_threshold"] == 2.0 * d2.diagnostics["eps"]
+    assert d2.diagnostics["norm_threshold"] == pytest.approx(6e-8 * a.frobenius_norm)  # 2e-8 (|a| + |2a|)
 
 
 def test_exact_iso_cannot_decide_on_degeneracy():
@@ -105,17 +117,18 @@ def test_config_validation():
 def test_tied_spectrum_is_cannot_decide_at_gap_policy():
     # two pairs of identical mode-1 slices force a repeated zero eigenvalue;
     # the core is still built.  Spectra are orbit invariants, tied or not, so
-    # an independent partner is NO at spectra, and only a partner with equal
-    # spectra reaches the refusal
+    # an independent partner of the same norm is NO at spectra, and only a
+    # partner with equal spectra reaches the refusal
     base = np.random.default_rng(44).standard_normal((2, 3, 3))
     tied = Tensor3(np.stack([base[0], base[0], base[1], base[1]]))
     assert not core_of(tied)[0].spectra[0].simple
     other = sample_tensor((4, 3, 3), RandomModel("gaussian", "real", 44))
     image = apply_action(sample_haar_triple((4, 3, 3), 45, "real"), tied)
-    for a, b in ((tied, other), (other, tied)):  # A tied, then only B tied
-        d = decide_isomorphism(a, b)
-        assert d.verdict == "no" and d.witness is None
-        assert d.diagnostics["step"] == "spectra"
+    for partner, step in ((other, "norm"), (at_norm_of(tied, other), "spectra")):
+        for a, b in ((tied, partner), (partner, tied)):  # A tied, then only B tied
+            d = decide_isomorphism(a, b)
+            assert d.verdict == "no" and d.witness is None
+            assert d.diagnostics["step"] == step
     for a, b in ((tied, image), (image, tied)):
         d = decide_isomorphism(a, b)
         assert d.verdict == "cannot_decide" and d.witness is None
@@ -295,8 +308,9 @@ def test_one_by_one_by_one_pairs_are_decided(kind):
         assert g.verdict == "yes" and g.residual <= g.gamma_bound
     assert decide_isomorphism(t(2.0), t(2.0)).verdict == "yes"
     assert decide_isomorphism(t(0.0), t(0.0)).verdict == "yes"
+    # one entry of each: equal norms make an orbit pair, so a NO is at norm
     d = decide_isomorphism(t(3.0), t(1.0))
-    assert d.verdict == "no" and d.diagnostics["step"] == "spectra"
+    assert d.verdict == "no" and d.diagnostics["step"] == "norm"
     g = decide_orbit_distance(t(2.0), t(-2.0), 1e-3)
     assert g.verdict == "yes" and g.gamma_bound == pytest.approx(8e-3)
     g = decide_orbit_distance(t(2.0), t(-2.5), 1e-3)
@@ -321,7 +335,8 @@ def test_orbit_pairs_are_never_no_and_independent_pairs_never_yes(dims, kind, di
         assert d.verdict != never, (d.verdict, d.diagnostics)
         assert decide_isomorphism(b, a).verdict == d.verdict
     # a tensor whose mode-1 Gram is 3·I has a fully tied spectrum; against an
-    # independent tensor the spectra differ, which is a NO before any refusal
+    # independent tensor the norms differ, and at equal norms the spectra do,
+    # which is a NO before any refusal
     n1, rest = dims[0], dims[1] * dims[2]
     if n1 <= rest:
         rng = np.random.default_rng(seed)
@@ -331,21 +346,50 @@ def test_orbit_pairs_are_never_no_and_independent_pairs_never_yes(dims, kind, di
         rows = math.sqrt(3.0) * np.linalg.qr(m)[0].T  # orthonormal rows scaled: rows @ rows^H = 3·I
         tied = Tensor3(rows.reshape(dims), kind)
         assert n1 == 1 or not core_of(tied)[0].spectra[0].simple
-        for x, y in ((tied, independent), (independent, tied)):
+        partners = [(independent, "norm")]
+        if sorted(dims)[1] > 1:  # two vectors of one norm are an orbit pair
+            partners.append((at_norm_of(tied, independent), "spectra"))
+        for partner, step in partners:
+            for x, y in ((tied, partner), (partner, tied)):
+                d = decide_isomorphism(x, y)
+                assert d.verdict == "no" and d.diagnostics["step"] == step, (d.verdict, d.diagnostics)
+
+
+@given(
+    dims=st.tuples(*(st.integers(1, 8) for _ in range(3))),
+    kind=st.sampled_from(["real", "complex"]),
+    distribution=st.sampled_from(["gaussian", "rademacher", "uniform_pm"]),
+    seed=st.integers(0, 2 ** 32),
+    k=st.integers(-300, 300),
+)
+@example(dims=(8, 8, 8), kind="complex", distribution="gaussian", seed=0, k=300)
+@example(dims=(8, 8, 8), kind="real", distribution="uniform_pm", seed=0, k=-300)
+def test_orbit_pairs_are_never_no_at_norm(dims, kind, distribution, seed, k):
+    # the action keeps the Frobenius norm up to rounding, far below 2 eps,
+    # at any common scale
+    s = math.ldexp(1.0, k)
+    a = sample_tensor(dims, RandomModel(distribution, kind, seed))
+    b = apply_action(sample_haar_triple(dims, seed + 1, kind), a)
+    a, b = Tensor3(s * a.data, kind), Tensor3(s * b.data, kind)
+    for x, y in ((a, b), (b, a)):
+        with np.errstate(over="ignore"):  # backward-error norms overflow at the largest scales
             d = decide_isomorphism(x, y)
-            assert d.verdict == "no" and d.diagnostics["step"] == "spectra", (d.verdict, d.diagnostics)
+        assert d.diagnostics.get("step") != "norm", (d.verdict, d.diagnostics)
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
 @pytest.mark.parametrize("k", [-60, -250])
 def test_small_common_scale_is_decided_on_the_inputs(kind, k):
-    # exact mode compares the tensors as given, so spectra that differ at a
-    # tiny common scale still reject; an absolute grid would zero them
+    # exact mode compares the tensors as given, so norms and spectra that
+    # differ at a tiny common scale still reject; an absolute grid would zero them
     s = math.ldexp(1.0, k)
     a, b, _ = orbit_pair((8, 8, 8), 90, kind)
     c = sample_tensor((8, 8, 8), RandomModel("gaussian", kind, 91))
     a, b, c = (Tensor3(s * t.data, kind) for t in (a, b, c))
     d = decide_isomorphism(a, c)
+    assert d.verdict == "no"
+    assert d.diagnostics["step"] == "norm"
+    d = decide_isomorphism(a, at_norm_of(a, c))
     assert d.verdict == "no"
     assert d.diagnostics["step"] == "spectra"
     # the scale-free threshold leaves no phase target; never a NO

@@ -131,6 +131,22 @@ def test_isomorphy_transfer_moduli_agree():
         assert abs(ma - mb) <= 1e-8 * max(ma, 1.0)
 
 
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_no_target_comparison_matches_the_full_screen(kind):
+    # at a threshold no combined modulus clears, compare_cores returns before
+    # phi and slack; its support_ok and all-zero weight are the full screen's
+    a = sample_tensor((5, 4, 3), RandomModel("gaussian", kind, 57))
+    ca, cb = core_of(a, apply_action(sample_haar_triple((5, 4, 3), 58, kind), a))
+    mod_a, mod_b = np.abs(ca.core.data), np.abs(cb.core.data)
+    total = mod_a + mod_b
+    for thr in (float(np.max(total)), 2.0 * float(np.max(total)), np.inf):
+        cmp = compare_cores(ca, cb, thr)
+        assert isinstance(cmp, CoreComparison) and len(cmp.phase_targets) == 0
+        assert cmp.support_ok == bool(np.array_equal(mod_a > thr, mod_b > thr))
+        assert np.array_equal(cmp.phase_targets.weight, np.where(total > thr, total, 0.0))
+        assert all(g.shape == ca.dims for g in (cmp.phase_targets.phi, cmp.phase_targets.slack))
+
+
 def test_compare_cores_validates():
     a = core_of(sample_tensor((3, 3, 3), RandomModel("gaussian", "real", 51)))[0]
     b = core_of(sample_tensor((3, 3, 4), RandomModel("gaussian", "real", 52)))[0]

@@ -1,5 +1,7 @@
 """Tripartite hypergraphs: adjacency tensors, spectral matching, text format."""
 
+import itertools
+import math
 import warnings
 
 import numpy as np
@@ -23,7 +25,7 @@ from otiso.hypergraph import (
     random_hypergraph,
     random_perm_triple,
 )
-from otiso.hypergraph import AMBIGUITY_MARGIN, _match_rows, _signed_match_defect
+from otiso.hypergraph import AMBIGUITY_MARGIN, _match_rows, _signed_match_defect, _sorted_degrees
 
 
 def test_adjacency_tensor_basics():
@@ -109,6 +111,65 @@ def test_iso_degenerate_spectrum_is_cannot_decide():
     d = decide_hypergraph_iso(full, full)
     assert d.verdict == "cannot_decide"
     assert d.diagnostics["step"] == "degenerate_spectrum"
+
+
+PART_SIZES = st.tuples(*(st.integers(1, 8) for _ in range(3)))
+
+
+def test_degree_mismatch_names_the_part():
+    # equal edge counts and part-1 degrees; part 2 has degrees (1, 1) against (0, 2)
+    g = TripartiteHypergraph((2, 2, 2), [(0, 0, 0), (1, 1, 0)])
+    h = TripartiteHypergraph((2, 2, 2), [(0, 0, 0), (1, 0, 1)])
+    d = decide_hypergraph_iso(g, h)
+    assert d.verdict == "no" and d.perms is None
+    assert d.diagnostics == {"step": "degrees", "failed_part": 2, "edge_counts": [2, 2]}
+
+
+@given(sizes=PART_SIZES, density=st.floats(0.1, 0.9), seed=st.integers(0, 2**32 - 1))
+def test_relabelled_hypergraphs_pass_the_degree_check(sizes, density, seed):
+    g = random_hypergraph(sizes, seed, density)
+    h = relabel(g, random_perm_triple(sizes, seed, stream=(1,)))
+    for x, y in ((g, h), (h, g)):
+        assert decide_hypergraph_iso(x, y).diagnostics["step"] != "degrees"
+
+
+@given(sizes=PART_SIZES, density=st.floats(0.1, 0.9), seed=st.integers(0, 2**32 - 1), cell=st.integers(0, 511))
+def test_one_edge_toggle_is_no_at_degrees(sizes, density, seed, cell):
+    # adding or removing one edge changes the edge count, so part 1's degree sums differ
+    g = random_hypergraph(sizes, seed, density)
+    index = np.setxor1d(g.edge_index, [cell % math.prod(sizes)])
+    h = TripartiteHypergraph(sizes, np.column_stack(np.unravel_index(index, sizes)))
+    assert abs(h.edge_count - g.edge_count) == 1
+    for x, y in ((g, h), (h, g)):
+        d = decide_hypergraph_iso(x, y)
+        assert d.verdict == "no"
+        assert d.diagnostics == {"step": "degrees", "failed_part": 1, "edge_counts": [x.edge_count, y.edge_count]}
+
+
+def _isomorphic_by_brute_force(g, h) -> bool:
+    perms = itertools.product(*(itertools.permutations(range(s)) for s in g.part_sizes))
+    return any(relabel(g, PermTriple(p)) == h for p in perms)
+
+
+# Equal sorted degree sequences in every part, yet not isomorphic: in G two
+# edges share their part-1 and part-2 vertices, in H none share those two.
+SAME_DEGREES = (((2, 2, 2), [(0, 0, 0), (0, 0, 1), (1, 1, 0)]), ((2, 2, 2), [(0, 0, 0), (0, 1, 0), (1, 0, 1)]))
+
+
+def test_equal_degrees_pair_is_not_isomorphic():
+    g, h = (TripartiteHypergraph(*args) for args in SAME_DEGREES)
+    assert all(np.array_equal(x, y) for x, y in zip(_sorted_degrees(g), _sorted_degrees(h)))
+    assert not _isomorphic_by_brute_force(g, h)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+def test_equal_degrees_pair_passes_degrees_and_is_never_yes(seed):
+    g, h = (TripartiteHypergraph(*args) for args in SAME_DEGREES)
+    g = relabel(g, random_perm_triple(g.part_sizes, seed))
+    h = relabel(h, random_perm_triple(h.part_sizes, seed, stream=(1,)))
+    for x, y in ((g, h), (h, g)):
+        d = decide_hypergraph_iso(x, y)
+        assert d.verdict != "yes" and d.diagnostics["step"] != "degrees", d.diagnostics
 
 
 def test_iso_part_size_mismatch():

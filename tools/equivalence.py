@@ -12,6 +12,13 @@ stderr and the sha256 of the witness or CSV file it wrote (null when none).
 ``json`` parses them, so two trees that write the same numbers as different
 text differ in ``witness_sha256`` alone.  The work directory's path is
 replaced by ``$WORK``, so runs of two source trees compare with ``diff``.
+
+    python3 tools/equivalence.py --compare PARENT.jsonl CHANGE.jsonl
+
+reads two such runs and prints, per workload, how many ops differ in exit
+code, verdict, ``step``, the other diagnostics, stdout bytes, witness values
+and CSV bytes, then every ``step`` transition with the verdict it happened
+on.  It exits 1 when any op differs, else 0.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ import io
 import json
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -59,11 +67,71 @@ def run_op(cli, op, work: Path) -> dict:
             "stderr": err.getvalue().replace(str(work), "$WORK"), **digests}
 
 
+# columns of the --compare table: what two runs of one op may differ in
+FIELDS = ("code", "verdict", "step", "diagnostics", "stdout", "witness_values", "csv")
+
+
+def _report(rec: dict) -> dict:
+    """The op's JSON report, or {} for output that is not one JSON object."""
+    try:
+        out = json.loads(rec["stdout"])
+    except ValueError:
+        return {}
+    return out if isinstance(out, dict) else {}
+
+
+def _op_fields(rec: dict) -> dict:
+    """The values of one op that ``FIELDS`` compares."""
+    report = _report(rec)
+    diag = dict(report.get("diagnostics") or {})
+    return {"code": rec["code"], "verdict": report.get("verdict"), "step": diag.pop("step", None),
+            "diagnostics": diag, "stdout": rec["stdout"], "witness_values": rec["witness_values_sha256"],
+            "csv": rec["csv_sha256"]}
+
+
+def _read_jsonl(path: Path) -> list:
+    with open(path, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh if line.strip()]
+
+
+def compare(parent_path: Path, change_path: Path) -> int:
+    parent, change = _read_jsonl(parent_path), _read_jsonl(change_path)
+    keys = [[(r["workload"], r["seed"], r["label"]) for r in recs] for recs in (parent, change)]
+    if keys[0] != keys[1]:
+        print("error: the two runs hold different ops (workload, seed, label)", file=sys.stderr)
+        return 2
+    counts: dict = {}
+    steps: dict = {}
+    for p, c in zip(parent, change):
+        fp, fc = _op_fields(p), _op_fields(c)
+        row = counts.setdefault(p["workload"], Counter())
+        row["ops"] += 1
+        row.update(f for f in FIELDS if fp[f] != fc[f])
+        if fp["step"] != fc["step"]:
+            steps.setdefault(p["workload"], Counter())[(fp["verdict"], fp["step"], fc["verdict"], fc["step"])] += 1
+    width = max(map(len, counts), default=8)
+    print(f"{'workload':<{width}} {'ops':>5} " + " ".join(f"{f:>14}" for f in FIELDS))
+    for name, row in counts.items():
+        print(f"{name:<{width}} {row['ops']:>5} " + " ".join(f"{row[f]:>14}" for f in FIELDS))
+    for name, moves in steps.items():
+        for (vp, sp, vc, sc), k in sorted(moves.items(), key=str):
+            print(f"{name}: {k} op(s) step {sp} -> {sc} (verdict {vp} -> {vc})")
+    return int(any(row[f] for row in counts.values() for f in FIELDS))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("src", type=Path)
-    parser.add_argument("seeds", type=int, nargs="+", metavar="seed")
+    parser.add_argument("src", type=Path, nargs="?")
+    parser.add_argument("seeds", type=int, nargs="*", metavar="seed")
+    parser.add_argument("--compare", type=Path, nargs=2, metavar=("PARENT.jsonl", "CHANGE.jsonl"),
+                        help="compare two runs per workload instead of running ops")
     args = parser.parse_args(argv)
+    if args.compare:
+        if args.src is not None:
+            parser.error("--compare takes no SRC or seeds")
+        return compare(*args.compare)
+    if args.src is None or not args.seeds:
+        parser.error("SRC and at least one seed are required")
     src = args.src.resolve()
     if (src / "src" / "otiso").is_dir():
         src = src / "src"
