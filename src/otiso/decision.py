@@ -80,11 +80,15 @@ def truncate_bits(x: np.ndarray, bits: int) -> np.ndarray:
     if bits > 512:
         return np.array(x)
     scale = math.ldexp(1.0, int(bits))
-    return np.round(np.asarray(x) * scale) / scale
+    # the one scaled copy is rounded and unscaled in place: the same operations as round(x * scale) / scale
+    y = np.asarray(x) * scale
+    np.round(y, out=y)
+    y /= scale
+    return y
 
 
 def truncate_tensor(a: Tensor3, bits: int) -> Tensor3:
-    return Tensor3(truncate_bits(a.data, bits), a.scalar_kind)
+    return Tensor3._adopt(truncate_bits(a.data, bits), a.scalar_kind)
 
 
 def verify_witness(a: Tensor3, b: Tensor3, witness) -> WitnessReport:

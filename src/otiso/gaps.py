@@ -223,7 +223,7 @@ def run_tensor_gram_experiment(
             a = sample
         else:
             kind = "complex" if "complex" in (base.scalar_kind, model.scalar_kind) else "real"
-            a = Tensor3(base.astype_kind(kind).data + eta * sample.astype_kind(kind).data, kind)
+            a = Tensor3._adopt(base.astype_kind(kind).data + eta * sample.astype_kind(kind).data, kind)
         records.append(_spectrum_record(trial, model.seed, mode_spectra([a], vectors=False)[0]))
 
     target = tensor_gap_target(n, beta)

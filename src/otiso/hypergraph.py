@@ -117,7 +117,7 @@ def adjacency_tensor(g: TripartiteHypergraph) -> Tensor3:
     """+1 on edges, -1 off edges."""
     arr = np.full(g.part_sizes, -1.0)
     arr.flat[g.edge_index] = 1.0
-    return Tensor3(arr, "real")
+    return Tensor3._adopt(arr, "real")
 
 
 def relabel(g: TripartiteHypergraph, pt: PermTriple) -> TripartiteHypergraph:

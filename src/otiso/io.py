@@ -13,6 +13,7 @@ the readers take any JSON number.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import struct
@@ -64,11 +65,6 @@ def _entries_to_bytes(arr: np.ndarray, kind: str) -> bytes:
     return np.ascontiguousarray(arr, dtype="<c16").tobytes()
 
 
-def _entries_from_bytes(buf: bytes, kind: str, count: int, offset: int) -> np.ndarray:
-    """Read-only view of ``count`` entries at byte ``offset``; the object built from it makes the only copy."""
-    return np.frombuffer(buf, dtype="<f8" if kind == "real" else "<c16", count=count, offset=offset)
-
-
 def tensor_to_bytes(a: Tensor3) -> bytes:
     head = TENSOR_MAGIC + struct.pack("<BIII", _KIND_TO_BYTE[a.scalar_kind], *a.dims)
     return head + _entries_to_bytes(a.data, a.scalar_kind)
@@ -88,18 +84,23 @@ def _binary_header(buf: bytes, magic: bytes, what: str) -> tuple[str, tuple[int,
     return _BYTE_TO_KIND[kind_byte], dims
 
 
-def tensor_from_bytes(buf: bytes) -> Tensor3:
-    kind, dims = _binary_header(buf, TENSOR_MAGIC, "tensor")
-    count = dims[0] * dims[1] * dims[2]
-    width = 8 if kind == "real" else 16
-    expected = 17 + width * count
-    if len(buf) != expected:
-        raise FormatError(f"payload length {len(buf) - 17} does not match dims {dims} ({expected - 17} expected)")
-    entries = _entries_from_bytes(buf, kind, count, 17)
+def _read_t3b(head: bytes, fh) -> Tensor3:
+    """The T3B tensor whose first 17 bytes are ``head``; its payload, the rest of ``fh``, is read straight into the tensor's own array."""
+    kind, dims = _binary_header(head, TENSOR_MAGIC, "tensor")
+    arr = np.empty(dims, "<f8" if kind == "real" else "<c16")
+    # readinto fills the array unless the stream ends first; read() then takes whatever follows
+    size = fh.readinto(arr) + len(fh.read())
+    if size != arr.nbytes:
+        raise FormatError(f"payload length {size} does not match dims {dims} ({arr.nbytes} expected)")
     try:
-        return Tensor3(entries.reshape(dims), kind)
+        return Tensor3._adopt(arr, kind)
     except NonFiniteEntries as exc:
         raise FormatError(f"tensor payload contains non-finite entries: {exc}") from exc
+
+
+def tensor_from_bytes(buf: bytes) -> Tensor3:
+    fh = io.BytesIO(buf)
+    return _read_t3b(fh.read(17), fh)
 
 
 def write_tensor(a: Tensor3, path) -> None:
@@ -224,7 +225,7 @@ def tensor_from_json_obj(obj) -> Tensor3:
     values = [_scalar_from_json(v, kind) for v in entries]
     dtype = np.float64 if kind == "real" else np.complex128
     try:
-        return Tensor3(np.asarray(values, dtype=dtype).reshape(dims), kind)
+        return Tensor3._adopt(np.asarray(values, dtype=dtype).reshape(dims), kind)
     except NonFiniteEntries as exc:
         raise FormatError(f"tensor payload contains non-finite entries: {exc}") from exc
 
@@ -255,8 +256,11 @@ def _load_json(buf: bytes, path):
 def read_tensor(path) -> Tensor3:
     """A T3B binary or ``t3b-json`` tensor file, told apart by the magic bytes."""
     with open(path, "rb") as fh:
-        buf = fh.read()
-    return tensor_from_bytes(buf) if buf.startswith(TENSOR_MAGIC) else tensor_from_json_obj(_load_json(buf, path))
+        head = fh.read(17)
+        if head.startswith(TENSOR_MAGIC):
+            return _read_t3b(head, fh)
+        buf = head + fh.read()
+    return tensor_from_json_obj(_load_json(buf, path))
 
 
 def witness_to_bytes(g: TransformTriple) -> bytes:
@@ -276,10 +280,11 @@ def witness_from_bytes(buf: bytes) -> TransformTriple:
     expected = 17 + width * sum(n * n for n in dims)
     if len(buf) != expected:
         raise FormatError(f"witness payload length {len(buf) - 17} does not match dims {dims}")
+    # read-only views of the payload; the triple built from them makes the only copy
     factors = []
     off = 17
     for n in dims:
-        factors.append(_entries_from_bytes(buf, kind, n * n, off).reshape(n, n))
+        factors.append(np.frombuffer(buf, "<f8" if kind == "real" else "<c16", n * n, off).reshape(n, n))
         off += width * n * n
     if any(not np.all(np.isfinite(f)) for f in factors):
         raise FormatError("witness payload contains non-finite entries")

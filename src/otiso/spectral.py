@@ -14,6 +14,7 @@ Everything downstream (cores, phase recovery, decisions) consumes
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,8 +115,19 @@ def eig_hermitian_stack(G: np.ndarray, *, vectors: bool = True) -> list[Spectral
     if G.ndim != 3 or G.shape[1] != G.shape[2]:
         raise DimensionMismatch(f"expected a stack of square matrices, got shape {G.shape}")
     Gh = G.conj().swapaxes(1, 2)
-    normG = np.linalg.norm(G, axis=(1, 2))
-    defect = np.linalg.norm(G - Gh, axis=(1, 2))
+    with np.errstate(over="ignore"):
+        normG = np.linalg.norm(G, axis=(1, 2))
+        # Squares of entries past about 2^511 overflow.  Then every norm
+        # here is retaken after an exact power-of-two prescale by the
+        # stack's largest modulus (Blue, ACM TOMS 4(1), 1978); a stack whose
+        # norms do not overflow is not scaled, so they keep their bits.
+        s = 1.0
+        if not np.all(np.isfinite(normG)):
+            s = math.ldexp(1.0, -math.frexp(float(np.max(np.abs(G))))[1])
+            normG = np.linalg.norm(G * s, axis=(1, 2)) / s
+        D = G - Gh
+        D *= s
+        defect = np.linalg.norm(D, axis=(1, 2)) / s
     bad = np.flatnonzero(defect > TAU_HERMITIAN_REL * np.maximum(normG, 1e-300))
     if bad.size:
         i = bad[0]
@@ -135,7 +147,8 @@ def eig_hermitian_stack(G: np.ndarray, *, vectors: bool = True) -> list[Spectral
         return [SpectralData(vals, None, g, None) for vals, g in zip(lam, gaps)]
     V = _fix_column_phases(V[:, :, ::-1])
     R = H @ V - V * lam[:, np.newaxis, :]
-    return [SpectralData(vals, v, g, float(np.linalg.norm(r))) for vals, v, g, r in zip(lam, V, gaps, R)]
+    R *= s
+    return [SpectralData(vals, v, g, float(np.linalg.norm(r)) / s) for vals, v, g, r in zip(lam, V, gaps, R)]
 
 
 def spectra_close(s1: SpectralData, s2: SpectralData, tol: float) -> bool:

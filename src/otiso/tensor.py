@@ -59,6 +59,8 @@ class Tensor3:
     ----------
     values : array_like
         Shape ``(l, m, n)`` with ``l, m, n >= 1``.  Entries must be finite.
+        The array is always copied, so later writes to ``values`` never
+        reach the tensor.
     scalar_kind : {"real", "complex"}, optional
         Forced kind; inferred from the dtype when omitted.  Requesting
         ``"real"`` for complex data raises :class:`ScalarKindMismatch`.
@@ -68,20 +70,39 @@ class Tensor3:
     The wrapped array is C-ordered and marked read-only, so the entry at
     ``(i, j, k)`` sits at flat offset ``k + n*j + n*m*i``: the left index is
     the slowest.  That lexicographic layout is also the on-disk entry order.
+
+    The Frobenius norm is computed once, at construction, and finiteness
+    follows from it: a finite sum of squares has no infinite or NaN term, so
+    only a norm that is not finite (an overflow, or a bad entry) pays for
+    the entrywise scan.  Arrays the package has just built, and holds no
+    other reference to, are adopted by :meth:`_adopt` without a copy.
     """
 
-    __slots__ = ("data",)
+    __slots__ = ("data", "_norm")
 
     def __init__(self, values, scalar_kind: str | None = None):
-        arr = _as_scalar_array(values, scalar_kind)
+        self._own(_as_scalar_array(values, scalar_kind))
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray, scalar_kind: str) -> "Tensor3":
+        """Wrap ``arr`` itself: only for a C-ordered array of the kind's dtype that nothing else references."""
+        t = cls.__new__(cls)
+        t._own(np.asarray(arr, dtype=_DTYPES[scalar_kind], order="C"))
+        return t
+
+    def _own(self, arr: np.ndarray) -> None:
         if arr.ndim != 3:
             raise DimensionMismatch(f"expected 3 axes, got {arr.ndim}")
         if min(arr.shape) < 1:
             raise DimensionMismatch(f"all dimensions must be >= 1, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        # entries near the top of the double range overflow the sum of squares; the scan below settles those
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(arr))
+        if not math.isfinite(norm) and not np.all(np.isfinite(arr)):
             raise NonFiniteEntries("tensor entries must be finite")
         arr.flags.writeable = False
         self.data = arr
+        self._norm = norm
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -93,7 +114,7 @@ class Tensor3:
 
     @property
     def frobenius_norm(self) -> float:
-        return float(np.linalg.norm(self.data))
+        return self._norm
 
     def astype_kind(self, kind: str) -> "Tensor3":
         """Return a copy with the requested scalar kind (real -> complex only)."""
@@ -101,7 +122,7 @@ class Tensor3:
             return self
         if kind == "real":
             raise ScalarKindMismatch("cannot narrow a complex tensor to real")
-        return Tensor3(self.data.astype(np.complex128), "complex")
+        return Tensor3._adopt(self.data.astype(np.complex128), "complex")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Tensor3):
@@ -268,7 +289,7 @@ def sample_tensor(dims, model: RandomModel, *, stream: tuple[int, ...] = ()) -> 
     if len(dims) != 3 or min(dims) < 1:
         raise DimensionMismatch(f"dims must be three positive integers, got {dims}")
     rng = generator(model.seed, *stream)
-    return Tensor3(sample_entries(rng, model, tuple(int(d) for d in dims)), model.scalar_kind)
+    return Tensor3._adopt(sample_entries(rng, model, tuple(int(d) for d in dims)), model.scalar_kind)
 
 
 def haar_factor(n: int, rng: np.random.Generator, scalar_kind: str = "real") -> np.ndarray:
@@ -348,8 +369,8 @@ def apply_action(g: TransformTriple, a: Tensor3) -> Tensor3:
     """Act on ``a`` by the triple ``g``.
 
     Three successive mode products, each one matrix product on a reshaped
-    view of the C-ordered array, so no axis is moved and nothing is copied
-    before :class:`Tensor3` takes its own copy of the result: mode 1 is
+    view of the C-ordered array, so no axis is moved and nothing is copied;
+    the tensor returned adopts the last product's array: mode 1 is
     ``L @ A.reshape(l, m*n)``, mode 2 is ``R @ X[i]`` for every ``i`` (one
     broadcast ``matmul``), mode 3 is ``X.reshape(l*m, n) @ T.T``.  The
     contraction order is fixed (mode 1, 2, 3), so results are bitwise
@@ -362,4 +383,4 @@ def apply_action(g: TransformTriple, a: Tensor3) -> Tensor3:
     L, R, T = g.factors
     l, m, n = a.dims
     out = np.matmul(R, (L @ a.data.reshape(l, m * n)).reshape(l, m, n))
-    return Tensor3((out.reshape(l * m, n) @ T.T).reshape(l, m, n), a.scalar_kind)
+    return Tensor3._adopt((out.reshape(l * m, n) @ T.T).reshape(l, m, n), a.scalar_kind)

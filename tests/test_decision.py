@@ -173,6 +173,26 @@ def test_truncate_bits_frozen():
     assert np.all(t.data == 0.125)
 
 
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("bits", [1, 30, 60, 512, 600])
+def test_truncate_bits_equals_round_of_the_scaled_input(kind, bits):
+    # entries from 1e-30 to 1e30 and signed zeros
+    rng = np.random.default_rng(bits)
+    x = sample_tensor((3, 4, 5), RandomModel("gaussian", kind, 31)).data * 10.0 ** rng.uniform(-30, 30, (3, 4, 5))
+    x[0, 0, :2] = [0.0, -0.0]
+    t = Tensor3(x, kind)
+    out = truncate_bits(t.data, bits)
+    scale = 2.0 ** bits
+    want = np.round(x * scale) / scale
+    if bits <= 512:
+        assert out.tobytes() == want.tobytes()
+    else:
+        # the input comes back as it is; every scaled entry is an integer
+        # already, so only the complex product's signed zeros tell them apart
+        assert out.tobytes() == x.tobytes() and np.array_equal(out, want)
+    assert t.data.tobytes() == x.tobytes() and not np.shares_memory(out, t.data)
+
+
 def test_required_bits_formula():
     assert required_bits(4, 0.5) == math.ceil(math.log2(1000.0 * 4 ** 7 / 0.5))
     assert required_bits(1, 8000.0) == max(1, math.ceil(math.log2(1000.0 / 8000.0)))
@@ -372,7 +392,7 @@ def test_orbit_pairs_are_never_no_at_norm(dims, kind, distribution, seed, k):
     b = apply_action(sample_haar_triple(dims, seed + 1, kind), a)
     a, b = Tensor3(s * a.data, kind), Tensor3(s * b.data, kind)
     for x, y in ((a, b), (b, a)):
-        with np.errstate(over="ignore"):  # backward-error norms overflow at the largest scales
+        with np.errstate(over="raise"):
             d = decide_isomorphism(x, y)
         assert d.diagnostics.get("step") != "norm", (d.verdict, d.diagnostics)
 
@@ -411,6 +431,19 @@ def test_large_common_scale_orbit_pair_is_yes(kind, n, k):
     assert d.verdict == "yes"
     rep = verify_witness(a, b, d.witness)
     assert rep.unitary_ok and rep.residual <= d.diagnostics["residual_gate"]
+
+
+def test_backward_errors_stay_finite_at_huge_scale():
+    # Gram entries near 2^600 square past the double range unless the
+    # eigensolver's norms are prescaled
+    s = math.ldexp(1.0, 300)
+    a, b, _ = orbit_pair((8, 8, 8), 93, "real")
+    a, b = Tensor3(s * a.data), Tensor3(s * b.data)
+    with np.errstate(over="raise"):
+        d = decide_isomorphism(a, b)
+    errors = [sp["backward_error"] for key in ("spectra_a", "spectra_b") for sp in d.diagnostics[key]]
+    assert len(errors) == 6
+    assert all(0.0 <= e <= 1e-12 * a.frobenius_norm ** 2 for e in errors), errors
 
 
 def test_only_gapped_mode_truncates(monkeypatch):

@@ -1,7 +1,10 @@
 """Serialization: binary tensor blocks, JSON documents, witness files."""
 
+import itertools
 import json
+import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -88,6 +91,69 @@ def test_binary_format_errors():
                    + struct.pack("<d", float("nan")))
     with pytest.raises(FormatError):
         tensor_from_bytes(nan_payload)
+
+
+_GOOD = tensor_to_bytes(Tensor3(np.zeros((2, 2, 2))))
+_BAD_BLOBS = {
+    "short header": _GOOD[:10],
+    "unknown kind": _GOOD[:4] + bytes([2]) + _GOOD[5:],
+    "zero dim": b"T3B1" + bytes([0]) + struct.pack("<III", 0, 2, 2),
+    "trailing byte": _GOOD + b"\x00",
+    "short payload": _GOOD[:-1],
+    "nan payload": b"T3B1" + bytes([0]) + struct.pack("<III", 1, 1, 1) + struct.pack("<d", float("nan")),
+}
+_names = itertools.count()
+
+
+def _read_via(tmp_path, blob, source):
+    """``read_tensor`` of ``blob`` from a regular file, or from a FIFO a thread feeds 5 bytes at a time."""
+    path = tmp_path / f"in{next(_names)}"
+    if source == "file":
+        path.write_bytes(blob)
+        return read_tensor(path)
+    os.mkfifo(path)
+
+    def feed():
+        try:
+            with open(path, "wb", buffering=0) as fh:
+                for i in range(0, len(blob), 5):
+                    fh.write(blob[i:i + 5])
+        except BrokenPipeError:  # the reader stopped at a bad header
+            pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        return read_tensor(path)
+    finally:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
+@pytest.mark.parametrize("source", ["file", "fifo"])
+@pytest.mark.parametrize("case", sorted(_BAD_BLOBS))
+def test_reader_errors_match_the_bytes_parser(tmp_path, source, case):
+    blob = _BAD_BLOBS[case]
+    with pytest.raises(FormatError) as want:
+        tensor_from_bytes(blob)
+    with pytest.raises(FormatError) as got:
+        _read_via(tmp_path, blob, source)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("source", ["file", "fifo"])
+def test_reader_sniffs_any_stream(tmp_path, source):
+    for seed, kind in [(94, "real"), (95, "complex")]:
+        a = sample_tensor((3, 4, 5), RandomModel("gaussian", kind, seed))
+        assert _read_via(tmp_path, tensor_to_bytes(a), source) == a
+        path = tmp_path / f"{kind}.json"
+        write_tensor_json(a, path)
+        assert _read_via(tmp_path, path.read_bytes(), source) == a
+    # no T3B magic: parsed as JSON, whatever follows
+    with pytest.raises(FormatError, match="invalid JSON"):
+        _read_via(tmp_path, b"XXXX" + _GOOD[4:], source)
+    with pytest.raises(FormatError, match="not a t3b-json document"):
+        _read_via(tmp_path, b"{}", source)  # shorter than a T3B header
 
 
 def test_json_document_shape(tmp_path):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, strategies as st
 import otiso
 from otiso import (
     DimensionMismatch,
+    FormatError,
     NonFiniteEntries,
     NotUnitary,
     RandomModel,
@@ -17,6 +19,7 @@ from otiso import (
     Tensor3,
     TransformTriple,
     apply_action,
+    read_tensor,
     sample_haar_triple,
     sample_tensor,
 )
@@ -268,6 +271,45 @@ def test_tensor3_validation():
         Tensor3(np.ones((2, 2, 2), dtype=np.complex128), "real")
     with pytest.raises(ScalarKindMismatch):
         Tensor3(np.ones((2, 2, 2), dtype=np.complex128)).astype_kind("real")
+
+
+@given(
+    dims=st.tuples(*(st.integers(1, 4) for _ in range(3))),
+    kind=st.sampled_from(["real", "complex"]),
+    magnitude=st.one_of(st.just(1e308), st.floats(0.0, 1e308)),
+    bad=st.lists(st.tuples(st.integers(0, 127), st.sampled_from([math.inf, -math.inf, math.nan])), max_size=3),
+    seed=st.integers(0, 2 ** 32),
+)
+def test_finiteness_and_norm_follow_the_entries(tmp_path_factory, dims, kind, magnitude, bad, seed):
+    # magnitudes up to 1e308 overflow the norm while every entry is finite;
+    # bad values land in real or imaginary parts alike
+    rng = np.random.default_rng(seed)
+    parts = rng.uniform(-1.0, 1.0, dims + ((2,) if kind == "complex" else ())) * magnitude
+    flat = parts.reshape(-1)
+    for pos, value in bad:
+        flat[pos % flat.size] = value
+    x = parts.view(np.complex128)[..., 0] if kind == "complex" else parts
+    finite = bool(np.all(np.isfinite(x)))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(x))
+    path = tmp_path_factory.getbasetemp() / "property.t3b"
+    path.write_bytes(b"T3B1" + struct.pack("<BIII", int(kind == "complex"), *dims) + x.tobytes())
+    if not finite:
+        with pytest.raises(NonFiniteEntries):
+            Tensor3(x, kind)
+        with pytest.raises(NonFiniteEntries):
+            Tensor3._adopt(x.copy(), kind)
+        with pytest.raises(FormatError):
+            read_tensor(path)
+        return
+    adopted = x.copy()
+    public, own, read = Tensor3(x, kind), Tensor3._adopt(adopted, kind), read_tensor(path)
+    assert not np.shares_memory(public.data, x) and own.data is adopted and read.data.flags["OWNDATA"]
+    for t in (public, own, read):
+        assert t.frobenius_norm == norm
+        assert t.data.tobytes() == x.tobytes()
+        assert t.data.flags["C_CONTIGUOUS"] and not t.data.flags["WRITEABLE"]
+    assert x.flags["WRITEABLE"]
 
 
 def test_tensor3_data_read_only():
