@@ -81,7 +81,8 @@ def truncate_bits(x: np.ndarray, bits: int) -> np.ndarray:
         return np.array(x)
     scale = math.ldexp(1.0, int(bits))
     # the one scaled copy is rounded and unscaled in place: the same operations as round(x * scale) / scale
-    y = np.asarray(x) * scale
+    # (a 0-d product comes back as a scalar, which asarray turns into an array that can be written)
+    y = np.asarray(np.asarray(x) * scale)
     np.round(y, out=y)
     y /= scale
     return y
