@@ -80,12 +80,7 @@ def truncate_bits(x: np.ndarray, bits: int) -> np.ndarray:
     if bits > 512:
         return np.array(x)
     scale = math.ldexp(1.0, int(bits))
-    # the one scaled copy is rounded and unscaled in place: the same operations as round(x * scale) / scale
-    # (a 0-d product comes back as a scalar, which asarray turns into an array that can be written)
-    y = np.asarray(np.asarray(x) * scale)
-    np.round(y, out=y)
-    y /= scale
-    return y
+    return np.round(np.asarray(x) * scale) / scale
 
 
 def truncate_tensor(a: Tensor3, bits: int) -> Tensor3:

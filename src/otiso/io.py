@@ -87,11 +87,16 @@ def _binary_header(buf: bytes, magic: bytes, what: str) -> tuple[str, tuple[int,
 def _read_t3b(head: bytes, fh) -> Tensor3:
     """The T3B tensor whose first 17 bytes are ``head``; its payload, the rest of ``fh``, is read straight into the tensor's own array."""
     kind, dims = _binary_header(head, TENSOR_MAGIC, "tensor")
-    arr = np.empty(dims, "<f8" if kind == "real" else "<c16")
+    dtype = np.dtype("<f8" if kind == "real" else "<c16")
+    expected = math.prod(dims) * dtype.itemsize
+    try:
+        arr = np.empty(dims, dtype)
+    except (ValueError, MemoryError):  # dims no array here can hold, so no payload read here can match them
+        arr = np.empty(0, dtype)
     # readinto fills the array unless the stream ends first; read() then takes whatever follows
     size = fh.readinto(arr) + len(fh.read())
-    if size != arr.nbytes:
-        raise FormatError(f"payload length {size} does not match dims {dims} ({arr.nbytes} expected)")
+    if size != expected:
+        raise FormatError(f"payload length {size} does not match dims {dims} ({expected} expected)")
     try:
         return Tensor3._adopt(arr, kind)
     except NonFiniteEntries as exc:

@@ -14,7 +14,6 @@ Everything downstream (cores, phase recovery, decisions) consumes
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,17 +116,18 @@ def eig_hermitian_stack(G: np.ndarray, *, vectors: bool = True) -> list[Spectral
     Gh = G.conj().swapaxes(1, 2)
     with np.errstate(over="ignore"):
         normG = np.linalg.norm(G, axis=(1, 2))
-        # Squares of entries past about 2^511 overflow.  Then every norm
-        # here is retaken after an exact power-of-two prescale by the
-        # stack's largest modulus (Blue, ACM TOMS 4(1), 1978); a stack whose
-        # norms do not overflow is not scaled, so they keep their bits.
-        s = 1.0
-        if not np.all(np.isfinite(normG)):
-            s = math.ldexp(1.0, -math.frexp(float(np.max(np.abs(G))))[1])
-            normG = np.linalg.norm(G * s, axis=(1, 2)) / s
-        D = G - Gh
-        D *= s
-        defect = np.linalg.norm(D, axis=(1, 2)) / s
+        defect = np.linalg.norm(G - Gh, axis=(1, 2))
+    # Squares of entries past about 2^511 overflow.  A matrix whose norms do
+    # has them, and its backward error, taken after an exact power-of-two
+    # prescale by its own largest modulus (Blue, ACM TOMS 4(1), 1978); every
+    # other matrix keeps scale 1, so its fields match the one-matrix result.
+    scale = np.ones(len(G))
+    over = ~(np.isfinite(normG) & np.isfinite(defect))
+    if over.any():
+        scale[over] = np.ldexp(1.0, -np.frexp(np.max(np.abs(G[over]), axis=(1, 2)))[1])
+        Gs = G[over] * scale[over, np.newaxis, np.newaxis]
+        normG[over] = np.linalg.norm(Gs, axis=(1, 2)) / scale[over]
+        defect[over] = np.linalg.norm(Gs - Gs.conj().swapaxes(1, 2), axis=(1, 2)) / scale[over]
     bad = np.flatnonzero(defect > TAU_HERMITIAN_REL * np.maximum(normG, 1e-300))
     if bad.size:
         i = bad[0]
@@ -147,8 +147,10 @@ def eig_hermitian_stack(G: np.ndarray, *, vectors: bool = True) -> list[Spectral
         return [SpectralData(vals, None, g, None) for vals, g in zip(lam, gaps)]
     V = _fix_column_phases(V[:, :, ::-1])
     R = H @ V - V * lam[:, np.newaxis, :]
-    R *= s
-    return [SpectralData(vals, v, g, float(np.linalg.norm(r)) / s) for vals, v, g, r in zip(lam, V, gaps, R)]
+    if over.any():
+        R[over] *= scale[over, np.newaxis, np.newaxis]
+    return [SpectralData(vals, v, g, float(np.linalg.norm(r)) / c)
+            for vals, v, g, r, c in zip(lam, V, gaps, R, scale.tolist())]
 
 
 def spectra_close(s1: SpectralData, s2: SpectralData, tol: float) -> bool:

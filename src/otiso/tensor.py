@@ -86,8 +86,9 @@ class Tensor3:
     @classmethod
     def _adopt(cls, arr: np.ndarray, scalar_kind: str) -> "Tensor3":
         """Wrap ``arr`` itself: only for a C-ordered array of the kind's dtype that nothing else references."""
+        assert arr.dtype == _DTYPES[scalar_kind] and arr.flags.c_contiguous, (arr.dtype, scalar_kind)
         t = cls.__new__(cls)
-        t._own(np.asarray(arr, dtype=_DTYPES[scalar_kind], order="C"))
+        t._own(arr)
         return t
 
     def _own(self, arr: np.ndarray) -> None:

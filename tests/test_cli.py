@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -261,6 +262,10 @@ def test_runtime_errors(tmp_path):
     garbage = tmp_path / "garbage.t3b"
     garbage.write_bytes(b"not a tensor")
     assert main(["iso", "--a", str(garbage), "--b", str(garbage), "--quiet"]) == 4
+    # a header whose dims no array can hold is a malformed file too
+    huge = tmp_path / "huge.t3b"
+    huge.write_bytes(b"T3B1" + bytes([1]) + struct.pack("<III", *[0xFFFFFFFF] * 3))
+    assert main(["iso", "--a", str(huge), "--b", str(huge), "--quiet"]) == 4
     # JSON true is not the integer 1: boolean dims are a malformed file, not a traceback
     bools = tmp_path / "bools.json"
     bools.write_text(json.dumps({"format": "t3b-json", "version": 1, "scalar_kind": "real",

@@ -166,7 +166,6 @@ def test_truncate_bits_frozen():
     assert np.array_equal(out, np.array([0.125, -0.25]))
     z = truncate_bits(np.array([0.1 + 0.3j]), 3)
     assert z[0] == 0.125 + 0.25j
-    assert truncate_bits(np.array(0.1), 3) == 0.125  # 0-d
     x = np.array([0.1, -0.3])
     assert np.array_equal(truncate_bits(x, 600), x)
     t = truncate_tensor(Tensor3(np.full((2, 2, 2), 0.1)), 3)

@@ -101,6 +101,8 @@ _BAD_BLOBS = {
     "trailing byte": _GOOD + b"\x00",
     "short payload": _GOOD[:-1],
     "nan payload": b"T3B1" + bytes([0]) + struct.pack("<III", 1, 1, 1) + struct.pack("<d", float("nan")),
+    # dims whose array no machine can hold are a length mismatch, not an allocation failure
+    "huge dims": b"T3B1" + bytes([1]) + struct.pack("<III", *[0xFFFFFFFF] * 3) + bytes(16),
 }
 _names = itertools.count()
 

@@ -191,6 +191,20 @@ def test_stacked_pass_equals_one_matrix_at_a_time(dims, kind):
                 assert_same_spectrum(s, reference_eig_hermitian(G, vectors=vectors))
 
 
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_stack_prescales_only_the_matrices_that_overflow(kind):
+    # entries near 2^600 square past the double range; the tiny matrix next
+    # to them is not scaled with them, so it stays the one-matrix result
+    huge = random_hermitian(5, 7, kind) * 2.0 ** 600
+    tiny = random_hermitian(5, 8, kind) * 2.0 ** -200
+    with np.errstate(over="raise"):
+        stacked = eig_hermitian_stack(np.stack([huge, tiny]))
+    assert_same_spectrum(stacked[1], reference_eig_hermitian(tiny))
+    small = reference_eig_hermitian(huge * 2.0 ** -600)
+    assert np.allclose(stacked[0].eigenvalues * 2.0 ** -600, small.eigenvalues, rtol=1e-13, atol=0)
+    assert 0.0 < stacked[0].backward_error <= 1e-13 * np.abs(huge).max()
+
+
 def test_stack_gate_names_the_first_non_hermitian_matrix():
     G = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 2.0], [0.0, 0.0]])])
     with pytest.raises(NonHermitianInput, match=r"defect 1\.414e\+00 .* norm 1\.000e\+00"):
