@@ -91,7 +91,7 @@ def _read_t3b(head: bytes, fh) -> Tensor3:
     expected = math.prod(dims) * dtype.itemsize
     try:
         arr = np.empty(dims, dtype)
-    except (ValueError, MemoryError):  # dims no array here can hold, so no payload read here can match them
+    except (ValueError, MemoryError):  # dims too large to allocate: the length check below then fails, as for a short payload
         arr = np.empty(0, dtype)
     # readinto fills the array unless the stream ends first; read() then takes whatever follows
     size = fh.readinto(arr) + len(fh.read())
