@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     ConfigInvalid,
+    ConvergenceFailure,
     DimensionMismatch,
     EpsOutOfRange,
     Infeasible,
@@ -253,7 +254,14 @@ def _decide(a: Tensor3, b: Tensor3, eps: float | None) -> Decision:
         diag["solver_path"] = exc.solver_path
         diag["step"] = "phase_system"
         diag["certificate_size"] = len(exc.certificate)
+        diag["certificate"] = [list(key) for key in exc.certificate]
         return Decision("no", None, None, gate, diag)
+    except ConvergenceFailure:
+        # the synchronization missed a target and no 4-cycle is violated:
+        # neither a witness nor a certificate, so no answer
+        diag["solver_path"] = "synchronization"
+        diag["step"] = "phase_uncertified"
+        return Decision("cannot_decide", None, None, gate, diag)
     diag["solver_path"] = assignment.solver_path
 
     witness = assemble_witness(ca, cb, assignment)

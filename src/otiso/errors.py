@@ -28,7 +28,7 @@ class NonHermitianInput(OtisoError):
 
 
 class ConvergenceFailure(OtisoError):
-    """The underlying eigensolver did not converge."""
+    """An iterative solver did not converge: the eigensolver, or the phase synchronization short of every target."""
 
 
 class ConfigInvalid(OtisoError):
@@ -51,11 +51,11 @@ class Infeasible(OtisoError):
     certificate : list
         Constraint keys witnessing the contradiction.  For sign systems this
         is a set of constraints whose parity product is inconsistent; for
-        phase systems it is the set of violated constraints at the
-        least-squares point.
+        phase systems it is the four keys of a 4-cycle whose angle exceeds
+        their slacks, or the targets of zero slack.
     solver_path : str or None
-        The solver path that rejected the system (``"gf2"`` or ``"lstsq"``),
-        when a solver raised it.
+        The solver path that rejected the system (``"gf2"``, ``"cycle"`` or
+        ``"zero_slack"``), when a solver raised it.
     """
 
     def __init__(self, certificate, message: str | None = None, solver_path: str | None = None):

@@ -50,7 +50,7 @@ class PhaseTargets:
 
     phi: np.ndarray     # float64 argument of core_b / core_a, in (-pi, pi]
     slack: np.ndarray   # float64 admissible angular deviation, in [0, pi]
-    weight: np.ndarray  # float64 |core_a| + |core_b| at a target, else 0; picks the anchor, ranks propagation seeds
+    weight: np.ndarray  # float64 |core_a| + |core_b| at a target, else 0; picks the anchors, weighs the slice sums
 
     def __len__(self) -> int:
         return np.count_nonzero(self.weight)

@@ -31,17 +31,12 @@ bit for bit.  Otherwise the system is eliminated over GF(2), one row at a
 time in sorted-key order on Python-int bit rows; only the elimination
 yields parity certificates.  All sign answers are on solver path ``"gf2"``.
 
-For phases, the closed form answers dense consistent systems on solver
-path ``"anchored"``.  When it misses a target (sparse systems, whose
-slices share no target with the anchor's slice, and every inconsistent
-system), a second stage runs on the targets as rows: batched frontier
-propagation spreads weighted circular means out from the heaviest target,
-the estimates fix every target's integer wrap, and a weighted
-least-squares solve of the ``(n1+n2+n3)``-square normal equations refines
-the angles.  The normal matrix is factored once, by ``eigh``, into its
-minimum-norm pseudo-inverse; the solve and its refinement pass both reuse
-it.  A target the least-squares point misses makes the system infeasible,
-on solver path ``"lstsq"``.
+For phases, the closed form answers dense consistent systems.  When it
+misses a target (sparse systems, whose slices share no target with the
+anchor's slice, and every inconsistent system), a 4-cycle through the
+anchor whose angle exceeds its four slacks certifies a NO; otherwise
+alternating synchronization on the grid looks for angles meeting every
+target, and a miss there certifies nothing either way.
 
 Both return one :class:`Assignment`: the three per-mode unit diagonals
 (``+-1.0`` signs, or ``exp(i*angle)`` phases) that ``assemble_witness``
@@ -55,11 +50,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigInvalid, DimensionMismatch, Infeasible
+from .errors import ConfigInvalid, ConvergenceFailure, DimensionMismatch, Infeasible
 from .hosvd import CoreTensor, PhaseTargets
 from .tensor import TransformTriple
 
 TWO_PI = 2.0 * math.pi
+
+# Alternating synchronization: sweeps from one start, the number of starts
+# (the first and up to 4 restarts), each at the closed form anchored at one
+# of the heaviest targets, and the factor on a missed target's entry per
+# sweep (at most 16^50 = 2^200 in all).
+SYNC_SWEEPS = 50
+SYNC_STARTS = 5
+SYNC_BOOST = 16.0
+
+# The mode pairs whose 2x2 minors through the anchor the cycle check takes.
+_PLANES = ((0, 1), (0, 2), (1, 2))
 
 
 @dataclass(frozen=True)
@@ -67,7 +73,7 @@ class Assignment:
     """Per-mode unit diagonals: real +-1.0 signs or complex unit phases."""
 
     diagonals: tuple[np.ndarray, np.ndarray, np.ndarray]
-    solver_path: str  # "gf2" | "anchored" | "lstsq" | "identity" when no target pinned the gauge
+    solver_path: str  # "gf2" | "anchored" | "synchronization" | "identity" when no target pinned the gauge
 
 
 def wrap_angle(x):
@@ -83,22 +89,22 @@ def _canonical_angles(x: np.ndarray) -> np.ndarray:
 
 
 def _rows(targets: PhaseTargets) -> tuple[np.ndarray, np.ndarray]:
-    """Per target in sorted-key order, its key and variable columns ``(i, n1 + j, n1 + n2 + k)``; fallbacks only."""
+    """Per target in sorted-key order, its key and variable columns ``(i, n1 + j, n1 + n2 + k)``; for GF(2) and ranks only."""
     idx = np.argwhere(targets.weight > 0)
     n1, n2, _ = targets.weight.shape
     return idx, idx + np.array([0, n1, n1 + n2])
 
 
-def _normal_matrix(var: np.ndarray, w: np.ndarray, nvar: int) -> np.ndarray:
-    """``M^T diag(w) M`` for the 0/1 target-variable incidence ``M``."""
+def _normal_matrix(var: np.ndarray, nvar: int) -> np.ndarray:
+    """``M^T M`` for the 0/1 target-variable incidence ``M``."""
     pairs = (var[:, :, None] * nvar + var[:, None, :]).ravel()
-    return np.bincount(pairs, np.repeat(w, 9), nvar * nvar).reshape(nvar, nvar)
+    return np.bincount(pairs, minlength=nvar * nvar).reshape(nvar, nvar)
 
 
 def incidence_rank(targets: PhaseTargets) -> int:
     """Rank of the targets' 0/1 incidence: ``n1 + n2 + n3 - 2`` when they pin every angle up to the gauge."""
     _, var = _rows(targets)
-    return int(np.linalg.matrix_rank(_normal_matrix(var, np.ones(len(var)), sum(targets.weight.shape))))
+    return int(np.linalg.matrix_rank(_normal_matrix(var, sum(targets.weight.shape))))
 
 
 def _reject_dead(targets: PhaseTargets, solver_path: str) -> None:
@@ -107,19 +113,23 @@ def _reject_dead(targets: PhaseTargets, solver_path: str) -> None:
         raise Infeasible(targets.keys(dead), "targets with zero slack admit no strict solution", solver_path)
 
 
-def _anchor_sums(targets: PhaseTargets, values: np.ndarray) -> tuple[tuple, np.ndarray]:
-    """The heaviest target, and per variable the grid contracted with the anchor's slice in that mode.
+def _on_grid(targets: PhaseTargets, values: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """``values`` at the targets and +0 elsewhere (a -0.0 would turn a zero sum's angle into pi), and the anchor.
 
-    The grid ``z`` holds ``values`` at the targets and +0 elsewhere (a -0.0
-    would turn a zero sum's angle into pi).  The anchor ``(i0, j0, k0)`` is
-    the first maximum of ``weight`` in C order; the mode-1 sum at ``i`` is
-    ``sum_jk z[i,j,k] * conj(z[i0,j,k])``, and likewise for j and k.  The
-    three sums are concatenated in variable order.
+    The anchor is the heaviest target, the first maximum of ``weight`` in C order.
     """
     z = np.where(targets.weight > 0, values, 0)
-    anchor = np.unravel_index(np.argmax(targets.weight), z.shape)
+    return z, np.unravel_index(np.argmax(targets.weight), z.shape)
+
+
+def _slice_sums(z: np.ndarray, anchor: tuple) -> np.ndarray:
+    """Per variable, the grid contracted with the anchor's slice in that mode, in variable order.
+
+    With the anchor at ``(i0, j0, k0)``, the mode-1 sum at ``i`` is
+    ``sum_jk z[i,j,k] * conj(z[i0,j,k])``, and likewise for j and k.
+    """
     i0, j0, k0 = anchor
-    return anchor, np.concatenate([
+    return np.concatenate([
         z.reshape(z.shape[0], -1) @ z[i0].conj().ravel(),
         np.einsum("ijk,ik->j", z, z[:, j0].conj()),
         z[:, :, k0].conj().ravel() @ z.reshape(-1, z.shape[2]),
@@ -134,7 +144,8 @@ def _anchored_signs(targets: PhaseTargets, rhs: np.ndarray) -> np.ndarray | None
     and the last gamma are gauged to +1.  A zero sum or a missed target gives None.
     """
     n1, n2, _ = rhs.shape
-    anchor, sums = _anchor_sums(targets, np.where(rhs, -1.0, 1.0))
+    z, anchor = _on_grid(targets, np.where(rhs, -1.0, 1.0))
+    sums = _slice_sums(z, anchor)
     if not sums.all():
         return None
     val = sums < 0
@@ -220,127 +231,114 @@ def solve_signs(targets: PhaseTargets) -> Assignment:
     return Assignment(tuple(np.split(signs, np.cumsum(rhs.shape[:2]))), "gf2")
 
 
-def _propagate_estimates(var: np.ndarray, phi: np.ndarray, weight: np.ndarray, nvar: int) -> np.ndarray:
-    """Stage 2, first step: batched frontier propagation with weighted circular means.
-
-    Takes the targets as rows (variable columns, ``phi`` and ``weight``)
-    and returns an initial angle estimate per variable.  Propagation is
-    seeded at the heaviest target (its first two variables gauged to zero).
-    In each round, every unassigned variable that has a target with its
-    other two variables assigned gets the weighted circular mean over all
-    such targets.  When propagation stalls, it is reseeded at the heaviest
-    target that touches an unassigned variable, found by one masked
-    ``argmax`` (the lowest row among equal weights, as a stable sort would
-    order them).  Untouched variables stay at zero.
-    """
-    est = np.zeros(nvar)
-    assigned = np.zeros(nvar, dtype=bool)
-    touched = np.bincount(var.ravel(), minlength=nvar) > 0
-    while True:
-        missing = ~assigned[var]
-        n_missing = missing.sum(axis=1)
-        front = np.flatnonzero(n_missing == 1)
-        if front.size:
-            # unassigned estimates are zero, so the row sum is the other two
-            v = var[front][missing[front]]
-            ang = phi[front] - est[var[front]].sum(axis=1)
-            w = weight[front]
-            acc = np.bincount(v, w * np.cos(ang), nvar) + 1j * np.bincount(v, w * np.sin(ang), nvar)
-            v = np.unique(v)
-            est[v] = np.angle(acc[v])
-            assigned[v] = True
-        elif (touched & ~assigned).any():
-            # heaviest target with two unassigned variables; argmax keeps the lowest row on ties
-            seed = int(np.argmax(np.where(n_missing >= 2, weight, -np.inf)))
-            vs = var[seed][missing[seed]]
-            est[vs[-1]] = wrap_angle(phi[seed] - est[var[seed]].sum())
-            assigned[vs] = True
-        else:
-            return est
-
-
 def _phase_assignment(x: np.ndarray, shape, solver_path: str) -> Assignment:
     parts = np.split(x, np.cumsum(shape[:2]))
     return Assignment(tuple(np.exp(1j * _canonical_angles(part)) for part in parts), solver_path)
 
 
-def _anchored_phases(targets: PhaseTargets) -> Assignment | None:
-    """Stage 1: closed-form angles from the heaviest target's three slices, or None when they miss a target.
+def _closed_form(z: np.ndarray, phi: np.ndarray, anchor: tuple) -> np.ndarray:
+    """Angles relative to ``anchor`` from its three slice sums, alpha shifted so the anchor meets its own ``phi``.
 
-    With ``z = weight * exp(i*phi)`` on the core grid (zero off the targets)
-    and the heaviest target at ``(i0, j0, k0)``, a consistent system has
-    ``z[i,j,k] * conj(z[i0,j,k]) = |.| * exp(i*(alpha_i - alpha_i0))``, so
-    ``alpha_i - alpha_i0`` is the argument of that product summed over
-    ``(j, k)``: one contraction per mode gives every angle relative to the
-    anchor, and shifting alpha puts the anchor's sum on its own ``phi``.
-    A slice with no target in common with the anchor's slice gets angle 0,
-    so sparse systems miss and fall through; the answer is returned only
-    when every target's residual is strictly below its slack.
+    With ``z = weight * exp(i*phi)``, a consistent system has ``z[i,j,k] *
+    conj(z[i0,j,k]) = |.| * exp(i*(alpha_i - alpha_i0))``.  A slice sharing
+    no target with the anchor's gets angle 0, so sparse systems miss.
     """
-    anchor, sums = _anchor_sums(targets, targets.weight * np.exp(1j * targets.phi))
-    x = np.angle(sums)
-    n1, n2, _ = targets.phi.shape
+    x = np.angle(_slice_sums(z, anchor))
+    n1, n2, _ = z.shape
     i0, j0, k0 = anchor
-    x[:n1] += targets.phi[anchor] - (x[i0] + x[n1 + j0] + x[n1 + n2 + k0])
-    a, b, c = np.split(x, (n1, n1 + n2))
-    resid = np.abs(wrap_angle(targets.phi - ((a[:, None, None] + b[:, None]) + c)))
-    if not np.all(resid < targets.slack, where=targets.weight > 0):
-        return None
-    return _phase_assignment(x, targets.phi.shape, "anchored")
+    x[:n1] += phi[anchor] - (x[i0] + x[n1 + j0] + x[n1 + n2 + k0])
+    return x
 
 
-def _least_squares_phases(targets: PhaseTargets) -> Assignment:
-    """Stage 2: propagation pins each target's wrap, then weighted least squares; :class:`Infeasible` on a miss."""
+def _corners(grid: np.ndarray, anchor: tuple, p: int, q: int) -> tuple:
+    """``grid`` and its values with the mode-q index, the mode-p index, and both set to the anchor's, broadcastable."""
+    at_q = np.take(grid, [anchor[q]], axis=q)
+    return grid, at_q, np.take(grid, [anchor[p]], axis=p), np.take(at_q, [anchor[p]], axis=p)
+
+
+def _reject_cycle(targets: PhaseTargets, anchor: tuple) -> None:
+    """Raise :class:`Infeasible` with the four keys of the anchor's most violated 4-cycle, if any.
+
+    The cycles are the anchor's 2x2 minors in the three planes; in the
+    (i, j) plane, ``M = z_ijk conj(z_ij0k) conj(z_i0jk) z_i0j0k``.  Every
+    variable cancels in ``arg M``, so angles meeting all four targets keep
+    ``|arg M|`` below their four slacks' sum, whatever the wraps (the cycle
+    constraint of Zach, Klopschitz & Pollefeys, CVPR 2010).  The cycle of
+    largest excess, first in plane and then C order, is reported with its
+    keys in the order of M's factors.
+    """
     on = targets.weight > 0
-    idx, var = _rows(targets)
-    phi, weight = targets.phi[on], targets.weight[on]
-    nvar = sum(on.shape)
-    est = _propagate_estimates(var, phi, weight, nvar)
-    # Fix integer wraps at the estimates; the constraint becomes linear in R.
-    s0 = est[var[:, 0]] + est[var[:, 1]] + est[var[:, 2]]
-    t_lin = s0 + wrap_angle(phi - s0)
-    w = np.maximum(weight, 1e-300)
-    # normal equations M^T W M x = M^T W t, M the 0/1 target-variable incidence
-    gram = _normal_matrix(var, w, nvar)
-    # the minimum-norm pseudo-inverse, factored once for both passes
-    lam, Q = np.linalg.eigh(gram)
-    keep = np.abs(lam) > np.finfo(np.float64).eps * nvar * np.max(np.abs(lam))
-    inv = np.divide(1.0, lam, out=np.zeros(nvar), where=keep)
-    x = np.zeros(nvar)
-    for _ in range(2):  # the second pass refines x on its own residual
-        r = t_lin - (x[var[:, 0]] + x[var[:, 1]] + x[var[:, 2]])
-        x = x + Q @ (inv * (Q.T @ np.bincount(var.ravel(), np.repeat(w * r, 3), nvar)))
-    ok = np.abs(wrap_angle(phi - (x[var[:, 0]] + x[var[:, 1]] + x[var[:, 2]]))) < targets.slack[on]
-    if not bool(np.all(ok)):
-        violated = [tuple(k) for k in idx[~ok].tolist()]
-        raise Infeasible(violated, f"{len(violated)} phase constraints unsatisfied at the least-squares point", "lstsq")
-    return _phase_assignment(x, on.shape, "lstsq")
+    excess = []
+    for p, q in _PLANES:
+        (f, fq, fp, fpq), (s, sq, sp, spq), (o, oq, op, opq) = (
+            _corners(grid, anchor, p, q) for grid in (targets.phi, targets.slack, on)
+        )
+        angle = np.abs(wrap_angle((f - fq) - (fp - fpq)))
+        excess.append(np.where(o & oq & op & opq, angle - (s + sq + sp + spq), 0.0))
+    plane, *key = np.unravel_index(np.argmax(excess), (len(_PLANES), *on.shape))
+    worst = excess[plane][tuple(key)]
+    if worst > 0.0:
+        p, q = _PLANES[plane]
+        cycle = [tuple(int(anchor[m] if m in moved else key[m]) for m in range(3)) for moved in ((), (q,), (p,), (p, q))]
+        raise Infeasible(cycle, f"a 4-cycle's angle exceeds its four slacks by {worst:.3g} rad", "cycle")
+
+
+def _synchronize(targets: PhaseTargets, z: np.ndarray, x: np.ndarray) -> np.ndarray | None:
+    """Alternating synchronization from the angles ``x``: angles meeting every target, or None after the sweep cap.
+
+    A sweep sets ``alpha_i = arg sum_jk z_ijk conj(beta_j gamma_k)``, then
+    beta and gamma likewise (block-coordinate ascent for angular
+    synchronization; Boumal 2016, SIAM J. Optim. 26(4)).  Before each sweep
+    the targets still missed have their ``z`` multiplied by ``SYNC_BOOST``,
+    which pulls the ascent out of local maxima that give up light targets.
+    """
+    # the check reads the targets alone, far cheaper than the grid when they are sparse
+    i, j, k = np.nonzero(targets.weight > 0)
+    phi, slack, z = targets.phi[i, j, k], targets.slack[i, j, k], z.copy()
+    a, b, c = np.split(x, np.cumsum(z.shape[:2]))
+    for sweep in range(SYNC_SWEEPS + 1):
+        missed = ~(np.abs(wrap_angle(phi - ((a[i] + b[j]) + c[k]))) < slack)
+        if not missed.any():
+            return np.concatenate([a, b, c])
+        if sweep == SYNC_SWEEPS:
+            return None
+        z[i[missed], j[missed], k[missed]] *= SYNC_BOOST
+        a = np.angle(np.einsum("ijk,j,k->i", z, np.exp(-1j * b), np.exp(-1j * c)))
+        b = np.angle(np.einsum("ijk,i,k->j", z, np.exp(-1j * a), np.exp(-1j * c)))
+        c = np.angle(np.einsum("ijk,i,j->k", z, np.exp(-1j * a), np.exp(-1j * b)))
 
 
 def solve_phases(targets: PhaseTargets) -> Assignment:
     """Recover per-mode angles satisfying every target's strict slack bound.
 
     ``targets`` is the :class:`PhaseTargets` of two complex cores; a target
-    is met when its circular residual is strictly below its slack, so a
-    zero-slack target is infeasible.  Two stages, each checked against
-    every target.  The closed form anchored at the heaviest target answers
-    dense consistent systems on solver path ``"anchored"``.  Otherwise
-    propagation produces estimates good enough to pin each constraint's
-    integer wrap; with wraps fixed the system is linear, solved by weighted
-    least squares on the normal equations.  The normal matrix is factored
-    once with ``eigh``; its eigenvalues at or below ``lstsq``'s default
-    cutoff (machine epsilon times ``n1+n2+n3`` times the largest) count as
-    zero, which gives the minimum-norm solution ``lstsq(..., rcond=None)``
-    gives, on both passes (the second refines the first on its own
-    residual).  That answer is on solver path ``"lstsq"``; a miss there
-    raises :class:`Infeasible` with the violated keys at the least-squares
-    point.  The diagonals are ``exp(i*angle)`` of the angles taken to
-    [0, 2pi).
+    is met when its circular residual is strictly below its slack, so
+    zero-slack targets are infeasible (solver path ``"zero_slack"``).  The
+    closed form anchored at the heaviest target answers on solver path
+    ``"anchored"``.  When it misses, a violated 4-cycle through the anchor
+    raises :class:`Infeasible` on solver path ``"cycle"``; otherwise
+    alternating synchronization from the closed forms anchored at the
+    ``SYNC_STARTS`` heaviest targets answers on solver path
+    ``"synchronization"``, and a miss from every start raises
+    :class:`ConvergenceFailure`.  The diagonals are ``exp(i*angle)``.
     """
     if not len(targets):
         raise ConfigInvalid("at least one phase target is required")
-    _reject_dead(targets, "lstsq")
-    return _anchored_phases(targets) or _least_squares_phases(targets)
+    _reject_dead(targets, "zero_slack")
+    z, anchor = _on_grid(targets, targets.weight * np.exp(1j * targets.phi))
+    x = _closed_form(z, targets.phi, anchor)
+    a, b, c = np.split(x, np.cumsum(z.shape[:2]))
+    resid = np.abs(wrap_angle(targets.phi - ((a[:, None, None] + b[:, None]) + c)))
+    if np.all(resid < targets.slack, where=targets.weight > 0):
+        return _phase_assignment(x, z.shape, "anchored")
+    _reject_cycle(targets, anchor)
+    on = targets.weight > 0
+    starts = np.flatnonzero(on)[np.argsort(-targets.weight[on], kind="stable")[:SYNC_STARTS]]
+    for start in starts:
+        x = _synchronize(targets, z, _closed_form(z, targets.phi, np.unravel_index(start, z.shape)))
+        if x is not None:
+            return _phase_assignment(x, z.shape, "synchronization")
+    raise ConvergenceFailure(f"synchronization missed a target from {len(starts)} starts; no 4-cycle is violated")
 
 
 def assemble_witness(sa: CoreTensor, sb: CoreTensor, assignment: Assignment) -> TransformTriple:

@@ -112,8 +112,8 @@ def test_iso_no_and_cannot_decide(tmp_path):
     assert main(["iso", "--a", str(ones), "--b", str(ones), "--quiet"]) == 2
 
 
-def test_conjugate_pair_is_a_least_squares_no_without_scipy(tmp_path):
-    # a complex tensor and its conjugate share spectra and core moduli, so the phase solve rejects them
+def test_conjugate_pair_is_a_cycle_certified_no_without_scipy(tmp_path):
+    # a complex tensor and its conjugate share spectra and core moduli, so a violated 4-cycle rejects them
     a = sample_tensor((4, 4, 4), RandomModel("gaussian", "complex", 12))
     pa, pb = tmp_path / "a.t3b", tmp_path / "b.t3b"
     write_tensor(a, pa)
@@ -126,7 +126,8 @@ def test_conjugate_pair_is_a_least_squares_no_without_scipy(tmp_path):
     assert proc.returncode == 1, proc.stderr
     report, scipy_loaded = proc.stdout.splitlines()
     diagnostics = json.loads(report)["diagnostics"]
-    assert diagnostics["step"] == "phase_system" and diagnostics["solver_path"] == "lstsq"
+    assert diagnostics["step"] == "phase_system" and diagnostics["solver_path"] == "cycle"
+    assert diagnostics["certificate_size"] == len(diagnostics["certificate"]) == 4
     assert scipy_loaded == "False"
 
 

@@ -22,8 +22,10 @@ from otiso import (
     sample_tensor,
     verify_witness,
 )
+from otiso.cli import main
 from otiso.decision import required_bits, truncate_bits, truncate_tensor
 from otiso.hosvd import PhaseTargets, core_of
+from otiso.io import write_tensor
 from otiso.tensor import TAU_UNITARY_REL
 
 
@@ -238,6 +240,16 @@ def test_gapped_requires_cubic():
         decide_orbit_distance(a, a, 1e-8)
 
 
+def near_diagonal_pair():
+    """A complex n = 12 diagonal tensor plus noise of 1e-4, and an orbit image: 19 sparse phase targets."""
+    n = 12
+    rng = np.random.default_rng(0)
+    diag = np.zeros((n, n, n), dtype=complex)
+    diag[np.arange(n), np.arange(n), np.arange(n)] = np.arange(1, n + 1) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+    a = Tensor3(diag + 1e-4 * (rng.standard_normal(diag.shape) + 1j * rng.standard_normal(diag.shape)), "complex")
+    return a, apply_action(sample_haar_triple((n, n, n), 50, "complex"), a)
+
+
 def test_zero_targets_are_underdetermined(monkeypatch):
     # with no phase target nothing pins the per-mode gauge, so the identity
     # guess is no evidence: a pair it does not carry is cannot_decide, not NO
@@ -262,16 +274,28 @@ def test_zero_targets_are_underdetermined(monkeypatch):
     # variable, but their incidence has rank 16 of the 34 the gauge allows,
     # so the unpinned angles, not the numerics, make the witness miss
     monkeypatch.undo()
-    n = 12
-    rng = np.random.default_rng(0)
-    diag = np.zeros((n, n, n), dtype=complex)
-    diag[np.arange(n), np.arange(n), np.arange(n)] = np.arange(1, n + 1) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
-    a = Tensor3(diag + 1e-4 * (rng.standard_normal(diag.shape) + 1j * rng.standard_normal(diag.shape)), "complex")
-    d = decide_isomorphism(a, apply_action(sample_haar_triple((n, n, n), 50, "complex"), a))
+    d = decide_isomorphism(*near_diagonal_pair())
     assert d.verdict == "cannot_decide"
     assert d.diagnostics["phase_targets"] == 19
     assert d.diagnostics["step"] == "underdetermined"
-    assert d.diagnostics["solver_path"] == "lstsq"
+    assert d.diagnostics["solver_path"] == "synchronization"
+
+
+def test_uncertified_phase_miss_is_cannot_decide(monkeypatch, tmp_path):
+    # with no sweep, the synchronization keeps its closed-form starts, which
+    # miss the near-diagonal pair's sparse targets; no 4-cycle is violated,
+    # so the miss is no answer (exit 2), not a NO
+    import otiso.phases as phases
+
+    monkeypatch.setattr(phases, "SYNC_SWEEPS", 0)
+    a, b = near_diagonal_pair()
+    d = decide_isomorphism(a, b)
+    assert (d.verdict, d.witness) == ("cannot_decide", None)
+    assert (d.diagnostics["step"], d.diagnostics["solver_path"]) == ("phase_uncertified", "synchronization")
+    pa, pb = tmp_path / "a.t3b", tmp_path / "b.t3b"
+    write_tensor(a, pa)
+    write_tensor(b, pb)
+    assert main(["iso", "--a", str(pa), "--b", str(pb), "--quiet"]) == 2
 
 
 def test_gapped_no_on_small_gap_b():

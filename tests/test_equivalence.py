@@ -1,0 +1,37 @@
+"""The ``--compare`` report of ``tools/equivalence.py``."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "equivalence.py"
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("equivalence", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def record(label, verdict, step, solver_path):
+    diagnostics = {"step": step, "solver_path": solver_path}
+    return {"workload": "orbit-complex", "seed": 11, "label": label, "code": 2,
+            "stdout": json.dumps({"verdict": verdict, "diagnostics": diagnostics}), "stderr": "",
+            "witness_sha256": None, "witness_values_sha256": None, "csv_sha256": None}
+
+
+def test_compare_lists_solver_path_transitions_with_their_ops(tmp_path, capsys):
+    ops = [("orbit n=26 k=-6", "lstsq", "synchronization"), ("orbit n=44 k=-1", "lstsq", "synchronization"),
+           ("orbit n=8 k=0", "anchored", "anchored")]
+    paths = []
+    for side, column in (("parent", 1), ("change", 2)):
+        path = tmp_path / f"{side}.jsonl"
+        path.write_text("".join(json.dumps(record(op[0], "cannot_decide", "underdetermined", op[column])) + "\n"
+                                for op in ops))
+        paths.append(path)
+    assert load_tool().compare(*paths) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == ("orbit-complex: 2 op(s) solver_path lstsq -> synchronization "
+                       "(verdict cannot_decide -> cannot_decide): seed 11 orbit n=26 k=-6; seed 11 orbit n=44 k=-1")
+    assert not any("op(s) step" in line for line in out)

@@ -5,13 +5,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from otiso import (
     ConfigInvalid,
+    ConvergenceFailure,
     DimensionMismatch,
     Infeasible,
     RandomModel,
+    Tensor3,
     apply_action,
     decide_isomorphism,
     sample_haar_triple,
@@ -24,8 +26,6 @@ from otiso.io import write_tensor
 from otiso.phases import (
     Assignment,
     _anchored_signs,
-    _least_squares_phases,
-    _propagate_estimates,
     assemble_witness,
     solve_phases,
     solve_signs,
@@ -42,13 +42,6 @@ def grid_targets(idx, phi, slack, weight, dims):
     grids = np.zeros((3, *dims))
     grids[(slice(None), *np.asarray(idx, dtype=np.int64).reshape(-1, 3).T)] = [phi, slack, weight]
     return PhaseTargets(*grids)
-
-
-def target_rows(targets):
-    """The targets as rows in sorted-key order: variable columns ``(i, n1 + j, n1 + n2 + k)``, phi and weight."""
-    on = targets.weight > 0
-    n1, n2, _ = on.shape
-    return np.argwhere(on) + np.array([0, n1, n1 + n2]), targets.phi[on], targets.weight[on]
 
 
 def phase_targets(rows, dims):
@@ -238,8 +231,9 @@ def test_solve_phases_corrupted_constraint_infeasible():
         targets[bad] = (float(wrap_angle(phi + np.pi)), slack, weight)
         with pytest.raises(Infeasible) as info:
             solve_phases(phase_targets(targets, dims))
-        assert bad in info.value.certificate
-        assert info.value.solver_path == "lstsq"
+        # every other 4-cycle is consistent, so the violated one runs through the flipped target
+        assert bad in info.value.certificate and len(info.value.certificate) == 4
+        assert info.value.solver_path == "cycle"
 
 
 def test_solve_phases_gauge_invariant_residuals():
@@ -274,9 +268,10 @@ def assert_within_slack(out, targets):
 
 def test_solve_phases_sparse_masks_reseed():
     # two blocks with no shared variable, a pair of targets joined to the
-    # first block only through alpha_2, and a lone target: propagation stalls
-    # on each and must reseed at the heaviest target touching an unassigned
-    # variable.  alpha_5 is touched by no target and stays at angle zero.
+    # first block only through alpha_2, and a lone target: the anchor's
+    # slices miss most of them, so the closed form misses and the
+    # synchronization answers.  alpha_5 is touched by no target and stays at
+    # angle zero.
     rng = np.random.default_rng(64)
     dims = (7, 7, 8)
     for _ in range(10):
@@ -285,7 +280,7 @@ def test_solve_phases_sparse_masks_reseed():
         keys = {k for k in blocks if rng.random() < 0.8} | {(0, 0, 0), (3, 3, 3), (2, 5, 5), (2, 5, 6), (6, 6, 7)}
         targets = noisy_targets(rng, keys, angles, slack=0.2, noise=0.02)
         out = solve_phases(phase_targets(targets, dims))
-        assert out.solver_path == "lstsq"
+        assert out.solver_path == "synchronization"
         assert_within_slack(out, targets)
         assert abs(float(diagonal_angles(out)[0][5])) <= 1e-12
 
@@ -319,107 +314,57 @@ def test_solve_phases_equivariant_under_gauge():
         assert abs(float(wrap_angle(fit_moved - fit - u[i] - v[j] - w[k]))) <= 1e-9
 
 
-def reference_propagate(var, phi, weight, nvar):
-    """Propagation reseeded through a full stable sort of the weights, as before the masked argmax."""
-    est = np.zeros(nvar)
-    assigned = np.zeros(nvar, dtype=bool)
-    touched = np.bincount(var.ravel(), minlength=nvar) > 0
-    heaviest_first = np.argsort(-weight, kind="stable")
-    while True:
-        missing = ~assigned[var]
-        n_missing = missing.sum(axis=1)
-        front = np.flatnonzero(n_missing == 1)
-        if front.size:
-            v = var[front][missing[front]]
-            ang = phi[front] - est[var[front]].sum(axis=1)
-            w = weight[front]
-            acc = np.bincount(v, w * np.cos(ang), nvar) + 1j * np.bincount(v, w * np.sin(ang), nvar)
-            v = np.unique(v)
-            est[v] = np.angle(acc[v])
-            assigned[v] = True
-        elif (touched & ~assigned).any():
-            seed = heaviest_first[np.flatnonzero(n_missing[heaviest_first] >= 2)[0]]
-            vs = var[seed][missing[seed]]
-            est[vs[-1]] = wrap_angle(phi[seed] - est[var[seed]].sum())
-            assigned[vs] = True
-        else:
-            return est
+def sparse_phase_system(rng):
+    """A consistent system on dims in [3, 11]^3 at density 0.10-0.20, slack 0.3 and noise up to slack/3."""
+    dims = tuple(int(d) for d in rng.integers(3, 12, 3))
+    keep = rng.random(dims) < rng.uniform(0.10, 0.20)
+    keep.flat[rng.integers(keep.size)] = True
+    al, be, ga = (rng.uniform(-np.pi, np.pi, d) for d in dims)
+    noise = rng.uniform(0.0, 0.1)
+    phi = wrap_angle(al[:, None, None] + be[:, None] + ga + rng.uniform(-noise, noise, dims))
+    weight = 10.0 ** rng.uniform(-1.0, 1.0, dims)
+    return PhaseTargets(np.where(keep, phi, 0.0), np.where(keep, 0.3, 0.0), np.where(keep, weight, 0.0))
 
 
-def reference_lstsq_residual(targets):
-    """Worst circular residual of the two-pass ``lstsq`` fit on the normal equations, as before the factored solve."""
-    nvar = sum(targets.weight.shape)
-    var, phi, weight = target_rows(targets)
-    est = reference_propagate(var, phi, weight, nvar)
-    s0 = est[var[:, 0]] + est[var[:, 1]] + est[var[:, 2]]
-    t_lin = s0 + wrap_angle(phi - s0)
-    w = np.maximum(weight, 1e-300)
-    pairs = (var[:, :, None] * nvar + var[:, None, :]).ravel()
-    gram = np.bincount(pairs, np.repeat(w, 9), nvar * nvar).reshape(nvar, nvar)
-    x = np.zeros(nvar)
-    for _ in range(2):
-        r = t_lin - (x[var[:, 0]] + x[var[:, 1]] + x[var[:, 2]])
-        x = x + np.linalg.lstsq(gram, np.bincount(var.ravel(), np.repeat(w * r, 3), nvar), rcond=None)[0]
-    return float(np.max(np.abs(wrap_angle(phi - (x[var[:, 0]] + x[var[:, 1]] + x[var[:, 2]])))))
-
-
-def forward_system(rng, dims, blocks, density, decades, noise, slack=0.3, ties=False):
-    """Consistent targets on ``blocks`` (index ranges per mode, no variable shared between blocks)."""
-    angles = [rng.uniform(-np.pi, np.pi, d) for d in dims]
-    keys = sorted({k for block in blocks for k in itertools.product(*block) if rng.random() < density})
-    idx = np.array(keys, dtype=np.int64).reshape(-1, 3)
-    phi = wrap_angle(angles[0][idx[:, 0]] + angles[1][idx[:, 1]] + angles[2][idx[:, 2]]
-                     + rng.uniform(-noise, noise, len(idx)))
-    weight = 10.0 ** (rng.integers(-1, 2, len(idx)) if ties else rng.uniform(-decades / 2, decades / 2, len(idx)))
-    return grid_targets(idx, phi, np.full(len(idx), slack), weight, dims)
-
-
-def split_blocks(dims, parts):
-    """``parts`` disjoint index blocks covering each mode, so the system has ``parts`` components."""
-    cuts = [np.linspace(0, d, parts + 1).astype(int) for d in dims]
-    return [[range(c[p], c[p + 1]) for c in cuts] for p in range(parts)]
-
-
-def test_factored_solve_matches_two_pass_lstsq():
-    rng = np.random.default_rng(71)
-    cases = 0
-    for trial in range(60):
-        parts = 1 + trial % 3  # each component adds two gauge directions to the rank deficit
-        dims = tuple(int(d) for d in rng.integers(2 * parts, 4 * parts + 1, 3))
-        decades = 10.0 if trial % 2 else 2.0
-        targets = forward_system(rng, dims, split_blocks(dims, parts), density=0.7, decades=decades, noise=0.03)
-        if not len(targets):
+def test_sparse_consistent_systems_are_never_rejected():
+    # most slices share no target with the anchor's, so the closed form
+    # misses almost every system; a consistent system has no violated
+    # cycle, so it is never Infeasible, and the synchronization meets every
+    # target on all but a few
+    rng = np.random.default_rng(74)
+    paths = []
+    for _ in range(300):
+        targets = sparse_phase_system(rng)
+        try:
+            out = solve_phases(targets)
+        except ConvergenceFailure:
+            paths.append("uncertified")
             continue
-        ref = reference_lstsq_residual(targets)
-        out = _least_squares_phases(targets)
-        assert ref < 0.3 and out.solver_path == "lstsq"
-        # a few ulps of pi absolute, for systems that both solvers fit exactly
-        assert max_residual(out, targets) <= 1.05 * ref + 8 * np.spacing(np.pi)
-        cases += ref > 1e-3
-    assert cases >= 40
+        assert max_residual(out, targets) < 0.3
+        paths.append(out.solver_path)
+    assert paths.count("uncertified") <= 3
+    assert paths.count("synchronization") >= 250
 
 
-def test_argmax_seeding_matches_stable_sort_on_ties():
-    # weights from only three values, several components and sparse masks:
-    # propagation reseeds many times, always among tied weights
-    rng = np.random.default_rng(72)
-    checked = 0
-    for trial in range(40):
-        parts = 2 + trial % 3
-        dims = tuple(int(d) for d in rng.integers(2 * parts, 3 * parts + 1, 3))
-        targets = forward_system(rng, dims, split_blocks(dims, parts), density=0.3, decades=0, noise=0.0, ties=True)
-        if not len(targets):
-            continue
-        rows = target_rows(targets)
-        got = _propagate_estimates(*rows, sum(dims))
-        assert np.array_equal(got, reference_propagate(*rows, sum(dims)))
-        checked += 1
-    assert checked >= 30
-    # two equal weights: the seed is row 0, which gauges alpha_0 and beta_0 to
-    # zero; seeding at row 1 would gauge alpha_1 instead
-    targets = grid_targets([[0, 0, 0], [1, 0, 0]], [0.5, 1.5], np.full(2, 0.3), np.ones(2), (2, 1, 1))
-    est = _propagate_estimates(*target_rows(targets), 4)
-    assert np.array_equal(est, [0.0, 1.0, 0.0, 0.5])
+@settings(max_examples=40)
+@given(n=st.integers(3, 16), seed=st.integers(0, 2 ** 32 - 1))
+def test_conjugate_pairs_are_no_with_a_violated_four_cycle(n, seed):
+    # a complex tensor and its conjugate share spectra and core moduli, but
+    # their phases are inconsistent: the decision names one 4-cycle through
+    # the anchor whose angle exceeds the sum of its four slacks
+    a = sample_tensor((n, n, n), RandomModel("gaussian", "complex", seed))
+    b = Tensor3(a.data.conj(), "complex")
+    diag = decide_isomorphism(a, b).diagnostics
+    assert (diag["step"], diag["solver_path"], diag["certificate_size"]) == ("phase_system", "cycle", 4)
+    keys = [tuple(key) for key in diag["certificate"]]
+    signs = np.array([1, -1, -1, 1])
+    # the signed keys of M = z0 conj(z1) conj(z2) z3 cancel every variable
+    for mode in range(3):
+        assert not np.any(np.bincount([key[mode] for key in keys], signs, n))
+    targets = compare_cores(*core_of(a, b), diag["threshold_modulus"]).phase_targets
+    assert all(targets.weight[key] > 0 for key in keys)
+    angle = abs(float(wrap_angle(np.dot(signs, [targets.phi[key] for key in keys]))))
+    assert angle > sum(targets.slack[key] for key in keys)
 
 
 @st.composite
@@ -482,7 +427,7 @@ def test_assemble_witness_identity_and_signs():
     a = sample_tensor((2, 2, 2), RandomModel("gaussian", "real", 64))
     ct = core_of(a)[0]
     eye_ct = type(ct)(core=a, bases=tuple(np.eye(2) for _ in range(3)), spectra=ct.spectra)
-    zero_phase = Assignment(tuple(np.exp(1j * np.zeros(2)) for _ in range(3)), "lstsq")
+    zero_phase = Assignment(tuple(np.exp(1j * np.zeros(2)) for _ in range(3)), "synchronization")
     w = assemble_witness(eye_ct, eye_ct, zero_phase)
     for d in range(3):
         assert np.allclose(w[d], np.eye(2), atol=1e-15)

@@ -17,8 +17,9 @@ replaced by ``$WORK``, so runs of two source trees compare with ``diff``.
 
 reads two such runs and prints, per workload, how many ops differ in exit
 code, verdict, ``step``, the other diagnostics, stdout bytes, witness values
-and CSV bytes, then every ``step`` transition with the verdict it happened
-on.  It exits 1 when any op differs, else 0.
+and CSV bytes, then every ``step`` and every ``solver_path`` transition with
+the verdict it happened on and the ops (seed and label) that made it.  It
+exits 1 when any op differs, else 0.
 """
 
 from __future__ import annotations
@@ -69,6 +70,8 @@ def run_op(cli, op, work: Path) -> dict:
 
 # columns of the --compare table: what two runs of one op may differ in
 FIELDS = ("code", "verdict", "step", "diagnostics", "stdout", "witness_values", "csv")
+# diagnostics whose every change --compare lists, with the ops it happened on
+TRANSITIONS = ("step", "solver_path")
 
 
 def _report(rec: dict) -> dict:
@@ -81,12 +84,12 @@ def _report(rec: dict) -> dict:
 
 
 def _op_fields(rec: dict) -> dict:
-    """The values of one op that ``FIELDS`` compares."""
+    """The values of one op that ``FIELDS`` and ``TRANSITIONS`` compare."""
     report = _report(rec)
     diag = dict(report.get("diagnostics") or {})
     return {"code": rec["code"], "verdict": report.get("verdict"), "step": diag.pop("step", None),
             "diagnostics": diag, "stdout": rec["stdout"], "witness_values": rec["witness_values_sha256"],
-            "csv": rec["csv_sha256"]}
+            "csv": rec["csv_sha256"], "solver_path": diag.get("solver_path")}
 
 
 def _read_jsonl(path: Path) -> list:
@@ -101,21 +104,23 @@ def compare(parent_path: Path, change_path: Path) -> int:
         print("error: the two runs hold different ops (workload, seed, label)", file=sys.stderr)
         return 2
     counts: dict = {}
-    steps: dict = {}
+    moves: dict = {}
     for p, c in zip(parent, change):
         fp, fc = _op_fields(p), _op_fields(c)
         row = counts.setdefault(p["workload"], Counter())
         row["ops"] += 1
         row.update(f for f in FIELDS if fp[f] != fc[f])
-        if fp["step"] != fc["step"]:
-            steps.setdefault(p["workload"], Counter())[(fp["verdict"], fp["step"], fc["verdict"], fc["step"])] += 1
+        for key in TRANSITIONS:
+            if fp[key] != fc[key]:
+                move = (key, fp[key], fc[key], fp["verdict"], fc["verdict"])
+                moves.setdefault(p["workload"], {}).setdefault(move, []).append(f"seed {p['seed']} {p['label']}")
     width = max(map(len, counts), default=8)
     print(f"{'workload':<{width}} {'ops':>5} " + " ".join(f"{f:>14}" for f in FIELDS))
     for name, row in counts.items():
         print(f"{name:<{width}} {row['ops']:>5} " + " ".join(f"{row[f]:>14}" for f in FIELDS))
-    for name, moves in steps.items():
-        for (vp, sp, vc, sc), k in sorted(moves.items(), key=str):
-            print(f"{name}: {k} op(s) step {sp} -> {sc} (verdict {vp} -> {vc})")
+    for name, by_move in moves.items():
+        for (key, was, now, vp, vc), ops in sorted(by_move.items(), key=str):
+            print(f"{name}: {len(ops)} op(s) {key} {was} -> {now} (verdict {vp} -> {vc}): {'; '.join(ops)}")
     return int(any(row[f] for row in counts.values() for f in FIELDS))
 
 
