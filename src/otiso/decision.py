@@ -28,7 +28,7 @@ from .errors import (
 from .hosvd import CoreTensor, RejectFar, compare_cores, core_of
 from .phases import Assignment, assemble_witness, incidence_rank, solve_phases, solve_signs
 from .spectral import spectra_close
-from .tensor import TAU_UNITARY_REL, Tensor3, TransformTriple, apply_action
+from .tensor import TAU_UNITARY_REL, Tensor3, TransformTriple, _fro, apply_action
 
 # Not called here: bench/spans.py wraps these names on this module.
 from .spectral import eig_hermitian  # noqa: F401
@@ -103,7 +103,7 @@ def verify_witness(a: Tensor3, b: Tensor3, witness) -> WitnessReport:
     if triple.scalar_kind != kind:
         triple = TransformTriple(triple.factors, kind, check=False)
     acted = apply_action(triple, a.astype_kind(kind))
-    residual = float(np.linalg.norm(acted.data - b.astype_kind(kind).data))
+    residual = _fro(acted.data - b.astype_kind(kind).data)
     defects = triple.unitarity_defects()
     return WitnessReport(
         residual=residual,
@@ -137,7 +137,7 @@ def _gap(core: CoreTensor) -> float:
     No adjacent gap of a PSD spectrum exceeds its top eigenvalue, so the cap
     only acts when every mode has size 1 and there is no gap at all.
     """
-    top = max(float(np.max(s.eigenvalues)) for s in core.spectra)
+    top = max(float(s.eigenvalues[0]) for s in core.spectra)  # the sorted spectrum's first value is its largest
     return min(core.min_gap, max(top, _TINY))
 
 
@@ -201,7 +201,7 @@ def _decide(a: Tensor3, b: Tensor3, eps: float | None) -> Decision:
         # so only eigensolver noise, relative to the larger spectrum,
         # separates equal spectra.
         for d, (ga, gb) in enumerate(zip(ca.spectra, cb.spectra)):
-            scale = max(float(np.max(np.abs(ga.eigenvalues))), float(np.max(np.abs(gb.eigenvalues))), _TINY)
+            scale = max(ga.top, gb.top, _TINY)
             tol = TAU_SPECTRA_REL * scale
             if not spectra_close(ga, gb, tol):
                 diag["step"] = "spectra"

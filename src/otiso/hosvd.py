@@ -88,7 +88,7 @@ def mode_spectra(tensors, *, vectors: bool = True) -> list[tuple[SpectralData, S
         groups.setdefault((G.shape, G.dtype), []).append(pos)
     flat = [None] * len(grams)
     for rows in groups.values():
-        for pos, s in zip(rows, eig_hermitian_stack(np.stack([grams[p] for p in rows]), vectors=vectors)):
+        for pos, s in zip(rows, eig_hermitian_stack(np.array([grams[p] for p in rows]), vectors=vectors)):
             flat[pos] = s
     return [tuple(flat[3 * t:3 * t + 3]) for t in range(len(tensors))]
 
@@ -104,7 +104,8 @@ def core_of(*tensors: Tensor3) -> tuple[CoreTensor, ...]:
     cores = []
     for a, spectra in zip(tensors, mode_spectra(tensors)):
         bases = tuple(s.vectors for s in spectra)
-        inv = TransformTriple([U.conj().T for U in bases], a.scalar_kind, check=False)
+        # C-ordered, as a copied factor is: a transposed view changes the products' last bits
+        inv = TransformTriple._adopt([np.conjugate(U.T, order="C") for U in bases])
         cores.append(CoreTensor(core=apply_action(inv, a), bases=bases, spectra=spectra))
     return tuple(cores)
 
@@ -132,7 +133,7 @@ def compare_cores(sa: CoreTensor, sb: CoreTensor, thr: float):
     mod_b = np.abs(B)
 
     diff = np.abs(mod_a - mod_b)
-    worst = np.unravel_index(int(np.argmax(diff)), diff.shape)
+    worst = np.unravel_index(diff.argmax(), diff.shape)
     if diff[worst] > thr:
         return RejectFar(entry=tuple(int(x) for x in worst))
     total = mod_a + mod_b
@@ -158,10 +159,10 @@ def compare_cores(sa: CoreTensor, sb: CoreTensor, thr: float):
     # complex product's imaginary part with a fused multiply-add, which
     # leaves a rounding residue where a == b, so it is formed explicitly
     prod = B * np.conj(A)
-    if np.iscomplexobj(prod):
+    if prod.dtype.kind == "c":
         prod.imag = B.imag * A.real - B.real * A.imag
-    phi = np.where(mod_a > 0.0, np.angle(prod), 0.0)
+    phi = np.where(mod_a > 0.0, np.arctan2(prod.imag, prod.real), 0.0)  # np.angle(prod), bit for bit
     return CoreComparison(
-        support_ok=bool(np.array_equal(mod_a > thr, mod_b > thr)),
+        support_ok=bool(((mod_a > thr) == (mod_b > thr)).all()),
         phase_targets=PhaseTargets(phi, slack, np.where(on, total, 0.0)),
     )

@@ -64,8 +64,8 @@ SYNC_SWEEPS = 50
 SYNC_STARTS = 5
 SYNC_BOOST = 16.0
 
-# The mode pairs whose 2x2 minors through the anchor the cycle check takes.
-_PLANES = ((0, 1), (0, 2), (1, 2))
+# Per plane (p, q) of the cycle check: the modes set to the anchor's index at each corner, in M's factor order.
+_CYCLES = tuple(((), (q,), (p,), (p, q)) for p, q in ((0, 1), (0, 2), (1, 2)))
 
 
 @dataclass(frozen=True)
@@ -82,10 +82,9 @@ def wrap_angle(x):
     return np.where(r == -math.pi, math.pi, r)
 
 
-def _canonical_angles(x: np.ndarray) -> np.ndarray:
-    out = np.remainder(x, TWO_PI)
-    out[out >= TWO_PI] = 0.0  # guard the closed-boundary rounding case
-    return out
+def _by_mode(x: np.ndarray, shape) -> tuple:
+    """The alpha, beta and gamma parts of a vector in variable order, as views."""
+    return x[:shape[0]], x[shape[0]:shape[0] + shape[1]], x[shape[0] + shape[1]:]
 
 
 def _rows(targets: PhaseTargets) -> tuple[np.ndarray, np.ndarray]:
@@ -119,7 +118,7 @@ def _on_grid(targets: PhaseTargets, values: np.ndarray) -> tuple[np.ndarray, tup
     The anchor is the heaviest target, the first maximum of ``weight`` in C order.
     """
     z = np.where(targets.weight > 0, values, 0)
-    return z, np.unravel_index(np.argmax(targets.weight), z.shape)
+    return z, np.unravel_index(targets.weight.argmax(), z.shape)
 
 
 def _slice_sums(z: np.ndarray, anchor: tuple) -> np.ndarray:
@@ -157,8 +156,8 @@ def _anchored_signs(targets: PhaseTargets, rhs: np.ndarray) -> np.ndarray | None
     if val[-1]:
         val[:n1] ^= True
         val[n1 + n2:] ^= True
-    a, b, c = np.split(val, (n1, n1 + n2))
-    if np.any((a[:, None, None] ^ b[:, None]) ^ c ^ rhs, where=targets.weight > 0):
+    a, b, c = _by_mode(val, rhs.shape)
+    if ((a[:, None, None] ^ b[:, None]) ^ c ^ rhs).any(where=targets.weight > 0):
         return None
     return np.where(val, -1.0, 1.0)
 
@@ -228,12 +227,13 @@ def solve_signs(targets: PhaseTargets) -> Assignment:
     signs = _anchored_signs(targets, rhs)
     if signs is None:
         signs = _eliminate_signs(targets, rhs)
-    return Assignment(tuple(np.split(signs, np.cumsum(rhs.shape[:2]))), "gf2")
+    return Assignment(_by_mode(signs, rhs.shape), "gf2")
 
 
 def _phase_assignment(x: np.ndarray, shape, solver_path: str) -> Assignment:
-    parts = np.split(x, np.cumsum(shape[:2]))
-    return Assignment(tuple(np.exp(1j * _canonical_angles(part)) for part in parts), solver_path)
+    angles = np.remainder(x, TWO_PI)
+    angles[angles >= TWO_PI] = 0.0  # guard the closed-boundary rounding case
+    return Assignment(_by_mode(np.exp(1j * angles), shape), solver_path)
 
 
 def _closed_form(z: np.ndarray, phi: np.ndarray, anchor: tuple) -> np.ndarray:
@@ -243,17 +243,12 @@ def _closed_form(z: np.ndarray, phi: np.ndarray, anchor: tuple) -> np.ndarray:
     conj(z[i0,j,k]) = |.| * exp(i*(alpha_i - alpha_i0))``.  A slice sharing
     no target with the anchor's gets angle 0, so sparse systems miss.
     """
-    x = np.angle(_slice_sums(z, anchor))
+    sums = _slice_sums(z, anchor)
+    x = np.arctan2(sums.imag, sums.real)  # np.angle(sums), bit for bit
     n1, n2, _ = z.shape
     i0, j0, k0 = anchor
     x[:n1] += phi[anchor] - (x[i0] + x[n1 + j0] + x[n1 + n2 + k0])
     return x
-
-
-def _corners(grid: np.ndarray, anchor: tuple, p: int, q: int) -> tuple:
-    """``grid`` and its values with the mode-q index, the mode-p index, and both set to the anchor's, broadcastable."""
-    at_q = np.take(grid, [anchor[q]], axis=q)
-    return grid, at_q, np.take(grid, [anchor[p]], axis=p), np.take(at_q, [anchor[p]], axis=p)
 
 
 def _reject_cycle(targets: PhaseTargets, anchor: tuple) -> None:
@@ -263,23 +258,30 @@ def _reject_cycle(targets: PhaseTargets, anchor: tuple) -> None:
     (i, j) plane, ``M = z_ijk conj(z_ij0k) conj(z_i0jk) z_i0j0k``.  Every
     variable cancels in ``arg M``, so angles meeting all four targets keep
     ``|arg M|`` below their four slacks' sum, whatever the wraps (the cycle
-    constraint of Zach, Klopschitz & Pollefeys, CVPR 2010).  The cycle of
-    largest excess, first in plane and then C order, is reported with its
-    keys in the order of M's factors.
+    constraint of Zach, Klopschitz & Pollefeys, CVPR 2010).  Only cycles
+    whose four entries are all targets count, so their keys are found first
+    and the angles gathered there.  The cycle of largest excess, first in
+    plane and then C order, is reported with its keys in the order of M's
+    factors.
     """
     on = targets.weight > 0
-    excess = []
-    for p, q in _PLANES:
-        (f, fq, fp, fpq), (s, sq, sp, spq), (o, oq, op, opq) = (
-            _corners(grid, anchor, p, q) for grid in (targets.phi, targets.slack, on)
-        )
-        angle = np.abs(wrap_angle((f - fq) - (fp - fpq)))
-        excess.append(np.where(o & oq & op & opq, angle - (s + sq + sp + spq), 0.0))
-    plane, *key = np.unravel_index(np.argmax(excess), (len(_PLANES), *on.shape))
-    worst = excess[plane][tuple(key)]
-    if worst > 0.0:
-        p, q = _PLANES[plane]
-        cycle = [tuple(int(anchor[m] if m in moved else key[m]) for m in range(3)) for moved in ((), (q,), (p,), (p, q))]
+    found = np.nonzero(on)  # every target, in C order
+
+    def at(keys, moved):  # keys with the modes in moved set to the anchor's index
+        return tuple(anchor[m] if m in moved else keys[m] for m in range(3))
+
+    worst, cycle = 0.0, None
+    for moves in _CYCLES:
+        closed = on[at(found, moves[1])] & on[at(found, moves[2])] & on[at(found, moves[3])]
+        keys = tuple(k[closed] for k in found)
+        (f, fq, fp, fpq), (s, sq, sp, spq) = ([grid[at(keys, moved)] for moved in moves]
+                                              for grid in (targets.phi, targets.slack))
+        excess = np.abs(wrap_angle((f - fq) - (fp - fpq))) - (s + sq + sp + spq)
+        if excess.size and excess.max() > worst:
+            first = excess.argmax()
+            worst = excess[first]
+            cycle = [tuple(int(x) for x in at([k[first] for k in keys], moved)) for moved in moves]
+    if cycle is not None:
         raise Infeasible(cycle, f"a 4-cycle's angle exceeds its four slacks by {worst:.3g} rad", "cycle")
 
 
@@ -295,7 +297,7 @@ def _synchronize(targets: PhaseTargets, z: np.ndarray, x: np.ndarray) -> np.ndar
     # the check reads the targets alone, far cheaper than the grid when they are sparse
     i, j, k = np.nonzero(targets.weight > 0)
     phi, slack, z = targets.phi[i, j, k], targets.slack[i, j, k], z.copy()
-    a, b, c = np.split(x, np.cumsum(z.shape[:2]))
+    a, b, c = _by_mode(x, z.shape)
     for sweep in range(SYNC_SWEEPS + 1):
         missed = ~(np.abs(wrap_angle(phi - ((a[i] + b[j]) + c[k]))) < slack)
         if not missed.any():
@@ -327,9 +329,9 @@ def solve_phases(targets: PhaseTargets) -> Assignment:
     _reject_dead(targets, "zero_slack")
     z, anchor = _on_grid(targets, targets.weight * np.exp(1j * targets.phi))
     x = _closed_form(z, targets.phi, anchor)
-    a, b, c = np.split(x, np.cumsum(z.shape[:2]))
+    a, b, c = _by_mode(x, z.shape)
     resid = np.abs(wrap_angle(targets.phi - ((a[:, None, None] + b[:, None]) + c)))
-    if np.all(resid < targets.slack, where=targets.weight > 0):
+    if (resid < targets.slack).all(where=targets.weight > 0):
         return _phase_assignment(x, z.shape, "anchored")
     _reject_cycle(targets, anchor)
     on = targets.weight > 0
@@ -358,4 +360,4 @@ def assemble_witness(sa: CoreTensor, sb: CoreTensor, assignment: Assignment) -> 
         if d.shape[0] != U.shape[0]:
             raise DimensionMismatch(f"assignment length {d.shape[0]} does not match mode-{mode} size {U.shape[0]}")
         factors.append((V * d) @ U.conj().T)
-    return TransformTriple(factors, check=False)
+    return TransformTriple._adopt(factors)

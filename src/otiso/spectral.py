@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceFailure, DimensionMismatch, NonHermitianInput
+from .tensor import _fro
 
 # Relative Hermiticity tolerance: inputs beyond this are rejected, inputs
 # within it are symmetrized to (G + G*)/2 before factoring.
@@ -49,10 +50,14 @@ class SpectralData:
     def dim(self) -> int:
         return int(self.eigenvalues.shape[0])
 
+    @property
+    def top(self) -> float:
+        """Largest eigenvalue modulus, read from the sorted spectrum's two ends."""
+        return float(max(abs(self.eigenvalues[0]), abs(self.eigenvalues[-1]))) if self.dim else 0.0
+
     def degeneracy_floor(self) -> float:
         """Scale-aware gap below which adjacent eigenvalues count as tied."""
-        scale = float(np.max(np.abs(self.eigenvalues))) if self.dim else 0.0
-        return DEGENERACY_REL * max(scale, 1e-300)
+        return DEGENERACY_REL * max(self.top, 1e-300)
 
 
 def _fix_column_phases(V: np.ndarray) -> np.ndarray:
@@ -71,13 +76,19 @@ def _fix_column_phases(V: np.ndarray) -> np.ndarray:
     """
     if not V.size:
         return V
-    piv = np.take_along_axis(V, np.argmax(np.abs(V), axis=-2)[..., np.newaxis, :], axis=-2)
-    if not np.iscomplexobj(V):
+    lead = (np.arange(len(V))[:, np.newaxis],) if V.ndim == 3 else ()
+    piv = V[(*lead, np.abs(V).argmax(axis=-2), np.arange(V.shape[-1]))][..., np.newaxis, :]
+    if V.dtype.kind != "c":
         return V * np.where(piv < 0.0, -1.0, 1.0)
     mag = np.hypot(piv.real, piv.imag)
     keep = mag > 0.0
     units = piv.conj() * (1.0 / np.where(keep, mag, 1.0))
     return np.multiply(V, units, out=V.copy(), where=keep)
+
+
+def _fro_stack(G: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(G, axis=(1, 2))`` bit for bit: the reduction numpy's wrapper runs."""
+    return np.sqrt(np.add.reduce((G.conj() * G).real, axis=(1, 2)))
 
 
 def eig_hermitian(G: np.ndarray, *, vectors: bool = True) -> SpectralData:
@@ -106,29 +117,29 @@ def eig_hermitian_stack(G: np.ndarray, *, vectors: bool = True) -> list[Spectral
     ``eigvalsh``), the column phase convention and the residual product all
     run on the whole stack; LAPACK factors each matrix on its own, so every
     field equals the one-matrix result bit for bit.  Only the backward
-    error's norm is taken per matrix, as ``np.linalg.norm`` of that matrix,
-    which fixes its summation order.  A gate failure names the first
-    offending matrix.
+    error's norm is taken per matrix, by ``tensor._fro``, which runs
+    ``np.linalg.norm``'s own dot products and so keeps its summation order.
+    A gate failure names the first offending matrix.
     """
     G = np.asarray(G)
     if G.ndim != 3 or G.shape[1] != G.shape[2]:
         raise DimensionMismatch(f"expected a stack of square matrices, got shape {G.shape}")
     Gh = G.conj().swapaxes(1, 2)
     with np.errstate(over="ignore"):
-        normG = np.linalg.norm(G, axis=(1, 2))
-        defect = np.linalg.norm(G - Gh, axis=(1, 2))
+        normG = _fro_stack(G)
+        defect = _fro_stack(G - Gh)
     # Squares of entries past about 2^511 overflow.  A matrix whose norms do
     # has them, and its backward error, taken after an exact power-of-two
     # prescale by its own largest modulus (Blue, ACM TOMS 4(1), 1978); every
     # other matrix keeps scale 1, so its fields match the one-matrix result.
-    scale = np.ones(len(G))
+    scale = np.array([1.0] * len(G))
     over = ~(np.isfinite(normG) & np.isfinite(defect))
     if over.any():
         scale[over] = np.ldexp(1.0, -np.frexp(np.max(np.abs(G[over]), axis=(1, 2)))[1])
         Gs = G[over] * scale[over, np.newaxis, np.newaxis]
-        normG[over] = np.linalg.norm(Gs, axis=(1, 2)) / scale[over]
-        defect[over] = np.linalg.norm(Gs - Gs.conj().swapaxes(1, 2), axis=(1, 2)) / scale[over]
-    bad = np.flatnonzero(defect > TAU_HERMITIAN_REL * np.maximum(normG, 1e-300))
+        normG[over] = _fro_stack(Gs) / scale[over]
+        defect[over] = _fro_stack(Gs - Gs.conj().swapaxes(1, 2)) / scale[over]
+    bad = (defect > TAU_HERMITIAN_REL * np.maximum(normG, 1e-300)).nonzero()[0]
     if bad.size:
         i = bad[0]
         raise NonHermitianInput(f"Hermiticity defect {defect[i]:.3e} exceeds tolerance for norm {normG[i]:.3e}")
@@ -138,18 +149,15 @@ def eig_hermitian_stack(G: np.ndarray, *, vectors: bool = True) -> list[Spectral
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure is environment-dependent
         raise ConvergenceFailure(str(exc)) from exc
     lam = lam[:, ::-1].copy()
-    if lam.shape[1] > 1:
-        # eigh guarantees ordering, so gaps are nonnegative up to roundoff
-        gaps = [max(g, 0.0) for g in np.min(lam[:, :-1] - lam[:, 1:], axis=1).tolist()]
-    else:
-        gaps = [float("inf")] * len(lam)
+    # eigh guarantees ordering, so gaps are nonnegative up to roundoff; a 1x1 matrix has none
+    gaps = [max(g, 0.0) for g in (lam[:, :-1] - lam[:, 1:]).min(axis=1, initial=np.inf).tolist()]
     if V is None:
         return [SpectralData(vals, None, g, None) for vals, g in zip(lam, gaps)]
     V = _fix_column_phases(V[:, :, ::-1])
     R = H @ V - V * lam[:, np.newaxis, :]
     if over.any():
         R[over] *= scale[over, np.newaxis, np.newaxis]
-    return [SpectralData(vals, v, g, float(np.linalg.norm(r)) / c)
+    return [SpectralData(vals, v, g, _fro(r) / c)
             for vals, v, g, r, c in zip(lam, V, gaps, R, scale.tolist())]
 
 
@@ -157,5 +165,5 @@ def spectra_close(s1: SpectralData, s2: SpectralData, tol: float) -> bool:
     """True iff the sorted eigenvalue sequences deviate by at most ``tol`` in sup norm."""
     if s1.dim != s2.dim:
         raise DimensionMismatch(f"spectra have different sizes {s1.dim} and {s2.dim}")
-    return bool(np.max(np.abs(s1.eigenvalues - s2.eigenvalues)) <= tol)
+    return bool(abs(s1.eigenvalues - s2.eigenvalues).max() <= tol)
 

@@ -38,7 +38,15 @@ _DTYPES = {"real": np.float64, "complex": np.complex128}
 
 
 def _kind_of(arr: np.ndarray) -> str:
-    return "complex" if np.iscomplexobj(arr) else "real"
+    return "complex" if arr.dtype.kind == "c" else "real"
+
+
+def _fro(x: np.ndarray) -> float:
+    """``np.linalg.norm(x)`` of a float or complex array, bit for bit: the same dot products, without the wrapper."""
+    x = x.ravel(order="K")
+    if x.dtype.kind != "c":
+        return math.sqrt(x.dot(x))
+    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
 def _as_scalar_array(values, kind: str | None) -> np.ndarray:
@@ -47,7 +55,7 @@ def _as_scalar_array(values, kind: str | None) -> np.ndarray:
         kind = _kind_of(arr)
     if kind not in SCALAR_KINDS:
         raise ConfigInvalid(f"unknown scalar kind {kind!r}")
-    if kind == "real" and np.iscomplexobj(arr):
+    if kind == "real" and arr.dtype.kind == "c":
         raise ScalarKindMismatch("complex entries supplied for a real-kind object")
     return np.array(arr, dtype=_DTYPES[kind], order="C")
 
@@ -98,7 +106,7 @@ class Tensor3:
             raise DimensionMismatch(f"all dimensions must be >= 1, got {arr.shape}")
         # entries near the top of the double range overflow the sum of squares; the scan below settles those
         with np.errstate(over="ignore"):
-            norm = float(np.linalg.norm(arr))
+            norm = _fro(arr)
         if not math.isfinite(norm) and not np.all(np.isfinite(arr)):
             raise NonFiniteEntries("tensor entries must be finite")
         arr.flags.writeable = False
@@ -147,8 +155,9 @@ def unitarity_defect(X: np.ndarray) -> float:
     X = np.asarray(X)
     if X.ndim != 2 or X.shape[0] != X.shape[1]:
         raise DimensionMismatch(f"factor must be square, got shape {X.shape}")
-    n = X.shape[0]
-    return float(np.linalg.norm(X.conj().T @ X - np.eye(n)))
+    G = X.conj().T @ X.astype(np.result_type(X, 1.0), copy=False)
+    G.reshape(-1)[:: X.shape[0] + 1] -= 1.0  # minus the identity, entry for entry as ``- np.eye(n)``
+    return _fro(G)
 
 
 class TransformTriple:
@@ -170,9 +179,8 @@ class TransformTriple:
     def __init__(self, factors, scalar_kind: str | None = None, check: bool = True):
         if len(factors) != 3:
             raise DimensionMismatch("a transform triple needs exactly 3 factors")
-        kinds = {_kind_of(np.asarray(f)) for f in factors}
         if scalar_kind is None:
-            scalar_kind = "complex" if "complex" in kinds else "real"
+            scalar_kind = "complex" if any(_kind_of(np.asarray(f)) == "complex" for f in factors) else "real"
         mats = []
         for f in factors:
             M = _as_scalar_array(f, scalar_kind)
@@ -188,13 +196,23 @@ class TransformTriple:
             mats.append(M)
         self.factors = tuple(mats)
 
+    @classmethod
+    def _adopt(cls, factors) -> "TransformTriple":
+        """Wrap ``factors`` themselves, made read-only: only square matrices of one dtype the package just built."""
+        assert len({f.dtype for f in factors}) == 1, [f.dtype for f in factors]
+        t = cls.__new__(cls)
+        for f in factors:
+            f.flags.writeable = False
+        t.factors = tuple(factors)
+        return t
+
     @property
     def dims(self) -> tuple[int, int, int]:
         return tuple(f.shape[0] for f in self.factors)  # type: ignore[return-value]
 
     @property
     def scalar_kind(self) -> str:
-        return "complex" if any(np.iscomplexobj(f) for f in self.factors) else "real"
+        return _kind_of(self.factors[0])  # every factor has the triple's dtype
 
     def __getitem__(self, d: int) -> np.ndarray:
         return self.factors[d]
@@ -206,14 +224,11 @@ class TransformTriple:
         """Group product: ``(self . other)`` acts as self after other."""
         if self.dims != other.dims:
             raise DimensionMismatch(f"cannot compose triples with dims {self.dims} and {other.dims}")
-        kind = "complex" if "complex" in (self.scalar_kind, other.scalar_kind) else "real"
-        return TransformTriple(
-            [a @ b for a, b in zip(self.factors, other.factors)], scalar_kind=kind, check=False
-        )
+        return TransformTriple._adopt([a @ b for a, b in zip(self.factors, other.factors)])
 
     def inverse(self) -> "TransformTriple":
         """Inverse triple; conjugate transpose of each factor."""
-        return TransformTriple([f.conj().T for f in self.factors], check=False)
+        return TransformTriple._adopt([np.conjugate(f.T, order="C") for f in self.factors])
 
     def __repr__(self) -> str:
         return f"TransformTriple(dims={self.dims}, kind={self.scalar_kind})"
@@ -338,7 +353,7 @@ def flatten(a: Tensor3, mode: int) -> np.ndarray:
     """
     ax = _check_mode(mode)
     arr = a.data
-    return np.moveaxis(arr, ax, 0).reshape(arr.shape[ax], -1)
+    return arr.transpose((ax, *(d for d in range(3) if d != ax))).reshape(arr.shape[ax], -1)
 
 
 def unflatten(mat: np.ndarray, mode: int, dims) -> Tensor3:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from otiso import (
     DimensionMismatch,
@@ -181,3 +182,16 @@ def test_compare_cores_overflowing_budget_is_infinite():
     np.testing.assert_allclose((ma - mb) ** 2 + 4.0 * ma * mb * np.sin(t.slack[on] / 2.0) ** 2, budget, rtol=1e-12)
     huge = spine_threshold(1e90, 4, k_norm, 1e-170)
     assert huge == np.inf and isinstance(compare_cores(ca, cb, huge), CoreComparison)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(parts=st.lists(st.tuples(finite, finite), max_size=20))
+def test_arctan2_of_the_parts_is_numpys_angle(parts):
+    # compare_cores and the phase solvers take np.angle's arctan2 directly;
+    # signed zeros and real arrays (whose imaginary part reads +0) included
+    parts += [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (-1.0, 0.0), (-1.0, -0.0)]
+    z = np.array([complex(re, im) for re, im in parts])
+    for x in (z, z.real.copy()):
+        assert np.arctan2(x.imag, x.real).tobytes() == np.angle(x).tobytes()

@@ -346,6 +346,69 @@ def test_sparse_consistent_systems_are_never_rejected():
     assert paths.count("synchronization") >= 250
 
 
+def reference_reject_cycle(targets, anchor):
+    """The cycle pass as first written: every plane's cycle angles on the whole grid, then one argmax."""
+    on = targets.weight > 0
+
+    def corners(grid, p, q):
+        at_q = np.take(grid, [anchor[q]], axis=q)
+        return grid, at_q, np.take(grid, [anchor[p]], axis=p), np.take(at_q, [anchor[p]], axis=p)
+
+    excess = []
+    planes = ((0, 1), (0, 2), (1, 2))
+    for p, q in planes:
+        (f, fq, fp, fpq), (s, sq, sp, spq), (o, oq, op, opq) = (
+            corners(grid, p, q) for grid in (targets.phi, targets.slack, on)
+        )
+        angle = np.abs(wrap_angle((f - fq) - (fp - fpq)))
+        excess.append(np.where(o & oq & op & opq, angle - (s + sq + sp + spq), 0.0))
+    plane, *key = np.unravel_index(np.argmax(excess), (len(planes), *on.shape))
+    worst = excess[plane][tuple(key)]
+    if worst > 0.0:
+        p, q = planes[plane]
+        cycle = [tuple(int(anchor[m] if m in moved else key[m]) for m in range(3)) for moved in ((), (q,), (p,), (p, q))]
+        raise Infeasible(cycle, f"a 4-cycle's angle exceeds its four slacks by {worst:.3g} rad", "cycle")
+
+
+def cycle_outcome(reject, targets):
+    """None, or the certificate, message and solver path that ``reject`` raises at the solver's anchor."""
+    _, anchor = phases._on_grid(targets, targets.weight * np.exp(1j * targets.phi))
+    try:
+        reject(targets, anchor)
+    except Infeasible as exc:
+        return exc.certificate, str(exc), exc.solver_path
+    return None
+
+
+def test_cycle_pass_matches_the_full_grid_version():
+    # the seeded sparse probe (consistent), the same systems with their
+    # angles scrambled, dense systems with flipped targets, and a system
+    # whose violated cycles tie across all three planes
+    rng = np.random.default_rng(74)
+    systems = []
+    for _ in range(300):
+        t = sparse_phase_system(rng)
+        systems.append(t)
+        systems.append(PhaseTargets(np.where(t.weight > 0, rng.uniform(-np.pi, np.pi, t.phi.shape), 0.0),
+                                    t.slack, t.weight))
+    for _ in range(40):
+        dims = tuple(int(d) for d in rng.integers(2, 7, 3))
+        phi = wrap_angle(sum(np.expand_dims(rng.uniform(-np.pi, np.pi, d), [a for a in range(3) if a != m])
+                             for m, d in enumerate(dims)))
+        flip = rng.random(dims) < 0.05
+        systems.append(PhaseTargets(wrap_angle(phi + np.pi * flip), np.full(dims, 0.2), rng.uniform(0.1, 1.0, dims)))
+    tied = np.zeros((3, 3, 3))
+    tied[1, 1, 1] = np.pi
+    weight = np.ones((3, 3, 3))
+    weight[0, 0, 0] = 2.0
+    systems.append(PhaseTargets(tied, np.full((3, 3, 3), 0.1), weight))
+    outcomes = [cycle_outcome(phases._reject_cycle, t) for t in systems]
+    assert outcomes == [cycle_outcome(reference_reject_cycle, t) for t in systems]
+    assert sum(o is not None for o in outcomes) >= 100
+    # the first plane wins the tie
+    assert outcomes[-1][0] == [(1, 1, 1), (1, 0, 1), (0, 1, 1), (0, 0, 1)]
+
+
 @settings(max_examples=40)
 @given(n=st.integers(3, 16), seed=st.integers(0, 2 ** 32 - 1))
 def test_conjugate_pairs_are_no_with_a_violated_four_cycle(n, seed):

@@ -325,3 +325,15 @@ def test_hoffman_wielandt_l2_bound():
         sa = np.sort(np.linalg.eigvalsh(G))
         sb = np.sort(np.linalg.eigvalsh(G + E))
         assert np.linalg.norm(sa - sb) <= np.linalg.norm(E) * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_top_is_the_largest_eigenvalue_modulus(n):
+    # indefinite and negative definite matrices put the largest modulus at
+    # either end of the sorted spectrum; both eigh paths, 1x1 included
+    psd = [G @ G.conj().T for G in (random_hermitian(n, 11), random_hermitian(n, 12, "complex"))]
+    for stack in ([random_hermitian(n, s) for s in range(4)] + [psd[0], -psd[0]],
+                  [random_hermitian(n, s, "complex") for s in range(4)] + [psd[1], -psd[1]]):
+        for vectors in (True, False):
+            for s in eig_hermitian_stack(np.stack(stack), vectors=vectors):
+                assert s.top == float(np.max(np.abs(s.eigenvalues)))

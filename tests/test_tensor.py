@@ -23,7 +23,10 @@ from otiso import (
     sample_haar_triple,
     sample_tensor,
 )
-from otiso.tensor import flatten, gram, identity_triple, unflatten, unitarity_defect
+from otiso.hosvd import core_of
+from otiso.phases import Assignment, assemble_witness
+from otiso.spectral import _fro_stack
+from otiso.tensor import _fro, flatten, gram, identity_triple, unflatten, unitarity_defect
 
 
 def naive_action(L, R, T, a):
@@ -341,3 +344,65 @@ def test_triple_inverse_is_group_inverse():
     a = sample_tensor((3, 4, 5), RandomModel("gaussian", "complex", 23))
     back = apply_action(g.inverse(), apply_action(g, a))
     assert np.linalg.norm(back.data - a.data) <= 1e-12 * a.frobenius_norm
+
+
+@given(
+    dims=st.tuples(*(st.integers(1, 6) for _ in range(3))),
+    kind=st.sampled_from(["real", "complex"]),
+    exponent=st.one_of(st.integers(-1074, -1022), st.integers(-300, 300), st.integers(590, 610)),
+    seed=st.integers(0, 2 ** 32),
+)
+def test_fro_is_numpys_norm_bit_for_bit(dims, kind, exponent, seed):
+    # subnormal entries, ordinary ones, and entries near 2^600, whose squares
+    # overflow so that both norms are inf; views that are not C-ordered too
+    rng = np.random.default_rng(seed)
+    parts = np.ldexp(rng.uniform(-1.0, 1.0, dims + ((2,) if kind == "complex" else ())), exponent)
+    x = parts.view(np.complex128)[..., 0] if kind == "complex" else parts
+    with np.errstate(over="ignore"):
+        for view in (x, x.transpose(2, 0, 1), x[:, ::2], x[0]):
+            assert _fro(view) == float(np.linalg.norm(view))
+        assert _fro_stack(x).tobytes() == np.linalg.norm(x, axis=(1, 2)).tobytes()
+
+
+def test_transform_triple_copies_and_checks_its_input():
+    factors = [np.eye(2), np.eye(3), np.eye(4)]
+    g = TransformTriple(factors)
+    assert not any(np.shares_memory(f, h) for f, h in zip(factors, g.factors))
+    factors[0][0, 0] = 5.0
+    assert g[0][0, 0] == 1.0 and not any(h.flags["WRITEABLE"] for h in g.factors)
+    for check in (True, False):
+        with pytest.raises(NonFiniteEntries):
+            TransformTriple([np.eye(2), np.full((3, 3), np.nan), np.eye(4)], check=check)
+    with pytest.raises(NotUnitary):
+        TransformTriple([np.eye(2), 2.0 * np.eye(3), np.eye(4)], check=True)
+    assert TransformTriple([np.eye(2), 2.0 * np.eye(3), np.eye(4)], check=False)[1][0, 0] == 2.0
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_package_built_triples_adopt_their_matrices(monkeypatch, kind):
+    # core_of's inverse bases and assemble_witness's products are wrapped
+    # as built: no copy, made read-only, with the values the copying
+    # constructor would hold
+    adopted = []
+    adopt = TransformTriple._adopt.__func__
+
+    def spy(cls, factors):
+        adopted.append((list(factors), adopt(cls, factors)))
+        return adopted[-1][1]
+
+    monkeypatch.setattr(TransformTriple, "_adopt", classmethod(spy))
+    dims = (3, 4, 5)
+    a = sample_tensor(dims, RandomModel("gaussian", kind, 41))
+    ca, cb = core_of(a, apply_action(sample_haar_triple(dims, 42, kind), a))
+    diagonals = tuple(np.exp(1j * np.arange(d)) if kind == "complex" else np.ones(d) for d in dims)
+    witness = assemble_witness(ca, cb, Assignment(diagonals, "anchored"))
+    assert len(adopted) == 3 and adopted[-1][1] is witness
+    for factors, triple in adopted:
+        assert triple.scalar_kind == kind
+        for f, h in zip(factors, triple.factors):
+            assert h is f and h.flags["C_CONTIGUOUS"] and not h.flags["WRITEABLE"]
+    for core, (_, inverse) in zip((ca, cb), adopted):
+        for U, h in zip(core.bases, inverse.factors):
+            assert np.array_equal(h, TransformTriple([U.conj().T] * 3, kind, check=False)[0])
+    for U, V, d, h in zip(ca.bases, cb.bases, diagonals, witness.factors):
+        assert np.array_equal(h, (V * d) @ U.conj().T)
