@@ -4,10 +4,10 @@ Both modes run one shared spine (``_decide``): reject on mismatched Frobenius
 norms, eigendecompose the six mode Grams in one stacked pass, bail out when a
 spectrum is too degenerate to pin its eigenbasis, compare cores entrywise,
 recover per-mode signs/phases, assemble a candidate transform, and re-verify
-it directly against the input tensors.  The entry point picks the mode and takes only the paper's inputs:
-the two tensors, plus ``eps`` in gapped mode.  A YES is never returned on
-the pipeline's say-so alone; the recomputed residual must clear the
-certified bound.
+it directly against the input tensors, which both modes decide as given, at
+any dims.  The entry point takes only the paper's inputs: the two tensors,
+plus ``eps`` in gapped mode.  A YES is never returned on the pipeline's
+say-so alone; the recomputed residual must clear the certified bound.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .tensor import TAU_UNITARY_REL, Tensor3, TransformTriple, _fro, apply_actio
 # Not called here: bench/spans.py wraps these names on this module.
 from .spectral import eig_hermitian  # noqa: F401
 from .tensor import gram  # noqa: F401
+truncate_tensor = None  # a span with nothing behind it: its calls read 0
 
 # Multiplier in the certified residual bound gamma * eps.
 C_GAMMA = 8.0
@@ -65,27 +66,6 @@ class WitnessReport:
     residual: float
     unitarity_defects: tuple[float, float, float]
     unitary_ok: bool
-
-
-def required_bits(n: int, eps: float) -> int:
-    """Working precision for gapped mode: ceil(log2(1000 n^7 / eps))."""
-    return max(1, math.ceil(math.log2(1000.0 * (n ** 7) / eps)))
-
-
-def truncate_bits(x: np.ndarray, bits: int) -> np.ndarray:
-    """Round every entry (componentwise for complex) to the nearest multiple of 2^-bits.
-
-    Beyond ~512 bits the grid is finer than float64 resolution for any
-    representable magnitude, so the array is returned unchanged.
-    """
-    if bits > 512:
-        return np.array(x)
-    scale = math.ldexp(1.0, int(bits))
-    return np.round(np.asarray(x) * scale) / scale
-
-
-def truncate_tensor(a: Tensor3, bits: int) -> Tensor3:
-    return Tensor3._adopt(truncate_bits(a.data, bits), a.scalar_kind)
 
 
 def verify_witness(a: Tensor3, b: Tensor3, witness) -> WitnessReport:
@@ -145,26 +125,19 @@ def _decide(a: Tensor3, b: Tensor3, eps: float | None) -> Decision:
     """The decision spine shared by both modes; ``eps is None`` selects exact mode.
 
     norm -> cores -> spectrum check -> compare cores -> solve -> verify, always
-    at the measured gap ``delta``.  Exact mode works on the tensors as given at
-    ``eps = 1e-8 (||A|| + ||B||)`` and needs all six spectra simple and equal;
-    gapped mode truncates both to ``required_bits(n, eps)`` and needs A's
-    spectra simple and B's gaps at least ``delta/2``.  A spectrum that is not
+    at the measured gap ``delta`` and on the tensors as given, with
+    ``n = max(dims)``.  Exact mode works at ``eps = 1e-8 (||A|| + ||B||)`` and
+    needs all six spectra simple and equal; gapped mode needs A's spectra
+    simple and B's gaps at least ``delta/2``.  A spectrum that is not
     simple gives cannot_decide at ``gap_policy``; in exact mode only once the
     spectra match, since a mismatch is already a sound NO.
     """
     _validate_pair(a, b)
     exact = eps is None
+    # n = max(dims) is a conservative stand-in for non-cubic dims
     n = max(a.dims)
-    if exact:
-        at, bt = a, b
-    else:
-        if not (a.dims[0] == a.dims[1] == a.dims[2]):
-            raise DimensionMismatch(f"gapped mode requires cubic tensors, got dims {a.dims}")
-        bits = required_bits(n, eps)
-        at = truncate_tensor(a, bits)
-        bt = truncate_tensor(b, bits)
-    norm_a = at.frobenius_norm
-    norm_b = bt.frobenius_norm
+    norm_a = a.frobenius_norm
+    norm_b = b.frobenius_norm
     k_norm = norm_a + norm_b
     if exact:
         eps = 1e-8 * max(k_norm, _TINY)
@@ -181,8 +154,6 @@ def _decide(a: Tensor3, b: Tensor3, eps: float | None) -> Decision:
         diag["dims"] = list(a.dims)
         gate = EXACT_RESIDUAL_REL_FLOOR * max(norm_a, _TINY)
         diag["residual_gate"] = gate
-    else:
-        diag["precision_bits"] = bits
     # The action preserves the Frobenius norm, so a gap of 2 eps is a sound
     # NO in both modes; in exact mode that is about 4x the YES gate.
     norm_gap = abs(norm_a - norm_b)
@@ -193,7 +164,7 @@ def _decide(a: Tensor3, b: Tensor3, eps: float | None) -> Decision:
         return Decision("no", None, None, gate, diag)
 
     # one stacked pass for both tensors; gapped mode screens B's gaps below
-    ca, cb = core_of(at, bt)
+    ca, cb = core_of(a, b)
     diag["spectra_a"], diag["spectra_b"] = _spectra_digest(ca), _spectra_digest(cb)
     if exact:
         # Gram spectra are orbit invariants, simple or not, so they are
@@ -232,7 +203,6 @@ def _decide(a: Tensor3, b: Tensor3, eps: float | None) -> Decision:
                 diag["failed_gap"] = float(s.min_gap)
                 return Decision("no", None, None, gate, diag)
 
-    # n = max(dims) is a conservative stand-in for non-cubic dims
     thr = 2.0 * eps * (n ** 2) * k_norm / delta
     cmp = compare_cores(ca, cb, thr)
     if isinstance(cmp, RejectFar):
@@ -241,12 +211,12 @@ def _decide(a: Tensor3, b: Tensor3, eps: float | None) -> Decision:
         diag["reject_threshold"] = thr
         return Decision("no", None, None, gate, diag)
     targets = cmp.phase_targets
-    diag["phase_targets"] = len(targets)
+    diag["phase_targets"] = count = len(targets)
     diag["threshold_modulus"] = thr
     diag["support_ok"] = cmp.support_ok
 
     try:
-        if not targets:
+        if not count:
             assignment = Assignment(tuple(np.ones(d) for d in a.dims), "identity")
         else:
             assignment = (solve_phases if a.scalar_kind == "complex" else solve_signs)(targets)
@@ -296,11 +266,11 @@ def decide_isomorphism(a: Tensor3, b: Tensor3) -> Decision:
 def decide_orbit_distance(a: Tensor3, b: Tensor3, eps: float) -> Decision:
     """Gap-certified orbit distance decision at tolerance ``eps``.
 
-    Requires cubic tensors and a positive, finite ``eps`` satisfying
-    ``eps < delta / (4 (||A~|| + ||B~||))`` for the gap ``delta`` measured on
-    A's spectra.  YES means some triple carries ``a`` within
-    ``gamma_bound = C_GAMMA n^{7/2} ||A~||^2 eps / delta`` of ``b``, witnessed
-    and re-verified; NO certifies the orbits stay ``eps`` apart.
+    Takes any common dims, ``n = max(dims)``, and a positive, finite ``eps <
+    delta / (4 (||A|| + ||B||))`` for the gap ``delta`` measured on A's
+    spectra.  YES means some triple carries ``a`` within ``gamma_bound =
+    C_GAMMA n^{7/2} ||A||^2 eps / delta`` of ``b``, witnessed and
+    re-verified; NO certifies the orbits stay ``eps`` apart.
     """
     # an infinite eps makes the thresholds derived from it infinite or zero
     if not (0.0 < eps < math.inf):

@@ -143,7 +143,7 @@ def _e16_words(values: np.ndarray) -> np.ndarray:
     words[2:7] = _DIGIT_WORDS[tail.astype(np.intp)]
     words[7] = _EXPONENT_WORDS[j]
     words = words.T
-    slow = np.flatnonzero((p <= 1e16) | (p >= 1e17))
+    slow = ((p <= 1e16) | (p >= 1e17)).nonzero()[0]
     if slow.size:
         text = ("%32.16e" * slow.size) % tuple(values[slow].tolist())
         words[slow] = np.frombuffer(text.encode("ascii"), np.uint32).reshape(-1, 8)
@@ -160,10 +160,11 @@ def _json_lists(arrays: list[np.ndarray], kind: str) -> bytes:
     shapes = [x.shape + (2,) if kind == "complex" else x.shape for x in arrays]
     dtype = np.complex128 if kind == "complex" else np.float64
     values = np.concatenate([x.reshape(-1) for x in arrays], dtype=dtype).view(np.float64)
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise ValueError("a non-finite float has no JSON form")
     # per number: up to 3 "[" (bytes 0-3), the number (4-35), up to 3 "]" (36-38), "," (39)
-    rows = np.full((values.size, 40), ord(" "), np.uint8)
+    rows = np.empty((values.size, 40), np.uint8)
+    rows.fill(ord(" "))
     rows.view(np.uint32)[:, 1:9] = _e16_words(values)
     start = 0
     for shape in shapes:

@@ -236,6 +236,11 @@ def _phase_assignment(x: np.ndarray, shape, solver_path: str) -> Assignment:
     return Assignment(_by_mode(np.exp(1j * angles), shape), solver_path)
 
 
+def _arg(z: np.ndarray) -> np.ndarray:
+    """``np.angle(z)`` of a complex array, bit for bit, without its Python-level wrapper."""
+    return np.arctan2(z.imag, z.real)
+
+
 def _closed_form(z: np.ndarray, phi: np.ndarray, anchor: tuple) -> np.ndarray:
     """Angles relative to ``anchor`` from its three slice sums, alpha shifted so the anchor meets its own ``phi``.
 
@@ -244,7 +249,7 @@ def _closed_form(z: np.ndarray, phi: np.ndarray, anchor: tuple) -> np.ndarray:
     no target with the anchor's gets angle 0, so sparse systems miss.
     """
     sums = _slice_sums(z, anchor)
-    x = np.arctan2(sums.imag, sums.real)  # np.angle(sums), bit for bit
+    x = _arg(sums)
     n1, n2, _ = z.shape
     i0, j0, k0 = anchor
     x[:n1] += phi[anchor] - (x[i0] + x[n1 + j0] + x[n1 + n2 + k0])
@@ -305,9 +310,9 @@ def _synchronize(targets: PhaseTargets, z: np.ndarray, x: np.ndarray) -> np.ndar
         if sweep == SYNC_SWEEPS:
             return None
         z[i[missed], j[missed], k[missed]] *= SYNC_BOOST
-        a = np.angle(np.einsum("ijk,j,k->i", z, np.exp(-1j * b), np.exp(-1j * c)))
-        b = np.angle(np.einsum("ijk,i,k->j", z, np.exp(-1j * a), np.exp(-1j * c)))
-        c = np.angle(np.einsum("ijk,i,j->k", z, np.exp(-1j * a), np.exp(-1j * b)))
+        a = _arg(np.einsum("ijk,j,k->i", z, np.exp(-1j * b), np.exp(-1j * c)))
+        b = _arg(np.einsum("ijk,i,k->j", z, np.exp(-1j * a), np.exp(-1j * c)))
+        c = _arg(np.einsum("ijk,i,j->k", z, np.exp(-1j * a), np.exp(-1j * b)))
 
 
 def solve_phases(targets: PhaseTargets) -> Assignment:

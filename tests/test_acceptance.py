@@ -28,7 +28,6 @@ from otiso import (
     write_hypergraph,
     write_tensor,
 )
-from otiso.decision import truncate_bits
 from otiso.gaps import gap_target, log_slope
 from otiso.hosvd import PhaseTargets
 from otiso.hypergraph import random_hypergraph, random_perm_triple
@@ -166,7 +165,7 @@ def test_criterion_06_perturbation_bounds():
         if np.linalg.norm(lam - lam_p) <= np.linalg.norm(e) + 1e-12 * np.linalg.norm(g):
             hw_ok += 1
         bits = int(rng.integers(10, 40))
-        gt = truncate_bits(g, bits)
+        gt = np.round(g * 2.0 ** bits) / 2.0 ** bits
         de = gt - g
         dev = float(np.max(np.abs(lam - eig_hermitian(gt).eigenvalues)))
         if dev <= n * float(np.max(np.abs(de))) + 1e-15:
