@@ -1,10 +1,9 @@
-"""Spectral isomorphism testing for 3-uniform tripartite hypergraphs.
+"""Isomorphism testing for 3-uniform tripartite hypergraphs.
 
-A hypergraph on parts of sizes (l, m, n) is encoded as the real tensor with
-+1 on edges and -1 elsewhere.  Relabelling the parts acts on the tensor by
-permutation matrices, so the orbit machinery applies; with simple Gram
-spectra the permutations can be read off the eigenvector rows directly, and
-every YES is re-checked combinatorially on the edge sets.
+Relabelling the parts acts on the centred adjacency tensor by permutation
+matrices, which are orthogonal, so ``decide_isomorphism`` decides the pair:
+its NO is sound here, and its YES witness is rounded to a permutation triple
+that is re-checked exactly on the edge sets.
 """
 
 from __future__ import annotations
@@ -16,25 +15,13 @@ from functools import cached_property
 
 import numpy as np
 
+from .decision import decide_isomorphism
 from .errors import DimensionMismatch, FormatError
-from .hosvd import mode_spectra
 from .tensor import Tensor3, generator
 
 # Not called here: bench/spans.py wraps these names on this module.
 from .spectral import eig_hermitian  # noqa: F401
 from .tensor import gram  # noqa: F401
-
-# Absolute tolerance for declaring two Gram spectra equal; adjacency
-# spectra of isomorphic hypergraphs agree exactly in exact arithmetic.
-SPECTRA_TOL = 1e-8
-
-# Minimum lead of the best row match over the runner-up before the
-# permutation extraction is trusted.
-AMBIGUITY_MARGIN = 1e-6
-
-# Tolerance for the signed-permutation consistency check on eigenvector
-# columns (unit vectors; eigensolver noise is orders below this).
-SIGN_MATCH_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,9 +101,14 @@ class HypergraphDecision:
 
 
 def adjacency_tensor(g: TripartiteHypergraph) -> Tensor3:
-    """+1 on edges, -1 off edges."""
-    arr = np.full(g.part_sizes, -1.0)
-    arr.flat[g.edge_index] = 1.0
+    """1 - c on edges, -1 - c elsewhere: the +-1 encoding less its mean c = 2|E|/(lmn) - 1.
+
+    Centring drops the rank-one spike that sets the Grams' tops, and so their
+    degeneracy floor; c comes from the integer edge count, so equal counts share it.
+    """
+    c = 2.0 * g.edge_count / math.prod(g.part_sizes) - 1.0
+    arr = np.full(g.part_sizes, -1.0 - c)
+    arr.flat[g.edge_index] = 1.0 - c
     return Tensor3._adopt(arr, "real")
 
 
@@ -145,38 +137,13 @@ def _sorted_degrees(g: TripartiteHypergraph) -> list[np.ndarray]:
     return [np.sort(np.bincount(c, minlength=size)) for c, size in zip(coords, g.part_sizes)]
 
 
-def _match_rows(va: np.ndarray, vb: np.ndarray):
-    """Row matching by absolute correlation.
-
-    Rows of the two eigenvector matrices related by a signed permutation have
-    matching |entry| profiles, so the correct image row scores exactly 1 and
-    every other row strictly less.  Returns (perm, margin) or (None, margin)
-    when ambiguous or non-bijective.
-    """
-    corr = np.abs(va) @ np.abs(vb).T
-    perm = np.argmax(corr, axis=1)
-    runner_up = np.partition(corr, -2, axis=1)[:, -2] if corr.shape[1] > 1 else 0.0
-    margin = float(np.min(np.max(corr, axis=1) - runner_up))
-    if margin < AMBIGUITY_MARGIN or np.unique(perm).size != perm.size:
-        return None, margin
-    return tuple(perm.tolist()), margin
-
-
-def _signed_match_defect(va: np.ndarray, vb: np.ndarray, perm) -> float:
-    """Max over columns of the distance to the nearer of +/- the permuted column."""
-    # vb with row p(r) moved back to position r:
-    vb_back = vb[np.asarray(perm), :]
-    return float(np.max(np.minimum(np.abs(vb_back - va).max(axis=0), np.abs(vb_back + va).max(axis=0))))
-
-
 def decide_hypergraph_iso(g: TripartiteHypergraph, h: TripartiteHypergraph) -> HypergraphDecision:
-    """Spectral test with exact combinatorial confirmation.
+    """NO at ``degrees`` when some part's sorted degrees differ, else the orbit decision on the adjacency tensors.
 
-    NO when some part's sorted degree sequences differ (checked first, before
-    any tensor is built), when some mode's Gram spectra disagree beyond
-    SPECTRA_TOL, or when the extracted relabelling fails the exact edge-set
-    check.  cannot_decide when a spectrum is too degenerate to pin its
-    eigenbasis or the row matching is ambiguous.  YES always carries a PermTriple verified on the edge sets.
+    Any verdict but YES passes through with its diagnostics.  YES (step
+    ``verified``) needs the rounded witness to relabel g onto h exactly;
+    otherwise cannot_decide at ``edge_verification``, not NO, since another
+    sign choice could round to a valid permutation.
     """
     if g.part_sizes != h.part_sizes:
         raise DimensionMismatch(f"part sizes differ: {g.part_sizes} vs {h.part_sizes}")
@@ -184,38 +151,19 @@ def decide_hypergraph_iso(g: TripartiteHypergraph, h: TripartiteHypergraph) -> H
         if not np.array_equal(dg, dh):
             return HypergraphDecision("no", None, {"step": "degrees", "failed_part": d + 1,
                                                    "edge_counts": [g.edge_count, h.edge_count]})
-    a = adjacency_tensor(g)
-    b = adjacency_tensor(h)
-    spectra = list(zip(*mode_spectra([a, b])))
-    diag: dict = {"spectra_dist": [float(np.max(np.abs(sa.eigenvalues - sb.eigenvalues))) for sa, sb in spectra],
-                  "min_gaps": [], "margins": []}
-    if max(diag["spectra_dist"]) > SPECTRA_TOL:
-        diag["step"] = "spectra"
-        return HypergraphDecision("no", None, diag)
-    for (sa, sb) in spectra:
-        diag["min_gaps"].append(min(float(sa.min_gap), float(sb.min_gap)))
-        if not (sa.simple and sb.simple):
-            diag["step"] = "degenerate_spectrum"
-            return HypergraphDecision("cannot_decide", None, diag)
-    perms = []
-    for (sa, sb) in spectra:
-        perm, margin = _match_rows(sa.vectors, sb.vectors)
-        diag["margins"].append(margin)
-        if perm is None:
-            diag["step"] = "ambiguous_matching"
-            return HypergraphDecision("cannot_decide", None, diag)
-        defect = _signed_match_defect(sa.vectors, sb.vectors, perm)
-        if defect > SIGN_MATCH_TOL:
-            diag["step"] = "sign_structure"
-            diag["sign_defect"] = defect
-            return HypergraphDecision("cannot_decide", None, diag)
-        perms.append(perm)
-    pt = PermTriple(tuple(perms))
-    if np.array_equal(relabel(g, pt).edge_index, h.edge_index):
-        diag["step"] = "verified"
-        return HypergraphDecision("yes", pt, diag)
+    dec = decide_isomorphism(adjacency_tensor(g), adjacency_tensor(h))
+    diag = dec.diagnostics
+    if dec.verdict != "yes":
+        return HypergraphDecision(dec.verdict, None, diag)
+    # factor W carries vertex i of its part to the row of column i's largest |entry|
+    perms = [np.abs(w).argmax(axis=0).tolist() for w in dec.witness.factors]
+    if all(len(set(p)) == len(p) for p in perms):
+        pt = PermTriple(perms)
+        if np.array_equal(relabel(g, pt).edge_index, h.edge_index):
+            diag["step"] = "verified"
+            return HypergraphDecision("yes", pt, diag)
     diag["step"] = "edge_verification"
-    return HypergraphDecision("no", None, diag)
+    return HypergraphDecision("cannot_decide", None, diag)
 
 
 def parse_hypergraph(text: str) -> TripartiteHypergraph:

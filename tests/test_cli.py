@@ -383,7 +383,7 @@ def test_verify_tol_must_be_finite_and_non_negative(tmp_path, capsys, tol):
 
 # Calls into numpy's Python-level functions per op, measured with numpy
 # 2.4.6; a numpy upgrade that moves its wrappers re-baselines them.
-WRAPPER_BUDGET = {"real": 67, "complex": 67, "norm": 6}
+WRAPPER_BUDGET = {"real": 67, "complex": 67, "norm": 6, "hyper": 176}
 
 
 @pytest.mark.parametrize("op", sorted(WRAPPER_BUDGET))
@@ -392,10 +392,17 @@ def test_numpy_wrapper_calls_per_op_stay_within_budget(tmp_path, op):
     # wrapper costs about as much as a small op's arithmetic
     kind = "complex" if op == "complex" else "real"
     want = 1 if op == "norm" else 0
-    _, b, pa, pb = orbit_files(tmp_path, 911, dims=(9, 9, 9), kind=kind)
-    if op == "norm":
-        write_tensor(Tensor3(2.0 * b.data, kind), pb)
-    argv = ["iso", "--a", str(pa), "--b", str(pb), "--witness-out", str(tmp_path / "w.json"), "--json"]
+    if op == "hyper":
+        g = random_hypergraph((10, 10, 10), seed=911)
+        pg, ph = tmp_path / "g.txt", tmp_path / "h.txt"
+        write_hypergraph(g, pg)
+        write_hypergraph(relabel(g, random_perm_triple((10, 10, 10), seed=912)), ph)
+        argv = ["hyper", "--g", str(pg), "--h", str(ph), "--json"]
+    else:
+        _, b, pa, pb = orbit_files(tmp_path, 911, dims=(9, 9, 9), kind=kind)
+        if op == "norm":
+            write_tensor(Tensor3(2.0 * b.data, kind), pb)
+        argv = ["iso", "--a", str(pa), "--b", str(pb), "--witness-out", str(tmp_path / "w.json"), "--json"]
     root = os.path.dirname(np.__file__) + os.sep
     calls = []
 

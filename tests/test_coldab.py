@@ -15,4 +15,8 @@ def test_a_tree_against_itself_matches_on_every_op():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert len(lines) == 3 and all("ratio" in line and "DIFFERS" not in line for line in lines)
+    for line in lines[:2]:
+        # each op's numpy wrapper calls on both trees: the same tree counts the same calls
+        parent, change = line.split("numpy calls")[1].split("->")
+        assert int(parent) == int(change) > 0
     assert lines[-1].startswith("fast half (1 of 2 ops)") and lines[-1].endswith("; 0 op(s) differing or raising")

@@ -1,4 +1,4 @@
-"""Tripartite hypergraphs: adjacency tensors, spectral matching, text format."""
+"""Tripartite hypergraphs: adjacency tensors, the orbit decision on them, text format."""
 
 import itertools
 import math
@@ -8,14 +8,19 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import otiso.hypergraph
 from otiso import (
+    Decision,
     DimensionMismatch,
     FormatError,
     PermTriple,
+    Tensor3,
     TripartiteHypergraph,
     decide_hypergraph_iso,
+    decide_isomorphism,
     read_hypergraph,
     relabel,
+    sample_haar_triple,
     write_hypergraph,
 )
 from otiso.hypergraph import (
@@ -25,23 +30,26 @@ from otiso.hypergraph import (
     random_hypergraph,
     random_perm_triple,
 )
-from otiso.hypergraph import AMBIGUITY_MARGIN, _match_rows, _signed_match_defect, _sorted_degrees
+from otiso.hypergraph import _sorted_degrees
 
 
 def test_adjacency_tensor_basics():
+    # the empty and the full hypergraph are constant tensors, so centring zeroes them
     empty = TripartiteHypergraph((2, 3, 2), [])
     t = adjacency_tensor(empty)
     assert t.scalar_kind == "real"
-    assert np.all(t.data == -1.0)
+    assert np.all(t.data == 0.0)
 
     full_edges = [(i, j, k) for i in range(2) for j in range(2) for k in range(2)]
     full = TripartiteHypergraph((2, 2, 2), full_edges)
-    assert np.all(adjacency_tensor(full).data == 1.0)
+    assert np.all(adjacency_tensor(full).data == 0.0)
 
     one = TripartiteHypergraph((2, 3, 4), [(1, 2, 3)])
     arr = adjacency_tensor(one).data
-    assert arr[1, 2, 3] == 1.0
-    assert np.sum(arr == 1.0) == 1
+    c = 2.0 / 24 - 1.0
+    assert arr[1, 2, 3] == 1.0 - c
+    assert np.sum(arr == 1.0 - c) == 1 and np.sum(arr == -1.0 - c) == 23
+    assert abs(arr.sum()) < 1e-12
     assert one.edge_count == 1
 
 
@@ -109,8 +117,40 @@ def test_iso_degenerate_spectrum_is_cannot_decide():
     full_edges = [(i, j, k) for i in range(3) for j in range(3) for k in range(3)]
     full = TripartiteHypergraph((3, 3, 3), full_edges)
     d = decide_hypergraph_iso(full, full)
-    assert d.verdict == "cannot_decide"
-    assert d.diagnostics["step"] == "degenerate_spectrum"
+    # the centred tensor is zero, so every spectrum is tied: the spine refuses
+    assert d.verdict == "cannot_decide" and d.perms is None
+    assert d.diagnostics["step"] == "gap_policy"
+
+
+def test_sparse_pair_is_decided_only_after_centring():
+    sizes = (150, 150, 150)
+    g = random_hypergraph(sizes, 6, 0.001)
+    h = relabel(g, random_perm_triple(sizes, 6, stream=(1,)))
+
+    def plus_minus_one(x):
+        arr = np.full(sizes, -1.0)
+        arr.flat[x.edge_index] = 1.0
+        return Tensor3(arr, "real")
+
+    # the +-1 encoding's rank-one spike sets a degeneracy floor above the bulk gaps
+    raw = decide_isomorphism(plus_minus_one(g), plus_minus_one(h))
+    assert raw.verdict == "cannot_decide" and raw.diagnostics["step"] == "gap_policy"
+    d = decide_hypergraph_iso(g, h)
+    assert d.verdict == "yes" and d.diagnostics["step"] == "verified"
+    assert relabel(g, d.perms) == h
+
+
+def test_witness_that_rounds_to_no_relabelling_is_cannot_decide(monkeypatch):
+    sizes = (5, 6, 7)
+    g = random_hypergraph(sizes, seed=210)
+    h = relabel(g, random_perm_triple(sizes, seed=211))
+    haar = sample_haar_triple(sizes, 212, "real")
+    monkeypatch.setattr(otiso.hypergraph, "decide_isomorphism",
+                        lambda a, b: Decision("yes", haar, 0.0, 1.0, {"mode": "exact_iso"}))
+    d = decide_hypergraph_iso(g, h)
+    # not NO: another sign choice of the witness could round to a valid permutation
+    assert d.verdict == "cannot_decide" and d.perms is None
+    assert d.diagnostics == {"mode": "exact_iso", "step": "edge_verification"}
 
 
 PART_SIZES = st.tuples(*(st.integers(1, 8) for _ in range(3)))
@@ -130,7 +170,9 @@ def test_relabelled_hypergraphs_pass_the_degree_check(sizes, density, seed):
     g = random_hypergraph(sizes, seed, density)
     h = relabel(g, random_perm_triple(sizes, seed, stream=(1,)))
     for x, y in ((g, h), (h, g)):
-        assert decide_hypergraph_iso(x, y).diagnostics["step"] != "degrees"
+        d = decide_hypergraph_iso(x, y)
+        # isomorphic hypergraphs give centred tensors on one orbit: any NO would be unsound
+        assert d.diagnostics["step"] != "degrees" and d.verdict != "no", d.diagnostics
 
 
 @given(sizes=PART_SIZES, density=st.floats(0.1, 0.9), seed=st.integers(0, 2**32 - 1), cell=st.integers(0, 511))
@@ -337,64 +379,6 @@ def test_parse_matches_reference_parser(text):
         return
     g = parse_hypergraph(text)
     assert (g.part_sizes, g.edges) == want
-
-
-def reference_match_rows(va, vb):
-    """The per-row argsort matching that _match_rows replaced."""
-    corr = np.abs(va) @ np.abs(vb).T
-    perm = []
-    margin = np.inf
-    for r in range(corr.shape[0]):
-        order = np.argsort(corr[r])[::-1]
-        best = int(order[0])
-        lead = corr[r, best] - (corr[r, int(order[1])] if corr.shape[1] > 1 else 0.0)
-        margin = min(margin, float(lead))
-        perm.append(best)
-    if margin < AMBIGUITY_MARGIN or len(set(perm)) != len(perm):
-        return None, margin
-    return tuple(perm), margin
-
-
-def reference_signed_match_defect(va, vb, perm):
-    """The per-column loop that _signed_match_defect replaced."""
-    vb_back = vb[np.asarray(perm), :]
-    defect = 0.0
-    for c in range(va.shape[1]):
-        d_plus = float(np.max(np.abs(vb_back[:, c] - va[:, c])))
-        d_minus = float(np.max(np.abs(vb_back[:, c] + va[:, c])))
-        defect = max(defect, min(d_plus, d_minus))
-    return defect
-
-
-def _assert_same_matching(va, vb):
-    got = _match_rows(va, vb)
-    assert got == reference_match_rows(va, vb)
-    assert got[0] is None or all(type(v) is int for v in got[0])
-    perm = got[0] if got[0] is not None else tuple(range(va.shape[0]))
-    assert _signed_match_defect(va, vb, perm) == reference_signed_match_defect(va, vb, perm)
-
-
-@given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1e-9, 1e-3, None]))
-def test_matching_equals_reference(n, seed, noise):
-    """Signed row permutations of an orthogonal basis, perturbed or replaced by an unrelated basis."""
-    rng = np.random.default_rng(seed)
-    va = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    if noise is None:
-        vb = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    else:
-        vb = np.empty_like(va)
-        vb[rng.permutation(n)] = va * rng.choice([-1.0, 1.0], n) + noise * rng.standard_normal((n, n))
-    _assert_same_matching(va, vb)
-
-
-def test_matching_tied_rows_is_ambiguous():
-    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)  # every |entry| equal: every row ties
-    perm, margin = _match_rows(h, h)
-    assert perm is None and margin == 0.0
-    _assert_same_matching(h, h)
-    blocks = np.kron(np.eye(2), h)  # ties inside each block, a clear lead across blocks
-    _assert_same_matching(blocks, blocks[::-1])
-    _assert_same_matching(np.eye(1), -np.eye(1))
 
 
 def test_yes_permutations_map_edges_in_dense_tensors():

@@ -20,8 +20,12 @@ benchmark runs only average over it.  Ops whose first call takes over
 ``bench/run.py``'s ``REPEAT_BELOW_S`` (0.25 s) are timed once per tree, as
 the benchmark does.
 
-Each op prints its median seconds on both trees and their ratio (change
-over parent); the last line gives each tree's geometric mean over the
+Each op prints its median seconds on both trees, their ratio (change over
+parent) and, from one more untimed call per tree, the number of calls into
+Python functions under numpy's package directory, counted with
+``sys.setprofile`` as ``tests/test_cli.py``'s wrapper budget counts them
+(cold, each such wrapper costs about as much as a small op's arithmetic).
+The last line gives each tree's geometric mean over the
 fastest half of its ops (``bench/metrics.py``'s ``fast_half_gmean``) and
 the ratio of the two.  Exit code and stdout must match byte for byte on
 every call; the script exits 1 when they do not, or when a call raises.
@@ -42,6 +46,8 @@ import statistics
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import metrics  # noqa: E402
@@ -72,6 +78,24 @@ def call(cli, op) -> tuple:
             path.unlink(missing_ok=True)
     sec, code, stdout, exc = run.call(cli, op)
     return sec, (code, stdout, repr(exc) if exc is not None else None)
+
+
+def wrapper_calls(cli, op) -> int:
+    """Calls into Python functions under numpy's package directory during one untimed call."""
+    root = os.path.dirname(np.__file__) + os.sep
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code.co_filename.startswith(root):
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        call(cli, op)
+    finally:
+        sys.setprofile(None)
+    return count
 
 
 def main(argv=None) -> int:
@@ -106,8 +130,9 @@ def main(argv=None) -> int:
             mismatched += not same
             a, b = (statistics.median(s) for s in seconds)
             rows.append((a, b))
+            wa, wb = (wrapper_calls(cli, op) for cli in clis)
             print(f"{op.label:<24} parent {a * 1e3:9.3f} ms  change {b * 1e3:9.3f} ms  ratio {b / a:6.3f}"
-                  + ("" if same else "  OUTCOME DIFFERS"), flush=True)
+                  f"  numpy calls {wa:4d} -> {wb:4d}" + ("" if same else "  OUTCOME DIFFERS"), flush=True)
     a, b = (metrics.fast_half_gmean([r[side] for r in rows]) for side in (0, 1))
     print(f"fast half ({(len(rows) + 1) // 2} of {len(rows)} ops): parent {a * 1e3:.3f} ms  change {b * 1e3:.3f} ms  "
           f"ratio {b / a:.4f}; {mismatched} op(s) differing or raising")
