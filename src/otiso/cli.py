@@ -170,7 +170,6 @@ def _cmd_verify(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree, built once per process; ``parse_args`` leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="RNG seed (64-bit)")
     common.add_argument("--json", action="store_true", help="emit a single JSON report on stdout")
     common.add_argument("--quiet", action="store_true", help="suppress human-readable output")
 
@@ -178,6 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_gen = sub.add_parser("gen", parents=[common], help="sample a random tensor to a file")
+    p_gen.add_argument("--seed", type=int, default=0, help="RNG seed (64-bit)")
     p_gen.add_argument("--dims", type=int, nargs=3, required=True, metavar=("L", "M", "N"))
     p_gen.add_argument("--model", choices=["gaussian", "rademacher", "uniform_pm"], default="gaussian")
     p_gen.add_argument("--kind", choices=["real", "complex"], default="real")
@@ -199,6 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist.set_defaults(func=_cmd_decide)
 
     p_gaps = sub.add_parser("gaps", parents=[common], help="spectral-gap Monte-Carlo experiments")
+    p_gaps.add_argument("--seed", type=int, default=0, help="RNG seed (64-bit)")
     p_gaps.add_argument("--n", type=int, required=True)
     p_gaps.add_argument("--zeta", type=float, default=None)
     p_gaps.add_argument("--p", type=int, default=None)
@@ -237,10 +238,7 @@ def main(argv=None) -> int:
     except (ConfigInvalid, EpsOutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OtisoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
+    except (OtisoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

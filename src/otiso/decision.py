@@ -73,17 +73,14 @@ def verify_witness(a: Tensor3, b: Tensor3, witness) -> WitnessReport:
 
     ``witness`` may be a :class:`TransformTriple` or a sequence of three
     matrices (no unitarity requirement; defects are reported, not enforced).
+    Kinds mix by numpy's type promotion, so the residual is symmetric in them.
     """
     triple = witness if isinstance(witness, TransformTriple) else TransformTriple(witness, check=False)
     if triple.dims != a.dims:
         raise DimensionMismatch(f"witness dims {triple.dims} do not match tensor dims {a.dims}")
     if a.dims != b.dims:
         raise DimensionMismatch(f"tensor dims differ: {a.dims} vs {b.dims}")
-    kind = "complex" if "complex" in (a.scalar_kind, triple.scalar_kind) else "real"
-    if triple.scalar_kind != kind:
-        triple = TransformTriple(triple.factors, kind, check=False)
-    acted = apply_action(triple, a.astype_kind(kind))
-    residual = _fro(acted.data - b.astype_kind(kind).data)
+    residual = _fro(apply_action(triple, a).data - b.data)
     defects = triple.unitarity_defects()
     return WitnessReport(
         residual=residual,
@@ -154,13 +151,19 @@ def _decide(a: Tensor3, b: Tensor3, eps: float | None) -> Decision:
         diag["dims"] = list(a.dims)
         gate = EXACT_RESIDUAL_REL_FLOOR * max(norm_a, _TINY)
         diag["residual_gate"] = gate
-    # The action preserves the Frobenius norm, so a gap of 2 eps is a sound
-    # NO in both modes; in exact mode that is about 4x the YES gate.
+    # The action preserves the Frobenius norm, so a gap of 2 eps beyond the
+    # norms' rounding is a sound NO in both modes; in exact mode that is about
+    # 4x the YES gate.  A norm of N squares (two per complex entry), with its
+    # square root, is within gamma_{N+1} = (N+1)u/(1-(N+1)u) of the exact one
+    # (Higham 2002, section 3.1).
     norm_gap = abs(norm_a - norm_b)
-    if norm_gap >= 2.0 * eps:
+    nu = (a.data.nbytes // 8 + 1) * 2.0 ** -53
+    rounding = nu / (1.0 - nu) * k_norm
+    if norm_gap - rounding >= 2.0 * eps:
         diag["step"] = "norm"
         diag["norm_gap"] = norm_gap
         diag["norm_threshold"] = 2.0 * eps
+        diag["norm_rounding"] = rounding
         return Decision("no", None, None, gate, diag)
 
     # one stacked pass for both tensors; gapped mode screens B's gaps below

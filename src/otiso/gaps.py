@@ -222,8 +222,7 @@ def run_tensor_gram_experiment(
         if eta is None:
             a = sample
         else:
-            kind = "complex" if "complex" in (base.scalar_kind, model.scalar_kind) else "real"
-            a = Tensor3._adopt(base.astype_kind(kind).data + eta * sample.astype_kind(kind).data, kind)
+            a = Tensor3._adopt(base.data + eta * sample.data)
         records.append(_spectrum_record(trial, model.seed, mode_spectra([a], vectors=False)[0]))
 
     target = tensor_gap_target(n, beta)

@@ -109,7 +109,7 @@ def adjacency_tensor(g: TripartiteHypergraph) -> Tensor3:
     c = 2.0 * g.edge_count / math.prod(g.part_sizes) - 1.0
     arr = np.full(g.part_sizes, -1.0 - c)
     arr.flat[g.edge_index] = 1.0 - c
-    return Tensor3._adopt(arr, "real")
+    return Tensor3._adopt(arr)
 
 
 def relabel(g: TripartiteHypergraph, pt: PermTriple) -> TripartiteHypergraph:

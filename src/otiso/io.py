@@ -28,6 +28,8 @@ WITNESS_MAGIC = b"T3W1"
 
 _KIND_TO_BYTE = {"real": 0, "complex": 1}
 _BYTE_TO_KIND = {0: "real", 1: "complex"}
+# the file formats' entry types, little-endian whatever the host's byte order
+_LE = {"real": np.dtype("<f8"), "complex": np.dtype("<c16")}
 
 
 def _words(*columns) -> np.ndarray:
@@ -59,15 +61,9 @@ _SIGN_WORDS = _words([_SP, ord("-")], _SP, _SP, _SP)
 _TAIL_DIVISORS = np.array([1e12, 1e9, 1e6, 1e3, 1.0])[:, None]
 
 
-def _entries_to_bytes(arr: np.ndarray, kind: str) -> bytes:
-    if kind == "real":
-        return np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    return np.ascontiguousarray(arr, dtype="<c16").tobytes()
-
-
 def tensor_to_bytes(a: Tensor3) -> bytes:
     head = TENSOR_MAGIC + struct.pack("<BIII", _KIND_TO_BYTE[a.scalar_kind], *a.dims)
-    return head + _entries_to_bytes(a.data, a.scalar_kind)
+    return head + np.ascontiguousarray(a.data, _LE[a.scalar_kind]).tobytes()
 
 
 def _binary_header(buf: bytes, magic: bytes, what: str) -> tuple[str, tuple[int, int, int]]:
@@ -87,7 +83,7 @@ def _binary_header(buf: bytes, magic: bytes, what: str) -> tuple[str, tuple[int,
 def _read_t3b(head: bytes, fh) -> Tensor3:
     """The T3B tensor whose first 17 bytes are ``head``; its payload, the rest of ``fh``, is read straight into the tensor's own array."""
     kind, dims = _binary_header(head, TENSOR_MAGIC, "tensor")
-    dtype = np.dtype("<f8" if kind == "real" else "<c16")
+    dtype = _LE[kind]
     expected = math.prod(dims) * dtype.itemsize
     try:
         arr = np.empty(dims, dtype)
@@ -98,7 +94,7 @@ def _read_t3b(head: bytes, fh) -> Tensor3:
     if size != expected:
         raise FormatError(f"payload length {size} does not match dims {dims} ({expected} expected)")
     try:
-        return Tensor3._adopt(arr, kind)
+        return Tensor3._adopt(arr)
     except NonFiniteEntries as exc:
         raise FormatError(f"tensor payload contains non-finite entries: {exc}") from exc
 
@@ -158,8 +154,7 @@ def _json_lists(arrays: list[np.ndarray], kind: str) -> bytes:
     non-finite float raises ``ValueError``, as :func:`dumps_canonical` does.
     """
     shapes = [x.shape + (2,) if kind == "complex" else x.shape for x in arrays]
-    dtype = np.complex128 if kind == "complex" else np.float64
-    values = np.concatenate([x.reshape(-1) for x in arrays], dtype=dtype).view(np.float64)
+    values = np.concatenate([x.reshape(-1) for x in arrays], dtype=_LE[kind]).view(np.float64)
     if not np.isfinite(values).all():
         raise ValueError("a non-finite float has no JSON form")
     # per number: up to 3 "[" (bytes 0-3), the number (4-35), up to 3 "]" (36-38), "," (39)
@@ -229,9 +224,8 @@ def tensor_from_json_obj(obj) -> Tensor3:
     if not isinstance(entries, list) or len(entries) != count:
         raise FormatError(f"entries length {len(entries) if isinstance(entries, list) else '?'} != {count}")
     values = [_scalar_from_json(v, kind) for v in entries]
-    dtype = np.float64 if kind == "real" else np.complex128
     try:
-        return Tensor3._adopt(np.asarray(values, dtype=dtype).reshape(dims), kind)
+        return Tensor3._adopt(np.asarray(values, dtype=_LE[kind]).reshape(dims))
     except NonFiniteEntries as exc:
         raise FormatError(f"tensor payload contains non-finite entries: {exc}") from exc
 
@@ -271,7 +265,7 @@ def read_tensor(path) -> Tensor3:
 
 def witness_to_bytes(g: TransformTriple) -> bytes:
     head = WITNESS_MAGIC + struct.pack("<BIII", _KIND_TO_BYTE[g.scalar_kind], *g.dims)
-    blocks = b"".join(_entries_to_bytes(g[d], g.scalar_kind) for d in range(3))
+    blocks = b"".join(np.ascontiguousarray(g[d], _LE[g.scalar_kind]).tobytes() for d in range(3))
     return head + blocks
 
 
@@ -282,16 +276,16 @@ def witness_from_bytes(buf: bytes) -> TransformTriple:
     witness read back from disk never raises on imperfect factors.
     """
     kind, dims = _binary_header(buf, WITNESS_MAGIC, "witness")
-    width = 8 if kind == "real" else 16
-    expected = 17 + width * sum(n * n for n in dims)
+    dtype = _LE[kind]
+    expected = 17 + dtype.itemsize * sum(n * n for n in dims)
     if len(buf) != expected:
         raise FormatError(f"witness payload length {len(buf) - 17} does not match dims {dims}")
     # read-only views of the payload; the triple built from them makes the only copy
     factors = []
     off = 17
     for n in dims:
-        factors.append(np.frombuffer(buf, "<f8" if kind == "real" else "<c16", n * n, off).reshape(n, n))
-        off += width * n * n
+        factors.append(np.frombuffer(buf, dtype, n * n, off).reshape(n, n))
+        off += dtype.itemsize * n * n
     if any(not np.all(np.isfinite(f)) for f in factors):
         raise FormatError("witness payload contains non-finite entries")
     return TransformTriple(factors, kind, check=False)
@@ -307,13 +301,12 @@ def witness_from_json_obj(obj) -> TransformTriple:
     raw = obj.get("factors")
     if not (isinstance(raw, list) and len(raw) == 3):
         raise FormatError("factors must be a list of three matrices")
-    dtype = np.float64 if kind == "real" else np.complex128
     factors = []
     for d, rows in enumerate(raw):
         n = dims[d]
         if not (isinstance(rows, list) and len(rows) == n and all(isinstance(r, list) and len(r) == n for r in rows)):
             raise FormatError(f"factor {d + 1} is not a {n}x{n} matrix")
-        mat = np.asarray([[_scalar_from_json(v, kind) for v in r] for r in rows], dtype=dtype)
+        mat = np.asarray([[_scalar_from_json(v, kind) for v in r] for r in rows], dtype=_LE[kind])
         if not np.all(np.isfinite(mat)):
             raise FormatError(f"factor {d + 1} contains non-finite entries")
         factors.append(mat)

@@ -75,6 +75,8 @@ class Tensor3:
 
     Notes
     -----
+    The kind is the dtype; operations that mix kinds follow numpy's promotion.
+
     The wrapped array is C-ordered and marked read-only, so the entry at
     ``(i, j, k)`` sits at flat offset ``k + n*j + n*m*i``: the left index is
     the slowest.  That lexicographic layout is also the on-disk entry order.
@@ -92,9 +94,9 @@ class Tensor3:
         self._own(_as_scalar_array(values, scalar_kind))
 
     @classmethod
-    def _adopt(cls, arr: np.ndarray, scalar_kind: str) -> "Tensor3":
-        """Wrap ``arr`` itself: only for a C-ordered array of the kind's dtype that nothing else references."""
-        assert arr.dtype == _DTYPES[scalar_kind] and arr.flags.c_contiguous, (arr.dtype, scalar_kind)
+    def _adopt(cls, arr: np.ndarray) -> "Tensor3":
+        """Wrap ``arr`` itself, its kind read from its dtype: only for a C-ordered float64 or complex128 array that nothing else references."""
+        assert arr.dtype in _DTYPES.values() and arr.flags.c_contiguous, arr.dtype
         t = cls.__new__(cls)
         t._own(arr)
         return t
@@ -124,14 +126,6 @@ class Tensor3:
     @property
     def frobenius_norm(self) -> float:
         return self._norm
-
-    def astype_kind(self, kind: str) -> "Tensor3":
-        """Return a copy with the requested scalar kind (real -> complex only)."""
-        if kind == self.scalar_kind:
-            return self
-        if kind == "real":
-            raise ScalarKindMismatch("cannot narrow a complex tensor to real")
-        return Tensor3._adopt(self.data.astype(np.complex128), "complex")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Tensor3):
@@ -305,7 +299,7 @@ def sample_tensor(dims, model: RandomModel, *, stream: tuple[int, ...] = ()) -> 
     if len(dims) != 3 or min(dims) < 1:
         raise DimensionMismatch(f"dims must be three positive integers, got {dims}")
     rng = generator(model.seed, *stream)
-    return Tensor3._adopt(sample_entries(rng, model, tuple(int(d) for d in dims)), model.scalar_kind)
+    return Tensor3._adopt(sample_entries(rng, model, tuple(int(d) for d in dims)))
 
 
 def haar_factor(n: int, rng: np.random.Generator, scalar_kind: str = "real") -> np.ndarray:
@@ -390,13 +384,12 @@ def apply_action(g: TransformTriple, a: Tensor3) -> Tensor3:
     ``L @ A.reshape(l, m*n)``, mode 2 is ``R @ X[i]`` for every ``i`` (one
     broadcast ``matmul``), mode 3 is ``X.reshape(l*m, n) @ T.T``.  The
     contraction order is fixed (mode 1, 2, 3), so results are bitwise
-    reproducible for identical inputs.
+    reproducible for identical inputs.  As O(n) sits inside U(n), a real and
+    a complex operand mix by numpy's type promotion into a complex result.
     """
     if g.dims != a.dims:
         raise DimensionMismatch(f"triple dims {g.dims} do not match tensor dims {a.dims}")
-    if g.scalar_kind != a.scalar_kind:
-        raise ScalarKindMismatch(f"triple kind {g.scalar_kind} does not match tensor kind {a.scalar_kind}")
     L, R, T = g.factors
     l, m, n = a.dims
     out = np.matmul(R, (L @ a.data.reshape(l, m * n)).reshape(l, m, n))
-    return Tensor3._adopt((out.reshape(l * m, n) @ T.T).reshape(l, m, n), a.scalar_kind)
+    return Tensor3._adopt((out.reshape(l * m, n) @ T.T).reshape(l, m, n))

@@ -242,10 +242,33 @@ def test_verify_pass_and_fail(tmp_path):
                  "--witness", str(wrong), "--quiet"]) == 1
 
 
+def test_verify_is_symmetric_in_the_kinds(tmp_path, capsys):
+    # O(n) sits inside U(n): a real witness acts on a complex tensor, and
+    # numpy's promotion mixes the kinds, whichever of A and B is complex
+    g = sample_haar_triple((3, 4, 2), 911, "real")
+    a = sample_tensor((3, 4, 2), RandomModel("gaussian", "real", 910))
+    b = Tensor3(apply_action(g, a).data + 1e-9 * sample_tensor((3, 4, 2), RandomModel("gaussian", "real", 912)).data)
+    paths = {}
+    for name, t in (("a", a), ("b", b)):
+        for kind in ("real", "complex"):
+            paths[name, kind] = tmp_path / f"{name}_{kind}.t3b"
+            write_tensor(Tensor3(t.data, kind), paths[name, kind])
+    w = tmp_path / "w.json"
+    write_witness_json(g, w)
+    residuals = []
+    for ka, kb in (("real", "complex"), ("complex", "real")):
+        argv = ["verify", "--a", str(paths["a", ka]), "--b", str(paths["b", kb]), "--witness", str(w), "--json"]
+        assert main(argv) == 0
+        residuals.append(json.loads(capsys.readouterr().out)["residual"])
+    assert residuals[0] > 0.0 and residuals[0] == pytest.approx(residuals[1], rel=1e-12)
+
+
 def test_usage_errors():
     assert main([]) == 3
     assert main(["frobnicate"]) == 3
     assert main(["iso", "--a", "x.t3b"]) == 3  # --b missing
+    # only gen and gaps sample anything, so only they take a seed
+    assert main(["iso", "--a", "x.t3b", "--b", "y.t3b", "--seed", "1"]) == 3
     # there is no precision knob: both modes pick their own working precision
     assert main(["iso", "--a", "x.t3b", "--b", "y.t3b", "--bits", "40"]) == 3
     assert main(["dist", "--a", "x.t3b", "--b", "y.t3b", "--eps", "1e-6", "--bits", "60"]) == 3

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from otiso import (
     ConfigInvalid,
@@ -218,21 +218,37 @@ def test_gapped_decides_non_cubic_dims():
 @example(dims=(3, 4, 5), kind="complex", seed=0, f=0.99)
 def test_gapped_orbit_pairs_within_half_eps_are_never_no(dims, kind, seed, f):
     # B moves off A's orbit by eps/2, less than the eps a NO certifies; the
-    # move also shifts |B|, so eps may fall outside its range.  A tied
-    # spectrum of A (a dim above the product of the other two) leaves only
-    # a rounding residue for delta, and an eps below float64 precision,
-    # where gapped NOs are not yet sound: those draws are skipped.
+    # move also shifts |B|, so eps may fall outside its range, and a delta
+    # of exactly 0 makes eps 0, which is no tolerance at all
     a, b0, _ = orbit_pair(dims, seed, kind)
     (ca,) = core_of(a)
-    assume(all(s.simple for s in ca.spectra))
     e = sample_tensor(dims, RandomModel("gaussian", kind, seed + 1))
     eps = f * _gap(ca) / (4.0 * (a.frobenius_norm + b0.frobenius_norm))
     b = Tensor3(b0.data + (0.5 * eps / e.frobenius_norm) * e.data, kind)
     try:
         d = decide_orbit_distance(a, b, eps)
-    except EpsOutOfRange:
+    except (EpsOutOfRange, ConfigInvalid):
         return
     assert d.verdict != "no", (d.verdict, d.diagnostics)
+
+
+def test_norm_gap_within_the_norms_rounding_is_not_no():
+    # A's tied mode-3 spectrum leaves delta a rounding residue, so eps = 8.7e-18
+    # sits below the one-ulp norm gap of the orbit pair: that gap is rounding,
+    # not a certificate, and the tie is refused at gap_policy
+    a, b0, _ = orbit_pair((1, 1, 3), 2, "real")
+    (ca,) = core_of(a)
+    e = sample_tensor((1, 1, 3), RandomModel("gaussian", "real", 3))
+    eps = 0.5 * _gap(ca) / (4.0 * (a.frobenius_norm + b0.frobenius_norm))
+    b = Tensor3(b0.data + (0.5 * eps / e.frobenius_norm) * e.data)
+    assert 0.0 < eps < 1e-17 and abs(a.frobenius_norm - b.frobenius_norm) >= 2.0 * eps
+    d = decide_orbit_distance(a, b, eps)
+    assert (d.verdict, d.diagnostics["step"]) == ("cannot_decide", "gap_policy")
+    # a norm gap beyond the rounding is still a NO, and reports the margin
+    far = decide_orbit_distance(a, Tensor3(2.0 * b.data), eps)
+    assert (far.verdict, far.diagnostics["step"]) == ("no", "norm")
+    assert far.diagnostics["norm_gap"] - far.diagnostics["norm_rounding"] >= far.diagnostics["norm_threshold"]
+    assert 0.0 < far.diagnostics["norm_rounding"] < 1e-14
 
 
 def near_diagonal_pair():

@@ -515,7 +515,7 @@ def test_assemble_witness_end_to_end():
         cmp = compare_cores(ca, cb, 2.0 * eps * 4 ** 2 * k_norm / min(ca.min_gap, cb.min_gap))
         assignment = (solve_signs if kind == "real" else solve_phases)(cmp.phase_targets)
         w = assemble_witness(ca, cb, assignment)
-        res = np.linalg.norm(apply_action(w, a.astype_kind(w.scalar_kind)).data - b.astype_kind(w.scalar_kind).data)
+        res = np.linalg.norm(apply_action(w, a).data - b.data)
         assert res <= 1e-6 * a.frobenius_norm
 
 
