@@ -16,13 +16,6 @@ from .tensor import RandomModel, Tensor3, generator, sample_entries, sample_tens
 # Not called here: bench/spans.py wraps this name on this module.
 from .tensor import gram  # noqa: F401
 
-# Target and probability-bound constants.  The underlying guarantee is
-# asymptotic (unspecified absolute constants), so these are set to 1 and the
-# harness checks scaling, frequencies, and survival monotonicity instead of
-# absolute levels.
-C_TEST = 1.0
-C_PROB = 1.0
-
 # In-regime exponent used for probability bookkeeping at zeta = 0.5
 # (requires beta > zeta).
 BETA_EXPERIMENT = 0.6
@@ -59,6 +52,8 @@ class GapExperiment:
     def __post_init__(self):
         if self.n < 1:
             raise ConfigInvalid("n must be >= 1")
+        if not math.isfinite(self.beta):
+            raise ConfigInvalid(f"beta must be finite, got {self.beta}")
         if self.trials < 1:
             raise ConfigInvalid("trials must be >= 1")
         if (self.zeta is None) == (self.p is None):
@@ -107,19 +102,26 @@ class GapReport:
     meta: dict = field(default_factory=dict)
 
 
-def gap_target(n: int, zeta: float, beta: float, c: float = C_TEST) -> float:
-    """Predicted lambda-scale gap level c (n^{(1-zeta)/2} - 1) n^{-beta}."""
-    return c * (n ** ((1.0 - zeta) / 2.0) - 1.0) * n ** (-beta)
+# The Wishart eigenvalue-repulsion bounds behind the three formulas below
+# (Christoffersen-Luh-O'Rourke-Shearer; Han) are asymptotic, with unspecified
+# absolute constants, so those constants are taken as 1 and the harness
+# checks scaling, frequencies, and survival monotonicity instead of absolute
+# levels.
 
 
-def bound_probability(n: int, zeta: float, beta: float, c: float = C_PROB) -> float:
-    """Guaranteed success probability 1 - c n^{zeta-beta}, clamped to [0, 1]."""
-    return min(1.0, max(0.0, 1.0 - c * n ** (zeta - beta)))
+def gap_target(n: int, zeta: float, beta: float) -> float:
+    """Predicted lambda-scale gap level (n^{(1-zeta)/2} - 1) n^{-beta}, its absolute constant taken as 1."""
+    return (n ** ((1.0 - zeta) / 2.0) - 1.0) * n ** (-beta)
 
 
-def tensor_gap_target(n: int, beta: float, c: float = C_TEST) -> float:
-    # 3-tensor flattening form: c (n - 1) n^{-3 beta}.
-    return c * (n - 1.0) * n ** (-3.0 * beta)
+def bound_probability(n: int, zeta: float, beta: float) -> float:
+    """Guaranteed success probability 1 - n^{zeta-beta}, its absolute constant taken as 1, clamped to [0, 1]."""
+    return min(1.0, max(0.0, 1.0 - n ** (zeta - beta)))
+
+
+def tensor_gap_target(n: int, beta: float) -> float:
+    """3-tensor flattening form of :func:`gap_target`: (n - 1) n^{-3 beta}, its absolute constant taken as 1."""
+    return (n - 1.0) * n ** (-3.0 * beta)
 
 
 def log_slope(xs, ys) -> float:
@@ -194,35 +196,31 @@ def run_tensor_gram_experiment(
     model: RandomModel,
     trials: int,
     eta: float | None = None,
-    base: Tensor3 | None = None,
     beta: float = BETA_EXPERIMENT,
 ) -> GapReport:
     """Min-over-modes Gram gap statistics for n x n x n tensors.
 
-    With ``eta`` given the trials draw A = base + eta E around a fixed base
-    tensor (all-ones when ``base`` is omitted); otherwise each trial draws a
-    fresh tensor from ``model``.  A trial counts as simple only when all
-    three mode spectra are simple.
+    With ``eta`` given (finite, >= 0) the trials draw A = 1 + eta E around the
+    all-ones tensor; otherwise each trial draws a fresh tensor from
+    ``model``.  ``beta`` must be finite.  A trial counts as simple only when
+    all three mode spectra are simple.
     """
     if n < 3:
         raise ConfigInvalid("tensor experiment requires n >= 3")
     if trials < 1:
         raise ConfigInvalid("trials must be >= 1")
-    if eta is not None and eta < 0.0:
-        raise ConfigInvalid("eta must be >= 0")
+    if eta is not None and not 0.0 <= eta < math.inf:
+        raise ConfigInvalid(f"eta must be finite and >= 0, got {eta}")
+    if not math.isfinite(beta):
+        raise ConfigInvalid(f"beta must be finite, got {beta}")
     dims = (n, n, n)
-    if eta is not None and base is None:
-        base = Tensor3(np.ones(dims), model.scalar_kind)
-    if base is not None and base.dims != dims:
-        raise ConfigInvalid(f"base dims {base.dims} do not match n={n}")
-
     records = []
     for trial in range(trials):
         sample = sample_tensor(dims, model, stream=(trial,))
         if eta is None:
             a = sample
         else:
-            a = Tensor3._adopt(base.data + eta * sample.data)
+            a = Tensor3._adopt(1.0 + eta * sample.data)
         records.append(_spectrum_record(trial, model.seed, mode_spectra([a], vectors=False)[0]))
 
     target = tensor_gap_target(n, beta)

@@ -42,11 +42,12 @@ class TripartiteHypergraph:
         coords = coords.reshape(0, 3) if coords.size == 0 else coords
         if coords.ndim != 2 or coords.shape[1] != 3:
             raise FormatError(f"edges must be (i, j, k) triples, got an array of shape {coords.shape}")
-        bad = np.flatnonzero(((coords < 0) | (coords >= sizes)).any(axis=1))
+        bad = ((coords < 0) | (coords >= sizes)).any(axis=1).nonzero()[0]
         if bad.size:
             raise FormatError(f"edge {tuple(coords[bad[0]].tolist())} out of range for part sizes {sizes}")
-        index = np.sort(np.ravel_multi_index(tuple(coords.T), sizes))
-        dup = np.flatnonzero(index[1:] == index[:-1])
+        index = np.ravel_multi_index(tuple(coords.T), sizes)
+        index.sort()
+        dup = (index[1:] == index[:-1]).nonzero()[0]
         if dup.size:
             raise FormatError(f"duplicate edge {tuple(int(v) for v in np.unravel_index(index[dup[0]], sizes))}")
         index.setflags(write=False)

@@ -26,8 +26,8 @@ from .tensor import Tensor3, TransformTriple
 TENSOR_MAGIC = b"T3B1"
 WITNESS_MAGIC = b"T3W1"
 
-_KIND_TO_BYTE = {"real": 0, "complex": 1}
-_BYTE_TO_KIND = {0: "real", 1: "complex"}
+# the header's kind byte indexes this tuple
+_KINDS = ("real", "complex")
 # the file formats' entry types, little-endian whatever the host's byte order
 _LE = {"real": np.dtype("<f8"), "complex": np.dtype("<c16")}
 
@@ -62,7 +62,7 @@ _TAIL_DIVISORS = np.array([1e12, 1e9, 1e6, 1e3, 1.0])[:, None]
 
 
 def tensor_to_bytes(a: Tensor3) -> bytes:
-    head = TENSOR_MAGIC + struct.pack("<BIII", _KIND_TO_BYTE[a.scalar_kind], *a.dims)
+    head = TENSOR_MAGIC + struct.pack("<BIII", _KINDS.index(a.scalar_kind), *a.dims)
     return head + np.ascontiguousarray(a.data, _LE[a.scalar_kind]).tobytes()
 
 
@@ -73,11 +73,11 @@ def _binary_header(buf: bytes, magic: bytes, what: str) -> tuple[str, tuple[int,
     if buf[:4] != magic:
         raise FormatError(f"bad magic {buf[:4]!r}, expected {magic!r}")
     kind_byte, dims = buf[4], struct.unpack("<III", buf[5:17])
-    if kind_byte not in _BYTE_TO_KIND:
+    if kind_byte >= len(_KINDS):
         raise FormatError(f"unknown scalar-kind byte {kind_byte}")
     if min(dims) < 1:
         raise FormatError(f"non-positive dimension in header: {dims}")
-    return _BYTE_TO_KIND[kind_byte], dims
+    return _KINDS[kind_byte], dims
 
 
 def _read_t3b(head: bytes, fh) -> Tensor3:
@@ -209,7 +209,7 @@ def _json_header(obj, fmt: str) -> tuple[str, tuple[int, int, int]]:
     if not (_is_json_int(version) and version == 1):
         raise FormatError(f"unsupported {fmt} version {version!r}")
     kind = obj.get("scalar_kind")
-    if kind not in _KIND_TO_BYTE:
+    if kind not in _KINDS:
         raise FormatError(f"unknown scalar_kind {kind!r}")
     dims = obj.get("dims")
     if not (isinstance(dims, list) and len(dims) == 3 and all(_is_json_int(d) and d >= 1 for d in dims)):
@@ -264,7 +264,7 @@ def read_tensor(path) -> Tensor3:
 
 
 def witness_to_bytes(g: TransformTriple) -> bytes:
-    head = WITNESS_MAGIC + struct.pack("<BIII", _KIND_TO_BYTE[g.scalar_kind], *g.dims)
+    head = WITNESS_MAGIC + struct.pack("<BIII", _KINDS.index(g.scalar_kind), *g.dims)
     blocks = b"".join(np.ascontiguousarray(g[d], _LE[g.scalar_kind]).tobytes() for d in range(3))
     return head + blocks
 
@@ -288,7 +288,7 @@ def witness_from_bytes(buf: bytes) -> TransformTriple:
         off += dtype.itemsize * n * n
     if any(not np.all(np.isfinite(f)) for f in factors):
         raise FormatError("witness payload contains non-finite entries")
-    return TransformTriple(factors, kind, check=False)
+    return TransformTriple(factors, check=False)
 
 
 def write_witness(g: TransformTriple, path) -> None:
@@ -310,7 +310,7 @@ def witness_from_json_obj(obj) -> TransformTriple:
         if not np.all(np.isfinite(mat)):
             raise FormatError(f"factor {d + 1} contains non-finite entries")
         factors.append(mat)
-    return TransformTriple(factors, kind, check=False)
+    return TransformTriple(factors, check=False)
 
 
 def write_witness_json(g: TransformTriple, path) -> None:

@@ -19,13 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ConfigInvalid,
-    DimensionMismatch,
-    NonFiniteEntries,
-    NotUnitary,
-    ScalarKindMismatch,
-)
+from .errors import ConfigInvalid, DimensionMismatch, NonFiniteEntries, NotUnitary
 
 SCALAR_KINDS = ("real", "complex")
 
@@ -49,29 +43,16 @@ def _fro(x: np.ndarray) -> float:
     return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
-def _as_scalar_array(values, kind: str | None) -> np.ndarray:
-    arr = np.asarray(values)
-    if kind is None:
-        kind = _kind_of(arr)
-    if kind not in SCALAR_KINDS:
-        raise ConfigInvalid(f"unknown scalar kind {kind!r}")
-    if kind == "real" and arr.dtype.kind == "c":
-        raise ScalarKindMismatch("complex entries supplied for a real-kind object")
-    return np.array(arr, dtype=_DTYPES[kind], order="C")
-
-
 class Tensor3:
-    """Dense order-3 tensor with a fixed scalar kind.
+    """Dense order-3 tensor over the reals or the complex numbers.
 
     Parameters
     ----------
     values : array_like
         Shape ``(l, m, n)`` with ``l, m, n >= 1``.  Entries must be finite.
-        The array is always copied, so later writes to ``values`` never
-        reach the tensor.
-    scalar_kind : {"real", "complex"}, optional
-        Forced kind; inferred from the dtype when omitted.  Requesting
-        ``"real"`` for complex data raises :class:`ScalarKindMismatch`.
+        The array is always copied, as complex128 when ``values`` is complex
+        and as float64 otherwise, so later writes to ``values`` never reach
+        the tensor.
 
     Notes
     -----
@@ -90,8 +71,9 @@ class Tensor3:
 
     __slots__ = ("data", "_norm")
 
-    def __init__(self, values, scalar_kind: str | None = None):
-        self._own(_as_scalar_array(values, scalar_kind))
+    def __init__(self, values):
+        arr = np.asarray(values)
+        self._own(np.array(arr, _DTYPES[_kind_of(arr)], order="C"))
 
     @classmethod
     def _adopt(cls, arr: np.ndarray) -> "Tensor3":
@@ -160,9 +142,9 @@ class TransformTriple:
     Parameters
     ----------
     factors : sequence of three array_like
-        Square matrices of sizes ``(l, l)``, ``(m, m)``, ``(n, n)``.
-    scalar_kind : {"real", "complex"}, optional
-    check : bool
+        Square matrices of sizes ``(l, l)``, ``(m, m)``, ``(n, n)``, copied
+        as complex128 when any of them is complex and as float64 otherwise.
+    check : bool, keyword-only
         When True (default), each factor must satisfy
         ``||X*X - I||_F <= TAU_UNITARY_REL * dim``.  Pass ``check=False``
         for raw witness material whose unitarity is reported separately.
@@ -170,14 +152,14 @@ class TransformTriple:
 
     __slots__ = ("factors",)
 
-    def __init__(self, factors, scalar_kind: str | None = None, check: bool = True):
+    def __init__(self, factors, *, check: bool = True):
         if len(factors) != 3:
             raise DimensionMismatch("a transform triple needs exactly 3 factors")
-        if scalar_kind is None:
-            scalar_kind = "complex" if any(_kind_of(np.asarray(f)) == "complex" for f in factors) else "real"
+        arrs = [np.asarray(f) for f in factors]
+        dtype = np.complex128 if any(f.dtype.kind == "c" for f in arrs) else np.float64
         mats = []
-        for f in factors:
-            M = _as_scalar_array(f, scalar_kind)
+        for f in arrs:
+            M = np.array(f, dtype, order="C")
             if M.ndim != 2 or M.shape[0] != M.shape[1]:
                 raise DimensionMismatch(f"factor must be square, got shape {M.shape}")
             if not np.all(np.isfinite(M)):
@@ -228,9 +210,9 @@ class TransformTriple:
         return f"TransformTriple(dims={self.dims}, kind={self.scalar_kind})"
 
 
-def identity_triple(dims, scalar_kind: str = "real") -> TransformTriple:
-    """Identity element of the acting group for the given tensor dims."""
-    return TransformTriple([np.eye(d, dtype=_DTYPES[scalar_kind]) for d in dims], scalar_kind)
+def identity_triple(dims) -> TransformTriple:
+    """Identity element of the acting group for the given tensor dims; real, it acts on either kind by promotion."""
+    return TransformTriple([np.eye(d) for d in dims])
 
 
 @dataclass(frozen=True)
@@ -327,7 +309,7 @@ def sample_haar_triple(dims, seed: int, scalar_kind: str = "real") -> TransformT
     if scalar_kind not in SCALAR_KINDS:
         raise ConfigInvalid(f"unknown scalar kind {scalar_kind!r}")
     factors = [haar_factor(int(d), generator(seed, i), scalar_kind) for i, d in enumerate(dims)]
-    return TransformTriple(factors, scalar_kind)
+    return TransformTriple(factors)
 
 
 def _check_mode(mode: int) -> int:

@@ -35,7 +35,6 @@ GAUSS = RandomModel("gaussian", "real", 2024)
 
 def test_target_and_bound_formulas():
     assert gap_target(100, 0.5, 0.6) == (100 ** 0.25 - 1.0) * 100 ** -0.6
-    assert gap_target(16, 0.5, 0.6, c=2.0) == 2.0 * (16 ** 0.25 - 1.0) * 16 ** -0.6
     assert bound_probability(10, 0.5, 0.6) == 1.0 - 10 ** -0.1
     assert bound_probability(10, 0.5, 0.4) == 0.0  # clamped
     assert bound_probability(10, 0.5, 50.0) == 1.0 - 10 ** -49.5
@@ -197,14 +196,6 @@ def test_tensor_experiment_eta_sweep():
         run_tensor_gram_experiment(2, model, 5, eta=1.0)
     with pytest.raises(ConfigInvalid):
         run_tensor_gram_experiment(6, model, 5, eta=-1.0)
-
-
-def test_tensor_experiment_explicit_base():
-    model = RandomModel("gaussian", "real", 6)
-    base = Tensor3(np.ones((5, 5, 5)))
-    report = run_tensor_gram_experiment(5, model, 10, eta=0.5, base=base)
-    assert len(report.records) == 10
-    assert report.target == tensor_gap_target(5, BETA_EXPERIMENT)
 
 
 def test_survival_curve_monotone():

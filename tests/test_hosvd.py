@@ -166,7 +166,7 @@ def test_compare_cores_overflowing_budget_is_infinite():
     # 5e78, as does the budget thr^2/2) though eps ** 2 would overflow, and
     # eps = 1e90 over a delta of 1e-170 overflows it to inf.  Neither may
     # raise, and each slack must solve the law of cosines for the finite budget
-    a = Tensor3(sample_tensor((4, 4, 4), RandomModel("gaussian", "real", 53)).data * 1e80, "real")
+    a = Tensor3(sample_tensor((4, 4, 4), RandomModel("gaussian", "real", 53)).data * 1e80)
     b = apply_action(sample_haar_triple((4, 4, 4), 54, "real"), a)
     with np.errstate(over="ignore"):  # the Gram norms of the backward errors overflow
         ca, cb = core_of(a, b)

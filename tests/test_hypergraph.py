@@ -130,7 +130,7 @@ def test_sparse_pair_is_decided_only_after_centring():
     def plus_minus_one(x):
         arr = np.full(sizes, -1.0)
         arr.flat[x.edge_index] = 1.0
-        return Tensor3(arr, "real")
+        return Tensor3(arr)
 
     # the +-1 encoding's rank-one spike sets a degeneracy floor above the bulk gaps
     raw = decide_isomorphism(plus_minus_one(g), plus_minus_one(h))

@@ -43,7 +43,7 @@ def test_binary_layout_frozen_real():
 
 
 def test_binary_layout_frozen_complex():
-    a = Tensor3(np.array([[[1.0 + 2.0j, -3.0 - 4.0j]]]), "complex")
+    a = Tensor3(np.array([[[1.0 + 2.0j, -3.0 - 4.0j]]]))
     want = (b"T3B1" + bytes([1]) + struct.pack("<III", 1, 1, 2)
             + struct.pack("<dddd", 1.0, 2.0, -3.0, -4.0))
     assert tensor_to_bytes(a) == want
@@ -160,7 +160,7 @@ def test_reader_sniffs_any_stream(tmp_path, source):
 
 def test_json_document_shape(tmp_path):
     path = tmp_path / "t.json"
-    a = Tensor3(np.array([[[1.0 + 2.0j, -3.0 + 0.5j]]]), "complex")
+    a = Tensor3(np.array([[[1.0 + 2.0j, -3.0 + 0.5j]]]))
     write_tensor_json(a, path)
     obj = json.loads(path.read_text())
     assert list(obj) == ["dims", "entries", "format", "scalar_kind", "version"]  # sorted keys
@@ -207,7 +207,7 @@ def test_json_bytes_match_per_entry_form(tmp_path):
         if kind == "complex":
             vals = vals + 1j * np.concatenate([special[::-1], rng.standard_normal(60 - special.size)])
         path = tmp_path / f"{kind}.json"
-        a = Tensor3(vals.reshape(3, 4, 5), kind)
+        a = Tensor3(vals.reshape(3, 4, 5))
         write_tensor_json(a, path)
         head = '{"dims":[3,4,5],"entries":'
         tail = ',"format":"t3b-json","scalar_kind":"%s","version":1}\n' % kind
@@ -215,7 +215,7 @@ def test_json_bytes_match_per_entry_form(tmp_path):
         assert np.array_equal(read_tensor(path).data, a.data)
 
         factors = [vals[:9].reshape(3, 3), vals[9:25].reshape(4, 4), vals[25:50].reshape(5, 5)]
-        g = TransformTriple(factors, kind, check=False)
+        g = TransformTriple(factors, check=False)
         write_witness_json(g, path)
         head = '{"dims":[3,4,5],"factors":['
         tail = '],"format":"witness-json","scalar_kind":"%s","version":1}\n' % kind

@@ -416,7 +416,7 @@ def test_conjugate_pairs_are_no_with_a_violated_four_cycle(n, seed):
     # their phases are inconsistent: the decision names one 4-cycle through
     # the anchor whose angle exceeds the sum of its four slacks
     a = sample_tensor((n, n, n), RandomModel("gaussian", "complex", seed))
-    b = Tensor3(a.data.conj(), "complex")
+    b = Tensor3(a.data.conj())
     diag = decide_isomorphism(a, b).diagnostics
     assert (diag["step"], diag["solver_path"], diag["certificate_size"]) == ("phase_system", "cycle", 4)
     keys = [tuple(key) for key in diag["certificate"]]

@@ -15,7 +15,6 @@ from otiso import (
     NonFiniteEntries,
     NotUnitary,
     RandomModel,
-    ScalarKindMismatch,
     Tensor3,
     TransformTriple,
     apply_action,
@@ -47,7 +46,7 @@ def naive_action(L, R, T, a):
 
 def test_identity_action_is_exact():
     a = sample_tensor((3, 4, 2), RandomModel("gaussian", "real", 1))
-    b = apply_action(identity_triple(a.dims, "real"), a)
+    b = apply_action(identity_triple(a.dims), a)
     assert np.array_equal(b.data, a.data)
 
 
@@ -60,7 +59,7 @@ def test_zero_tensor_maps_to_zero():
 def test_permutation_action_matches_naive_oracle():
     a = sample_tensor((3, 2, 2), RandomModel("gaussian", "real", 3))
     P = np.eye(3)[[2, 0, 1]]  # sigma: 0->row2 position etc.
-    g = TransformTriple([P, np.eye(2), np.eye(2)], "real")
+    g = TransformTriple([P, np.eye(2), np.eye(2)])
     got = apply_action(g, a).data
     want = naive_action(P, np.eye(2), np.eye(2), a.data)
     assert np.allclose(got, want, rtol=0, atol=1e-13)
@@ -99,7 +98,7 @@ def test_action_validates_dims_and_kind(dims, tensor_kind, seed):
     # complex, within a few ulps of the action with both cast to complex first
     g = sample_haar_triple(dims, seed + 1, "complex" if tensor_kind == "real" else "real")
     got = apply_action(g, a)
-    want = apply_action(TransformTriple(g.factors, "complex", check=False), Tensor3(a.data, "complex"))
+    want = apply_action(TransformTriple([f.astype(complex) for f in g.factors], check=False), Tensor3(a.data.astype(complex)))
     assert got.scalar_kind == "complex"
     assert got.data.flags["C_CONTIGUOUS"] and not got.data.flags["WRITEABLE"]
     assert np.max(np.abs(got.data - want.data)) <= 8 * np.finfo(float).eps * a.frobenius_norm
@@ -157,7 +156,7 @@ def test_flatten_diagonal_rows_single_nonzero():
 def test_flatten_intertwines_left_factor():
     a = sample_tensor((3, 3, 3), RandomModel("gaussian", "real", 11))
     L = sample_haar_triple((3, 3, 3), 12, "real")[0]
-    g = TransformTriple([L, np.eye(3), np.eye(3)], "real")
+    g = TransformTriple([L, np.eye(3), np.eye(3)])
     lhs = flatten(apply_action(g, a), 1)
     rhs = L @ flatten(a, 1)
     assert np.allclose(lhs, rhs, rtol=0, atol=1e-12 * a.frobenius_norm)
@@ -278,8 +277,6 @@ def test_tensor3_validation():
         Tensor3(np.array([[[np.nan]]]))
     with pytest.raises(DimensionMismatch):
         Tensor3(np.zeros((2, 2)))
-    with pytest.raises(ScalarKindMismatch):
-        Tensor3(np.ones((2, 2, 2), dtype=np.complex128), "real")
 
 
 @given(
@@ -305,14 +302,14 @@ def test_finiteness_and_norm_follow_the_entries(tmp_path_factory, dims, kind, ma
     path.write_bytes(b"T3B1" + struct.pack("<BIII", int(kind == "complex"), *dims) + x.tobytes())
     if not finite:
         with pytest.raises(NonFiniteEntries):
-            Tensor3(x, kind)
+            Tensor3(x)
         with pytest.raises(NonFiniteEntries):
             Tensor3._adopt(x.copy())
         with pytest.raises(FormatError):
             read_tensor(path)
         return
     adopted = x.copy()
-    public, own, read = Tensor3(x, kind), Tensor3._adopt(adopted), read_tensor(path)
+    public, own, read = Tensor3(x), Tensor3._adopt(adopted), read_tensor(path)
     assert not np.shares_memory(public.data, x) and own.data is adopted and read.data.flags["OWNDATA"]
     for t in (public, own, read):
         assert t.frobenius_norm == norm
@@ -332,7 +329,7 @@ def test_tensors_that_compare_equal_hash_equal(kind):
     # -0.0 == 0.0, so a signed zero in any part must not change the hash
     zero = np.zeros((1, 1, 2), dtype=np.float64 if kind == "real" else np.complex128)
     signed = [[[0.0, -0.0]]] if kind == "real" else [[[complex(-0.0, 0.0), complex(0.0, -0.0)]]]
-    a, b = Tensor3(signed, kind), Tensor3(zero, kind)
+    a, b = Tensor3(signed), Tensor3(zero)
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
 
 
@@ -409,6 +406,6 @@ def test_package_built_triples_adopt_their_matrices(monkeypatch, kind):
             assert h is f and h.flags["C_CONTIGUOUS"] and not h.flags["WRITEABLE"]
     for core, (_, inverse) in zip((ca, cb), adopted):
         for U, h in zip(core.bases, inverse.factors):
-            assert np.array_equal(h, TransformTriple([U.conj().T] * 3, kind, check=False)[0])
+            assert np.array_equal(h, TransformTriple([U.conj().T] * 3, check=False)[0])
     for U, V, d, h in zip(ca.bases, cb.bases, diagonals, witness.factors):
         assert np.array_equal(h, (V * d) @ U.conj().T)
