@@ -115,7 +115,7 @@ def _cmd_gaps(args) -> int:
         "prob_ge_target": report.prob_ge_target,
         "simple_freq": report.simple_freq,
         "degenerate": report.degenerate,
-        "median_min_gap": float(np.median(gaps)) if gaps else None,
+        "median_min_gap": float(np.median(gaps)),  # an experiment runs at least one trial
     }
     _emit(
         args,

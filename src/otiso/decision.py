@@ -103,9 +103,10 @@ def _validate_pair(a: Tensor3, b: Tensor3):
         raise ScalarKindMismatch(f"tensor kinds differ: {a.scalar_kind} vs {b.scalar_kind}")
 
 
-def _tied_mode(core: CoreTensor):
-    """``(mode, min_gap)`` of the first spectrum that is not simple (its eigenbasis is not pinned), else None."""
-    return next(((d + 1, float(s.min_gap)) for d, s in enumerate(core.spectra) if not s.simple), None)
+def _tied_mode(core: CoreTensor) -> dict | None:
+    """``failed_mode`` and ``failed_gap`` of the first spectrum that is not simple (its eigenbasis is not pinned), else None."""
+    return next(({"failed_mode": d + 1, "failed_gap": float(s.min_gap)}
+                 for d, s in enumerate(core.spectra) if not s.simple), None)
 
 
 def _gap(core: CoreTensor) -> float:
@@ -127,7 +128,9 @@ def _decide(a: Tensor3, b: Tensor3, eps: float | None) -> Decision:
     needs all six spectra simple and equal; gapped mode needs A's spectra
     simple and B's gaps at least ``delta/2``.  A spectrum that is not
     simple gives cannot_decide at ``gap_policy``; in exact mode only once the
-    spectra match, since a mismatch is already a sound NO.
+    spectra match, since a mismatch is already a sound NO.  Every verdict but
+    YES leaves through ``stop``, which records its ``step`` and the
+    quantities that decided it.
     """
     _validate_pair(a, b)
     exact = eps is None
@@ -149,8 +152,13 @@ def _decide(a: Tensor3, b: Tensor3, eps: float | None) -> Decision:
     gate = None
     if exact:
         diag["dims"] = list(a.dims)
-        gate = EXACT_RESIDUAL_REL_FLOOR * max(norm_a, _TINY)
-        diag["residual_gate"] = gate
+        diag["residual_gate"] = gate = EXACT_RESIDUAL_REL_FLOOR * max(norm_a, _TINY)
+
+    def stop(verdict, step, witness=None, residual=None, **found) -> Decision:
+        diag["step"] = step
+        diag.update(found)
+        return Decision(verdict, witness, residual, gate, diag)
+
     # The action preserves the Frobenius norm, so a gap of 2 eps beyond the
     # norms' rounding is a sound NO in both modes; in exact mode that is about
     # 4x the YES gate.  A norm of N squares (two per complex entry), with its
@@ -160,11 +168,7 @@ def _decide(a: Tensor3, b: Tensor3, eps: float | None) -> Decision:
     nu = (a.data.nbytes // 8 + 1) * 2.0 ** -53
     rounding = nu / (1.0 - nu) * k_norm
     if norm_gap - rounding >= 2.0 * eps:
-        diag["step"] = "norm"
-        diag["norm_gap"] = norm_gap
-        diag["norm_threshold"] = 2.0 * eps
-        diag["norm_rounding"] = rounding
-        return Decision("no", None, None, gate, diag)
+        return stop("no", "norm", norm_gap=norm_gap, norm_threshold=2.0 * eps, norm_rounding=rounding)
 
     # one stacked pass for both tensors; gapped mode screens B's gaps below
     ca, cb = core_of(a, b)
@@ -178,45 +182,28 @@ def _decide(a: Tensor3, b: Tensor3, eps: float | None) -> Decision:
             scale = max(ga.top, gb.top, _TINY)
             tol = TAU_SPECTRA_REL * scale
             if not spectra_close(ga, gb, tol):
-                diag["step"] = "spectra"
-                diag["failed_mode"] = d + 1
-                diag["spectra_tolerance"] = tol
-                return Decision("no", None, None, gate, diag)
-    tied = _tied_mode(ca)
-    if exact and tied is None:
-        tied = _tied_mode(cb)
-    if tied is not None:
-        diag["step"] = "gap_policy"
-        diag["failed_mode"], diag["failed_gap"] = tied
-        return Decision("cannot_decide", None, None, gate, diag)
+                return stop("no", "spectra", failed_mode=d + 1, spectra_tolerance=tol)
+    tied = _tied_mode(ca) or (_tied_mode(cb) if exact else None)
+    if tied:
+        return stop("cannot_decide", "gap_policy", **tied)
 
     delta = min(_gap(ca), _gap(cb)) if exact else _gap(ca)
     diag["delta"] = delta
     if not exact:
         if not (eps < delta / (4.0 * max(k_norm, _TINY))):
             raise EpsOutOfRange(f"eps={eps} not below delta/(4(|A|+|B|))={delta / (4.0 * max(k_norm, _TINY)):.3e}")
-        gate = C_GAMMA * (n ** 3.5) * (norm_a ** 2) * eps / delta
-        diag["gamma_bound_spectral_form"] = gate
-        diag["gamma_bound_dimension_form"] = C_GAMMA * (n ** 8) * eps
+        diag["residual_gate"] = gate = C_GAMMA * (n ** 3.5) * (norm_a ** 2) * eps / delta
         # B's spectra are screened against delta/2, not for strict simplicity.
         for d, s in enumerate(cb.spectra):
             if s.min_gap < delta / 2.0:
-                diag["step"] = "gap_b"
-                diag["failed_mode"] = d + 1
-                diag["failed_gap"] = float(s.min_gap)
-                return Decision("no", None, None, gate, diag)
+                return stop("no", "gap_b", failed_mode=d + 1, failed_gap=float(s.min_gap))
 
-    thr = 2.0 * eps * (n ** 2) * k_norm / delta
+    diag["threshold_modulus"] = thr = 2.0 * eps * (n ** 2) * k_norm / delta
     cmp = compare_cores(ca, cb, thr)
     if isinstance(cmp, RejectFar):
-        diag["step"] = "modulus"
-        diag["reject_entry"] = list(cmp.entry)
-        diag["reject_threshold"] = thr
-        return Decision("no", None, None, gate, diag)
+        return stop("no", "modulus", reject_entry=list(cmp.entry))
     targets = cmp.phase_targets
     diag["phase_targets"] = count = len(targets)
-    diag["threshold_modulus"] = thr
-    diag["support_ok"] = cmp.support_ok
 
     try:
         if not count:
@@ -224,17 +211,12 @@ def _decide(a: Tensor3, b: Tensor3, eps: float | None) -> Decision:
         else:
             assignment = (solve_phases if a.scalar_kind == "complex" else solve_signs)(targets)
     except Infeasible as exc:
-        diag["solver_path"] = exc.solver_path
-        diag["step"] = "phase_system"
-        diag["certificate_size"] = len(exc.certificate)
-        diag["certificate"] = [list(key) for key in exc.certificate]
-        return Decision("no", None, None, gate, diag)
+        return stop("no", "phase_system", solver_path=exc.solver_path,
+                    certificate=[list(key) for key in exc.certificate])
     except ConvergenceFailure:
         # the synchronization missed a target and no 4-cycle is violated:
         # neither a witness nor a certificate, so no answer
-        diag["solver_path"] = "synchronization"
-        diag["step"] = "phase_uncertified"
-        return Decision("cannot_decide", None, None, gate, diag)
+        return stop("cannot_decide", "phase_uncertified", solver_path="synchronization")
     diag["solver_path"] = assignment.solver_path
 
     witness = assemble_witness(ca, cb, assignment)
@@ -249,8 +231,7 @@ def _decide(a: Tensor3, b: Tensor3, eps: float | None) -> Decision:
     # some per-mode angle unpinned beyond the gauge, so the solver's guess
     # there was never evidence.
     unpinned = incidence_rank(targets) < sum(a.dims) - 2
-    diag["step"] = "underdetermined" if unpinned else "witness_verification"
-    return Decision("cannot_decide", witness, report.residual, gate, diag)
+    return stop("cannot_decide", "underdetermined" if unpinned else "witness_verification", witness, report.residual)
 
 
 def decide_isomorphism(a: Tensor3, b: Tensor3) -> Decision:

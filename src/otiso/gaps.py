@@ -142,18 +142,13 @@ def survival_curve(records, thresholds):
 
 
 def _aggregate(records, target, bound_prob, degenerate, meta) -> GapReport:
-    if records:
-        prob = float(np.mean([r.min_gap >= target for r in records]))
-        freq = float(np.mean([r.simple for r in records]))
-    else:
-        prob = 0.0
-        freq = 0.0
+    """The report on at least one trial record (both experiments refuse ``trials < 1``)."""
     return GapReport(
         records=tuple(records),
         target=float(target),
         bound_prob=float(bound_prob),
-        prob_ge_target=prob,
-        simple_freq=freq,
+        prob_ge_target=float(np.mean([r.min_gap >= target for r in records])),
+        simple_freq=float(np.mean([r.simple for r in records])),
         degenerate=degenerate,
         meta=meta,
     )

@@ -62,9 +62,8 @@ class PhaseTargets:
 
 @dataclass(frozen=True)
 class CoreComparison:
-    """Outcome of the entrywise modulus/support screen on two cores."""
+    """Outcome of the entrywise modulus screen on two cores: the phase targets it leaves."""
 
-    support_ok: bool
     phase_targets: PhaseTargets
 
 
@@ -119,6 +118,7 @@ def compare_cores(sa: CoreTensor, sb: CoreTensor, thr: float):
     apart.  Entries whose combined modulus clears ``thr`` get a phase target
     whose slack is the largest angle that keeps the entry within the budget
     ``thr^2/2``; a slack of zero marks a constraint nothing can satisfy.
+    A :class:`CoreComparison` carries these targets and nothing else.
     """
     if sa.dims != sb.dims:
         raise DimensionMismatch(f"core dims differ: {sa.dims} vs {sb.dims}")
@@ -139,9 +139,8 @@ def compare_cores(sa: CoreTensor, sb: CoreTensor, thr: float):
     total = mod_a + mod_b
     on = total > thr
     if not on.any():
-        # No target: phi and slack would never be read, and every modulus is
-        # at most thr, so the supports agree.
-        return CoreComparison(support_ok=True, phase_targets=PhaseTargets(*(np.zeros(A.shape) for _ in range(3))))
+        # No target: phi and slack would never be read.
+        return CoreComparison(PhaseTargets(*(np.zeros(A.shape) for _ in range(3))))
 
     # Law of cosines in half-angle form: the slack is the largest angular
     # deviation s with (ma - mb)^2 + 4 ma mb sin^2(s/2) <= budget = thr^2/2.
@@ -162,7 +161,4 @@ def compare_cores(sa: CoreTensor, sb: CoreTensor, thr: float):
     if prod.dtype.kind == "c":
         prod.imag = B.imag * A.real - B.real * A.imag
     phi = np.where(mod_a > 0.0, np.arctan2(prod.imag, prod.real), 0.0)  # np.angle(prod), bit for bit
-    return CoreComparison(
-        support_ok=bool(((mod_a > thr) == (mod_b > thr)).all()),
-        phase_targets=PhaseTargets(phi, slack, np.where(on, total, 0.0)),
-    )
+    return CoreComparison(PhaseTargets(phi, slack, np.where(on, total, 0.0)))

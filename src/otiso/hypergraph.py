@@ -23,6 +23,8 @@ from .tensor import Tensor3, generator
 from .spectral import eig_hermitian  # noqa: F401
 from .tensor import gram  # noqa: F401
 
+_INT64_MAX = 2**63 - 1  # np.iinfo(np.int64).max, without its two wrapper calls
+
 
 @dataclass(frozen=True, eq=False)
 class TripartiteHypergraph:
@@ -33,7 +35,7 @@ class TripartiteHypergraph:
 
     def __init__(self, part_sizes, edges):
         sizes = tuple(int(s) for s in part_sizes)
-        if len(sizes) != 3 or any(s < 1 for s in sizes) or math.prod(sizes) > np.iinfo(np.int64).max:
+        if len(sizes) != 3 or any(s < 1 for s in sizes) or math.prod(sizes) > _INT64_MAX:
             raise DimensionMismatch(f"part sizes must be three positive integers, got {part_sizes!r}")
         try:
             coords = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
@@ -42,7 +44,7 @@ class TripartiteHypergraph:
         coords = coords.reshape(0, 3) if coords.size == 0 else coords
         if coords.ndim != 2 or coords.shape[1] != 3:
             raise FormatError(f"edges must be (i, j, k) triples, got an array of shape {coords.shape}")
-        bad = ((coords < 0) | (coords >= sizes)).any(axis=1).nonzero()[0]
+        bad = np.logical_or.reduce((coords < 0) | (coords >= sizes), axis=1).nonzero()[0]
         if bad.size:
             raise FormatError(f"edge {tuple(coords[bad[0]].tolist())} out of range for part sizes {sizes}")
         index = np.ravel_multi_index(tuple(coords.T), sizes)
@@ -135,7 +137,10 @@ def random_perm_triple(part_sizes, seed: int, *, stream=()) -> PermTriple:
 def _sorted_degrees(g: TripartiteHypergraph) -> list[np.ndarray]:
     """Each part's vertex degrees, sorted: relabelling a part permutes its degrees."""
     coords = np.unravel_index(g.edge_index, g.part_sizes)
-    return [np.sort(np.bincount(c, minlength=size)) for c, size in zip(coords, g.part_sizes)]
+    degrees = [np.bincount(c, minlength=size) for c, size in zip(coords, g.part_sizes)]
+    for deg in degrees:
+        deg.sort()  # in place on the fresh count: np.sort would copy it, through a dispatcher
+    return degrees
 
 
 def decide_hypergraph_iso(g: TripartiteHypergraph, h: TripartiteHypergraph) -> HypergraphDecision:
@@ -149,7 +154,7 @@ def decide_hypergraph_iso(g: TripartiteHypergraph, h: TripartiteHypergraph) -> H
     if g.part_sizes != h.part_sizes:
         raise DimensionMismatch(f"part sizes differ: {g.part_sizes} vs {h.part_sizes}")
     for d, (dg, dh) in enumerate(zip(_sorted_degrees(g), _sorted_degrees(h))):
-        if not np.array_equal(dg, dh):
+        if dg.tobytes() != dh.tobytes():  # equal lengths (the part sizes) and dtype
             return HypergraphDecision("no", None, {"step": "degrees", "failed_part": d + 1,
                                                    "edge_counts": [g.edge_count, h.edge_count]})
     dec = decide_isomorphism(adjacency_tensor(g), adjacency_tensor(h))
@@ -160,7 +165,7 @@ def decide_hypergraph_iso(g: TripartiteHypergraph, h: TripartiteHypergraph) -> H
     perms = [np.abs(w).argmax(axis=0).tolist() for w in dec.witness.factors]
     if all(len(set(p)) == len(p) for p in perms):
         pt = PermTriple(perms)
-        if np.array_equal(relabel(g, pt).edge_index, h.edge_index):
+        if relabel(g, pt).edge_index.tobytes() == h.edge_index.tobytes():  # equal edge counts, as the degrees are
             diag["step"] = "verified"
             return HypergraphDecision("yes", pt, diag)
     diag["step"] = "edge_verification"

@@ -127,7 +127,7 @@ def test_conjugate_pair_is_a_cycle_certified_no_without_scipy(tmp_path):
     report, scipy_loaded = proc.stdout.splitlines()
     diagnostics = json.loads(report)["diagnostics"]
     assert diagnostics["step"] == "phase_system" and diagnostics["solver_path"] == "cycle"
-    assert diagnostics["certificate_size"] == len(diagnostics["certificate"]) == 4
+    assert len(diagnostics["certificate"]) == 4
     assert scipy_loaded == "False"
 
 
@@ -421,7 +421,7 @@ def test_verify_tol_must_be_finite_and_non_negative(tmp_path, capsys, tol):
 
 # Calls into numpy's Python-level functions per op, measured with numpy
 # 2.4.6; a numpy upgrade that moves its wrappers re-baselines them.
-WRAPPER_BUDGET = {"real": 67, "complex": 67, "norm": 6, "hyper": 128}
+WRAPPER_BUDGET = {"real": 66, "complex": 66, "norm": 6, "hyper": 94}
 
 
 @pytest.mark.parametrize("op", sorted(WRAPPER_BUDGET))

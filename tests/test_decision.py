@@ -9,8 +9,10 @@ from hypothesis import example, given, strategies as st
 
 from otiso import (
     ConfigInvalid,
+    ConvergenceFailure,
     DimensionMismatch,
     EpsOutOfRange,
+    Infeasible,
     RandomModel,
     ScalarKindMismatch,
     Tensor3,
@@ -24,7 +26,7 @@ from otiso import (
 )
 from otiso.cli import main
 from otiso.decision import _gap
-from otiso.hosvd import PhaseTargets, core_of
+from otiso.hosvd import PhaseTargets, RejectFar, core_of
 from otiso.io import write_tensor
 from otiso.tensor import TAU_UNITARY_REL
 
@@ -175,8 +177,7 @@ def test_gapped_yes_on_small_perturbation():
     assert d.verdict == "yes"
     assert d.witness is not None
     assert d.residual <= d.gamma_bound
-    assert d.diagnostics["gamma_bound_spectral_form"] == d.gamma_bound
-    assert d.diagnostics["gamma_bound_dimension_form"] == 8.0 * n ** 8 * eps
+    assert d.diagnostics["residual_gate"] == d.gamma_bound
 
 
 def test_gapped_no_on_norm_mismatch():
@@ -510,3 +511,90 @@ def test_non_unitary_candidate_is_cannot_decide(monkeypatch):
     assert d.verdict == "cannot_decide"
     assert d.diagnostics["step"] == "witness_verification"
     assert d.diagnostics["unitarity_defects"][0] > TAU_UNITARY_REL * 5
+
+
+# The diagnostics each exit of the spine reports.  Exact mode adds "dims"
+# and "residual_gate" to every exit; every exit but YES adds "step".
+SHARED_KEYS = {"mode", "n", "scalar_kind", "eps", "norm_a", "norm_b"}
+CORE_KEYS = {"spectra_a", "spectra_b"}
+COMPARED_KEYS = CORE_KEYS | {"delta", "residual_gate", "threshold_modulus"}
+SOLVED_KEYS = COMPARED_KEYS | {"phase_targets", "solver_path"}
+VERIFIED_KEYS = SOLVED_KEYS | {"residual_recomputed", "unitarity_defects"}
+EXIT_KEYS = {
+    "yes": VERIFIED_KEYS,
+    "norm": {"norm_gap", "norm_threshold", "norm_rounding"},
+    "spectra": CORE_KEYS | {"failed_mode", "spectra_tolerance"},
+    "gap_policy": CORE_KEYS | {"failed_mode", "failed_gap"},
+    "gap_b": CORE_KEYS | {"delta", "residual_gate", "failed_mode", "failed_gap"},
+    "modulus": COMPARED_KEYS | {"reject_entry"},
+    "phase_system": SOLVED_KEYS | {"certificate"},
+    "phase_uncertified": SOLVED_KEYS,
+    "underdetermined": VERIFIED_KEYS,
+    "witness_verification": VERIFIED_KEYS,
+}
+EXIT_VERDICT = {"yes": "yes", "gap_policy": "cannot_decide", "phase_uncertified": "cannot_decide",
+                "underdetermined": "cannot_decide", "witness_verification": "cannot_decide"}
+
+
+def _raise(exc):
+    def solver(targets):
+        raise exc
+    return solver
+
+
+def _exit_pair(step, monkeypatch):
+    """A pair that leaves the spine at ``step`` (``yes`` for YES), with the eps to decide it at in gapped mode."""
+    import otiso.decision as decision
+
+    a, b, _ = orbit_pair((5, 5, 5), 95, "real")
+    # far inside the certified range, so that a wrong witness misses the gate
+    eps = 1e-6 * decide_isomorphism(a, b).diagnostics["delta"] / (8.0 * (a.frobenius_norm + b.frobenius_norm))
+    if step == "norm":
+        b = Tensor3(2.0 * a.data)
+    elif step == "spectra":
+        b = at_norm_of(a, sample_tensor((5, 5, 5), RandomModel("gaussian", "real", 96)))
+    elif step == "gap_policy":
+        a = b = Tensor3(np.ones((3, 3, 3)))
+    elif step == "gap_b":
+        b = Tensor3(np.diag(np.full(5, a.frobenius_norm / math.sqrt(5)))[:, :, None] * np.eye(5))
+    elif step == "modulus":
+        monkeypatch.setattr(decision, "compare_cores", lambda sa, sb, thr: RejectFar((0, 0, 0)))
+    elif step == "phase_system":
+        monkeypatch.setattr(decision, "solve_signs", _raise(Infeasible([(0, 0, 0)] * 4, None, "cycle")))
+    elif step == "phase_uncertified":
+        monkeypatch.setattr(decision, "solve_signs", _raise(ConvergenceFailure("missed a target")))
+    elif step == "underdetermined":
+        real_compare = decision.compare_cores
+
+        def no_targets(sa, sb, thr):
+            empty = PhaseTargets(*(np.zeros(sa.dims) for _ in range(3)))
+            return dataclasses.replace(real_compare(sa, sb, thr), phase_targets=empty)
+
+        monkeypatch.setattr(decision, "compare_cores", no_targets)
+    elif step == "witness_verification":
+        real_assemble = decision.assemble_witness
+
+        def skewed(sa, sb, assignment):
+            return real_assemble(dataclasses.replace(sa, bases=(1.01 * sa.bases[0], *sa.bases[1:])), sb, assignment)
+
+        monkeypatch.setattr(decision, "assemble_witness", skewed)
+    return a, b, eps
+
+
+# exact mode alone compares spectra, gapped mode alone screens B's gaps
+EXITS = [(step, gapped) for step in sorted(EXIT_KEYS) for gapped in (False, True)
+         if (step, gapped) not in {("spectra", True), ("gap_b", False)}]
+
+
+@pytest.mark.parametrize("step, gapped", EXITS, ids=[f"{s}-{'gapped' if g else 'exact'}" for s, g in EXITS])
+def test_each_exit_reports_its_exact_diagnostics_keys(step, gapped, monkeypatch):
+    # every exit names its step and the quantities that decided it, and no
+    # more; a key dropped or renamed on the way out fails here
+    a, b, eps = _exit_pair(step, monkeypatch)
+    d = decide_orbit_distance(a, b, eps) if gapped else decide_isomorphism(a, b)
+    want = SHARED_KEYS | EXIT_KEYS[step] | (set() if gapped else {"dims", "residual_gate"})
+    if step != "yes":
+        want |= {"step"}
+        assert d.diagnostics["step"] == step
+    assert d.verdict == EXIT_VERDICT.get(step, "no")
+    assert set(d.diagnostics) == want

@@ -35,3 +35,31 @@ def test_compare_lists_solver_path_transitions_with_their_ops(tmp_path, capsys):
     assert out[-1] == ("orbit-complex: 2 op(s) solver_path lstsq -> synchronization "
                        "(verdict cannot_decide -> cannot_decide): seed 11 orbit n=26 k=-6; seed 11 orbit n=44 k=-1")
     assert not any("op(s) step" in line for line in out)
+
+
+def test_compare_names_the_diagnostics_keys_added_removed_or_changed(tmp_path, capsys):
+    parent = [{"step": "modulus", "reject_threshold": 0.5, "support_ok": True},
+              {"step": "norm", "norm_gap": 1.0},
+              {"step": "yes", "gamma_bound_spectral_form": 2.0, "residual_recomputed": 1.0}]
+    change = [{"step": "modulus", "threshold_modulus": 0.5},
+              {"step": "norm", "norm_gap": 1.0},
+              {"step": "yes", "residual_gate": 2.0, "residual_recomputed": 3.0}]
+    paths = []
+    for side, diags in (("parent", parent), ("change", change)):
+        path = tmp_path / f"{side}.jsonl"
+        path.write_text("".join(json.dumps({**record(f"op {i}", "no", None, None),
+                                            "stdout": json.dumps({"verdict": "no", "diagnostics": diag})}) + "\n"
+                                for i, diag in enumerate(diags)))
+        paths.append(path)
+    assert load_tool().compare(*paths) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].split()[:5] == ["workload", "ops", "code", "verdict", "step"]
+    assert out[1].split()[:5] == ["orbit-complex", "3", "0", "0", "0"]
+    assert out[2:] == [
+        "orbit-complex: 1 op(s) diagnostics key gamma_bound_spectral_form removed",
+        "orbit-complex: 1 op(s) diagnostics key reject_threshold removed",
+        "orbit-complex: 1 op(s) diagnostics key residual_gate added",
+        "orbit-complex: 1 op(s) diagnostics key residual_recomputed changed",
+        "orbit-complex: 1 op(s) diagnostics key support_ok removed",
+        "orbit-complex: 1 op(s) diagnostics key threshold_modulus added",
+    ]

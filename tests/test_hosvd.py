@@ -74,7 +74,6 @@ def test_compare_identical_cores():
     thr = spine_threshold(1e-8, 4, 2 * a.frobenius_norm, ct.min_gap)
     cmp = compare_cores(ct, ct, thr)
     assert isinstance(cmp, CoreComparison)
-    assert cmp.support_ok
     assert len(cmp.phase_targets) > 0
     pt = cmp.phase_targets
     on = pt.weight > 0
@@ -135,7 +134,7 @@ def test_isomorphy_transfer_moduli_agree():
 @pytest.mark.parametrize("kind", ["real", "complex"])
 def test_no_target_comparison_matches_the_full_screen(kind):
     # at a threshold no combined modulus clears, compare_cores returns before
-    # phi and slack; its support_ok and all-zero weight are the full screen's
+    # phi and slack; its all-zero weight is the full screen's
     a = sample_tensor((5, 4, 3), RandomModel("gaussian", kind, 57))
     ca, cb = core_of(a, apply_action(sample_haar_triple((5, 4, 3), 58, kind), a))
     mod_a, mod_b = np.abs(ca.core.data), np.abs(cb.core.data)
@@ -143,7 +142,6 @@ def test_no_target_comparison_matches_the_full_screen(kind):
     for thr in (float(np.max(total)), 2.0 * float(np.max(total)), np.inf):
         cmp = compare_cores(ca, cb, thr)
         assert isinstance(cmp, CoreComparison) and len(cmp.phase_targets) == 0
-        assert cmp.support_ok == bool(np.array_equal(mod_a > thr, mod_b > thr))
         assert np.array_equal(cmp.phase_targets.weight, np.where(total > thr, total, 0.0))
         assert all(g.shape == ca.dims for g in (cmp.phase_targets.phi, cmp.phase_targets.slack))
 

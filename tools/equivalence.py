@@ -17,9 +17,10 @@ replaced by ``$WORK``, so runs of two source trees compare with ``diff``.
 
 reads two such runs and prints, per workload, how many ops differ in exit
 code, verdict, ``step``, the other diagnostics, stdout bytes, witness values
-and CSV bytes, then every ``step`` and every ``solver_path`` transition with
-the verdict it happened on and the ops (seed and label) that made it.  It
-exits 1 when any op differs, else 0.
+and CSV bytes; then each diagnostics key that was added, removed or changed,
+with the number of ops it happened on; then every ``step`` and every
+``solver_path`` transition with the verdict it happened on and the ops (seed
+and label) that made it.  It exits 1 when any op differs, else 0.
 """
 
 from __future__ import annotations
@@ -92,6 +93,17 @@ def _op_fields(rec: dict) -> dict:
             "csv": rec["csv_sha256"], "solver_path": diag.get("solver_path")}
 
 
+def _key_changes(was: dict, now: dict):
+    """``(key, how)`` for each diagnostics key that ``now`` added, removed or changed against ``was``."""
+    for key in sorted(was.keys() | now.keys()):
+        if key not in now:
+            yield key, "removed"
+        elif key not in was:
+            yield key, "added"
+        elif was[key] != now[key]:
+            yield key, "changed"
+
+
 def _read_jsonl(path: Path) -> list:
     with open(path, encoding="utf-8") as fh:
         return [json.loads(line) for line in fh if line.strip()]
@@ -104,12 +116,14 @@ def compare(parent_path: Path, change_path: Path) -> int:
         print("error: the two runs hold different ops (workload, seed, label)", file=sys.stderr)
         return 2
     counts: dict = {}
+    keyed: dict = {}
     moves: dict = {}
     for p, c in zip(parent, change):
         fp, fc = _op_fields(p), _op_fields(c)
         row = counts.setdefault(p["workload"], Counter())
         row["ops"] += 1
         row.update(f for f in FIELDS if fp[f] != fc[f])
+        keyed.setdefault(p["workload"], Counter()).update(_key_changes(fp["diagnostics"], fc["diagnostics"]))
         for key in TRANSITIONS:
             if fp[key] != fc[key]:
                 move = (key, fp[key], fc[key], fp["verdict"], fc["verdict"])
@@ -118,6 +132,9 @@ def compare(parent_path: Path, change_path: Path) -> int:
     print(f"{'workload':<{width}} {'ops':>5} " + " ".join(f"{f:>14}" for f in FIELDS))
     for name, row in counts.items():
         print(f"{name:<{width}} {row['ops']:>5} " + " ".join(f"{row[f]:>14}" for f in FIELDS))
+    for name, by_key in keyed.items():
+        for (key, how), n in sorted(by_key.items()):
+            print(f"{name}: {n} op(s) diagnostics key {key} {how}")
     for name, by_move in moves.items():
         for (key, was, now, vp, vc), ops in sorted(by_move.items(), key=str):
             print(f"{name}: {len(ops)} op(s) {key} {was} -> {now} (verdict {vp} -> {vc}): {'; '.join(ops)}")
