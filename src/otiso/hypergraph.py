@@ -17,7 +17,7 @@ import numpy as np
 
 from .decision import decide_isomorphism
 from .errors import DimensionMismatch, FormatError
-from .tensor import Tensor3, generator
+from .tensor import Tensor3
 
 # Not called here: bench/spans.py wraps these names on this module.
 from .spectral import eig_hermitian  # noqa: F401
@@ -44,14 +44,25 @@ class TripartiteHypergraph:
         coords = coords.reshape(0, 3) if coords.size == 0 else coords
         if coords.ndim != 2 or coords.shape[1] != 3:
             raise FormatError(f"edges must be (i, j, k) triples, got an array of shape {coords.shape}")
-        bad = np.logical_or.reduce((coords < 0) | (coords >= sizes), axis=1).nonzero()[0]
-        if bad.size:
-            raise FormatError(f"edge {tuple(coords[bad[0]].tolist())} out of range for part sizes {sizes}")
-        index = np.ravel_multi_index(tuple(coords.T), sizes)
+        try:
+            index = np.ravel_multi_index(tuple(coords.T), sizes)  # its one bounds check
+        except ValueError:
+            bad = np.logical_or.reduce((coords < 0) | (coords >= sizes), axis=1).nonzero()[0][0]
+            raise FormatError(f"edge {tuple(coords[bad].tolist())} out of range for part sizes {sizes}") from None
         index.sort()
         dup = (index[1:] == index[:-1]).nonzero()[0]
         if dup.size:
             raise FormatError(f"duplicate edge {tuple(int(v) for v in np.unravel_index(index[dup[0]], sizes))}")
+        self._own(sizes, index)
+
+    @classmethod
+    def _adopt(cls, sizes: tuple[int, int, int], index: np.ndarray) -> "TripartiteHypergraph":
+        """Wrap ``index`` itself, made read-only: only a sorted, unique, in-range int64 array the package just built."""
+        g = cls.__new__(cls)
+        g._own(sizes, index)
+        return g
+
+    def _own(self, sizes: tuple[int, int, int], index: np.ndarray) -> None:
         index.setflags(write=False)
         object.__setattr__(self, "part_sizes", sizes)
         object.__setattr__(self, "edge_index", index)
@@ -119,19 +130,10 @@ def relabel(g: TripartiteHypergraph, pt: PermTriple) -> TripartiteHypergraph:
     if tuple(map(len, pt.perms)) != g.part_sizes:
         raise DimensionMismatch(f"permutation lengths {tuple(map(len, pt.perms))} do not match parts {g.part_sizes}")
     coords = np.unravel_index(g.edge_index, g.part_sizes)
-    return TripartiteHypergraph(g.part_sizes, np.column_stack([np.asarray(p)[c] for p, c in zip(pt.perms, coords)]))
-
-
-def random_hypergraph(part_sizes, seed: int, edge_prob: float = 0.5, *, stream=()) -> TripartiteHypergraph:
-    """Each potential edge included independently with probability edge_prob."""
-    sizes = tuple(int(s) for s in part_sizes)
-    rng = generator(seed, *stream)
-    return TripartiteHypergraph(sizes, np.argwhere(rng.random(sizes) < edge_prob))
-
-
-def random_perm_triple(part_sizes, seed: int, *, stream=()) -> PermTriple:
-    rng = generator(seed, *stream)
-    return PermTriple(tuple(tuple(int(v) for v in rng.permutation(s)) for s in part_sizes))
+    index = np.ravel_multi_index(tuple(np.asarray(p)[c] for p, c in zip(pt.perms, coords)), g.part_sizes)
+    index.sort()
+    # permutations of a valid edge set stay in range and distinct: nothing to re-check
+    return TripartiteHypergraph._adopt(g.part_sizes, index)
 
 
 def _sorted_degrees(g: TripartiteHypergraph) -> list[np.ndarray]:
@@ -189,17 +191,16 @@ def parse_hypergraph(text: str) -> TripartiteHypergraph:
         sizes = tuple(int(v) for v in head)
     except ValueError as exc:
         raise FormatError(f"non-integer part size in {header!r}") from exc
+    body = lines[pos + 1:]
+    if not any(map(str.strip, body)):  # loadtxt skips the same blank and whitespace-only lines
+        return TripartiteHypergraph(sizes, ())
     try:
         with warnings.catch_warnings():
             # numpy 1.x reads an int64 field such as '1.5' through float, with only a DeprecationWarning
             warnings.simplefilter("error", DeprecationWarning)
-            # loadtxt skips blank and whitespace-only lines; a body of only those holds no edge
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            edges = np.loadtxt(lines[pos + 1:], dtype=np.int64, ndmin=2, comments=None)
+            edges = np.loadtxt(body, dtype=np.int64, ndmin=2, comments=None)
     except (ValueError, OverflowError, DeprecationWarning) as exc:
         raise FormatError(f"edge lines must hold three integer indices: {exc}") from exc
-    if not edges.size:
-        edges = edges.reshape(0, 3)
     if edges.shape[1] != 3:
         raise FormatError(f"edge lines must have three indices, got {edges.shape[1]}")
     return TripartiteHypergraph(sizes, edges - 1)
@@ -213,11 +214,12 @@ def format_hypergraph(g: TripartiteHypergraph) -> str:
 
 
 def read_hypergraph(path) -> TripartiteHypergraph:
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"non-ASCII byte in hypergraph file {path}: {exc}") from exc
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"non-ASCII byte in hypergraph file {path}: {exc}") from exc
     return parse_hypergraph(text)
 
 

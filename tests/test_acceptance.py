@@ -30,12 +30,13 @@ from otiso import (
 )
 from otiso.gaps import gap_target, log_slope
 from otiso.hosvd import PhaseTargets
-from otiso.hypergraph import random_hypergraph, random_perm_triple
 from otiso.phases import solve_phases, solve_signs, wrap_angle
 from otiso.spectral import eig_hermitian
 from otiso.tensor import flatten, gram, unflatten
 from otiso.cli import main
 from otiso.gaps import BETA_CALIBRATED, PILOT_MEDIANS
+
+from helpers import random_hypergraph, random_perm_triple
 
 VERIFY_TOL = 1e-6
 

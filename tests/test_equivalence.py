@@ -63,3 +63,19 @@ def test_compare_names_the_diagnostics_keys_added_removed_or_changed(tmp_path, c
         "orbit-complex: 1 op(s) diagnostics key support_ok removed",
         "orbit-complex: 1 op(s) diagnostics key threshold_modulus added",
     ]
+
+
+def test_compare_counts_an_op_whose_stderr_alone_differs(tmp_path, capsys):
+    ops = [record(f"op {i}", "no", "norm", None) for i in range(3)]
+    paths = []
+    for side, message in (("parent", "error: edge (1, 1, 3) out of range\n"), ("change", "error: edge out of range\n")):
+        path = tmp_path / f"{side}.jsonl"
+        path.write_text("".join(json.dumps({**op, "stderr": message if i == 1 else ""}) + "\n"
+                                for i, op in enumerate(ops)))
+        paths.append(path)
+    tool = load_tool()
+    assert tool.compare(*paths) == 1
+    header, row = capsys.readouterr().out.splitlines()
+    assert dict(zip(header.split(), row.split())) == {"workload": "orbit-complex", "ops": "3",
+                                                      **{field: "1" if field == "stderr" else "0"
+                                                         for field in tool.FIELDS}}

@@ -23,14 +23,10 @@ from otiso import (
     sample_haar_triple,
     write_hypergraph,
 )
-from otiso.hypergraph import (
-    adjacency_tensor,
-    format_hypergraph,
-    parse_hypergraph,
-    random_hypergraph,
-    random_perm_triple,
-)
+from otiso.hypergraph import adjacency_tensor, format_hypergraph, parse_hypergraph
 from otiso.hypergraph import _sorted_degrees
+
+from helpers import random_hypergraph, random_perm_triple
 
 
 def test_adjacency_tensor_basics():
@@ -64,6 +60,19 @@ def test_hypergraph_validation():
         TripartiteHypergraph((2, 2, 2), [(0, 0, 0), (0, 0, 0)])  # duplicate
 
 
+@pytest.mark.parametrize("edges, bad", [
+    ([(0, 0, 0), (1, -1, 2)], (1, -1, 2)),  # negative
+    ([(0, 0, 0), (2, 0, 0)], (2, 0, 0)),  # equal to the part size
+    ([(1, 2, 2**40)], (1, 2, 2**40)),  # far beyond it
+    ([(0, 0, 0), (0, 5, 0), (1, 1, 1), (-3, 0, 0)], (0, 5, 0)),  # several bad rows, a later one negative
+    ([(0, 0, -1), (9, 0, 0)], (0, 0, -1)),
+])
+def test_out_of_range_edge_names_the_first_bad_row(edges, bad):
+    with pytest.raises(FormatError) as info:
+        TripartiteHypergraph((2, 3, 4), edges)
+    assert str(info.value) == f"edge {bad} out of range for part sizes (2, 3, 4)"
+
+
 def test_perm_triple_validation():
     PermTriple(((1, 0), (0, 1, 2), (2, 1, 0)))
     with pytest.raises(FormatError):
@@ -78,6 +87,30 @@ def test_relabel_round_trip():
     h = relabel(g, pt)
     assert h.edge_count == g.edge_count
     assert {pt.apply(e) for e in g.edges} == set(h.edges)
+
+
+@st.composite
+def relabel_cases(draw):
+    """Part sizes in [1, 8]^3, an edge set (empty ones included) and one permutation per part."""
+    sizes = draw(st.tuples(*(st.integers(1, 8) for _ in range(3))))
+    cells = sorted(draw(st.sets(st.integers(0, math.prod(sizes) - 1))))
+    perms = tuple(tuple(draw(st.permutations(range(s)))) for s in sizes)
+    return sizes, cells, perms
+
+
+@given(relabel_cases())
+@example(((1, 1, 1), [], ((0,), (0,), (0,))))
+@example(((1, 1, 1), [0], ((0,), (0,), (0,))))
+@example(((2, 3, 1), [], ((1, 0), (2, 0, 1), (0,))))
+def test_relabel_matches_the_validating_constructor(case):
+    sizes, cells, perms = case
+    g = TripartiteHypergraph(sizes, np.column_stack(np.unravel_index(np.array(cells, dtype=np.int64), sizes)))
+    h = relabel(g, PermTriple(perms))
+    coords = np.unravel_index(g.edge_index, sizes)
+    assert h == TripartiteHypergraph(sizes, np.column_stack([np.asarray(p)[c] for p, c in zip(perms, coords)]))
+    index = h.edge_index
+    assert h.part_sizes == sizes and index.dtype == np.int64 and not index.flags.writeable
+    assert np.all(index[1:] > index[:-1])  # sorted and unique
 
 
 def test_iso_identity_and_relabeled():
@@ -241,6 +274,17 @@ def test_text_format_round_trip(tmp_path):
     assert read_hypergraph(path) == g
 
 
+def test_non_ascii_byte_past_the_first_read_chunk_is_a_format_error(tmp_path):
+    g = random_hypergraph((20, 20, 20), seed=208)
+    data = format_hypergraph(g).encode("ascii")
+    assert len(data) > 8192
+    path = tmp_path / "g.txt"
+    path.write_bytes(data + "# caf\u00e9\n".encode("utf-8"))
+    with pytest.raises(FormatError) as info:
+        read_hypergraph(path)
+    assert f"byte 0xc3 in position {len(data) + 5}" in str(info.value)
+
+
 def test_parse_accepts_comments_and_blanks():
     text = "# tripartite\n2 2 2\n\n1 1 1\n# middle\n2 2 1\n"
     g = parse_hypergraph(text)
@@ -351,7 +395,7 @@ def hypergraph_documents(draw):
         if kind == "comment":
             lines.append(draw(st.sampled_from(["# c", "#", "  # indented", "#1 1 1"])))
         elif kind == "blank":
-            lines.append(draw(st.sampled_from(["", "   ", "\t"])))
+            lines.append(draw(st.sampled_from(["", "   ", "\t", " \x1f ", "\x0b"])))
         else:
             toks = [draw(st.sampled_from(SPELLINGS)).format(draw(st.integers(1, sizes[d % 3])))
                     for d in range(draw(st.sampled_from([2, 4])) if kind == "ragged" else 3)]

@@ -16,11 +16,12 @@ replaced by ``$WORK``, so runs of two source trees compare with ``diff``.
     python3 tools/equivalence.py --compare PARENT.jsonl CHANGE.jsonl
 
 reads two such runs and prints, per workload, how many ops differ in exit
-code, verdict, ``step``, the other diagnostics, stdout bytes, witness values
-and CSV bytes; then each diagnostics key that was added, removed or changed,
-with the number of ops it happened on; then every ``step`` and every
-``solver_path`` transition with the verdict it happened on and the ops (seed
-and label) that made it.  It exits 1 when any op differs, else 0.
+code, verdict, ``step``, the other diagnostics, stdout bytes, stderr text,
+witness values and CSV bytes; then each diagnostics key that was added,
+removed or changed, with the number of ops it happened on; then every
+``step`` and every ``solver_path`` transition with the verdict it happened on
+and the ops (seed and label) that made it.  It exits 1 when any op differs,
+else 0.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ def run_op(cli, op, work: Path) -> dict:
 
 
 # columns of the --compare table: what two runs of one op may differ in
-FIELDS = ("code", "verdict", "step", "diagnostics", "stdout", "witness_values", "csv")
+FIELDS = ("code", "verdict", "step", "diagnostics", "stdout", "stderr", "witness_values", "csv")
 # diagnostics whose every change --compare lists, with the ops it happened on
 TRANSITIONS = ("step", "solver_path")
 
@@ -89,8 +90,9 @@ def _op_fields(rec: dict) -> dict:
     report = _report(rec)
     diag = dict(report.get("diagnostics") or {})
     return {"code": rec["code"], "verdict": report.get("verdict"), "step": diag.pop("step", None),
-            "diagnostics": diag, "stdout": rec["stdout"], "witness_values": rec["witness_values_sha256"],
-            "csv": rec["csv_sha256"], "solver_path": diag.get("solver_path")}
+            "diagnostics": diag, "stdout": rec["stdout"], "stderr": rec["stderr"],
+            "witness_values": rec["witness_values_sha256"], "csv": rec["csv_sha256"],
+            "solver_path": diag.get("solver_path")}
 
 
 def _key_changes(was: dict, now: dict):
