@@ -102,10 +102,6 @@ class PermTriple:
     def __getitem__(self, d: int):
         return self.perms[d]
 
-    def apply(self, edge):
-        i, j, k = edge
-        return (self.perms[0][i], self.perms[1][j], self.perms[2][k])
-
 
 @dataclass(frozen=True)
 class HypergraphDecision:
@@ -175,35 +171,23 @@ def decide_hypergraph_iso(g: TripartiteHypergraph, h: TripartiteHypergraph) -> H
 
 
 def parse_hypergraph(text: str) -> TripartiteHypergraph:
-    """Text format: first line 'l m n', then one 1-based edge 'i j k' per line."""
+    """Text format: first line 'l m n', then one 1-based edge 'i j k' per line, all in one int64 decimal grammar."""
     lines = text.splitlines()
     if "#" in text:
         # A comment takes its whole line: a '#' after an edge fails the edge parse.
         lines = [ln for ln in lines if not ln.lstrip().startswith("#")]
-    pos = next((p for p, ln in enumerate(lines) if ln.strip()), None)
-    if pos is None:
+    if not any(map(str.strip, lines)):  # loadtxt skips the same blank and whitespace-only lines
         raise FormatError("empty hypergraph document")
-    header = lines[pos].lstrip()
-    head = header.split()
-    if len(head) != 3:
-        raise FormatError(f"header must be three part sizes, got {header!r}")
-    try:
-        sizes = tuple(int(v) for v in head)
-    except ValueError as exc:
-        raise FormatError(f"non-integer part size in {header!r}") from exc
-    body = lines[pos + 1:]
-    if not any(map(str.strip, body)):  # loadtxt skips the same blank and whitespace-only lines
-        return TripartiteHypergraph(sizes, ())
     try:
         with warnings.catch_warnings():
             # numpy 1.x reads an int64 field such as '1.5' through float, with only a DeprecationWarning
             warnings.simplefilter("error", DeprecationWarning)
-            edges = np.loadtxt(body, dtype=np.int64, ndmin=2, comments=None)
+            rows = np.loadtxt(lines, dtype=np.int64, ndmin=2, comments=None)
     except (ValueError, OverflowError, DeprecationWarning) as exc:
-        raise FormatError(f"edge lines must hold three integer indices: {exc}") from exc
-    if edges.shape[1] != 3:
-        raise FormatError(f"edge lines must have three indices, got {edges.shape[1]}")
-    return TripartiteHypergraph(sizes, edges - 1)
+        raise FormatError(f"the header and edge lines must hold three integers: {exc}") from exc
+    if rows.shape[1] != 3:
+        raise FormatError(f"the header and edge lines must hold three integers, got {rows.shape[1]}")
+    return TripartiteHypergraph(tuple(rows[0].tolist()), rows[1:] - 1)
 
 
 def format_hypergraph(g: TripartiteHypergraph) -> str:

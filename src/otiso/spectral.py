@@ -14,6 +14,7 @@ Everything downstream (cores, phase recovery, decisions) consumes
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,7 +119,8 @@ def eig_hermitian_stack(G: np.ndarray, *, vectors: bool = True) -> list[Spectral
     run on the whole stack; LAPACK factors each matrix on its own, so every
     field equals the one-matrix result bit for bit.  Only the backward
     error's norm is taken per matrix, by ``tensor._fro``, which runs
-    ``np.linalg.norm``'s own dot products and so keeps its summation order.
+    ``np.linalg.norm``'s own dot products and so keeps its summation order
+    (and prescales a sum of squares that overflows or underflows).
     A gate failure names the first offending matrix.
     """
     G = np.asarray(G)
@@ -129,16 +131,15 @@ def eig_hermitian_stack(G: np.ndarray, *, vectors: bool = True) -> list[Spectral
         normG = _fro_stack(G)
         defect = _fro_stack(G - Gh)
     # Squares of entries past about 2^511 overflow.  A matrix whose norms do
-    # has them, and its backward error, taken after an exact power-of-two
-    # prescale by its own largest modulus (Blue, ACM TOMS 4(1), 1978); every
-    # other matrix keeps scale 1, so its fields match the one-matrix result.
-    scale = np.array([1.0] * len(G))
+    # has them taken after an exact power-of-two prescale by its own largest
+    # modulus (Blue, ACM TOMS 4(1), 1978); every other matrix is left as it
+    # is, so its fields match the one-matrix result.
     over = ~(np.isfinite(normG) & np.isfinite(defect))
     if over.any():
-        scale[over] = np.ldexp(1.0, -np.frexp(np.max(np.abs(G[over]), axis=(1, 2)))[1])
-        Gs = G[over] * scale[over, np.newaxis, np.newaxis]
-        normG[over] = _fro_stack(Gs) / scale[over]
-        defect[over] = _fro_stack(Gs - Gs.conj().swapaxes(1, 2)) / scale[over]
+        scale = np.ldexp(1.0, -np.frexp(np.max(np.abs(G[over]), axis=(1, 2)))[1])
+        Gs = G[over] * scale[:, np.newaxis, np.newaxis]
+        normG[over] = _fro_stack(Gs) / scale
+        defect[over] = _fro_stack(Gs - Gs.conj().swapaxes(1, 2)) / scale
     bad = (defect > TAU_HERMITIAN_REL * np.maximum(normG, 1e-300)).nonzero()[0]
     if bad.size:
         i = bad[0]
@@ -155,10 +156,10 @@ def eig_hermitian_stack(G: np.ndarray, *, vectors: bool = True) -> list[Spectral
         return [SpectralData(vals, None, g, None) for vals, g in zip(lam, gaps)]
     V = _fix_column_phases(V[:, :, ::-1])
     R = H @ V - V * lam[:, np.newaxis, :]
-    if over.any():
-        R[over] *= scale[over, np.newaxis, np.newaxis]
-    return [SpectralData(vals, v, g, _fro(r) / c)
-            for vals, v, g, r, c in zip(lam, V, gaps, R, scale.tolist())]
+    # only a matrix whose norms overflowed can have a residual whose squares do; _fro prescales its sum
+    with np.errstate(over="ignore") if over.any() else nullcontext():
+        errors = [_fro(r) for r in R]
+    return [SpectralData(vals, v, g, e) for vals, v, g, e in zip(lam, V, gaps, errors)]
 
 
 def spectra_close(s1: SpectralData, s2: SpectralData, tol: float) -> bool:

@@ -1,4 +1,7 @@
-"""Random instances the tests build; the package and its programs never call these."""
+"""Random instances and input plumbing the tests share; the package and its programs never call these."""
+
+import os
+import threading
 
 import numpy as np
 
@@ -16,3 +19,24 @@ def random_hypergraph(part_sizes, seed: int, edge_prob: float = 0.5, *, stream=(
 def random_perm_triple(part_sizes, seed: int, *, stream=()) -> PermTriple:
     rng = generator(seed, *stream)
     return PermTriple(tuple(tuple(int(v) for v in rng.permutation(s)) for s in part_sizes))
+
+
+def read_from_fifo(path, blob: bytes, read):
+    """``read(path)`` on a FIFO made at ``path`` that a thread feeds ``blob`` 5 bytes at a time."""
+    os.mkfifo(path)
+
+    def feed():
+        try:
+            with open(path, "wb", buffering=0) as fh:
+                for i in range(0, len(blob), 5):
+                    fh.write(blob[i:i + 5])
+        except BrokenPipeError:  # the reader stopped at a bad header
+            pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        return read(path)
+    finally:
+        writer.join(timeout=10)
+        assert not writer.is_alive()

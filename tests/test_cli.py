@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, deterministic reruns, file plumbing."""
 
 import json
+import math
 import os
 import struct
 import subprocess
@@ -14,6 +15,7 @@ import otiso
 from otiso import (
     RandomModel,
     Tensor3,
+    TransformTriple,
     apply_action,
     read_tensor,
     read_witness,
@@ -252,6 +254,27 @@ def test_verify_pass_and_fail(tmp_path):
     write_witness_json(sample_haar_triple((4, 4, 4), 999, "real"), wrong)
     assert main(["verify", "--a", str(pa), "--b", str(pb),
                  "--witness", str(wrong), "--quiet"]) == 1
+
+
+@pytest.mark.parametrize("k", [-540, 520])
+def test_verify_rejects_a_wrong_witness_where_the_squares_underflow_or_overflow(tmp_path, capsys, k):
+    # entries near 2^-540 square to 0 and near 2^520 to inf; the residual and
+    # the gate are still taken at the tensors' scale, so a factor turned by
+    # 1e-3 rad fails and the exact witness passes
+    a, b, _, _ = orbit_files(tmp_path, 915, dims=(5, 5, 5))
+    pa, pb = tmp_path / "a_scaled.t3b", tmp_path / "b_scaled.t3b"
+    write_tensor(Tensor3(np.ldexp(a.data, k)), pa)
+    write_tensor(Tensor3(np.ldexp(b.data, k)), pb)
+    g = sample_haar_triple((5, 5, 5), 916, "real")
+    turn = np.eye(5)
+    turn[:2, :2] = [[np.cos(1e-3), -np.sin(1e-3)], [np.sin(1e-3), np.cos(1e-3)]]
+    for factors, want in (([turn @ g[0], g[1], g[2]], 1), (list(g.factors), 0)):
+        w = tmp_path / f"w{want}.json"
+        write_witness_json(TransformTriple(factors), w)
+        assert main(["verify", "--a", str(pa), "--b", str(pb), "--witness", str(w), "--tol", "1e-8", "--json"]) == want
+        captured = capsys.readouterr()
+        out = json.loads(captured.out)
+        assert 0.0 < out["gate"] < math.inf and math.isfinite(out["residual"]) and captured.err == ""
 
 
 def test_verify_is_symmetric_in_the_kinds(tmp_path, capsys):

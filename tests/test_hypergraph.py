@@ -26,7 +26,7 @@ from otiso import (
 from otiso.hypergraph import adjacency_tensor, format_hypergraph, parse_hypergraph
 from otiso.hypergraph import _sorted_degrees
 
-from helpers import random_hypergraph, random_perm_triple
+from helpers import random_hypergraph, random_perm_triple, read_from_fifo
 
 
 def test_adjacency_tensor_basics():
@@ -78,7 +78,7 @@ def test_perm_triple_validation():
     with pytest.raises(FormatError):
         PermTriple(((0, 0), (0, 1), (0, 1)))  # not a bijection
     pt = PermTriple(((1, 0), (0, 1), (1, 0)))
-    assert pt.apply((0, 1, 0)) == (1, 1, 1)
+    assert (pt[0][0], pt[1][1], pt[2][0]) == (1, 1, 1)
 
 
 def test_relabel_round_trip():
@@ -86,7 +86,7 @@ def test_relabel_round_trip():
     pt = random_perm_triple((4, 5, 3), seed=201)
     h = relabel(g, pt)
     assert h.edge_count == g.edge_count
-    assert {pt.apply(e) for e in g.edges} == set(h.edges)
+    assert {(pt[0][i], pt[1][j], pt[2][k]) for i, j, k in g.edges} == set(h.edges)
 
 
 @st.composite
@@ -285,6 +285,17 @@ def test_non_ascii_byte_past_the_first_read_chunk_is_a_format_error(tmp_path):
     assert f"byte 0xc3 in position {len(data) + 5}" in str(info.value)
 
 
+def test_fifo_reads_as_the_file(tmp_path):
+    # one read of the stream: a second pass over the path would find a FIFO drained
+    g = random_hypergraph((6, 5, 7), seed=209)
+    data = ("# from a pipe\n" + format_hypergraph(g)).encode("ascii")
+    path = tmp_path / "g.txt"
+    path.write_bytes(data)
+    from_file = read_hypergraph(path)
+    from_fifo = read_from_fifo(tmp_path / "g.fifo", data, read_hypergraph)
+    assert from_file == g and from_fifo.edge_index.tobytes() == from_file.edge_index.tobytes()
+
+
 def test_parse_accepts_comments_and_blanks():
     text = "# tripartite\n2 2 2\n\n1 1 1\n# middle\n2 2 1\n"
     g = parse_hypergraph(text)
@@ -312,6 +323,10 @@ def test_parse_format_errors():
     for token in ("1.0", "2e0", "1.5", "1_0", "12345678901234567890"):
         with pytest.raises(FormatError):
             parse_hypergraph(f"2 2 2\n1 1 {token}\n")  # only plain int64 decimal indices
+    for header in ("0_3 3 3", "3 3 12345678901234567890", "3 3", "3 3 3 3"):
+        for body in ("", "1 1 1\n"):
+            with pytest.raises(FormatError):
+                parse_hypergraph(f"{header}\n{body}")  # the header takes the same grammar
 
 
 def test_parse_rejects_integer_read_through_float(monkeypatch):
@@ -360,14 +375,13 @@ def reference_parse(text: str):
 
 
 def beyond_int64_parse(text: str) -> bool:
-    """True when an edge line holds a token that int() reads but an int64 parse does not: '1_0' or |v| >= 2^63.
+    """True when a header or edge line holds a token that int() reads but an int64 parse does not: '1_0' or |v| >= 2^63.
 
-    The reference parser reads such an index and then fails on its range or on the header; the array
-    parser fails on the token itself.  Both raise an error, but with a non-positive part size in the
-    header the reference raises DimensionMismatch, and '1_0' it reads as 10.
+    The reference parser reads such a token and may accept it: '0_3' as a part size of 3, '1_0' as
+    index 10.  The array parser fails on the token itself, with a FormatError.
     """
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
-    for tok in " ".join(lines[1:]).split():
+    for tok in " ".join(lines).split():
         try:
             value = int(tok)
         except ValueError:
@@ -378,6 +392,7 @@ def beyond_int64_parse(text: str) -> bool:
 
 
 SPELLINGS = ["{}", "{}", "0{}", "+{}", "0_{}"]
+BAD_HEADERS = ["3 3", "3 3 3 3", "0 3 3", "3 -1 3", "3 x 3", "3 3 3.0", "3 0_3 3", "3 3 9223372036854775808"]
 BAD_TOKENS = ["0", "-1", "4", "1_0", "1.0", "2e0", "x", "1 # c", "12345678901234567890", "-9223372036854775808"]
 
 
@@ -387,8 +402,10 @@ def hypergraph_documents(draw):
     sep = st.sampled_from([" ", "  ", "\t", " \t "])
     pad = st.sampled_from(["", " ", "\t"])
     sizes = [draw(st.integers(1, 3)) for _ in range(3)]
-    header = "{} {} {}".format(*sizes) if draw(st.integers(0, 5)) else draw(
-        st.sampled_from(["3 3", "3 3 3 3", "0 3 3", "3 -1 3", "3 x 3", "3 3 3.0"]))
+    # a good header takes the edge lines' spellings and separators ('0_{}' aside: the bad headers carry it)
+    spelled = [draw(st.sampled_from(SPELLINGS[:-1])).format(s) for s in sizes]
+    header = draw(pad) + draw(sep).join(spelled) + draw(pad) if draw(st.integers(0, 5)) else draw(
+        st.sampled_from(BAD_HEADERS))
     lines = []
     for _ in range(draw(st.integers(0, 8))):
         kind = draw(st.sampled_from(["edge"] * 6 + ["bad"] * 2 + ["comment", "blank", "inline", "ragged"]))
@@ -410,6 +427,7 @@ def hypergraph_documents(draw):
 @settings(max_examples=300)
 @given(hypergraph_documents())
 @example("1 1 1\n \n\n")  # a body of blank lines only holds no edge
+@example("3 0_3 3\n1 2 3\n")  # a header token int() reads and int64 does not
 def test_parse_matches_reference_parser(text):
     if beyond_int64_parse(text):  # the one known difference: always a FormatError now
         with pytest.raises(FormatError):

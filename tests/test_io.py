@@ -2,9 +2,7 @@
 
 import itertools
 import json
-import os
 import struct
-import threading
 
 import numpy as np
 import pytest
@@ -34,6 +32,8 @@ from otiso.io import (
     witness_from_json_obj,
     witness_to_bytes,
 )
+
+from helpers import read_from_fifo
 
 
 def test_binary_layout_frozen_real():
@@ -108,28 +108,12 @@ _names = itertools.count()
 
 
 def _read_via(tmp_path, blob, source):
-    """``read_tensor`` of ``blob`` from a regular file, or from a FIFO a thread feeds 5 bytes at a time."""
+    """``read_tensor`` of ``blob`` from a regular file, or from a FIFO a thread feeds."""
     path = tmp_path / f"in{next(_names)}"
     if source == "file":
         path.write_bytes(blob)
         return read_tensor(path)
-    os.mkfifo(path)
-
-    def feed():
-        try:
-            with open(path, "wb", buffering=0) as fh:
-                for i in range(0, len(blob), 5):
-                    fh.write(blob[i:i + 5])
-        except BrokenPipeError:  # the reader stopped at a bad header
-            pass
-
-    writer = threading.Thread(target=feed, daemon=True)
-    writer.start()
-    try:
-        return read_tensor(path)
-    finally:
-        writer.join(timeout=10)
-        assert not writer.is_alive()
+    return read_from_fifo(path, blob, read_tensor)
 
 
 @pytest.mark.parametrize("source", ["file", "fifo"])

@@ -279,6 +279,22 @@ def test_tensor3_validation():
         Tensor3(np.zeros((2, 2)))
 
 
+def safe_norm(x: np.ndarray) -> float:
+    """``np.linalg.norm(x)``, taken after an exact power-of-two prescale where its sum of squares is 0, subnormal or inf.
+
+    The sum is normal exactly when the plain norm is at least 2^-511 and finite.
+    The prescale comes from the largest real or imaginary part, and needs it
+    finite and nonzero.
+    """
+    with np.errstate(over="ignore"):
+        plain = float(np.linalg.norm(x))
+    top = max(float(np.abs(x.real).max(initial=0.0)), float(np.abs(x.imag).max(initial=0.0)))
+    if 2.0 ** -511 <= plain < math.inf or not 0.0 < top < math.inf:
+        return plain
+    scale = 2.0 ** min(-math.frexp(top)[1], 1023)
+    return float(np.linalg.norm(x * scale)) / scale
+
+
 @given(
     dims=st.tuples(*(st.integers(1, 4) for _ in range(3))),
     kind=st.sampled_from(["real", "complex"]),
@@ -287,8 +303,9 @@ def test_tensor3_validation():
     seed=st.integers(0, 2 ** 32),
 )
 def test_finiteness_and_norm_follow_the_entries(tmp_path_factory, dims, kind, magnitude, bad, seed):
-    # magnitudes up to 1e308 overflow the norm while every entry is finite;
-    # bad values land in real or imaginary parts alike
+    # magnitudes up to 1e308 overflow the plain sum of squares while every
+    # entry is finite, and tiny ones underflow it; bad values land in real or
+    # imaginary parts alike
     rng = np.random.default_rng(seed)
     parts = rng.uniform(-1.0, 1.0, dims + ((2,) if kind == "complex" else ())) * magnitude
     flat = parts.reshape(-1)
@@ -296,8 +313,7 @@ def test_finiteness_and_norm_follow_the_entries(tmp_path_factory, dims, kind, ma
         flat[pos % flat.size] = value
     x = parts.view(np.complex128)[..., 0] if kind == "complex" else parts
     finite = bool(np.all(np.isfinite(x)))
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(x))
+    norm = safe_norm(x)
     path = tmp_path_factory.getbasetemp() / "property.t3b"
     path.write_bytes(b"T3B1" + struct.pack("<BIII", int(kind == "complex"), *dims) + x.tobytes())
     if not finite:
@@ -356,14 +372,16 @@ def test_triple_inverse_is_group_inverse():
     seed=st.integers(0, 2 ** 32),
 )
 def test_fro_is_numpys_norm_bit_for_bit(dims, kind, exponent, seed):
-    # subnormal entries, ordinary ones, and entries near 2^600, whose squares
-    # overflow so that both norms are inf; views that are not C-ordered too
+    # subnormal entries, whose squares underflow, ordinary ones, and entries
+    # near 2^600, whose squares overflow; views that are not C-ordered too.
+    # Where numpy's sum of squares is normal _fro is its norm bit for bit,
+    # elsewhere numpy's norm of the prescaled entries; _fro_stack is numpy's always.
     rng = np.random.default_rng(seed)
     parts = np.ldexp(rng.uniform(-1.0, 1.0, dims + ((2,) if kind == "complex" else ())), exponent)
     x = parts.view(np.complex128)[..., 0] if kind == "complex" else parts
     with np.errstate(over="ignore"):
         for view in (x, x.transpose(2, 0, 1), x[:, ::2], x[0]):
-            assert _fro(view) == float(np.linalg.norm(view))
+            assert _fro(view) == safe_norm(view)
         assert _fro_stack(x).tobytes() == np.linalg.norm(x, axis=(1, 2)).tobytes()
 
 
