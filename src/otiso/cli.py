@@ -23,18 +23,26 @@ from .hypergraph import decide_hypergraph_iso, read_hypergraph
 from .tensor import RandomModel, sample_tensor
 
 _VERDICT_EXIT = {"yes": 0, "no": 1, "cannot_decide": 2}
+_PLAIN = frozenset((str, int, bool, type(None)))
 
 
 def _jsonable(obj):
-    """Plain Python values for the report; a non-finite float (``min_gap`` of a size-1 mode is inf) becomes ``None``."""
-    if isinstance(obj, dict):
+    """Plain Python values for the report; a non-finite float (``min_gap`` of a size-1 mode is inf) becomes ``None``.
+
+    A report is built of dicts, lists, tuples and the plain built-in types,
+    told apart by their exact type; a numpy scalar is the one other leaf.
+    """
+    kind = type(obj)
+    if kind is float:
+        return obj if math.isfinite(obj) else None
+    if kind is dict:
         return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if kind is list or kind is tuple:
         return [_jsonable(v) for v in obj]
+    if kind in _PLAIN:
+        return obj
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        obj = obj.item()
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return None
+        return _jsonable(obj.item())
     return obj
 
 
@@ -147,7 +155,7 @@ def _cmd_verify(args) -> int:
     a = tio.read_tensor(args.a)
     b = tio.read_tensor(args.b)
     w = tio.read_witness(args.witness)
-    with _usage_error(DimensionMismatch), np.errstate(over="ignore"):  # _fro prescales a sum of squares that overflows
+    with _usage_error(DimensionMismatch):
         report = verify_witness(a, b, w)
     gate = args.tol * max(a.frobenius_norm, 1e-300)
     ok = report.residual <= gate and report.unitary_ok
@@ -166,9 +174,14 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree, built once per process; ``parse_args`` leaves it unchanged."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict]:
+    """The full parser and each subcommand's name and parser."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a single JSON report on stdout")
     common.add_argument("--quiet", action="store_true", help="suppress human-readable output")
@@ -224,13 +237,30 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--tol", type=float, default=1e-6, help="pass gate relative to the first tensor's norm")
     p_verify.set_defaults(func=_cmd_verify)
 
-    return parser
+    return parser, sub.choices
+
+
+def parse_args(argv) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)`` in one argparse pass when ``argv[0]`` names a subcommand.
+
+    The subcommand's own parser reads ``argv[1:]``, as the full parser would
+    hand them to it.  Any other argv, and one the subcommand's parser leaves
+    arguments over from, goes through the full parser, so usage errors and
+    help read the same.
+    """
+    parser, subcommands = _parsers()
+    sub = subcommands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:])
+        if not rest:
+            args.subcommand = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 3
     try:

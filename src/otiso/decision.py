@@ -23,16 +23,17 @@ from .errors import (
     DimensionMismatch,
     EpsOutOfRange,
     Infeasible,
+    NonFiniteEntries,
     ScalarKindMismatch,
 )
 from .hosvd import CoreTensor, RejectFar, compare_cores, core_of
 from .phases import Assignment, assemble_witness, incidence_rank, solve_phases, solve_signs
 from .spectral import spectra_close
-from .tensor import TAU_UNITARY_REL, Tensor3, TransformTriple, _fro, apply_action
+from .tensor import TAU_UNITARY_REL, Tensor3, TransformTriple, _act, _fro
 
 # Not called here: bench/spans.py wraps these names on this module.
 from .spectral import eig_hermitian  # noqa: F401
-from .tensor import gram  # noqa: F401
+from .tensor import apply_action, gram  # noqa: F401
 truncate_tensor = None  # a span with nothing behind it: its calls read 0
 
 # Multiplier in the certified residual bound gamma * eps.
@@ -74,14 +75,22 @@ def verify_witness(a: Tensor3, b: Tensor3, witness) -> WitnessReport:
     ``witness`` may be a :class:`TransformTriple` or a sequence of three
     matrices (no unitarity requirement; defects are reported, not enforced).
     Kinds mix by numpy's type promotion, so the residual is symmetric in them.
+    A product ``witness . A`` with an entry that is not finite raises
+    :class:`NonFiniteEntries`; only a residual that is not finite is scanned
+    for one, and the products and norms run with overflow and invalid
+    operations ignored: ``_fro`` prescales a sum of squares that overflows.
     """
     triple = witness if isinstance(witness, TransformTriple) else TransformTriple(witness, check=False)
     if triple.dims != a.dims:
         raise DimensionMismatch(f"witness dims {triple.dims} do not match tensor dims {a.dims}")
     if a.dims != b.dims:
         raise DimensionMismatch(f"tensor dims differ: {a.dims} vs {b.dims}")
-    residual = _fro(apply_action(triple, a).data - b.data)
-    defects = triple.unitarity_defects()
+    with np.errstate(over="ignore", invalid="ignore"):
+        moved = _act(triple.factors, a.data)
+        residual = _fro(moved - b.data)
+        defects = triple.unitarity_defects()
+    if not math.isfinite(residual) and not np.isfinite(moved).all():
+        raise NonFiniteEntries("tensor entries must be finite")
     return WitnessReport(
         residual=residual,
         unitarity_defects=defects,
@@ -115,7 +124,7 @@ def _gap(core: CoreTensor) -> float:
     No adjacent gap of a PSD spectrum exceeds its top eigenvalue, so the cap
     only acts when every mode has size 1 and there is no gap at all.
     """
-    top = max(float(s.eigenvalues[0]) for s in core.spectra)  # the sorted spectrum's first value is its largest
+    top = max(s.eigenvalues.item(0) for s in core.spectra)  # the sorted spectrum's first value is its largest
     return min(core.min_gap, max(top, _TINY))
 
 

@@ -10,29 +10,35 @@ question to a phase-consistency question on the cores.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatch, ScalarKindMismatch
 from .spectral import SpectralData, eig_hermitian_stack
-from .tensor import Tensor3, TransformTriple, apply_action, gram
+from .tensor import Tensor3, _act, gram
 
-# Not called here: bench/spans.py wraps this name on this module.
+# Not called here: bench/spans.py wraps these names on this module.
 from .spectral import eig_hermitian  # noqa: F401
+from .tensor import apply_action  # noqa: F401
 
 
 @dataclass(frozen=True)
 class CoreTensor:
-    """Core plus everything needed to rebuild transforms from it."""
+    """Core plus everything needed to rebuild transforms from it.
 
-    core: Tensor3
+    The core is the bare read-only array the package built from a checked
+    :class:`Tensor3`.  No core entry exceeds the tensor's norm, whose square
+    each Gram's trace holds, so the entries are finite when the Grams are.
+    """
+
+    core: np.ndarray
     bases: tuple[np.ndarray, np.ndarray, np.ndarray]  # eigenvector matrices U1, U2, U3
     spectra: tuple[SpectralData, SpectralData, SpectralData]
 
     @property
     def dims(self) -> tuple[int, int, int]:
-        return self.core.dims
+        return self.core.shape  # type: ignore[return-value]
 
     @property
     def min_gap(self) -> float:
@@ -45,15 +51,20 @@ class PhaseTargets:
 
     All three arrays have the cores' shape.  The targets are the entries of
     positive weight; ``phi`` and ``slack`` are read only there.  This is the
-    one input form of ``solve_signs`` and ``solve_phases``.
+    one input form of ``solve_signs`` and ``solve_phases``, which read the
+    targets' mask ``on`` as it was computed once, at construction.
     """
 
     phi: np.ndarray     # float64 argument of core_b / core_a, in (-pi, pi]
     slack: np.ndarray   # float64 admissible angular deviation, in [0, pi]
     weight: np.ndarray  # float64 |core_a| + |core_b| at a target, else 0; picks the anchors, weighs the slice sums
+    on: np.ndarray = field(init=False, repr=False, compare=False)  # weight > 0: the targets
+
+    def __post_init__(self):
+        object.__setattr__(self, "on", self.weight > 0)
 
     def __len__(self) -> int:
-        return np.count_nonzero(self.weight)
+        return np.count_nonzero(self.on)
 
     def keys(self, where) -> list:
         """Index triples (as int tuples) of the true entries of the boolean grid ``where``, in sorted order."""
@@ -104,8 +115,9 @@ def core_of(*tensors: Tensor3) -> tuple[CoreTensor, ...]:
     for a, spectra in zip(tensors, mode_spectra(tensors)):
         bases = tuple(s.vectors for s in spectra)
         # C-ordered, as a copied factor is: a transposed view changes the products' last bits
-        inv = TransformTriple._adopt([np.conjugate(U.T, order="C") for U in bases])
-        cores.append(CoreTensor(core=apply_action(inv, a), bases=bases, spectra=spectra))
+        core = _act([np.conjugate(U.T, order="C") for U in bases], a.data)
+        core.flags.writeable = False
+        cores.append(CoreTensor(core=core, bases=bases, spectra=spectra))
     return tuple(cores)
 
 
@@ -122,13 +134,13 @@ def compare_cores(sa: CoreTensor, sb: CoreTensor, thr: float):
     """
     if sa.dims != sb.dims:
         raise DimensionMismatch(f"core dims differ: {sa.dims} vs {sb.dims}")
-    if sa.core.scalar_kind != sb.core.scalar_kind:
+    if sa.core.dtype != sb.core.dtype:
         raise ScalarKindMismatch("cores have different scalar kinds")
     if not (thr >= 0.0):
         raise ValueError(f"thr must be non-negative, got {thr!r}")
 
-    A = sa.core.data
-    B = sb.core.data
+    A = sa.core
+    B = sb.core
     mod_a = np.abs(A)
     mod_b = np.abs(B)
 
@@ -160,5 +172,8 @@ def compare_cores(sa: CoreTensor, sb: CoreTensor, thr: float):
     prod = B * np.conj(A)
     if prod.dtype.kind == "c":
         prod.imag = B.imag * A.real - B.real * A.imag
-    phi = np.where(mod_a > 0.0, np.arctan2(prod.imag, prod.real), 0.0)  # np.angle(prod), bit for bit
+        phi = np.where(mod_a > 0.0, np.arctan2(prod.imag, prod.real), 0.0)  # np.angle(prod), bit for bit
+    else:
+        # arctan2(+0, x) is pi where x's sign bit is set (x = -0.0 included) and 0 elsewhere
+        phi = np.where(np.signbit(prod) & (mod_a > 0.0), math.pi, 0.0)
     return CoreComparison(PhaseTargets(phi, slack, np.where(on, total, 0.0)))

@@ -89,7 +89,7 @@ def _by_mode(x: np.ndarray, shape) -> tuple:
 
 def _rows(targets: PhaseTargets) -> tuple[np.ndarray, np.ndarray]:
     """Per target in sorted-key order, its key and variable columns ``(i, n1 + j, n1 + n2 + k)``; for GF(2) and ranks only."""
-    idx = np.argwhere(targets.weight > 0)
+    idx = np.argwhere(targets.on)
     n1, n2, _ = targets.weight.shape
     return idx, idx + np.array([0, n1, n1 + n2])
 
@@ -107,7 +107,7 @@ def incidence_rank(targets: PhaseTargets) -> int:
 
 
 def _reject_dead(targets: PhaseTargets, solver_path: str) -> None:
-    dead = (targets.weight > 0) & (targets.slack <= 0.0)
+    dead = targets.on & (targets.slack <= 0.0)
     if dead.any():
         raise Infeasible(targets.keys(dead), "targets with zero slack admit no strict solution", solver_path)
 
@@ -117,7 +117,7 @@ def _on_grid(targets: PhaseTargets, values: np.ndarray) -> tuple[np.ndarray, tup
 
     The anchor is the heaviest target, the first maximum of ``weight`` in C order.
     """
-    z = np.where(targets.weight > 0, values, 0)
+    z = np.where(targets.on, values, 0)
     return z, np.unravel_index(targets.weight.argmax(), z.shape)
 
 
@@ -157,7 +157,7 @@ def _anchored_signs(targets: PhaseTargets, rhs: np.ndarray) -> np.ndarray | None
         val[:n1] ^= True
         val[n1 + n2:] ^= True
     a, b, c = _by_mode(val, rhs.shape)
-    if ((a[:, None, None] ^ b[:, None]) ^ c ^ rhs).any(where=targets.weight > 0):
+    if ((a[:, None, None] ^ b[:, None]) ^ c ^ rhs).any(where=targets.on):
         return None
     return np.where(val, -1.0, 1.0)
 
@@ -165,7 +165,7 @@ def _anchored_signs(targets: PhaseTargets, rhs: np.ndarray) -> np.ndarray | None
 def _eliminate_signs(targets: PhaseTargets, rhs: np.ndarray) -> np.ndarray:
     """GF(2) elimination in sorted-row order: the signs, or :class:`Infeasible` with a parity certificate."""
     idx, var = _rows(targets)
-    rhs = rhs[targets.weight > 0]
+    rhs = rhs[targets.on]
     # Pivots in reduced echelon form at their pivot column, as [bits, rhs,
     # provenance]: a pivot has no bit at any other pivot column, so a row is
     # reduced by the pivots at its own three columns.  Provenance is a bit set
@@ -269,7 +269,7 @@ def _reject_cycle(targets: PhaseTargets, anchor: tuple) -> None:
     plane and then C order, is reported with its keys in the order of M's
     factors.
     """
-    on = targets.weight > 0
+    on = targets.on
     found = np.nonzero(on)  # every target, in C order
 
     def at(keys, moved):  # keys with the modes in moved set to the anchor's index
@@ -300,7 +300,7 @@ def _synchronize(targets: PhaseTargets, z: np.ndarray, x: np.ndarray) -> np.ndar
     which pulls the ascent out of local maxima that give up light targets.
     """
     # the check reads the targets alone, far cheaper than the grid when they are sparse
-    i, j, k = np.nonzero(targets.weight > 0)
+    i, j, k = np.nonzero(targets.on)
     phi, slack, z = targets.phi[i, j, k], targets.slack[i, j, k], z.copy()
     a, b, c = _by_mode(x, z.shape)
     for sweep in range(SYNC_SWEEPS + 1):
@@ -336,11 +336,10 @@ def solve_phases(targets: PhaseTargets) -> Assignment:
     x = _closed_form(z, targets.phi, anchor)
     a, b, c = _by_mode(x, z.shape)
     resid = np.abs(wrap_angle(targets.phi - ((a[:, None, None] + b[:, None]) + c)))
-    if (resid < targets.slack).all(where=targets.weight > 0):
+    if (resid < targets.slack).all(where=targets.on):
         return _phase_assignment(x, z.shape, "anchored")
     _reject_cycle(targets, anchor)
-    on = targets.weight > 0
-    starts = np.flatnonzero(on)[np.argsort(-targets.weight[on], kind="stable")[:SYNC_STARTS]]
+    starts = np.flatnonzero(targets.on)[np.argsort(-targets.weight[targets.on], kind="stable")[:SYNC_STARTS]]
     for start in starts:
         x = _synchronize(targets, z, _closed_form(z, targets.phi, np.unravel_index(start, z.shape)))
         if x is not None:

@@ -15,7 +15,7 @@ Everything downstream (cores, phase recovery, decisions) consumes
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,26 +35,29 @@ DEGENERACY_REL = 1e-8
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Eigendecomposition of a Hermitian PSD matrix with fixed conventions."""
+    """Eigendecomposition of a Hermitian PSD matrix with fixed conventions.
+
+    ``top`` and ``simple`` are computed once, at construction, since the
+    decision spine reads them many times per spectrum.
+    """
 
     eigenvalues: np.ndarray        # non-increasing, real
     vectors: np.ndarray | None     # column j pairs with eigenvalues[j]; None on the values-only path
     min_gap: float                 # min adjacent difference; +inf for 1x1
     backward_error: float | None   # ||G V - V diag(lam)||_F; None on the values-only path
+    # largest eigenvalue modulus, read from the sorted spectrum's two ends
+    top: float = field(init=False, repr=False, compare=False)
+    # every adjacent gap clears the degeneracy floor, so the eigenbasis is pinned
+    simple: bool = field(init=False, repr=False, compare=False)
 
-    @property
-    def simple(self) -> bool:
-        """Every adjacent gap clears the degeneracy floor, so the eigenbasis is pinned."""
-        return self.min_gap > self.degeneracy_floor()
+    def __post_init__(self):
+        lam = self.eigenvalues
+        object.__setattr__(self, "top", max(abs(lam.item(0)), abs(lam.item(-1))) if lam.size else 0.0)
+        object.__setattr__(self, "simple", self.min_gap > self.degeneracy_floor())
 
     @property
     def dim(self) -> int:
         return int(self.eigenvalues.shape[0])
-
-    @property
-    def top(self) -> float:
-        """Largest eigenvalue modulus, read from the sorted spectrum's two ends."""
-        return float(max(abs(self.eigenvalues[0]), abs(self.eigenvalues[-1]))) if self.dim else 0.0
 
     def degeneracy_floor(self) -> float:
         """Scale-aware gap below which adjacent eigenvalues count as tied."""

@@ -146,14 +146,19 @@ class Tensor3:
         return f"Tensor3(dims={self.dims}, kind={self.scalar_kind}, norm={self.frobenius_norm:.6g})"
 
 
+def _unitarity_defect(X: np.ndarray) -> float:
+    """``||X* X - I||_F`` of a square float64 or complex128 matrix, unchecked."""
+    G = X.conj().T @ X
+    G.reshape(-1)[:: X.shape[0] + 1] -= 1.0  # minus the identity, entry for entry as ``- np.eye(n)``
+    return _fro(G)
+
+
 def unitarity_defect(X: np.ndarray) -> float:
     """``||X* X - I||_F`` for a square matrix."""
     X = np.asarray(X)
     if X.ndim != 2 or X.shape[0] != X.shape[1]:
         raise DimensionMismatch(f"factor must be square, got shape {X.shape}")
-    G = X.conj().T @ X.astype(np.result_type(X, 1.0), copy=False)
-    G.reshape(-1)[:: X.shape[0] + 1] -= 1.0  # minus the identity, entry for entry as ``- np.eye(n)``
-    return _fro(G)
+    return _unitarity_defect(X.astype(np.result_type(X, 1.0), copy=False))
 
 
 class TransformTriple:
@@ -185,7 +190,7 @@ class TransformTriple:
             if not np.all(np.isfinite(M)):
                 raise NonFiniteEntries("transform factors must be finite")
             if check:
-                defect = unitarity_defect(M)
+                defect = _unitarity_defect(M)
                 if defect > TAU_UNITARY_REL * M.shape[0]:
                     raise NotUnitary(f"factor of size {M.shape[0]} has unitarity defect {defect:.3e}")
             M.flags.writeable = False
@@ -214,7 +219,7 @@ class TransformTriple:
         return self.factors[d]
 
     def unitarity_defects(self) -> tuple[float, float, float]:
-        return tuple(unitarity_defect(f) for f in self.factors)  # type: ignore[return-value]
+        return tuple(_unitarity_defect(f) for f in self.factors)  # type: ignore[return-value]
 
     def compose(self, other: "TransformTriple") -> "TransformTriple":
         """Group product: ``(self . other)`` acts as self after other."""
@@ -377,6 +382,14 @@ def gram(a: Tensor3, mode: int) -> np.ndarray:
     return M @ M.conj().T
 
 
+def _act(factors, arr: np.ndarray) -> np.ndarray:
+    """The three mode products of :func:`apply_action` on a bare array of matching dims, unchecked."""
+    L, R, T = factors
+    l, m, n = arr.shape
+    out = np.matmul(R, (L @ arr.reshape(l, m * n)).reshape(l, m, n))
+    return (out.reshape(l * m, n) @ T.T).reshape(l, m, n)
+
+
 def apply_action(g: TransformTriple, a: Tensor3) -> Tensor3:
     """Act on ``a`` by the triple ``g``.
 
@@ -391,7 +404,4 @@ def apply_action(g: TransformTriple, a: Tensor3) -> Tensor3:
     """
     if g.dims != a.dims:
         raise DimensionMismatch(f"triple dims {g.dims} do not match tensor dims {a.dims}")
-    L, R, T = g.factors
-    l, m, n = a.dims
-    out = np.matmul(R, (L @ a.data.reshape(l, m * n)).reshape(l, m, n))
-    return Tensor3._adopt((out.reshape(l * m, n) @ T.T).reshape(l, m, n))
+    return Tensor3._adopt(_act(g.factors, a.data))

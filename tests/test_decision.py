@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -163,6 +164,20 @@ def test_verify_witness_matches_naive_oracle():
     bad = tuple(2.0 * np.eye(d) for d in (3, 4, 2))
     rep3 = verify_witness(a, b, bad)
     assert not rep3.unitary_ok
+
+
+def test_verify_witness_warns_nothing_where_the_squares_overflow():
+    # a 5^3 orbit pair near 2^520 and a witness with a factor turned by
+    # 1e-3 rad: the residual's squares overflow and are taken again after a
+    # prescale, without a warning
+    a, b, g = orbit_pair((5, 5, 5), 915, "real")
+    a, b = (Tensor3(np.ldexp(t.data, 520)) for t in (a, b))
+    turn = np.eye(5)
+    turn[:2, :2] = [[np.cos(1e-3), -np.sin(1e-3)], [np.sin(1e-3), np.cos(1e-3)]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = verify_witness(a, b, TransformTriple([turn @ g[0], g[1], g[2]]))
+    assert 1e-4 * a.frobenius_norm < rep.residual < 1e-2 * a.frobenius_norm and rep.unitary_ok
 
 
 def test_gapped_yes_on_small_perturbation():

@@ -13,7 +13,7 @@ from otiso import (
     sample_haar_triple,
     sample_tensor,
 )
-from otiso.hosvd import CoreComparison, CoreTensor, RejectFar, compare_cores, core_of
+from otiso.hosvd import CoreComparison, CoreTensor, PhaseTargets, RejectFar, compare_cores, core_of
 from otiso.spectral import eig_hermitian
 from otiso.tensor import gram
 
@@ -31,10 +31,10 @@ def test_core_norm_preserved_and_all_orthogonal():
     for seed, kind in [(40, "real"), (41, "complex")]:
         a = sample_tensor((5, 4, 6), RandomModel("gaussian", kind, seed))
         ct = core_of(a)[0]
-        assert abs(ct.core.frobenius_norm - a.frobenius_norm) <= 1e-10 * a.frobenius_norm
+        assert abs(Tensor3(ct.core).frobenius_norm - a.frobenius_norm) <= 1e-10 * a.frobenius_norm
         tol = 1e-8 * a.frobenius_norm ** 2
         for mode in (1, 2, 3):
-            assert offdiag_norm(gram(ct.core, mode)) <= tol
+            assert offdiag_norm(gram(Tensor3(ct.core), mode)) <= tol
 
 
 def test_core_of_diagonal_tensor_is_diagonal_up_to_phase():
@@ -42,14 +42,14 @@ def test_core_of_diagonal_tensor_is_diagonal_up_to_phase():
     for i, d in enumerate((4.0, -2.0, 1.0)):  # distinct moduli, descending
         arr[i, i, i] = d
     ct = core_of(Tensor3(arr))[0]
-    assert np.allclose(np.abs(ct.core.data), np.abs(arr), rtol=0, atol=1e-12)
+    assert np.allclose(np.abs(ct.core), np.abs(arr), rtol=0, atol=1e-12)
 
 
 def test_core_spectra_match_across_orbit():
     a = sample_tensor((4, 4, 4), RandomModel("gaussian", "complex", 42))
     b = apply_action(sample_haar_triple((4, 4, 4), 43, "complex"), a)
-    ea = eig_hermitian(gram(core_of(a)[0].core, 1)).eigenvalues
-    eb = eig_hermitian(gram(core_of(b)[0].core, 1)).eigenvalues
+    ea = eig_hermitian(gram(Tensor3(core_of(a)[0].core), 1)).eigenvalues
+    eb = eig_hermitian(gram(Tensor3(core_of(b)[0].core), 1)).eigenvalues
     assert np.max(np.abs(ea - eb)) <= 1e-8 * max(np.abs(ea).max(), 1.0)
 
 
@@ -80,21 +80,21 @@ def test_compare_identical_cores():
     assert np.all(pt.phi[on] == 0.0)
     assert np.all((0.0 < pt.slack[on]) & (pt.slack[on] <= np.pi))
     # targets exist exactly where |Sa| + |Sb| clears the threshold, in sorted-key order
-    assert pt.keys(on) == sorted(map(tuple, np.argwhere(2 * np.abs(ct.core.data) > thr).tolist()))
+    assert pt.keys(on) == sorted(map(tuple, np.argwhere(2 * np.abs(ct.core) > thr).tolist()))
 
 
 def test_compare_scaled_entry_rejects_far():
     a = sample_tensor((3, 3, 3), RandomModel("gaussian", "real", 46))
     ct = core_of(a)[0]
-    scaled = np.array(ct.core.data)
+    scaled = np.array(ct.core)
     assert abs(scaled[0, 0, 0]) > 1e-8
     scaled[0, 0, 0] *= 10.0
-    other = CoreTensor(core=Tensor3(scaled), bases=ct.bases, spectra=ct.spectra)
+    other = CoreTensor(core=scaled, bases=ct.bases, spectra=ct.spectra)
     thr = spine_threshold(1e-8, 3, a.frobenius_norm + float(np.linalg.norm(scaled)), ct.min_gap)
     out = compare_cores(ct, other, thr)
     assert isinstance(out, RejectFar)
     assert out.entry == (0, 0, 0)
-    mod_a, mod_b = abs(ct.core.data[out.entry]), abs(other.core.data[out.entry])
+    mod_a, mod_b = abs(ct.core[out.entry]), abs(other.core[out.entry])
     assert abs(mod_a - mod_b) > thr
 
 
@@ -104,7 +104,7 @@ def test_forward_phase_recovery():
     rng = np.random.default_rng(48)
     al, be, ga = (rng.uniform(-np.pi, np.pi, d) for d in ct.dims)
     phase = np.exp(1j * (al[:, None, None] + be[None, :, None] + ga[None, None, :]))
-    other = CoreTensor(core=Tensor3(ct.core.data * phase), bases=ct.bases, spectra=ct.spectra)
+    other = CoreTensor(core=ct.core * phase, bases=ct.bases, spectra=ct.spectra)
     cmp = compare_cores(ct, other, spine_threshold(1e-6, 5, 2 * a.frobenius_norm, ct.min_gap))
     assert isinstance(cmp, CoreComparison)
     assert len(cmp.phase_targets) > 0
@@ -122,12 +122,12 @@ def test_isomorphy_transfer_moduli_agree():
     cmp = compare_cores(ca, cb, thr)
     assert isinstance(cmp, CoreComparison)
     # weight is |Sa| + |Sb| exactly at the entries where it clears thr, and 0 everywhere else
-    total = np.abs(ca.core.data) + np.abs(cb.core.data)
+    total = np.abs(ca.core) + np.abs(cb.core)
     pt = cmp.phase_targets
     assert np.array_equal(pt.weight, np.where(total > thr, total, 0.0))
     assert len(pt) == np.count_nonzero(total > thr) > 0
     for key in pt.keys(total > thr):
-        ma, mb = abs(ca.core.data[key]), abs(cb.core.data[key])
+        ma, mb = abs(ca.core[key]), abs(cb.core[key])
         assert abs(ma - mb) <= 1e-8 * max(ma, 1.0)
 
 
@@ -137,7 +137,7 @@ def test_no_target_comparison_matches_the_full_screen(kind):
     # phi and slack; its all-zero weight is the full screen's
     a = sample_tensor((5, 4, 3), RandomModel("gaussian", kind, 57))
     ca, cb = core_of(a, apply_action(sample_haar_triple((5, 4, 3), 58, kind), a))
-    mod_a, mod_b = np.abs(ca.core.data), np.abs(cb.core.data)
+    mod_a, mod_b = np.abs(ca.core), np.abs(cb.core)
     total = mod_a + mod_b
     for thr in (float(np.max(total)), 2.0 * float(np.max(total)), np.inf):
         cmp = compare_cores(ca, cb, thr)
@@ -174,7 +174,7 @@ def test_compare_cores_overflowing_budget_is_infinite():
     assert isinstance(cmp, CoreComparison) and len(cmp.phase_targets) > 0
     t = cmp.phase_targets
     on = t.weight > 0
-    ma, mb = (np.abs(c.core.data[on]) for c in (ca, cb))
+    ma, mb = (np.abs(c.core[on]) for c in (ca, cb))
     budget = thr ** 2 / 2.0
     assert np.all((t.slack[on] > 0.0) & (t.slack[on] < np.pi))
     np.testing.assert_allclose((ma - mb) ** 2 + 4.0 * ma * mb * np.sin(t.slack[on] / 2.0) ** 2, budget, rtol=1e-12)
@@ -193,3 +193,11 @@ def test_arctan2_of_the_parts_is_numpys_angle(parts):
     z = np.array([complex(re, im) for re, im in parts])
     for x in (z, z.real.copy()):
         assert np.arctan2(x.imag, x.real).tobytes() == np.angle(x).tobytes()
+
+
+@given(st.lists(st.sampled_from([0.0, 0.0, 1e-300, 0.5, 3.0]), min_size=6, max_size=6))
+def test_phase_targets_mask_is_the_positive_weights(weights):
+    weight = np.array(weights).reshape(1, 2, 3)
+    pt = PhaseTargets(np.zeros(weight.shape), np.ones(weight.shape), weight)
+    assert np.array_equal(pt.on, weight > 0) and len(pt) == np.count_nonzero(weight)
+

@@ -489,7 +489,7 @@ def test_solve_phases_validation():
 def test_assemble_witness_identity_and_signs():
     a = sample_tensor((2, 2, 2), RandomModel("gaussian", "real", 64))
     ct = core_of(a)[0]
-    eye_ct = type(ct)(core=a, bases=tuple(np.eye(2) for _ in range(3)), spectra=ct.spectra)
+    eye_ct = type(ct)(core=a.data, bases=tuple(np.eye(2) for _ in range(3)), spectra=ct.spectra)
     zero_phase = Assignment(tuple(np.exp(1j * np.zeros(2)) for _ in range(3)), "synchronization")
     w = assemble_witness(eye_ct, eye_ct, zero_phase)
     for d in range(3):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from otiso import (
     DimensionMismatch,
@@ -337,3 +338,13 @@ def test_top_is_the_largest_eigenvalue_modulus(n):
         for vectors in (True, False):
             for s in eig_hermitian_stack(np.stack(stack), vectors=vectors):
                 assert s.top == float(np.max(np.abs(s.eigenvalues)))
+
+
+@given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=6),
+       st.one_of(st.floats(0.0, 1e300), st.just(np.inf)))
+def test_top_and_simple_are_computed_once_by_their_formulas(values, min_gap):
+    lam = np.sort(np.array(values))[::-1]
+    s = SpectralData(lam, None, min_gap, None)
+    assert s.top == float(max(abs(lam[0]), abs(lam[-1])))
+    assert s.simple == (min_gap > DEGENERACY_REL * max(s.top, 1e-300)) == (min_gap > s.degeneracy_floor())
+

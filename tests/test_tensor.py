@@ -401,9 +401,9 @@ def test_transform_triple_copies_and_checks_its_input():
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
 def test_package_built_triples_adopt_their_matrices(monkeypatch, kind):
-    # core_of's inverse bases and assemble_witness's products are wrapped
-    # as built: no copy, made read-only, with the values the copying
-    # constructor would hold
+    # assemble_witness's products are wrapped as built: no copy, made
+    # read-only, with the values the copying constructor would hold; core_of
+    # acts by its inverse bases without a triple, with the same result
     adopted = []
     adopt = TransformTriple._adopt.__func__
 
@@ -414,16 +414,17 @@ def test_package_built_triples_adopt_their_matrices(monkeypatch, kind):
     monkeypatch.setattr(TransformTriple, "_adopt", classmethod(spy))
     dims = (3, 4, 5)
     a = sample_tensor(dims, RandomModel("gaussian", kind, 41))
-    ca, cb = core_of(a, apply_action(sample_haar_triple(dims, 42, kind), a))
+    b = apply_action(sample_haar_triple(dims, 42, kind), a)
+    ca, cb = core_of(a, b)
     diagonals = tuple(np.exp(1j * np.arange(d)) if kind == "complex" else np.ones(d) for d in dims)
     witness = assemble_witness(ca, cb, Assignment(diagonals, "anchored"))
-    assert len(adopted) == 3 and adopted[-1][1] is witness
+    assert len(adopted) == 1 and adopted[-1][1] is witness
     for factors, triple in adopted:
         assert triple.scalar_kind == kind
         for f, h in zip(factors, triple.factors):
             assert h is f and h.flags["C_CONTIGUOUS"] and not h.flags["WRITEABLE"]
-    for core, (_, inverse) in zip((ca, cb), adopted):
-        for U, h in zip(core.bases, inverse.factors):
-            assert np.array_equal(h, TransformTriple([U.conj().T] * 3, check=False)[0])
+    for core, source in zip((ca, cb), (a, b)):
+        inverse = TransformTriple([U.conj().T for U in core.bases], check=False)
+        assert core.core.tobytes() == apply_action(inverse, source).data.tobytes() and not core.core.flags["WRITEABLE"]
     for U, V, d, h in zip(ca.bases, cb.bases, diagonals, witness.factors):
         assert np.array_equal(h, (V * d) @ U.conj().T)

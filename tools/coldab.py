@@ -20,15 +20,21 @@ benchmark runs only average over it.  Ops whose first call takes over
 ``bench/run.py``'s ``REPEAT_BELOW_S`` (0.25 s) are timed once per tree, as
 the benchmark does.
 
-Each op prints its median seconds on both trees, their ratio (change over
-parent) and, from one more untimed call per tree, the number of calls into
-Python functions under numpy's package directory, counted with
-``sys.setprofile`` as ``tests/test_cli.py``'s wrapper budget counts them
-(cold, each such wrapper costs about as much as a small op's arithmetic).
-The last line gives each tree's geometric mean over the
-fastest half of its ops (``bench/metrics.py``'s ``fast_half_gmean``) and
-the ratio of the two.  Exit code and stdout must match byte for byte on
-every call; the script exits 1 when they do not, or when a call raises.
+Every call is judged by ``bench/run.py``'s ``judge``.  An op that fails
+on a tree (a wrong or missing verdict, a YES whose witness fails its
+check, an error) ranks ``inf`` there, as ``bench/metrics.py`` ranks it, so
+it sorts above every completed op in the fast half.
+
+Each op prints its verdict, its median seconds on both trees (``inf`` where
+it failed), their ratio (change over parent) and, from one more untimed
+call per tree, the number of calls into Python functions under numpy's
+package directory, counted with ``sys.setprofile`` as
+``tests/test_cli.py``'s wrapper budget counts them (cold, each such wrapper
+costs about as much as a small op's arithmetic).  The last line gives each
+tree's geometric mean over the fastest half of its ops (``bench/metrics.py``'s
+``fast_half_gmean``) and the ratio of the two.  Exit code and stdout must
+match byte for byte on every call; the script exits 1 when they do not, or
+when a call raises.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse
 import importlib
 import importlib.util
+import math
 import statistics
 import sys
 import tempfile
@@ -70,14 +77,42 @@ def load_tree(src: Path, name: str):
     return importlib.import_module(f"{name}.cli")
 
 
-def call(cli, op) -> tuple:
-    """Seconds and outcome of one cold call, with the op's output files removed first, as the benchmark does."""
+def clear(op) -> None:
+    """Remove the op's output files, as the benchmark does before every call."""
     for key in ("witness", "csv"):
         path = op.check.get(key)
         if path is not None:
             path.unlink(missing_ok=True)
+
+
+def call(cli, op) -> tuple:
+    """Seconds, outcome and judgement of one cold call."""
+    clear(op)
     sec, code, stdout, exc = run.call(cli, op)
-    return sec, (code, stdout, repr(exc) if exc is not None else None)
+    # judged at once: a YES is checked against the witness file this call wrote
+    return sec, (code, stdout, repr(exc) if exc is not None else None), run.judge(op, code, stdout, exc, [])
+
+
+def time_op(clis, op, n: int, reps: int) -> tuple:
+    """Both trees' seconds for ``op`` (the median of its calls, ``inf`` if any failed), its verdict, and whether every outcome matched.
+
+    ``n`` is the op's position, which sets which tree runs first in each repetition.
+    """
+    seconds, outputs, failed, verdicts = ([], []), ([], []), [False, False], [set(), set()]
+    for rep in range(reps):
+        for side in ((0, 1) if (n + rep) % 2 == 0 else (1, 0)):
+            sec, out, res = call(clis[side], op)
+            seconds[side].append(sec)
+            outputs[side].append(out)
+            failed[side] |= res["failed"]
+            verdicts[side].add(res["verdict"])
+        if rep == 0 and min(seconds[0][0], seconds[1][0]) > run.REPEAT_BELOW_S:
+            break
+    same = len(set(outputs[0] + outputs[1])) == 1 and outputs[0][0][2] is None
+    label = [",".join(sorted(v)) + (" (failed)" if f else "") for v, f in zip(verdicts, failed)]
+    verdict = label[0] if label[0] == label[1] else " / ".join(label)
+    times = tuple(math.inf if f else statistics.median(s) for s, f in zip(seconds, failed))
+    return times, verdict, same
 
 
 def wrapper_calls(cli, op) -> int:
@@ -90,9 +125,10 @@ def wrapper_calls(cli, op) -> int:
         if event == "call" and frame.f_code.co_filename.startswith(root):
             count += 1
 
+    clear(op)
     sys.setprofile(profile)
     try:
-        call(cli, op)
+        run.call(cli, op)
     finally:
         sys.setprofile(None)
     return count
@@ -118,21 +154,13 @@ def main(argv=None) -> int:
         if args.limit is not None:
             ops = sorted(ops, key=lambda op: op.size)[: args.limit]
         for n, op in enumerate(ops):
-            seconds, outputs = ([], []), ([], [])
-            for rep in range(args.reps):
-                for side in ((0, 1) if (n + rep) % 2 == 0 else (1, 0)):
-                    sec, out = call(clis[side], op)
-                    seconds[side].append(sec)
-                    outputs[side].append(out)
-                if rep == 0 and min(seconds[0][0], seconds[1][0]) > run.REPEAT_BELOW_S:
-                    break
-            same = len(set(outputs[0] + outputs[1])) == 1 and outputs[0][0][2] is None
+            (a, b), verdict, same = time_op(clis, op, n, args.reps)
             mismatched += not same
-            a, b = (statistics.median(s) for s in seconds)
             rows.append((a, b))
             wa, wb = (wrapper_calls(cli, op) for cli in clis)
-            print(f"{op.label:<24} parent {a * 1e3:9.3f} ms  change {b * 1e3:9.3f} ms  ratio {b / a:6.3f}"
-                  f"  numpy calls {wa:4d} -> {wb:4d}" + ("" if same else "  OUTCOME DIFFERS"), flush=True)
+            print(f"{op.label:<24} {verdict:<22} parent {a * 1e3:9.3f} ms  change {b * 1e3:9.3f} ms  "
+                  f"ratio {b / a:6.3f}  numpy calls {wa:4d} -> {wb:4d}" + ("" if same else "  OUTCOME DIFFERS"),
+                  flush=True)
     a, b = (metrics.fast_half_gmean([r[side] for r in rows]) for side in (0, 1))
     print(f"fast half ({(len(rows) + 1) // 2} of {len(rows)} ops): parent {a * 1e3:.3f} ms  change {b * 1e3:.3f} ms  "
           f"ratio {b / a:.4f}; {mismatched} op(s) differing or raising")
