@@ -104,6 +104,10 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_gaps(args) -> int:
+    if args.tensor and (args.zeta is not None or args.p is not None):
+        raise ConfigInvalid("--zeta and --p set the matrix experiment, which --tensor replaces")
+    if args.eta is not None and not args.tensor:
+        raise ConfigInvalid("--eta sets the tensor experiment, which runs only with --tensor")
     model = RandomModel(distribution=args.model, scalar_kind=args.kind, seed=args.seed)
     if args.tensor:
         report = run_tensor_gram_experiment(args.n, model, args.trials, eta=args.eta, beta=args.beta)
@@ -174,88 +178,102 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+_REQUIRED = dict(required=True)
+_MODEL = dict(choices=["gaussian", "rademacher", "uniform_pm"], default="gaussian")
+_KIND = dict(choices=["real", "complex"], default="real")
+_SEED = dict(type=int, default=0, help="RNG seed (64-bit)")
+_COMMON = {"--json": dict(action="store_true", default=False, help="emit a single JSON report on stdout"),
+           "--quiet": dict(action="store_true", default=False, help="suppress human-readable output")}
+# The command line, declared once: each subcommand's help, handler and
+# options, each option's flag mapped to its ``add_argument`` keywords.  Every
+# subcommand also takes the options of _COMMON, ahead of its own.  A
+# store_true option names its default, False, for the plain path to fill in.
+_COMMANDS = {
+    "gen": ("sample a random tensor to a file", _cmd_gen, {
+        "--seed": _SEED, "--dims": dict(type=int, nargs=3, required=True, metavar=("L", "M", "N")),
+        "--model": _MODEL, "--kind": _KIND, "--out": _REQUIRED,
+        "--format": dict(choices=["t3b", "json"], default="t3b")}),
+    "iso": ("exact orbit-equivalence decision", _cmd_decide, {
+        "--a": _REQUIRED, "--b": _REQUIRED,
+        "--witness-out": dict(default=None, help="write the verified witness as JSON on a YES verdict")}),
+    "dist": ("gap-certified orbit distance decision", _cmd_decide, {
+        "--a": _REQUIRED, "--b": _REQUIRED, "--eps": dict(type=float, required=True), "--witness-out": dict(default=None)}),
+    "gaps": ("spectral-gap Monte-Carlo experiments", _cmd_gaps, {
+        "--seed": _SEED, "--n": dict(type=int, required=True), "--zeta": dict(type=float, default=None),
+        "--p": dict(type=int, default=None), "--beta": dict(type=float, default=BETA_EXPERIMENT),
+        "--trials": dict(type=int, required=True), "--model": _MODEL, "--kind": _KIND, "--csv": dict(default=None),
+        "--tensor": dict(action="store_true", default=False, help="run the tensor-Gram experiment instead"),
+        "--eta": dict(type=float, default=None, help="perturbation size for the tensor experiment")}),
+    "hyper": ("tripartite hypergraph isomorphism", _cmd_hyper, {"--g": _REQUIRED, "--h": _REQUIRED}),
+    "verify": ("recompute a witness residual", _cmd_verify, {
+        "--a": _REQUIRED, "--b": _REQUIRED, "--witness": _REQUIRED,
+        "--tol": dict(type=float, default=1e-6, help="pass gate relative to the first tensor's norm")}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """The argparse tree, built once per process; ``parse_args`` leaves it unchanged."""
-    return _parsers()[0]
+    """The argparse tree, built on first use and kept; ``parse_args`` leaves it unchanged."""
+    return _parsers()
 
 
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict]:
-    """The full parser and each subcommand's name and parser."""
+def _parsers() -> argparse.ArgumentParser:
+    """The full parser, built from the declaration :data:`_COMMANDS`."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit a single JSON report on stdout")
-    common.add_argument("--quiet", action="store_true", help="suppress human-readable output")
-
+    for flag, keywords in _COMMON.items():
+        common.add_argument(flag, **keywords)
     parser = argparse.ArgumentParser(prog="otiso", description="Orbit-equivalence toolkit for 3-tensors.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (text, func, options) in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=text)
+        for flag, keywords in options.items():
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=func)
+    return parser
 
-    p_gen = sub.add_parser("gen", parents=[common], help="sample a random tensor to a file")
-    p_gen.add_argument("--seed", type=int, default=0, help="RNG seed (64-bit)")
-    p_gen.add_argument("--dims", type=int, nargs=3, required=True, metavar=("L", "M", "N"))
-    p_gen.add_argument("--model", choices=["gaussian", "rademacher", "uniform_pm"], default="gaussian")
-    p_gen.add_argument("--kind", choices=["real", "complex"], default="real")
-    p_gen.add_argument("--out", required=True)
-    p_gen.add_argument("--format", choices=["t3b", "json"], default="t3b")
-    p_gen.set_defaults(func=_cmd_gen)
 
-    p_iso = sub.add_parser("iso", parents=[common], help="exact orbit-equivalence decision")
-    p_iso.add_argument("--a", required=True)
-    p_iso.add_argument("--b", required=True)
-    p_iso.add_argument("--witness-out", default=None, help="write the verified witness as JSON on a YES verdict")
-    p_iso.set_defaults(func=_cmd_decide)
+def _read_plain(argv) -> argparse.Namespace | None:
+    """The Namespace of an argv made only of a subcommand and exact long options, else None.
 
-    p_dist = sub.add_parser("dist", parents=[common], help="gap-certified orbit distance decision")
-    p_dist.add_argument("--a", required=True)
-    p_dist.add_argument("--b", required=True)
-    p_dist.add_argument("--eps", type=float, required=True)
-    p_dist.add_argument("--witness-out", default=None)
-    p_dist.set_defaults(func=_cmd_decide)
-
-    p_gaps = sub.add_parser("gaps", parents=[common], help="spectral-gap Monte-Carlo experiments")
-    p_gaps.add_argument("--seed", type=int, default=0, help="RNG seed (64-bit)")
-    p_gaps.add_argument("--n", type=int, required=True)
-    p_gaps.add_argument("--zeta", type=float, default=None)
-    p_gaps.add_argument("--p", type=int, default=None)
-    p_gaps.add_argument("--beta", type=float, default=BETA_EXPERIMENT)
-    p_gaps.add_argument("--trials", type=int, required=True)
-    p_gaps.add_argument("--model", choices=["gaussian", "rademacher", "uniform_pm"], default="gaussian")
-    p_gaps.add_argument("--kind", choices=["real", "complex"], default="real")
-    p_gaps.add_argument("--csv", default=None)
-    p_gaps.add_argument("--tensor", action="store_true", help="run the tensor-Gram experiment instead")
-    p_gaps.add_argument("--eta", type=float, default=None, help="perturbation size for the tensor experiment")
-    p_gaps.set_defaults(func=_cmd_gaps)
-
-    p_hyper = sub.add_parser("hyper", parents=[common], help="tripartite hypergraph isomorphism")
-    p_hyper.add_argument("--g", required=True)
-    p_hyper.add_argument("--h", required=True)
-    p_hyper.set_defaults(func=_cmd_hyper)
-
-    p_verify = sub.add_parser("verify", parents=[common], help="recompute a witness residual")
-    p_verify.add_argument("--a", required=True)
-    p_verify.add_argument("--b", required=True)
-    p_verify.add_argument("--witness", required=True)
-    p_verify.add_argument("--tol", type=float, default=1e-6, help="pass gate relative to the first tensor's norm")
-    p_verify.set_defaults(func=_cmd_verify)
-
-    return parser, sub.choices
+    A flag's value is the next token unless that starts with ``-``; ``type``
+    and ``choices`` apply as in argparse.  None is help, an abbreviation,
+    ``--opt=value``, a repeated option, ``nargs``, a value that starts with
+    ``-``, a bad value, a missing required option or an extra token.
+    """
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    options = {**_COMMON, **command[2]}
+    given = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        keywords = options.get(flag)
+        if keywords is None or flag in given or "nargs" in keywords:
+            return None
+        if keywords.get("action") == "store_true":
+            given[flag] = True
+            continue
+        token = next(tokens, "-")
+        if token.startswith("-"):
+            return None
+        try:
+            given[flag] = keywords.get("type", str)(token)
+        except ValueError:
+            return None
+        if "choices" in keywords and given[flag] not in keywords["choices"]:
+            return None
+    if any(keywords.get("required") and flag not in given for flag, keywords in options.items()):
+        return None
+    args = object.__new__(argparse.Namespace)  # argparse's own __init__ is Python code; the plain path calls none
+    vars(args).update({"subcommand": argv[0], **{flag[2:].replace("-", "_"): given.get(flag, keywords.get("default"))
+                                                 for flag, keywords in options.items()}, "func": command[1]})
+    return args
 
 
 def parse_args(argv) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)`` in one argparse pass when ``argv[0]`` names a subcommand.
-
-    The subcommand's own parser reads ``argv[1:]``, as the full parser would
-    hand them to it.  Any other argv, and one the subcommand's parser leaves
-    arguments over from, goes through the full parser, so usage errors and
-    help read the same.
-    """
-    parser, subcommands = _parsers()
-    sub = subcommands.get(argv[0]) if argv else None
-    if sub is not None:
-        args, rest = sub.parse_known_args(argv[1:])
-        if not rest:
-            args.subcommand = argv[0]
-            return args
-    return parser.parse_args(argv)
+    """``build_parser().parse_args(argv)``, whose tree is built only for an argv :func:`_read_plain` leaves to it."""
+    args = _read_plain(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

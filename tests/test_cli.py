@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, deterministic reruns, file plumbing."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import otiso
 from otiso import (
@@ -29,7 +32,8 @@ from otiso import (
     write_witness_json,
 )
 from otiso.hypergraph import format_hypergraph
-from otiso.cli import _jsonable, build_parser, main, parse_args
+import otiso.cli
+from otiso.cli import _COMMANDS, _COMMON, _jsonable, _read_plain, build_parser, main, parse_args
 from otiso.decision import Decision
 
 from helpers import random_hypergraph, random_perm_triple
@@ -194,6 +198,20 @@ def test_gaps_refuses_non_finite_eta_and_beta():
         assert main([*matrix, "--beta", value]) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["gaps", "--n", "100", "--zeta", "0.5", "--trials", "2", "--eta", "-1"],
+    ["gaps", "--n", "100", "--zeta", "0.5", "--trials", "2", "--eta", "0.5"],
+    ["gaps", "--tensor", "--n", "4", "--trials", "2", "--zeta", "0.5", "--p", "3"],
+    ["gaps", "--tensor", "--n", "4", "--trials", "2", "--zeta", "0.5"],
+    ["gaps", "--tensor", "--n", "4", "--trials", "2", "--p", "3"],
+])
+def test_gaps_refuses_an_option_its_experiment_does_not_read(capsys, argv):
+    # the matrix experiment reads no --eta and the tensor experiment no --zeta or --p
+    assert main([*argv, "--json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: --")
+
+
 def strict_json(text):
     """Parse with the NaN/Infinity tokens that strict JSON forbids turned into errors."""
     def refuse(token):
@@ -287,6 +305,18 @@ def test_verify_exits_4_when_the_moved_tensor_overflows(tmp_path, capsys):
     assert captured.out == "" and captured.err == "error: tensor entries must be finite\n"
 
 
+def parse_outcome(parse, argv):
+    """What ``parse`` makes of ``argv``: the Namespace's repr (NaN-safe) or the exit code, then stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(list(argv))
+            result = (type(result), repr(result))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
 # argv and the exit code argparse gives it (None: it parses)
 PARSED_ARGV = [
     (["gen", "--dims", "2", "3", "4", "--out", "x.t3b", "--kind", "complex", "--json"], None),
@@ -307,22 +337,128 @@ PARSED_ARGV = [
 
 
 @pytest.mark.parametrize("argv, code", PARSED_ARGV)
-def test_one_pass_parse_matches_the_full_parser(capsys, argv, code):
-    # the same Namespace, or the same exit code and text, as the full parser's two passes
-    def outcome(parse):
-        try:
-            result = parse(list(argv))
-        except SystemExit as exc:
-            result = exc.code
-        return result, capsys.readouterr()
-
-    got = outcome(parse_args)
-    assert got == outcome(build_parser().parse_args)
+def test_one_pass_parse_matches_the_full_parser(argv, code):
+    # the same Namespace, or the same exit code and text, as the full parser
+    got = parse_outcome(parse_args, argv)
+    assert got == parse_outcome(build_parser().parse_args, argv)
     if code is None:
-        assert got[0].subcommand == argv[0] and got[1] == ("", "")
+        assert got[0][1].startswith(f"Namespace(subcommand='{argv[0]}', ") and got[1:] == ("", "")
     else:
         assert got[0] == code
         assert main(list(argv)) == (0 if code == 0 else 3)
+
+
+def option_values(keywords):
+    """Value tokens for one option: well-formed ones, and ones argparse refuses or reads as an option."""
+    if keywords.get("nargs"):
+        return st.lists(st.integers(0, 9).map(str), min_size=2, max_size=4)
+    kind = keywords.get("type")
+    if "choices" in keywords:
+        good = st.sampled_from(keywords["choices"])
+    elif kind is int:
+        good = st.integers(-3, 10**6).map(str)
+    elif kind is float:
+        good = st.floats().map(repr) | st.sampled_from(["1e-3", "0.5", "inf", "nan", "1_0.5"])
+    else:
+        good = st.sampled_from(["a.t3b", "w.json", "x y", "", "iso"])
+    bad = st.sampled_from(["-1", "-1e-3", "-x", "x", "1.5", "cauchy", "--json"])
+    return st.sampled_from([good] * 6 + [bad]).flatmap(lambda values: st.lists(values, min_size=1, max_size=1))
+
+
+@st.composite
+def cli_argvs(draw):
+    """An argv from the declaration: every subcommand, its options in any order, each spelled well or badly."""
+    name = draw(st.sampled_from(sorted(_COMMANDS)))
+    options = {**_COMMON, **_COMMANDS[name][2]}
+    groups = []
+    for flag in draw(st.permutations(sorted(options))):
+        keywords = options[flag]
+        if not draw(st.sampled_from([True] * 5 + [False] if keywords.get("required") else [True, False])):
+            continue  # an optional option left out, now and then a required one
+        values = [] if keywords.get("action") else draw(option_values(keywords))
+        spelling = draw(st.sampled_from(["exact"] * 8 + ["abbreviated", "joined"]))
+        if spelling == "abbreviated" and len(flag) > 4:
+            flag = flag[:draw(st.integers(3, len(flag) - 1))]  # --wit, --t, ...
+        if spelling == "joined":
+            groups.append([f"{flag}={values[0] if values else ''}"] + values[1:])
+        else:
+            groups.append([flag] + values)
+    if groups and draw(st.sampled_from([False] * 9 + [True])):
+        groups.insert(draw(st.integers(0, len(groups))), draw(st.sampled_from(groups)))  # a repeated option
+    argv = [name] + [token for group in groups for token in group]
+    for extra in ("-h", "extra"):  # help, or a positional no subcommand takes, at any position
+        if draw(st.sampled_from([False] * 9 + [True])):
+            argv.insert(draw(st.integers(0, len(argv))), extra)
+    return argv
+
+
+def plain(argv) -> bool:
+    """Only exact, distinct long options of a subcommand whose options each take one value or none."""
+    if argv[0] not in _COMMANDS or argv[0] == "gen":  # gen's --dims takes three
+        return False
+    options = {**_COMMON, **_COMMANDS[argv[0]][2]}
+    flags = [token for token in argv[1:] if token.startswith("-")]
+    return len(flags) == len(set(flags)) and all(flag in options for flag in flags)
+
+
+@settings(max_examples=500)
+@given(cli_argvs())
+def test_plain_parse_matches_argparse(argv):
+    # the same Namespace, or the same exit code, stdout and stderr; a plain argv that parses is read without argparse
+    want = parse_outcome(build_parser().parse_args, argv)
+    assert parse_outcome(parse_args, argv) == want
+    if isinstance(want[0], tuple):
+        assert _read_plain(argv) is not None or not plain(argv)
+    else:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(list(argv)) == (0 if want[0] == 0 else 3)
+
+
+def argparse_calls(argv):
+    """``main(argv)``'s exit code, and the Python-level calls it makes into argparse, from a process state with no tree built."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_globals.get("__name__") == "argparse":
+            calls.append(frame.f_code.co_name)
+
+    otiso.cli._parsers.cache_clear()
+    sys.setprofile(profile)
+    try:
+        code = main(argv)
+    finally:
+        sys.setprofile(None)
+    return code, calls
+
+
+@pytest.mark.parametrize("shape", ["iso", "dist", "gaps", "gaps --tensor", "hyper"])
+def test_a_plain_argv_never_calls_into_argparse(tmp_path, capsys, shape):
+    # the benchmark's argv shapes: the tree is not built and no argparse function runs
+    _, _, pa, pb = orbit_files(tmp_path, 915)
+    if shape == "hyper":
+        g = random_hypergraph((4, 4, 4), seed=916)
+        pg, ph = tmp_path / "g.txt", tmp_path / "h.txt"
+        write_hypergraph(g, pg)
+        write_hypergraph(relabel(g, random_perm_triple((4, 4, 4), seed=917)), ph)
+        argv = ["hyper", "--g", str(pg), "--h", str(ph), "--json"]
+    elif shape == "gaps":
+        argv = ["gaps", "--n", "20", "--zeta", "0.5", "--trials", "2", "--seed", "3", "--csv", str(tmp_path / "g.csv"),
+                "--json"]
+    elif shape == "gaps --tensor":
+        argv = ["gaps", "--tensor", "--n", "4", "--trials", "2", "--seed", "3", "--json"]
+    else:
+        argv = [shape, "--a", str(pa), "--b", str(pb)]
+        argv += ["--eps", "1e-6"] if shape == "dist" else ["--witness-out", str(tmp_path / "w.json"), "--json"]
+    code, calls = argparse_calls(argv)
+    assert code == 0 and capsys.readouterr().err == ""
+    assert calls == [] and otiso.cli._parsers.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("argv, code", [(["iso", "-h"], 0), (["iso", "--a"], 3)])
+def test_help_and_usage_errors_build_the_argparse_tree(capsys, argv, code):
+    assert argparse_calls(argv)[0] == code
+    assert otiso.cli._parsers.cache_info().currsize == 1
+    assert capsys.readouterr() == parse_outcome(build_parser().parse_args, argv)[1:]
 
 
 def test_verify_is_symmetric_in_the_kinds(tmp_path, capsys):

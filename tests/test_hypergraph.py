@@ -394,34 +394,53 @@ def beyond_int64_parse(text: str) -> bool:
 SPELLINGS = ["{}", "{}", "0{}", "+{}"]
 BAD_HEADERS = ["3 3", "3 3 3 3", "0 3 3", "3 -1 3", "3 x 3", "3 3 3.0", "3 0_3 3", "3 3 9223372036854775808"]
 BAD_TOKENS = ["0", "-1", "4", "1_0", "0_1", "1.0", "2e0", "x", "1 # c", "12345678901234567890", "-9223372036854775808"]
+# a line of a malformed document: one of the malformations the format rejects, or now and then a good edge
+MALFORMED_LINES = ([("edge", None)] * 5 + [("line", h) for h in BAD_HEADERS] + [("bad", t) for t in BAD_TOKENS]
+                   + [("inline", None), ("ragged", None), ("repeat", None)])
 
 
 @st.composite
 def hypergraph_documents(draw):
-    """Headers and edge lines mixing valid triples with every malformation the format rejects."""
+    """Well-formed documents, and documents whose lines mix good edges with every malformation the format rejects.
+
+    The edges are distinct and part sizes reach 4, so a well-formed document
+    (about half of them) parses and is compared edge for edge.  Every line of
+    a malformed one, the header included, draws from MALFORMED_LINES: a bad
+    header as the whole line, a bad token, an inline comment, a ragged line
+    or a repeated edge.
+    """
     sep = st.sampled_from([" ", "  ", "\t", " \t "])
     pad = st.sampled_from(["", " ", "\t"])
-    sizes = [draw(st.integers(1, 3)) for _ in range(3)]
+    sizes = [draw(st.integers(1, 4)) for _ in range(3)]
+    cases = MALFORMED_LINES if draw(st.sampled_from([False, True])) else [("edge", None)]
+    edges = []
+
+    def line(values):
+        kind, bad = draw(st.sampled_from(cases))
+        if kind == "line":
+            return bad
+        if kind == "repeat" and edges:
+            values = draw(st.sampled_from(edges))
+        elif kind == "ragged":
+            values = values[:2] if draw(st.booleans()) else [*values, values[0]]
+        toks = [draw(st.sampled_from(SPELLINGS)).format(v) for v in values]
+        if kind == "bad":
+            toks[draw(st.integers(0, 2))] = bad
+        return draw(pad) + draw(sep).join(toks) + (" # c" if kind == "inline" else "") + draw(pad)
+
     # a good header takes the edge lines' spellings and separators
-    spelled = [draw(st.sampled_from(SPELLINGS)).format(s) for s in sizes]
-    header = draw(pad) + draw(sep).join(spelled) + draw(pad) if draw(st.integers(0, 5)) else draw(
-        st.sampled_from(BAD_HEADERS))
-    lines = []
-    for _ in range(draw(st.integers(0, 8))):
-        kind = draw(st.sampled_from(["edge"] * 6 + ["bad"] * 2 + ["comment", "blank", "inline", "ragged"]))
-        if kind == "comment":
-            lines.append(draw(st.sampled_from(["# c", "#", "  # indented", "#1 1 1"])))
-        elif kind == "blank":
-            lines.append(draw(st.sampled_from(["", "   ", "\t", " \x1f ", "\x0b"])))
-        else:
-            toks = [draw(st.sampled_from(SPELLINGS)).format(draw(st.integers(1, sizes[d % 3])))
-                    for d in range(draw(st.sampled_from([2, 4])) if kind == "ragged" else 3)]
-            if kind == "bad":
-                toks[draw(st.integers(0, 2))] = draw(st.sampled_from(BAD_TOKENS))
-            lines.append(draw(pad) + draw(sep).join(toks) + (" # c" if kind == "inline" else "") + draw(pad))
+    lines = [line(sizes)]
+    cells = sizes[0] * sizes[1] * sizes[2]
+    for flat in draw(st.lists(st.integers(0, cells - 1), unique=True, max_size=min(8, cells))):
+        edge = [int(v) + 1 for v in np.unravel_index(flat, sizes)]
+        lines.append(line(edge))
+        edges.append(edge)
+    for _ in range(draw(st.integers(0, 3))):
+        filler = draw(st.sampled_from(["# c", "#", "  # indented", "#1 1 1", "", "   ", "\t", " \x1f ", "\x0b"]))
+        lines.insert(draw(st.integers(1, len(lines))), filler)
     eol = draw(st.sampled_from(["\n", "\r\n"]))
     lead = draw(st.sampled_from(["", "", "# leading comment" + eol, " " + eol + "\t" + eol, "#" + eol + " " + eol]))
-    return lead + eol.join([header] + lines) + draw(st.sampled_from(["", eol, eol + " " + eol + eol]))
+    return lead + eol.join(lines) + draw(st.sampled_from(["", eol, eol + " " + eol + eol]))
 
 
 @settings(max_examples=300)
