@@ -9,6 +9,7 @@ that is re-checked exactly on the edge sets.
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -170,8 +171,28 @@ def decide_hypergraph_iso(g: TripartiteHypergraph, h: TripartiteHypergraph) -> H
     return HypergraphDecision("cannot_decide", None, diag)
 
 
+# Three unsigned decimals per line, single spaces, every line ended by "\n".  At most 18 digits
+# stay below 2^63, where fromstring would clamp to INT64_MAX without an error; possessive
+# repeats keep the matcher from saving a backtracking mark per repetition.
+_CANONICAL = re.compile(r"(?:[0-9]{1,18}+ [0-9]{1,18}+ [0-9]{1,18}+\n)++")
+
+
 def parse_hypergraph(text: str) -> TripartiteHypergraph:
-    """Text format: first line 'l m n', then one 1-based edge 'i j k' per line, all in one int64 decimal grammar."""
+    """Text format: first line 'l m n', then one 1-based edge 'i j k' per line, all in one int64 decimal grammar.
+
+    A canonical document, the form ``format_hypergraph`` writes, is read in one
+    ``np.fromstring`` pass; every other one goes through ``np.loadtxt``, which
+    reads a canonical document to the same rows.
+    """
+    if _CANONICAL.fullmatch(text):
+        rows = np.fromstring(text, dtype=np.int64, sep=" ").reshape(-1, 3)
+    else:
+        rows = _loadtxt_rows(text)
+    return TripartiteHypergraph(tuple(rows[0].tolist()), rows[1:] - 1)
+
+
+def _loadtxt_rows(text: str) -> np.ndarray:
+    """The rows of any document: comments, blank lines, any whitespace, signs, CRLF, a missing final newline."""
     lines = text.splitlines()
     if "#" in text:
         # A comment takes its whole line: a '#' after an edge fails the edge parse.
@@ -187,7 +208,7 @@ def parse_hypergraph(text: str) -> TripartiteHypergraph:
         raise FormatError(f"the header and edge lines must hold three integers: {exc}") from exc
     if rows.shape[1] != 3:
         raise FormatError(f"the header and edge lines must hold three integers, got {rows.shape[1]}")
-    return TripartiteHypergraph(tuple(rows[0].tolist()), rows[1:] - 1)
+    return rows
 
 
 def format_hypergraph(g: TripartiteHypergraph) -> str:

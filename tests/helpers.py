@@ -21,6 +21,18 @@ def random_perm_triple(part_sizes, seed: int, *, stream=()) -> PermTriple:
     return PermTriple(tuple(tuple(int(v) for v in rng.permutation(s)) for s in part_sizes))
 
 
+def matrix_orbit_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """min over the group of ||g.A - B||_F for two (1, m, n) arrays: ||sigma(A) - sigma(B)||_2.
+
+    The group acts as O(m) x O(n), or U(m) x U(n), on the m x n matrix; by von
+    Neumann's trace inequality the nearest point of A's orbit to B lines up
+    their singular vectors (Mirsky 1960).  ``np.linalg.svd`` sorts both
+    spectra the same way, and the spine never calls it.
+    """
+    sa, sb = (np.linalg.svd(x[0], compute_uv=False) for x in (a, b))
+    return float(np.linalg.norm(sa - sb))
+
+
 def read_from_fifo(path, blob: bytes, read):
     """``read(path)`` on a FIFO made at ``path`` that a thread feeds ``blob`` 5 bytes at a time."""
     os.mkfifo(path)

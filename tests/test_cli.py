@@ -630,11 +630,11 @@ def test_verify_tol_must_be_finite_and_non_negative(tmp_path, capsys, tol):
 
 # Calls into numpy's Python-level functions per op, measured with numpy
 # 2.4.6; a numpy upgrade that moves its wrappers re-baselines them.
-WRAPPER_BUDGET = {"real": 57, "complex": 57, "norm": 6, "hyper": 81}
+WRAPPER_BUDGET = {"real": 57, "complex": 57, "norm": 6, "hyper": 71}
 
 
 @pytest.mark.parametrize("op", sorted(WRAPPER_BUDGET))
-def test_numpy_wrapper_calls_per_op_stay_within_budget(tmp_path, op):
+def test_numpy_wrapper_calls_per_op_stay_within_budget(tmp_path, capsys, op):
     # the benchmark runs each op cold, where every Python-level numpy
     # wrapper costs about as much as a small op's arithmetic
     kind = "complex" if op == "complex" else "real"
@@ -664,4 +664,5 @@ def test_numpy_wrapper_calls_per_op_stay_within_budget(tmp_path, op):
     finally:
         sys.setprofile(None)
     assert code == want
+    capsys.readouterr()  # drop the two reports: under -s, output left unread reaches the terminal
     assert len(calls) <= WRAPPER_BUDGET[op], sorted(calls)

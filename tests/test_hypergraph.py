@@ -2,11 +2,12 @@
 
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 import otiso.hypergraph
 from otiso import (
@@ -171,6 +172,20 @@ def test_sparse_pair_is_decided_only_after_centring():
     d = decide_hypergraph_iso(g, h)
     assert d.verdict == "yes" and d.diagnostics["step"] == "verified"
     assert relabel(g, d.perms) == h
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError)
+def test_relabelled_pair_with_a_part_of_size_one_is_yes():
+    # Known defect: the tensor is a 4x5 matrix and only 4 core entries are sign
+    # targets, so the spine's witness carries A onto B with factors that are
+    # orthogonal but nowhere near permutations, and their rounding relabels
+    # nothing: cannot_decide at edge_verification.  Breaking the ties before
+    # rounding would make this pair YES.
+    sizes = (1, 4, 5)
+    g = random_hypergraph(sizes, seed=2)
+    h = relabel(g, random_perm_triple(sizes, seed=2, stream=(1,)))
+    d = decide_hypergraph_iso(g, h)
+    assert d.verdict == "yes", d.diagnostics
 
 
 def test_witness_that_rounds_to_no_relabelling_is_cannot_decide(monkeypatch):
@@ -401,18 +416,24 @@ MALFORMED_LINES = ([("edge", None)] * 5 + [("line", h) for h in BAD_HEADERS] + [
 
 @st.composite
 def hypergraph_documents(draw):
-    """Well-formed documents, and documents whose lines mix good edges with every malformation the format rejects.
+    """Canonical documents, other well-formed ones, and documents whose lines mix good edges with every malformation.
 
-    The edges are distinct and part sizes reach 4, so a well-formed document
-    (about half of them) parses and is compared edge for edge.  Every line of
-    a malformed one, the header included, draws from MALFORMED_LINES: a bad
-    header as the whole line, a bad token, an inline comment, a ragged line
-    or a repeated edge.
+    The form is drawn first and counted as an event.  A canonical document is
+    what ``format_hypergraph`` writes, leading zeros allowed, so the reader
+    takes its ``fromstring`` path.  The edges are distinct and part sizes
+    reach 4, so a well-formed document parses and is compared edge for edge.
+    Every line of a malformed one, the header included, draws from
+    MALFORMED_LINES: a bad header as the whole line, a bad token, an inline
+    comment, a ragged line or a repeated edge.
     """
-    sep = st.sampled_from([" ", "  ", "\t", " \t "])
-    pad = st.sampled_from(["", " ", "\t"])
+    form = draw(st.sampled_from(["canonical", "loose", "malformed"]))
+    event(form)
+    canonical = form == "canonical"
+    sep = st.just(" ") if canonical else st.sampled_from([" ", "  ", "\t", " \t "])
+    pad = st.just("") if canonical else st.sampled_from(["", " ", "\t"])
+    spellings = st.sampled_from(["{}", "{}", "0{}"] if canonical else SPELLINGS)
     sizes = [draw(st.integers(1, 4)) for _ in range(3)]
-    cases = MALFORMED_LINES if draw(st.sampled_from([False, True])) else [("edge", None)]
+    cases = MALFORMED_LINES if form == "malformed" else [("edge", None)]
     edges = []
 
     def line(values):
@@ -423,7 +444,7 @@ def hypergraph_documents(draw):
             values = draw(st.sampled_from(edges))
         elif kind == "ragged":
             values = values[:2] if draw(st.booleans()) else [*values, values[0]]
-        toks = [draw(st.sampled_from(SPELLINGS)).format(v) for v in values]
+        toks = [draw(spellings).format(v) for v in values]
         if kind == "bad":
             toks[draw(st.integers(0, 2))] = bad
         return draw(pad) + draw(sep).join(toks) + (" # c" if kind == "inline" else "") + draw(pad)
@@ -435,6 +456,8 @@ def hypergraph_documents(draw):
         edge = [int(v) + 1 for v in np.unravel_index(flat, sizes)]
         lines.append(line(edge))
         edges.append(edge)
+    if canonical:
+        return "\n".join(lines) + "\n"
     for _ in range(draw(st.integers(0, 3))):
         filler = draw(st.sampled_from(["# c", "#", "  # indented", "#1 1 1", "", "   ", "\t", " \x1f ", "\x0b"]))
         lines.insert(draw(st.integers(1, len(lines))), filler)
@@ -460,6 +483,72 @@ def test_parse_matches_reference_parser(text):
         return
     g = parse_hypergraph(text)
     assert (g.part_sizes, g.edges) == want
+
+
+def read_outcome(text: str, fast: bool):
+    """``parse_hypergraph(text)`` as comparable data, its canonical-document path switched off when not ``fast``."""
+    with pytest.MonkeyPatch.context() as mp:
+        if not fast:
+            mp.setattr(otiso.hypergraph, "_CANONICAL", re.compile(r"(?!)"))
+        try:
+            g = parse_hypergraph(text)
+        except (FormatError, DimensionMismatch) as exc:
+            return type(exc)
+    return g.part_sizes, g.edge_index.tobytes()
+
+
+@st.composite
+def canonical_documents(draw):
+    """Documents in the canonical layout: leading zeros, part sizes up to INT64_MAX, edges in and out of range.
+
+    Returns the text and whether every token has at most 18 digits, as the
+    canonical pattern requires.
+    """
+    sizes = [draw(st.integers(1, 5) | st.integers(1, 2**63 - 1)) for _ in range(3)]
+    rows = [sizes] + draw(st.lists(st.tuples(*(st.integers(1, min(s, 5)) | st.integers(0, 10**18 - 1)
+                                               for s in sizes)), max_size=6))
+    tokens = [[draw(st.sampled_from(["", "", "0", "00000"])) + str(v) for v in row] for row in rows]
+    text = "".join(" ".join(row) + "\n" for row in tokens)
+    return text, all(len(t) <= 18 for row in tokens for t in row)
+
+
+@settings(max_examples=300)
+@given(canonical_documents())
+@example(("1 1 1\n", True))
+@example(("000000000000000003 0000000000000002 1\n1 2 1\n", True))
+@example(("9223372036854775807 1 1\n1 1 1\n", False))
+def test_both_reader_paths_agree_on_canonical_documents(case):
+    text, short = case
+    assert bool(otiso.hypergraph._CANONICAL.fullmatch(text)) == short
+    event("fromstring" if short else "loadtxt")
+    assert read_outcome(text, fast=True) == read_outcome(text, fast=False)
+
+
+@pytest.mark.parametrize("text, fast, want", [
+    ("999999999999999999 1 1\n1 1 1\n", True, ((999999999999999999, 1, 1), [0])),  # 18 digits
+    ("3 3 000000000000000003\n1 2 3\n", True, ((3, 3, 3), [5])),  # 18 digits, leading zeros
+    ("1000000000000000000 1 1\n1 1 1\n", False, ((10**18, 1, 1), [0])),  # 19 digits, below 2^63
+    ("2 2 0000000000000000002\n1 1 1\n", False, ((2, 2, 2), [0])),  # 19 digits with leading zeros
+    ("9223372036854775808 1 1\n", False, FormatError),  # 2^63
+    ("1 1 1\n1 1 9223372036854775808\n", False, FormatError),
+    ("2 2 2\n1 1 1", False, ((2, 2, 2), [0])),  # no final newline
+    ("2 2 2\r\n1 1 1\r\n", False, ((2, 2, 2), [0])),
+    ("2 2 2\n1  1 1\n", False, ((2, 2, 2), [0])),  # a double space
+    (" 2 2 2\n1 1 1\n", False, ((2, 2, 2), [0])),  # a leading space
+    ("2 2 2\n\n1 1 1\n", False, ((2, 2, 2), [0])),  # a blank line
+    ("0 3 3\n", True, DimensionMismatch),
+    ("3 3 3\n1 1 4\n", True, FormatError),  # out of range
+    ("3 3 3\n1 1 1\n1 1 1\n", True, FormatError),  # duplicate edge
+    ("3037000500 3037000500 1\n", True, DimensionMismatch),  # more cells than int64 holds
+])
+def test_reader_paths_at_the_canonical_pattern_edges(text, fast, want):
+    assert bool(otiso.hypergraph._CANONICAL.fullmatch(text)) == fast
+    got = read_outcome(text, fast=True)
+    assert got == read_outcome(text, fast=False)
+    if isinstance(want, tuple):
+        sizes, flat = want
+        want = sizes, np.array(flat, dtype=np.int64).tobytes()
+    assert got == want
 
 
 def test_yes_permutations_map_edges_in_dense_tensors():
