@@ -20,23 +20,6 @@ from .tensor import gram  # noqa: F401
 # (requires beta > zeta).
 BETA_EXPERIMENT = 0.6
 
-# Calibrated exponent for the median-gap slope check.  A one-time pilot
-# (n in {100, 200, 400, 800}, zeta = 0.5, gaussian, 100 trials, 12 seeds)
-# measured the log-log slope of the median lambda-scale min gap at
-# +0.012 +/- 0.043 (range -0.066 to +0.071): essentially flat in this
-# window.  The chord slope of log(n^{0.25} - 1) over the same n-range is
-# +0.3325, so the effective exponent here is 0.3325 - 0.012 = 0.32.  The
-# asymptotic decay regime (beta > zeta) is not visible at these sizes.
-BETA_CALIBRATED = 0.32
-
-# Frozen pilot medians backing the calibration above (seed 0, 100 trials).
-PILOT_MEDIANS = {
-    100: 3.0199907110343673,
-    200: 3.6516488135777934,
-    400: 3.3365421229552226,
-    800: 3.5300149415873534,
-}
-
 
 @dataclass(frozen=True)
 class GapExperiment:
@@ -122,23 +105,6 @@ def bound_probability(n: int, zeta: float, beta: float) -> float:
 def tensor_gap_target(n: int, beta: float) -> float:
     """3-tensor flattening form of :func:`gap_target`: (n - 1) n^{-3 beta}, its absolute constant taken as 1."""
     return (n - 1.0) * n ** (-3.0 * beta)
-
-
-def log_slope(xs, ys) -> float:
-    """Least-squares slope of log(y) against log(x)."""
-    lx = np.log(np.asarray(xs, dtype=np.float64))
-    ly = np.log(np.asarray(ys, dtype=np.float64))
-    if lx.size < 2:
-        raise ConfigInvalid("slope needs at least two points")
-    return float(np.polyfit(lx, ly, 1)[0])
-
-
-def survival_curve(records, thresholds):
-    """Empirical P[min_gap >= t] for each t, in the order given."""
-    gaps = np.asarray([r.min_gap for r in records], dtype=np.float64)
-    if gaps.size == 0:
-        return [0.0 for _ in thresholds]
-    return [float(np.mean(gaps >= t)) for t in thresholds]
 
 
 def _aggregate(records, target, bound_prob, degenerate, meta) -> GapReport:

@@ -13,7 +13,6 @@ the readers take any JSON number.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import struct
@@ -97,11 +96,6 @@ def _read_t3b(head: bytes, fh) -> Tensor3:
         return Tensor3._adopt(arr)
     except NonFiniteEntries as exc:
         raise FormatError(f"tensor payload contains non-finite entries: {exc}") from exc
-
-
-def tensor_from_bytes(buf: bytes) -> Tensor3:
-    fh = io.BytesIO(buf)
-    return _read_t3b(fh.read(17), fh)
 
 
 def write_tensor(a: Tensor3, path) -> None:

@@ -14,7 +14,6 @@ Everything downstream (cores, phase recovery, decisions) consumes
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,11 +89,6 @@ def _fix_column_phases(V: np.ndarray) -> np.ndarray:
     return np.multiply(V, units, out=V.copy(), where=keep)
 
 
-def _fro_stack(G: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(G, axis=(1, 2))`` bit for bit: the reduction numpy's wrapper runs."""
-    return np.sqrt(np.add.reduce((G.conj() * G).real, axis=(1, 2)))
-
-
 def eig_hermitian(G: np.ndarray, *, vectors: bool = True) -> SpectralData:
     """Eigendecomposition of one matrix under the package conventions.
 
@@ -120,47 +114,34 @@ def eig_hermitian_stack(G: np.ndarray, *, vectors: bool = True) -> list[Spectral
     The Hermiticity gate, the symmetrization, one batched ``eigh`` (or
     ``eigvalsh``), the column phase convention and the residual product all
     run on the whole stack; LAPACK factors each matrix on its own, so every
-    field equals the one-matrix result bit for bit.  Only the backward
-    error's norm is taken per matrix, by ``tensor._fro``, which runs
-    ``np.linalg.norm``'s own dot products and so keeps its summation order
-    (and prescales a sum of squares that overflows or underflows).
-    A gate failure names the first offending matrix.
+    field equals the one-matrix result bit for bit.  Every norm, the gate's
+    and the backward error's, is taken per matrix by ``tensor._fro``: it runs
+    ``np.linalg.norm``'s own dot products, and so keeps its summation order,
+    and prescales a sum of squares that overflows or underflows (Blue, ACM
+    TOMS 4(1), 1978).  A gate failure names the first offending matrix.
     """
     G = np.asarray(G)
     if G.ndim != 3 or G.shape[1] != G.shape[2]:
         raise DimensionMismatch(f"expected a stack of square matrices, got shape {G.shape}")
     Gh = G.conj().swapaxes(1, 2)
+    # squares of entries past about 2^511 overflow, and _fro then prescales their sum
     with np.errstate(over="ignore"):
-        normG = _fro_stack(G)
-        defect = _fro_stack(G - Gh)
-    # Squares of entries past about 2^511 overflow.  A matrix whose norms do
-    # has them taken after an exact power-of-two prescale by its own largest
-    # modulus (Blue, ACM TOMS 4(1), 1978); every other matrix is left as it
-    # is, so its fields match the one-matrix result.
-    over = ~(np.isfinite(normG) & np.isfinite(defect))
-    if over.any():
-        scale = np.ldexp(1.0, -np.frexp(np.max(np.abs(G[over]), axis=(1, 2)))[1])
-        Gs = G[over] * scale[:, np.newaxis, np.newaxis]
-        normG[over] = _fro_stack(Gs) / scale
-        defect[over] = _fro_stack(Gs - Gs.conj().swapaxes(1, 2)) / scale
-    bad = (defect > TAU_HERMITIAN_REL * np.maximum(normG, 1e-300)).nonzero()[0]
-    if bad.size:
-        i = bad[0]
-        raise NonHermitianInput(f"Hermiticity defect {defect[i]:.3e} exceeds tolerance for norm {normG[i]:.3e}")
-    H = (G + Gh) / 2.0
-    try:
-        lam, V = np.linalg.eigh(H) if vectors else (np.linalg.eigvalsh(H), None)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure is environment-dependent
-        raise ConvergenceFailure(str(exc)) from exc
-    lam = lam[:, ::-1].copy()
-    # eigh guarantees ordering, so gaps are nonnegative up to roundoff; a 1x1 matrix has none
-    gaps = [max(g, 0.0) for g in (lam[:, :-1] - lam[:, 1:]).min(axis=1, initial=np.inf).tolist()]
-    if V is None:
-        return [SpectralData(vals, None, g, None) for vals, g in zip(lam, gaps)]
-    V = _fix_column_phases(V[:, :, ::-1])
-    R = H @ V - V * lam[:, np.newaxis, :]
-    # only a matrix whose norms overflowed can have a residual whose squares do; _fro prescales its sum
-    with np.errstate(over="ignore") if over.any() else nullcontext():
+        for g, d in zip(G, G - Gh):
+            normG, defect = _fro(g), _fro(d)
+            if defect > TAU_HERMITIAN_REL * max(normG, 1e-300):
+                raise NonHermitianInput(f"Hermiticity defect {defect:.3e} exceeds tolerance for norm {normG:.3e}")
+        H = (G + Gh) / 2.0
+        try:
+            lam, V = np.linalg.eigh(H) if vectors else (np.linalg.eigvalsh(H), None)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure is environment-dependent
+            raise ConvergenceFailure(str(exc)) from exc
+        lam = lam[:, ::-1].copy()
+        # eigh guarantees ordering, so gaps are nonnegative up to roundoff; a 1x1 matrix has none
+        gaps = [max(g, 0.0) for g in (lam[:, :-1] - lam[:, 1:]).min(axis=1, initial=np.inf).tolist()]
+        if V is None:
+            return [SpectralData(vals, None, g, None) for vals, g in zip(lam, gaps)]
+        V = _fix_column_phases(V[:, :, ::-1])
+        R = H @ V - V * lam[:, np.newaxis, :]
         errors = [_fro(r) for r in R]
     return [SpectralData(vals, v, g, e) for vals, v, g, e in zip(lam, V, gaps, errors)]
 

@@ -153,14 +153,6 @@ def _unitarity_defect(X: np.ndarray) -> float:
     return _fro(G)
 
 
-def unitarity_defect(X: np.ndarray) -> float:
-    """``||X* X - I||_F`` for a square matrix."""
-    X = np.asarray(X)
-    if X.ndim != 2 or X.shape[0] != X.shape[1]:
-        raise DimensionMismatch(f"factor must be square, got shape {X.shape}")
-    return _unitarity_defect(X.astype(np.result_type(X, 1.0), copy=False))
-
-
 class TransformTriple:
     """Three square unitary factors, one per tensor mode.
 
@@ -233,11 +225,6 @@ class TransformTriple:
 
     def __repr__(self) -> str:
         return f"TransformTriple(dims={self.dims}, kind={self.scalar_kind})"
-
-
-def identity_triple(dims) -> TransformTriple:
-    """Identity element of the acting group for the given tensor dims; real, it acts on either kind by promotion."""
-    return TransformTriple([np.eye(d) for d in dims])
 
 
 @dataclass(frozen=True)
@@ -337,12 +324,6 @@ def sample_haar_triple(dims, seed: int, scalar_kind: str = "real") -> TransformT
     return TransformTriple(factors)
 
 
-def _check_mode(mode: int) -> int:
-    if mode not in (1, 2, 3):
-        raise DimensionMismatch(f"mode must be 1, 2, or 3, got {mode}")
-    return mode - 1
-
-
 def flatten(a: Tensor3, mode: int) -> np.ndarray:
     """Mode-``mode`` flattening (matricization).
 
@@ -352,23 +333,11 @@ def flatten(a: Tensor3, mode: int) -> np.ndarray:
     ``j`` slow, for mode 2 ``(i, k)`` with ``i`` slow, for mode 3 ``(i, j)``
     with ``i`` slow.
     """
-    ax = _check_mode(mode)
+    if mode not in (1, 2, 3):
+        raise DimensionMismatch(f"mode must be 1, 2, or 3, got {mode}")
+    ax = mode - 1
     arr = a.data
     return arr.transpose((ax, *(d for d in range(3) if d != ax))).reshape(arr.shape[ax], -1)
-
-
-def unflatten(mat: np.ndarray, mode: int, dims) -> Tensor3:
-    """Inverse of :func:`flatten` for the given full dims."""
-    ax = _check_mode(mode)
-    dims = tuple(int(d) for d in dims)
-    if len(dims) != 3:
-        raise DimensionMismatch(f"dims must have length 3, got {dims}")
-    rest = tuple(d for i, d in enumerate(dims) if i != ax)
-    mat = np.asarray(mat)
-    if mat.shape != (dims[ax], rest[0] * rest[1]):
-        raise DimensionMismatch(f"matrix shape {mat.shape} does not match mode-{mode} flattening of {dims}")
-    arr = np.moveaxis(mat.reshape((dims[ax],) + rest), 0, ax)
-    return Tensor3(arr)
 
 
 def gram(a: Tensor3, mode: int) -> np.ndarray:

@@ -28,15 +28,14 @@ from otiso import (
     write_hypergraph,
     write_tensor,
 )
-from otiso.gaps import gap_target, log_slope
+from otiso.gaps import gap_target
 from otiso.hosvd import PhaseTargets
 from otiso.phases import solve_phases, solve_signs, wrap_angle
 from otiso.spectral import eig_hermitian
-from otiso.tensor import flatten, gram, unflatten
+from otiso.tensor import flatten, gram
 from otiso.cli import main
-from otiso.gaps import BETA_CALIBRATED, PILOT_MEDIANS
 
-from helpers import random_hypergraph, random_perm_triple
+from helpers import BETA_CALIBRATED, PILOT_MEDIANS, log_slope, random_hypergraph, random_perm_triple, unflatten
 
 VERIFY_TOL = 1e-6
 

@@ -22,13 +22,13 @@ from otiso.gaps import (
     TrialRecord,
     bound_probability,
     gap_target,
-    log_slope,
-    survival_curve,
     tensor_gap_target,
 )
 from otiso.spectral import eig_hermitian
 from otiso.tensor import generator, gram, sample_entries
-from otiso.gaps import BETA_CALIBRATED, BETA_EXPERIMENT, _spectrum_record
+from otiso.gaps import BETA_EXPERIMENT, _spectrum_record
+
+from helpers import BETA_CALIBRATED, log_slope, survival_curve
 
 GAUSS = RandomModel("gaussian", "real", 2024)
 

@@ -25,7 +25,6 @@ from otiso import (
 from otiso.io import (
     _e16_words,
     dumps_canonical,
-    tensor_from_bytes,
     tensor_from_json_obj,
     tensor_to_bytes,
     witness_from_bytes,
@@ -33,7 +32,7 @@ from otiso.io import (
     witness_to_bytes,
 )
 
-from helpers import read_from_fifo
+from helpers import read_from_fifo, tensor_from_bytes
 
 
 def test_binary_layout_frozen_real():

@@ -1,6 +1,12 @@
-"""The package namespace: ``__all__`` matches what ``otiso`` exports."""
+"""The package namespace: ``__all__`` matches what ``otiso`` exports, and every other module name has a program use."""
+
+import ast
+import re
+from pathlib import Path
 
 import otiso
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # The documented public API (README, "Python API"); the pipeline stages and
 # helpers are imported from their own modules.
@@ -30,3 +36,28 @@ def test_star_import_binds_all():
     namespace = {}
     exec("from otiso import *", namespace)
     assert set(otiso.__all__) <= set(namespace)
+
+
+def module_names(path):
+    """The names a module binds at top level by ``def``, ``class`` or assignment, once per binding."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store))
+
+
+def test_every_module_name_has_a_program_use():
+    # a name only the tests read belongs in tests/helpers.py: each one must
+    # appear, as a whole word, in the package, tools/ or bench/ beyond its bindings
+    texts = [p.read_text() for d in ("src", "tools", "bench") for p in sorted((ROOT / d).rglob("*.py"))]
+    unused = []
+    for path in sorted((ROOT / "src" / "otiso").glob("*.py")):
+        names = list(module_names(path))
+        for name in sorted(set(names) - set(otiso.__all__)):
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if sum(len(re.findall(rf"\b{name}\b", text)) for text in texts) <= names.count(name):
+                unused.append(f"{path.stem}.{name}")
+    assert unused == []

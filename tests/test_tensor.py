@@ -24,8 +24,9 @@ from otiso import (
 )
 from otiso.hosvd import core_of
 from otiso.phases import Assignment, assemble_witness
-from otiso.spectral import _fro_stack
-from otiso.tensor import _fro, flatten, gram, identity_triple, unflatten, unitarity_defect
+from otiso.tensor import _fro, flatten, gram
+
+from helpers import identity_triple, unflatten, unitarity_defect
 
 
 def naive_action(L, R, T, a):
@@ -375,14 +376,13 @@ def test_fro_is_numpys_norm_bit_for_bit(dims, kind, exponent, seed):
     # subnormal entries, whose squares underflow, ordinary ones, and entries
     # near 2^600, whose squares overflow; views that are not C-ordered too.
     # Where numpy's sum of squares is normal _fro is its norm bit for bit,
-    # elsewhere numpy's norm of the prescaled entries; _fro_stack is numpy's always.
+    # elsewhere numpy's norm of the prescaled entries.
     rng = np.random.default_rng(seed)
     parts = np.ldexp(rng.uniform(-1.0, 1.0, dims + ((2,) if kind == "complex" else ())), exponent)
     x = parts.view(np.complex128)[..., 0] if kind == "complex" else parts
     with np.errstate(over="ignore"):
         for view in (x, x.transpose(2, 0, 1), x[:, ::2], x[0]):
             assert _fro(view) == safe_norm(view)
-        assert _fro_stack(x).tobytes() == np.linalg.norm(x, axis=(1, 2)).tobytes()
 
 
 def test_transform_triple_copies_and_checks_its_input():
