@@ -133,29 +133,33 @@ def relabel(g: TripartiteHypergraph, pt: PermTriple) -> TripartiteHypergraph:
     return TripartiteHypergraph._adopt(g.part_sizes, index)
 
 
-def _sorted_degrees(g: TripartiteHypergraph) -> list[np.ndarray]:
-    """Each part's vertex degrees, sorted: relabelling a part permutes its degrees."""
-    coords = np.unravel_index(g.edge_index, g.part_sizes)
-    degrees = [np.bincount(c, minlength=size) for c, size in zip(coords, g.part_sizes)]
-    for deg in degrees:
+def _sorted_degrees(g: TripartiteHypergraph):
+    """Each part's vertex degrees, sorted, one part at a time: relabelling a part permutes its degrees."""
+    for c, size in zip(np.unravel_index(g.edge_index, g.part_sizes), g.part_sizes):
+        deg = np.bincount(c, minlength=size)
         deg.sort()  # in place on the fresh count: np.sort would copy it, through a dispatcher
-    return degrees
+        yield deg
 
 
 def decide_hypergraph_iso(g: TripartiteHypergraph, h: TripartiteHypergraph) -> HypergraphDecision:
     """NO at ``degrees`` when some part's sorted degrees differ, else the orbit decision on the adjacency tensors.
 
-    Any verdict but YES passes through with its diagnostics.  YES (step
-    ``verified``) needs the rounded witness to relabel g onto h exactly;
-    otherwise cannot_decide at ``edge_verification``, not NO, since another
-    sign choice could round to a valid permutation.
+    Unequal edge counts fail part 1, whose degrees sum to the count, before
+    any degree is counted.  Any verdict but YES passes through with its
+    diagnostics.  YES (step ``verified``) needs the rounded witness to
+    relabel g onto h exactly; otherwise cannot_decide at
+    ``edge_verification``, not NO, since another sign choice could round to
+    a valid permutation.
     """
     if g.part_sizes != h.part_sizes:
         raise DimensionMismatch(f"part sizes differ: {g.part_sizes} vs {h.part_sizes}")
-    for d, (dg, dh) in enumerate(zip(_sorted_degrees(g), _sorted_degrees(h))):
-        if dg.tobytes() != dh.tobytes():  # equal lengths (the part sizes) and dtype
-            return HypergraphDecision("no", None, {"step": "degrees", "failed_part": d + 1,
-                                                   "edge_counts": [g.edge_count, h.edge_count]})
+    counts = [g.edge_count, h.edge_count]
+    # both sides' degrees have the part size as length and one dtype: equal bytes are equal degrees
+    failed = 1 if counts[0] != counts[1] else next(
+        (d for d, (dg, dh) in enumerate(zip(_sorted_degrees(g), _sorted_degrees(h)), 1)
+         if dg.tobytes() != dh.tobytes()), 0)
+    if failed:
+        return HypergraphDecision("no", None, {"step": "degrees", "failed_part": failed, "edge_counts": counts})
     dec = decide_isomorphism(adjacency_tensor(g), adjacency_tensor(h))
     diag = dec.diagnostics
     if dec.verdict != "yes":

@@ -91,6 +91,12 @@ def random_hypergraph(part_sizes, seed: int, edge_prob: float = 0.5, *, stream=(
     return TripartiteHypergraph(sizes, np.argwhere(rng.random(sizes) < edge_prob))
 
 
+def toggle_edge(g: TripartiteHypergraph, cell: int) -> TripartiteHypergraph:
+    """g with the edge at C-order flat index ``cell`` added if absent, removed if present."""
+    index = np.setxor1d(g.edge_index, [cell])
+    return TripartiteHypergraph(g.part_sizes, np.column_stack(np.unravel_index(index, g.part_sizes)))
+
+
 def random_perm_triple(part_sizes, seed: int, *, stream=()) -> PermTriple:
     rng = generator(seed, *stream)
     return PermTriple(tuple(tuple(int(v) for v in rng.permutation(s)) for s in part_sizes))

@@ -36,7 +36,7 @@ import otiso.cli
 from otiso.cli import _COMMANDS, _COMMON, _jsonable, _read_plain, build_parser, main, parse_args
 from otiso.decision import Decision
 
-from helpers import random_hypergraph, random_perm_triple
+from helpers import random_hypergraph, random_perm_triple, toggle_edge
 
 
 def gen(tmp_path, name, seed, dims=(4, 4, 4), kind="real"):
@@ -642,7 +642,7 @@ def test_verify_tol_must_be_finite_and_non_negative(tmp_path, capsys, tol):
 
 # Calls into numpy's Python-level functions per op, measured with numpy
 # 2.4.6; a numpy upgrade that moves its wrappers re-baselines them.
-WRAPPER_BUDGET = {"real": 55, "complex": 55, "norm": 6, "hyper": 69}
+WRAPPER_BUDGET = {"real": 55, "complex": 55, "norm": 6, "hyper": 69, "toggle": 2}
 
 
 @pytest.mark.parametrize("op", sorted(WRAPPER_BUDGET))
@@ -650,12 +650,14 @@ def test_numpy_wrapper_calls_per_op_stay_within_budget(tmp_path, capsys, op):
     # the benchmark runs each op cold, where every Python-level numpy
     # wrapper costs about as much as a small op's arithmetic
     kind = "complex" if op == "complex" else "real"
-    want = 1 if op == "norm" else 0
-    if op == "hyper":
+    want = 1 if op in ("norm", "toggle") else 0
+    if op in ("hyper", "toggle"):
         g = random_hypergraph((10, 10, 10), seed=911)
         pg, ph = tmp_path / "g.txt", tmp_path / "h.txt"
         write_hypergraph(g, pg)
-        write_hypergraph(relabel(g, random_perm_triple((10, 10, 10), seed=912)), ph)
+        # a toggle adds one edge: a NO at degrees from the edge counts alone
+        h = relabel(g, random_perm_triple((10, 10, 10), seed=912)) if op == "hyper" else toggle_edge(g, 0)
+        write_hypergraph(h, ph)
         argv = ["hyper", "--g", str(pg), "--h", str(ph), "--json"]
     else:
         _, b, pa, pb = orbit_files(tmp_path, 911, dims=(9, 9, 9), kind=kind)

@@ -27,7 +27,7 @@ from otiso import (
 from otiso.hypergraph import adjacency_tensor, format_hypergraph, parse_hypergraph
 from otiso.hypergraph import _sorted_degrees
 
-from helpers import random_hypergraph, random_perm_triple, read_from_fifo
+from helpers import random_hypergraph, random_perm_triple, read_from_fifo, toggle_edge
 
 
 def test_adjacency_tensor_basics():
@@ -227,13 +227,28 @@ def test_relabelled_hypergraphs_pass_the_degree_check(sizes, density, seed):
 def test_one_edge_toggle_is_no_at_degrees(sizes, density, seed, cell):
     # adding or removing one edge changes the edge count, so part 1's degree sums differ
     g = random_hypergraph(sizes, seed, density)
-    index = np.setxor1d(g.edge_index, [cell % math.prod(sizes)])
-    h = TripartiteHypergraph(sizes, np.column_stack(np.unravel_index(index, sizes)))
+    h = toggle_edge(g, cell % math.prod(sizes))
     assert abs(h.edge_count - g.edge_count) == 1
     for x, y in ((g, h), (h, g)):
         d = decide_hypergraph_iso(x, y)
         assert d.verdict == "no"
         assert d.diagnostics == {"step": "degrees", "failed_part": 1, "edge_counts": [x.edge_count, y.edge_count]}
+
+
+def test_unequal_edge_counts_are_no_before_any_degree_is_counted(monkeypatch):
+    # part 1's degrees sum to the edge count: a toggle needs no degree to be a NO at part 1
+    g = random_hypergraph((10, 10, 10), seed=911)
+    h = toggle_edge(g, 0)
+
+    def no_degrees(_):
+        raise AssertionError("degrees counted for unequal edge counts")
+
+    monkeypatch.setattr(otiso.hypergraph, "_sorted_degrees", no_degrees)
+    for x, y in ((g, h), (h, g)):
+        d = decide_hypergraph_iso(x, y)
+        assert d.verdict == "no" and d.perms is None
+        assert d.diagnostics == {"step": "degrees", "failed_part": 1, "edge_counts": [x.edge_count, y.edge_count]}
+    assert (g.edge_count, h.edge_count) == (480, 481)
 
 
 def _isomorphic_by_brute_force(g, h) -> bool:
