@@ -9,7 +9,6 @@ that is re-checked exactly on the edge sets.
 from __future__ import annotations
 
 import math
-import re
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -175,24 +174,38 @@ def decide_hypergraph_iso(g: TripartiteHypergraph, h: TripartiteHypergraph) -> H
     return HypergraphDecision("cannot_decide", None, diag)
 
 
-# Three unsigned decimals per line, single spaces, every line ended by "\n".  At most 18 digits
-# stay below 2^63, where fromstring would clamp to INT64_MAX without an error; possessive
-# repeats keep the matcher from saving a backtracking mark per repetition.
-_CANONICAL = re.compile(r"(?:[0-9]{1,18}+ [0-9]{1,18}+ [0-9]{1,18}+\n)++")
-
-
 def parse_hypergraph(text: str) -> TripartiteHypergraph:
     """Text format: first line 'l m n', then one 1-based edge 'i j k' per line, all in one int64 decimal grammar.
 
-    A canonical document, the form ``format_hypergraph`` writes, is read in one
-    ``np.fromstring`` pass; every other one goes through ``np.loadtxt``, which
+    A canonical document, the form ``format_hypergraph`` writes, is read by
+    ``_canonical_rows``; every other one goes through ``np.loadtxt``, which
     reads a canonical document to the same rows.
     """
-    if _CANONICAL.fullmatch(text):
-        rows = np.fromstring(text, dtype=np.int64, sep=" ").reshape(-1, 3)
-    else:
-        rows = _loadtxt_rows(text)
+    rows = _canonical_rows(text.encode(errors="surrogatepass"))  # a lone surrogate is a non-ASCII byte here
+    return _from_rows(_loadtxt_rows(text) if rows is None else rows)
+
+
+def _from_rows(rows: np.ndarray) -> TripartiteHypergraph:
     return TripartiteHypergraph(tuple(rows[0].tolist()), rows[1:] - 1)
+
+
+def _canonical_rows(doc: bytes) -> np.ndarray | None:
+    r"""The rows of a canonical document in one ``np.fromstring`` pass, else None.
+
+    Canonical: every line three unsigned decimals, single spaces, ended by
+    "\n", every value below 10^18.  Deleting the digits must leave one "  \n"
+    per line, which rejects every other byte and layout in one C pass.  An
+    empty token reads as no value and fails the count, unless a token after
+    the last "\n" makes it up, hence the final "\n"; fromstring clamps a value
+    past 2^63 to INT64_MAX without an error, which the cap catches.
+    """
+    lines = doc.count(b"\n")
+    if not doc.endswith(b"\n") or doc.translate(None, b"0123456789") != b"  \n" * lines:
+        return None
+    rows = np.fromstring(doc, np.int64, sep=" ")
+    if rows.size != 3 * lines or np.maximum.reduce(rows) >= 10**18:
+        return None
+    return rows.reshape(-1, 3)
 
 
 def _loadtxt_rows(text: str) -> np.ndarray:
@@ -225,11 +238,14 @@ def format_hypergraph(g: TripartiteHypergraph) -> str:
 def read_hypergraph(path) -> TripartiteHypergraph:
     with open(path, "rb") as fh:
         data = fh.read()
-    try:
-        text = data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"non-ASCII byte in hypergraph file {path}: {exc}") from exc
-    return parse_hypergraph(text)
+    rows = _canonical_rows(data)
+    if rows is None:
+        try:
+            text = data.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"non-ASCII byte in hypergraph file {path}: {exc}") from exc
+        rows = _loadtxt_rows(text)
+    return _from_rows(rows)
 
 
 def write_hypergraph(g: TripartiteHypergraph, path) -> None:

@@ -594,6 +594,16 @@ def test_non_ascii_byte_exits_4(tmp_path, capsys, command):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_non_ascii_byte_on_a_hypergraph_edge_line_exits_4(tmp_path, capsys):
+    pg = tmp_path / "g.txt"
+    write_hypergraph(random_hypergraph((3, 3, 3), seed=214), pg)
+    ph = tmp_path / "h.txt"
+    ph.write_bytes(b"3 3 3\n1 1 1\n1 2 \xe9\n")
+    assert main(["hyper", "--g", str(pg), "--h", str(ph), "--quiet"]) == 4
+    assert capsys.readouterr().err == (f"error: non-ASCII byte in hypergraph file {ph}: 'ascii' codec can't decode "
+                                       "byte 0xe9 in position 16: ordinal not in range(128)\n")
+
+
 def test_config_errors_exit_3(tmp_path):
     _, _, pa, pb = orbit_files(tmp_path, 905)
     assert main(["dist", "--a", str(pa), "--b", str(pb),
