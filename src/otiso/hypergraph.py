@@ -9,6 +9,7 @@ that is re-checked exactly on the edge sets.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -49,10 +50,13 @@ class TripartiteHypergraph:
         except ValueError:
             bad = np.logical_or.reduce((coords < 0) | (coords >= sizes), axis=1).nonzero()[0][0]
             raise FormatError(f"edge {tuple(coords[bad].tolist())} out of range for part sizes {sizes}") from None
-        index.sort()
-        dup = (index[1:] == index[:-1]).nonzero()[0]
-        if dup.size:
-            raise FormatError(f"duplicate edge {tuple(int(v) for v in np.unravel_index(index[dup[0]], sizes))}")
+        # edges written in order, as format_hypergraph writes them, need no sort: one compare finds them
+        # strictly increasing; otherwise sort, and any repeat is a duplicate
+        if (index[1:] <= index[:-1]).nonzero()[0].size:
+            index.sort()
+            dup = (index[1:] == index[:-1]).nonzero()[0]
+            if dup.size:
+                raise FormatError(f"duplicate edge {tuple(int(v) for v in np.unravel_index(index[dup[0]], sizes))}")
         self._own(sizes, index)
 
     @classmethod
@@ -174,19 +178,10 @@ def decide_hypergraph_iso(g: TripartiteHypergraph, h: TripartiteHypergraph) -> H
     return HypergraphDecision("cannot_decide", None, diag)
 
 
-def parse_hypergraph(text: str) -> TripartiteHypergraph:
-    """Text format: first line 'l m n', then one 1-based edge 'i j k' per line, all in one int64 decimal grammar.
-
-    A canonical document, the form ``format_hypergraph`` writes, is read by
-    ``_canonical_rows``; every other one goes through ``np.loadtxt``, which
-    reads a canonical document to the same rows.
-    """
-    rows = _canonical_rows(text.encode(errors="surrogatepass"))  # a lone surrogate is a non-ASCII byte here
-    return _from_rows(_loadtxt_rows(text) if rows is None else rows)
-
-
 def _from_rows(rows: np.ndarray) -> TripartiteHypergraph:
-    return TripartiteHypergraph(tuple(rows[0].tolist()), rows[1:] - 1)
+    edges = rows[1:]
+    edges -= 1  # 0-based in place: both readers return a fresh array, so no second copy of the edges
+    return TripartiteHypergraph(tuple(rows[0].tolist()), edges)
 
 
 def _canonical_rows(doc: bytes) -> np.ndarray | None:
@@ -199,8 +194,9 @@ def _canonical_rows(doc: bytes) -> np.ndarray | None:
     the last "\n" makes it up, hence the final "\n"; fromstring clamps a value
     past 2^63 to INT64_MAX without an error, which the cap catches.
     """
-    lines = doc.count(b"\n")
-    if not doc.endswith(b"\n") or doc.translate(None, b"0123456789") != b"  \n" * lines:
+    stripped = doc.translate(None, b"0123456789")
+    lines = len(stripped) // 3  # the line count, whenever the layout check below holds
+    if not doc.endswith(b"\n") or stripped != b"  \n" * lines:
         return None
     rows = np.fromstring(doc, np.int64, sep=" ")
     if rows.size != 3 * lines or np.maximum.reduce(rows) >= 10**18:
@@ -229,15 +225,31 @@ def _loadtxt_rows(text: str) -> np.ndarray:
 
 
 def format_hypergraph(g: TripartiteHypergraph) -> str:
-    """Inverse of parse_hypergraph; edges written sorted for stable output."""
+    """The canonical document of g, which ``read_hypergraph`` reads back; edges written sorted for stable output."""
     coords = np.column_stack(np.unravel_index(g.edge_index, g.part_sizes)) + 1
     out = ["{} {} {}".format(*g.part_sizes)] + [f"{i} {j} {k}" for i, j, k in coords.tolist()]
     return "\n".join(out) + "\n"
 
 
 def read_hypergraph(path) -> TripartiteHypergraph:
-    with open(path, "rb") as fh:
-        data = fh.read()
+    """Text format: first line 'l m n', then one 1-based edge 'i j k' per line, all in one int64 decimal grammar.
+
+    A canonical document, the form ``format_hypergraph`` writes, is read by
+    ``_canonical_rows``; every other one goes through ``np.loadtxt``, which
+    reads a canonical document to the same rows.
+    """
+    # os.read to end of file, so a FIFO reads as a file does; no file object, whose set-up costs more than a small read
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, 1 << 20):
+            chunks.append(chunk)
+    except OSError as exc:  # a directory opens and fails at its first read: name it, as open() does
+        exc.filename = os.fspath(path)
+        raise
+    finally:
+        os.close(fd)
+    data = b"".join(chunks)  # one chunk is returned as it is
     rows = _canonical_rows(data)
     if rows is None:
         try:

@@ -9,6 +9,7 @@ import threading
 
 import numpy as np
 
+import otiso.hypergraph
 from otiso.errors import ConfigInvalid, DimensionMismatch
 from otiso.hypergraph import PermTriple, TripartiteHypergraph
 from otiso.io import _read_t3b
@@ -89,6 +90,17 @@ def random_hypergraph(part_sizes, seed: int, edge_prob: float = 0.5, *, stream=(
     sizes = tuple(int(s) for s in part_sizes)
     rng = generator(seed, *stream)
     return TripartiteHypergraph(sizes, np.argwhere(rng.random(sizes) < edge_prob))
+
+
+def parse_hypergraph(text: str) -> TripartiteHypergraph:
+    """The hypergraph of a document given as text, read by ``read_hypergraph``'s two paths.
+
+    The gate is looked up on its module, so a test that patches
+    ``otiso.hypergraph._canonical_rows`` reaches it here too.
+    """
+    module = otiso.hypergraph
+    rows = module._canonical_rows(text.encode(errors="surrogatepass"))  # a lone surrogate is a non-ASCII byte here
+    return module._from_rows(module._loadtxt_rows(text) if rows is None else rows)
 
 
 def toggle_edge(g: TripartiteHypergraph, cell: int) -> TripartiteHypergraph:

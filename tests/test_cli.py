@@ -604,6 +604,16 @@ def test_non_ascii_byte_on_a_hypergraph_edge_line_exits_4(tmp_path, capsys):
                                        "byte 0xe9 in position 16: ordinal not in range(128)\n")
 
 
+def test_an_unreadable_hypergraph_path_exits_4_naming_it(tmp_path, capsys):
+    # a directory opens for reading and fails only at its first read
+    ph = tmp_path / "h.txt"
+    write_hypergraph(random_hypergraph((3, 3, 3), seed=214), ph)
+    for path, reason in ((tmp_path, "[Errno 21] Is a directory"),
+                         (tmp_path / "none.txt", "[Errno 2] No such file or directory")):
+        assert main(["hyper", "--g", str(path), "--h", str(ph), "--quiet"]) == 4
+        assert capsys.readouterr().err == f"error: {reason}: '{path}'\n"
+
+
 def test_config_errors_exit_3(tmp_path):
     _, _, pa, pb = orbit_files(tmp_path, 905)
     assert main(["dist", "--a", str(pa), "--b", str(pb),

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,10 +24,10 @@ from otiso import (
     sample_haar_triple,
     write_hypergraph,
 )
-from otiso.hypergraph import adjacency_tensor, format_hypergraph, parse_hypergraph
+from otiso.hypergraph import adjacency_tensor, format_hypergraph
 from otiso.hypergraph import _sorted_degrees
 
-from helpers import random_hypergraph, random_perm_triple, read_from_fifo, toggle_edge
+from helpers import parse_hypergraph, random_hypergraph, random_perm_triple, read_from_fifo, toggle_edge
 
 
 def test_adjacency_tensor_basics():
@@ -585,6 +586,10 @@ def test_both_reader_paths_agree_on_canonical_documents(case):
     ("2 2 2\n+1 1 1\n", False, ((2, 2, 2), [0])),
     ("2 2 2\n1 1 999999999999999999\n", True, FormatError),  # the largest value the gate passes, out of range
     ("2 2 2\n1 1 1000000000000000000\n", False, FormatError),  # the smallest it sends to loadtxt
+    # the gate takes the line count from the digit-stripped bytes: a stray byte or a short line fails it
+    ("2 2 2\n1 1 1 \n", False, ((2, 2, 2), [0])),  # a trailing space after three values
+    ("2 2 2\n1 1 1\n\n", False, ((2, 2, 2), [0])),  # a trailing blank line
+    ("2 2 2 2\n1 1\n", False, FormatError),  # stripped to 6 bytes, 3 per line, but not two "  \n"
 ])
 def test_reader_paths_at_the_canonical_pattern_edges(text, fast, want):
     assert (otiso.hypergraph._canonical_rows(text.encode(errors="surrogatepass")) is not None) == fast
@@ -594,6 +599,25 @@ def test_reader_paths_at_the_canonical_pattern_edges(text, fast, want):
         sizes, flat = want
         want = sizes, np.array(flat, dtype=np.int64).tobytes()
     assert got == want
+
+
+def test_reading_a_canonical_document_holds_one_copy_of_its_rows(tmp_path):
+    # at its peak the read holds the file's bytes and the parsed rows (24 bytes
+    # an edge, as np.fromstring grows them); a second copy of the edges would
+    # add another 24 * E and pass the bound
+    g = random_hypergraph((40, 40, 40), seed=7)
+    path = tmp_path / "g.txt"
+    write_hypergraph(g, path)
+    assert otiso.hypergraph._canonical_rows(path.read_bytes()) is not None
+    assert read_hypergraph(path) == g  # the first call pays any one-time setup
+    tracemalloc.start()
+    try:
+        got = read_hypergraph(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == g
+    assert peak < 2 * 24 * g.edge_count, (peak, g.edge_count)
 
 
 def test_yes_permutations_map_edges_in_dense_tensors():
