@@ -20,7 +20,7 @@ from .decision import Decision, decide_isomorphism, decide_orbit_distance, verif
 from .errors import ConfigInvalid, DimensionMismatch, EpsOutOfRange, OtisoError, ScalarKindMismatch
 from .gaps import BETA_EXPERIMENT, GapExperiment, emit_csv, run_gap_experiment, run_tensor_gram_experiment
 from .hypergraph import decide_hypergraph_iso, read_hypergraph
-from .tensor import RandomModel, sample_tensor
+from .tensor import DISTRIBUTIONS, SCALAR_KINDS, RandomModel, sample_tensor
 
 _VERDICT_EXIT = {"yes": 0, "no": 1, "cannot_decide": 2}
 _PLAIN = frozenset((str, int, bool, type(None)))
@@ -180,8 +180,8 @@ def _cmd_verify(args) -> int:
 
 
 _REQUIRED = dict(required=True)
-_MODEL = dict(choices=["gaussian", "rademacher", "uniform_pm"], default="gaussian")
-_KIND = dict(choices=["real", "complex"], default="real")
+_MODEL = dict(choices=DISTRIBUTIONS, default="gaussian")
+_KIND = dict(choices=SCALAR_KINDS, default="real")
 _SEED = dict(type=int, default=0, help="RNG seed (64-bit)")
 _COMMON = {"--json": dict(action="store_true", default=False, help="emit a single JSON report on stdout"),
            "--quiet": dict(action="store_true", default=False, help="suppress human-readable output")}

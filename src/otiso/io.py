@@ -20,13 +20,11 @@ import struct
 import numpy as np
 
 from .errors import FormatError, NonFiniteEntries
-from .tensor import Tensor3, TransformTriple
+from .tensor import SCALAR_KINDS, Tensor3, TransformTriple
 
 TENSOR_MAGIC = b"T3B1"
 WITNESS_MAGIC = b"T3W1"
 
-# the header's kind byte indexes this tuple
-_KINDS = ("real", "complex")
 # the file formats' entry types, little-endian whatever the host's byte order
 _LE = {"real": np.dtype("<f8"), "complex": np.dtype("<c16")}
 
@@ -61,7 +59,7 @@ _TAIL_DIVISORS = np.array([1e12, 1e9, 1e6, 1e3, 1.0])[:, None]
 
 
 def tensor_to_bytes(a: Tensor3) -> bytes:
-    head = TENSOR_MAGIC + struct.pack("<BIII", _KINDS.index(a.scalar_kind), *a.dims)
+    head = TENSOR_MAGIC + struct.pack("<BIII", SCALAR_KINDS.index(a.scalar_kind), *a.dims)
     return head + np.ascontiguousarray(a.data, _LE[a.scalar_kind]).tobytes()
 
 
@@ -72,11 +70,11 @@ def _binary_header(buf: bytes, magic: bytes, what: str) -> tuple[str, tuple[int,
     if buf[:4] != magic:
         raise FormatError(f"bad magic {buf[:4]!r}, expected {magic!r}")
     kind_byte, dims = buf[4], struct.unpack("<III", buf[5:17])
-    if kind_byte >= len(_KINDS):
+    if kind_byte >= len(SCALAR_KINDS):
         raise FormatError(f"unknown scalar-kind byte {kind_byte}")
     if min(dims) < 1:
         raise FormatError(f"non-positive dimension in header: {dims}")
-    return _KINDS[kind_byte], dims
+    return SCALAR_KINDS[kind_byte], dims
 
 
 def _read_t3b(head: bytes, fh) -> Tensor3:
@@ -203,7 +201,7 @@ def _json_header(obj, fmt: str) -> tuple[str, tuple[int, int, int]]:
     if not (_is_json_int(version) and version == 1):
         raise FormatError(f"unsupported {fmt} version {version!r}")
     kind = obj.get("scalar_kind")
-    if kind not in _KINDS:
+    if kind not in SCALAR_KINDS:
         raise FormatError(f"unknown scalar_kind {kind!r}")
     dims = obj.get("dims")
     if not (isinstance(dims, list) and len(dims) == 3 and all(_is_json_int(d) and d >= 1 for d in dims)):
@@ -258,7 +256,7 @@ def read_tensor(path) -> Tensor3:
 
 
 def witness_to_bytes(g: TransformTriple) -> bytes:
-    head = WITNESS_MAGIC + struct.pack("<BIII", _KINDS.index(g.scalar_kind), *g.dims)
+    head = WITNESS_MAGIC + struct.pack("<BIII", SCALAR_KINDS.index(g.scalar_kind), *g.dims)
     blocks = b"".join(np.ascontiguousarray(g[d], _LE[g.scalar_kind]).tobytes() for d in range(3))
     return head + blocks
 

@@ -22,7 +22,9 @@ import numpy as np
 
 from .errors import ConfigInvalid, DimensionMismatch, NonFiniteEntries, NotUnitary
 
+# The T3B and T3W headers store a scalar kind as its index here, so the order is fixed.
 SCALAR_KINDS = ("real", "complex")
+DISTRIBUTIONS = ("gaussian", "rademacher", "uniform_pm")
 
 # Unitarity defect tolerance is per-dimension: ||X*X - I||_F <= TAU_UNITARY_REL * dim.
 TAU_UNITARY_REL = 1e-10
@@ -248,7 +250,7 @@ class RandomModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.distribution not in ("gaussian", "rademacher", "uniform_pm"):
+        if self.distribution not in DISTRIBUTIONS:
             raise ConfigInvalid(f"unknown distribution {self.distribution!r}")
         if self.scalar_kind not in SCALAR_KINDS:
             raise ConfigInvalid(f"unknown scalar kind {self.scalar_kind!r}")

@@ -35,6 +35,7 @@ from otiso.hypergraph import format_hypergraph
 import otiso.cli
 from otiso.cli import _COMMANDS, _COMMON, _jsonable, _read_plain, build_parser, main, parse_args
 from otiso.decision import Decision
+from otiso.tensor import DISTRIBUTIONS, SCALAR_KINDS
 
 from helpers import random_hypergraph, random_perm_triple, toggle_edge
 
@@ -186,6 +187,23 @@ def test_gaps_tensor_mode(capsys):
                  "--eta", "1.0", "--seed", "4", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["meta"]["kind"] == "tensor"
+
+
+@pytest.mark.parametrize("options, meta", [
+    (["--n", "30", "--zeta", "0.5"],
+     {"kind": "matrix", "n": 30, "p": 5, "zeta": 0.5, "beta": 0.6,
+      "distribution": "uniform_pm", "scalar_kind": "complex", "seed": 8}),
+    (["--tensor", "--n", "4", "--eta", "0.25"],
+     {"kind": "tensor", "n": 4, "beta": 0.6, "eta": 0.25,
+      "distribution": "uniform_pm", "scalar_kind": "complex", "seed": 8}),
+], ids=["zeta", "tensor-eta"])
+def test_gaps_json_summary_keys_and_meta(capsys, options, meta):
+    argv = ["gaps", *options, "--trials", "3", "--model", "uniform_pm", "--kind", "complex", "--seed", "8", "--json"]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert sorted(doc) == ["bound_prob", "command", "degenerate", "median_min_gap", "meta", "prob_ge_target",
+                           "simple_freq", "target", "trials"]
+    assert doc["meta"] == meta
 
 
 def test_gaps_refuses_non_finite_eta_and_beta():
@@ -492,6 +510,13 @@ def test_verify_is_symmetric_in_the_kinds(tmp_path, capsys):
         assert main(argv) == 0
         residuals.append(json.loads(capsys.readouterr().out)["residual"])
     assert residuals[0] > 0.0 and residuals[0] == pytest.approx(residuals[1], rel=1e-12)
+
+
+def test_kind_and_model_choices_are_the_tensor_modules_names():
+    # one owner for the names: the CLI offers exactly what RandomModel and the file formats take
+    for name in ("gen", "gaps"):
+        options = _COMMANDS[name][2]
+        assert options["--kind"]["choices"] is SCALAR_KINDS and options["--model"]["choices"] is DISTRIBUTIONS
 
 
 def test_usage_errors():

@@ -198,6 +198,25 @@ def test_tensor_experiment_eta_sweep():
         run_tensor_gram_experiment(6, model, 5, eta=-1.0)
 
 
+def test_each_experiment_reports_its_full_meta():
+    # the whole dict in order: the experiment's own keys, then the model's
+    model = RandomModel("rademacher", "complex", -1)
+    seed = 2 ** 64 - 1
+    by_zeta = run_gap_experiment(GapExperiment(50, 0.6, 2, model, zeta=0.5)).meta
+    assert list(by_zeta.items()) == [
+        ("kind", "matrix"), ("n", 50), ("p", 7), ("zeta", 0.5), ("beta", 0.6),
+        ("distribution", "rademacher"), ("scalar_kind", "complex"), ("seed", seed)]
+    by_p = run_gap_experiment(GapExperiment(100, 0.7, 2, GAUSS, p=10)).meta
+    assert list(by_p.items()) == [
+        ("kind", "matrix"), ("n", 100), ("p", 10), ("zeta", math.log(10) / math.log(100)), ("beta", 0.7),
+        ("distribution", "gaussian"), ("scalar_kind", "real"), ("seed", 2024)]
+    for eta in (None, 0.5):
+        meta = run_tensor_gram_experiment(4, model, 2, eta=eta).meta
+        assert list(meta.items()) == [
+            ("kind", "tensor"), ("n", 4), ("beta", BETA_EXPERIMENT), ("eta", eta),
+            ("distribution", "rademacher"), ("scalar_kind", "complex"), ("seed", seed)]
+
+
 def test_survival_curve_monotone():
     report = run_gap_experiment(GapExperiment(40, 0.6, 30, GAUSS, zeta=0.5))
     ts = [0.0, 0.01, 0.1, 1.0, 10.0, 1e6]
@@ -251,6 +270,31 @@ def test_csv_format_errors(tmp_path):
     )
     with pytest.raises(FormatError):
         read_csv(bad_row)
+
+
+_FOOTER = "#aggregate,target=1.0,bound_prob=0.5,prob_ge_target=1.0,simple_freq=1.0,degenerate=false\n"
+_ROW = "0,1,0.5,true,1.0,2.0"
+
+
+@pytest.mark.parametrize("row, footer", [
+    pytest.param("0,1,0.5,yes,1.0,2.0", _FOOTER, id="simple-yes"),  # once read as simple=False
+    pytest.param("0,1,0.5,True,1.0,2.0", _FOOTER, id="simple-True"),
+    pytest.param(_ROW, _FOOTER.replace("degenerate=false", "degenerate=maybe"), id="degenerate-maybe"),
+    pytest.param(_ROW, _FOOTER.replace("\n", ",target=7\n"), id="repeated-key"),  # once the second target won
+    pytest.param(_ROW, _FOOTER.replace("target=1.0", "bound_prob=0.5"), id="repeated-key-missing-key"),
+    pytest.param(_ROW, _FOOTER.replace(",degenerate=false", ""), id="missing-key"),
+    pytest.param(_ROW, _FOOTER.replace("\n", ",trials=1\n"), id="extra-key"),
+    pytest.param(_ROW, _FOOTER.replace("\n", ",\n"), id="empty-item"),
+])
+def test_csv_refuses_other_booleans_and_footer_keys(tmp_path, row, footer):
+    # a boolean is exactly true or false, and the footer holds the five keys emit_csv writes, once each
+    path = tmp_path / "g.csv"
+    path.write_text(f"trial,seed,min_gap,simple,smin,smax\n{row}\n{footer}")
+    with pytest.raises(FormatError):
+        read_csv(path)
+    path.write_text(f"trial,seed,min_gap,simple,smin,smax\n{_ROW}\n{_FOOTER}")
+    back = read_csv(path)
+    assert back.records[0].simple and not back.degenerate and back.target == 1.0
 
 
 def test_csv_non_ascii_byte_is_format_error(tmp_path):

@@ -6,7 +6,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import event, given, strategies as st
 
 import otiso
 from otiso import (
@@ -80,6 +80,7 @@ def test_action_matches_naive_oracle_random(kind):
 @given(dims=st.tuples(*[st.integers(1, 6)] * 3), kind=st.sampled_from(["real", "complex"]),
        seed=st.integers(0, 2**32 - 1))
 def test_action_matches_naive_oracle_property(dims, kind, seed):
+    event(f"kind={kind}")
     a = sample_tensor(dims, RandomModel("gaussian", kind, seed))
     g = sample_haar_triple(dims, seed + 1, kind)
     got = apply_action(g, a)
@@ -92,6 +93,7 @@ def test_action_matches_naive_oracle_property(dims, kind, seed):
 @given(dims=st.tuples(*[st.integers(1, 6)] * 3), tensor_kind=st.sampled_from(["real", "complex"]),
        seed=st.integers(0, 2**32 - 1))
 def test_action_validates_dims_and_kind(dims, tensor_kind, seed):
+    event(f"tensor_kind={tensor_kind}")
     a = sample_tensor(dims, RandomModel("gaussian", tensor_kind, seed))
     with pytest.raises(DimensionMismatch):
         apply_action(sample_haar_triple(dims[:2] + (dims[2] + 1,), seed + 1, "real"), a)
@@ -304,6 +306,8 @@ def safe_norm(x: np.ndarray) -> float:
     seed=st.integers(0, 2 ** 32),
 )
 def test_finiteness_and_norm_follow_the_entries(tmp_path_factory, dims, kind, magnitude, bad, seed):
+    event(f"kind={kind}")
+    event("magnitude=1e308" if magnitude == 1e308 else "magnitude<1e308")
     # magnitudes up to 1e308 overflow the plain sum of squares while every
     # entry is finite, and tiny ones underflow it; bad values land in real or
     # imaginary parts alike
@@ -373,6 +377,8 @@ def test_triple_inverse_is_group_inverse():
     seed=st.integers(0, 2 ** 32),
 )
 def test_fro_is_numpys_norm_bit_for_bit(dims, kind, exponent, seed):
+    event(f"kind={kind}")
+    event("subnormal" if exponent <= -1022 else "overflow" if exponent >= 590 else "ordinary")
     # subnormal entries, whose squares underflow, ordinary ones, and entries
     # near 2^600, whose squares overflow; views that are not C-ordered too.
     # Where numpy's sum of squares is normal _fro is its norm bit for bit,
